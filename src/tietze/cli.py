@@ -20,14 +20,15 @@ from .verify import abelian_invariants
 MATCH_CHOICES = ("brute", "signature", "kr-bloom", "kr-hash", "automaton")
 SKIP_CHOICES = ("all-pairs", "flags", "ts-sorted", "ts-unsorted")
 
+# (match, bloom bits, automata)
 ALL_STRATEGY_CONFIGS = (
-    ("brute", {}),
-    ("signature", {}),
-    ("kr-hash", {}),
-    ("kr-bloom", {"bloom_bits": 3}),
-    ("kr-bloom", {"bloom_bits": 4}),
-    ("automaton", {"automata": "two"}),
-    ("automaton", {"automata": "one"}),
+    ("brute", 3, "two"),
+    ("signature", 3, "two"),
+    ("kr-hash", 3, "two"),
+    ("kr-bloom", 3, "two"),
+    ("kr-bloom", 4, "two"),
+    ("automaton", 3, "two"),
+    ("automaton", 3, "one"),
 )
 
 
@@ -36,18 +37,30 @@ def _read_presentation(path: str):
         return parse_presentation(f.read())
 
 
-def _engine_config(args) -> EngineConfig:
-    return EngineConfig(
-        match_strategy=args.match,
-        skip_policy=args.skip,
-        bloom_bits=args.bloom_bits if args.bloom_bits is not None else 3,
-        bloom_log2_size=args.bloom_log2 if args.bloom_log2 is not None else 16,
-        automata=args.automata if args.automata is not None else "two",
-        long_elim_enabled=args.long_elim == "on",
-        growth_limit=args.growth_limit,
-        max_passes=args.max_passes,
-        seed=args.seed,
-    )
+def _flag_strategy(args) -> tuple[str, int, str]:
+    """(match, bloom bits, automata) as given by the engine flags."""
+    return (args.match,
+            args.bloom_bits if args.bloom_bits is not None else 3,
+            args.automata if args.automata is not None else "two")
+
+
+def _engine_config(args, parser, match: str, bloom_bits: int, automata: str,
+                   skip: str) -> EngineConfig:
+    """The EngineConfig of one run; an invalid flag value is a usage error."""
+    try:
+        return EngineConfig(
+            match_strategy=match,
+            skip_policy=skip,
+            bloom_bits=bloom_bits,
+            bloom_log2_size=args.bloom_log2 if args.bloom_log2 is not None else 16,
+            automata=automata,
+            long_elim_enabled=args.long_elim == "on",
+            growth_limit=args.growth_limit,
+            max_passes=args.max_passes,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def _validate_flags(args, parser) -> None:
@@ -85,8 +98,8 @@ def _write_json(path: str, payload) -> None:
 
 def cmd_simplify(args, parser) -> int:
     _validate_flags(args, parser)
+    cfg = _engine_config(args, parser, *_flag_strategy(args), args.skip)
     pres = _read_presentation(args.input)
-    cfg = _engine_config(args)
     t0 = time.perf_counter()
     pres, stats = simplify(pres, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -102,31 +115,19 @@ def cmd_simplify(args, parser) -> int:
 
 
 def _bench_grid(args):
-    strategies = ALL_STRATEGY_CONFIGS if args.all_strategies else (
-        (args.match, {"bloom_bits": args.bloom_bits if args.bloom_bits is not None else 3,
-                      "automata": args.automata if args.automata is not None else "two"}),
-    )
+    """(match, bloom bits, automata, skip) of every configuration to run."""
+    strategies = ALL_STRATEGY_CONFIGS if args.all_strategies else (_flag_strategy(args),)
     skips = SKIP_CHOICES if args.all_skip else (args.skip,)
-    for match, extra in strategies:
+    for strategy in strategies:
         for skip in skips:
-            yield match, extra, skip
+            yield *strategy, skip
 
 
 def cmd_bench(args, parser) -> int:
+    configs = [_engine_config(args, parser, *run) for run in _bench_grid(args)]
     base = _read_presentation(args.input)
     reports = []
-    for match, extra, skip in _bench_grid(args):
-        cfg = EngineConfig(
-            match_strategy=match,
-            skip_policy=skip,
-            bloom_bits=extra.get("bloom_bits", 3),
-            bloom_log2_size=args.bloom_log2 if args.bloom_log2 is not None else 16,
-            automata=extra.get("automata", "two"),
-            long_elim_enabled=args.long_elim == "on",
-            growth_limit=args.growth_limit,
-            max_passes=args.max_passes,
-            seed=args.seed,
-        )
+    for cfg in configs:
         pres = base.clone()
         t0 = time.perf_counter()
         _, stats = simplify(pres, cfg)

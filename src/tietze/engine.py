@@ -44,12 +44,14 @@ class EngineConfig:
     record_events: bool = False  # keep per-search logs on EngineStats
 
     def __post_init__(self):
-        if self.growth_limit < 1.0:
+        if not self.growth_limit >= 1.0:  # also rejects NaN
             raise ValueError("growth_limit must be >= 1.0")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
         if self.bloom_bits not in (3, 4):
             raise ValueError("bloom_bits must be 3 or 4")
+        if not 3 <= self.bloom_log2_size <= 30:
+            raise ValueError("bloom_log2_size must be in 3..30")
 
     def strategy_name(self) -> str:
         if self.match_strategy == "kr-bloom":

@@ -1,14 +1,25 @@
-"""Karp-Rabin fingerprints over sliding windows, with Bloom or exact backing.
+"""Karp-Rabin window search with an exact or a Bloom-filter backing.
 
-Symbols are coded densely: code(g) = 2g for a generator, 2g + 1 for its
-inverse.  Fingerprints are Horner evaluations of the code sequence modulo
-a Mersenne prime, with the base drawn from the run seed so adversarial
-collisions are improbable.
+Both backings index the 2*l_p threshold-length circular windows of a
+pattern and of its formal inverse, and scan the text's windows in order.
+
+The exact backing (``kr-hash``) keys its table on the windows themselves:
+each word is packed once as machine ints (``array("i")``) and every window
+is a bytes slice of that buffer, so slicing, hashing and lookup all run in
+C and a table hit is already an exact match.  It never reports a
+fingerprint false match.
+
+The Bloom backings (``kr-bloom3``/``kr-bloom4``) need a numeric key, so they
+roll Karp-Rabin fingerprints: symbols are coded densely, code(g) = 2g for
+a generator and 2g + 1 for its inverse, and a fingerprint is the Horner
+evaluation of the code sequence modulo a Mersenne prime, with the base
+drawn from the run seed so adversarial collisions are improbable.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 
 from .match import Match, SearchCounters, match_from_seed
@@ -112,14 +123,28 @@ def bloom_query(b: BloomFilter, value: int) -> bool:
     return b.query(value)
 
 
+_ITEM = array("i").itemsize
+
+
+def _pack(w: Word, m: int) -> bytes:
+    """``w`` extended by its first m - 1 symbols, as native ints.
+
+    Circular window i of length m is ``packed[i * _ITEM:(i + m) * _ITEM]``.
+    """
+    return array("i", extend_front(w, m - 1)).tobytes()
+
+
 class PatternIndex:
     """Per-pattern search state for the Karp-Rabin strategies.
 
     Indexes the 2*l_p minimal possibly-useful windows (all threshold-length
-    circular windows of the pattern and of its formal inverse).  The
-    backing store answers the first-stage membership probe: an exact hash
-    table, or a Bloom filter whose hits are re-checked against the exact
-    fingerprint set so false Bloom hits can be counted.
+    circular windows of the pattern and of its formal inverse).
+    ``candidates`` maps a window key to its ``(inverted, window start)``
+    occurrences in insertion order: uninverted windows first, each base by
+    ascending start.  The exact backing keys on the packed window bytes;
+    the Bloom backings key on fingerprints and put a Bloom filter in front,
+    so that hits are re-checked against the exact fingerprint set and
+    false Bloom hits can be counted.
     """
 
     def __init__(self, p_word: Word, backing: str, params: FingerprintParams,
@@ -131,18 +156,25 @@ class PatternIndex:
         self.backing = backing
         self.params = params
         self.m = useful_threshold(len(p_word))
-        self.windows_inserted = 0
-        # fingerprint value -> [(inverted, window start)], insertion order
-        self.candidates: dict[int, list[tuple[bool, int]]] = {}
+        self.inverse = invert(p_word)
+        self.windows_inserted = 2 * len(p_word)
+        self.candidates: dict[bytes | int, list[tuple[bool, int]]] = {}
         self.bloom: BloomFilter | None = None
-        if backing != "exact":
-            self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
-        for inverted, base in ((False, p_word), (True, invert(p_word))):
+        bases = ((False, p_word), (True, self.inverse))
+        if backing == "exact":
+            span = self.m * _ITEM
+            for inverted, base in bases:
+                packed = _pack(base, self.m)
+                for start in range(len(base)):
+                    offset = start * _ITEM
+                    key = packed[offset:offset + span]
+                    self.candidates.setdefault(key, []).append((inverted, start))
+            return
+        self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
+        for inverted, base in bases:
             for start, value in _window_fingerprints(base, self.m, params):
                 self.candidates.setdefault(value, []).append((inverted, start))
-                if self.bloom is not None:
-                    self.bloom.insert(value)
-                self.windows_inserted += 1
+                self.bloom.insert(value)
 
 
 def build_pattern_index(p_word: Word, backing: str, params: FingerprintParams,
@@ -152,29 +184,25 @@ def build_pattern_index(p_word: Word, backing: str, params: FingerprintParams,
 
 def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
               counters: SearchCounters | None = None) -> Match | None:
-    """Roll a threshold-length fingerprint across the text and confirm hits."""
+    """Scan the text's threshold-length windows in order; extend the first hit."""
     l_p, l_t = len(p_word), len(t_word)
     if not 1 <= l_p <= l_t:
         raise ValueError("kr search requires 1 <= |pattern| <= |text|")
     if counters is None:
         counters = SearchCounters()
+    if idx.bloom is None:
+        return _exact_search(idx, p_word, t_word, counters)
     m = idx.m
-    bases = (p_word, invert(p_word))
+    bases = (p_word, idx.inverse)
     for tstart, value in _window_fingerprints(t_word, m, idx.params):
         counters.windows_scanned += 1
-        if idx.bloom is not None:
-            if not idx.bloom.query(value):
-                continue
-            counters.filter_hits += 1
-            cands = idx.candidates.get(value)
-            if cands is None:
-                counters.bloom_false_hits += 1
-                continue
-        else:
-            cands = idx.candidates.get(value)
-            if cands is None:
-                continue
-            counters.filter_hits += 1
+        if not idx.bloom.query(value):
+            continue
+        counters.filter_hits += 1
+        cands = idx.candidates.get(value)
+        if cands is None:
+            counters.bloom_false_hits += 1
+            continue
         counters.fingerprint_matches += 1
         t_window = tuple(t_word[(tstart + i) % l_t] for i in range(m))
         confirmed = None
@@ -187,10 +215,35 @@ def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
         if confirmed is None:
             counters.fingerprint_false_matches += 1
             continue
-        inverted, pstart = confirmed
-        match = match_from_seed(p_word, t_word, inverted, pstart, tstart)
-        if match is None:  # confirmed window already reaches the threshold
-            raise AssertionError("confirmed window failed to extend")
-        counters.successes += 1
-        return match
+        return _extend_hit(p_word, t_word, *confirmed, tstart, counters)
     return None
+
+
+def _exact_search(idx: PatternIndex, p_word: Word, t_word: Word,
+                  counters: SearchCounters) -> Match | None:
+    """The exact backing: the first text window whose bytes are a table key."""
+    l_t = len(t_word)
+    packed = _pack(t_word, idx.m)
+    span = idx.m * _ITEM
+    get = idx.candidates.get
+    for offset in range(0, l_t * _ITEM, _ITEM):
+        cands = get(packed[offset:offset + span])
+        if cands is not None:
+            tstart = offset // _ITEM
+            counters.windows_scanned += tstart + 1
+            counters.filter_hits += 1
+            counters.fingerprint_matches += 1
+            counters.confirmations += 1
+            inverted, pstart = cands[0]
+            return _extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
+    counters.windows_scanned += l_t
+    return None
+
+
+def _extend_hit(p_word: Word, t_word: Word, inverted: bool, pstart: int, tstart: int,
+                counters: SearchCounters) -> Match:
+    match = match_from_seed(p_word, t_word, inverted, pstart, tstart)
+    if match is None:  # confirmed window already reaches the threshold
+        raise AssertionError("confirmed window failed to extend")
+    counters.successes += 1
+    return match

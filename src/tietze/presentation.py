@@ -3,7 +3,7 @@
 The file format is line oriented UTF-8:
 
     # comment and blank lines are ignored
-    gens <d>              exactly once, first significant line, d >= 1
+    gens <d>              exactly once, first significant line, d >= 0
     rel <s1> <s2> ...     one relator, nonzero signed integers, |s| <= d
     relw <letters>        letter form (a=1 ... z=26, uppercase = inverse),
                           only accepted when d <= 26
@@ -33,13 +33,16 @@ class RelatorRecord:
 
     ``tp`` is the last time the relator was used as a pattern, ``ts`` the
     last time it was changed; their value domain depends on the active
-    skip policy.  The word is always freely and cyclically reduced.
+    skip policy.  The word is always freely and cyclically reduced, and
+    changes only through ``set_word``, which drops the cached canonical
+    form.
     """
 
     id: int
     word: Word
     tp: int = -1
     ts: int = 0
+    _canonical: Word | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def len(self) -> int:
@@ -47,9 +50,12 @@ class RelatorRecord:
 
     def set_word(self, word: Word) -> None:
         self.word = word
+        self._canonical = None
 
     def canonical(self) -> Word:
-        return canonical_rep(self.word)
+        if self._canonical is None:
+            self._canonical = canonical_rep(self.word)
+        return self._canonical
 
 
 @dataclass
@@ -115,8 +121,8 @@ def parse_presentation(text: str) -> Presentation:
                 d = int(fields[1])
             except ValueError:
                 raise ParseError(lineno, f"bad generator count {fields[1]!r}") from None
-            if d < 1:
-                raise ParseError(lineno, "generator count must be >= 1")
+            if d < 0:
+                raise ParseError(lineno, "generator count must be >= 0")
             pres = Presentation(d)
             continue
         if kind == "gens":

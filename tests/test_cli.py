@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from tietze.cli import main
 from tietze.presentation import parse_presentation
@@ -64,6 +67,24 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--growth-limit", "0.5"],
+    ["--growth-limit", "nan"],
+    ["--max-passes", "0"],
+    ["--match", "kr-bloom", "--bloom-log2", "2"],
+    ["--match", "kr-bloom", "--bloom-log2", "31"],
+])
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, flags):
+    # the input collapses without a single search, so only up-front
+    # validation can catch a bad value
+    inp = write(tmp_path, "in.pres", "gens 2\nrel 1\n")
+    for command in ("simplify", "bench"):
+        assert main([command, inp, *flags]) == 2
+        # the configuration is checked before the input is read
+        assert main([command, str(tmp_path / "absent.pres"), *flags]) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_automaton_flag_reflected_in_stats(tmp_path):
     inp = write(tmp_path, "in.pres", "gens 2\nrel 1 2 1 2 2\nrel 2 1 2\n")
     stats = str(tmp_path / "s.json")
@@ -105,6 +126,40 @@ def test_verify_accepts_simplified_output(tmp_path, capsys):
     assert main(["simplify", inp, "-o", out]) == 0
     assert main(["verify", inp, out]) == 0
     assert main(["verify", inp, inp]) == 0
+
+
+def test_verify_accepts_collapsed_output(tmp_path, capsys):
+    # a = b^-1 and b = c, so a.c.c = b collapses the group
+    inp = write(tmp_path, "in.pres", "gens 3\nrel 1 2\nrel 2 -3\nrel 1 3 3\n")
+    out = str(tmp_path / "out.pres")
+    assert main(["simplify", inp, "-o", out]) == 0
+    assert (tmp_path / "out.pres").read_text() == "gens 0\n"
+    assert main(["verify", inp, out]) == 0
+    assert main(["verify", out, out]) == 0
+
+
+def test_kr_hash_golden_output(tmp_path):
+    """Output and counters of kr-hash on a motif presentation, pinned."""
+    inp = str(tmp_path / "in.pres")
+    out = str(tmp_path / "out.pres")
+    stats = str(tmp_path / "stats.json")
+    assert main(["gen", "--gens", "3", "--rels", "40", "--maxlen", "60", "--seed", "3",
+                 "--profile", "small-alphabet-long", "-o", inp]) == 0
+    assert main(["simplify", inp, "-o", out, "--match", "kr-hash", "--stats", stats]) == 0
+    digest = hashlib.sha256((tmp_path / "out.pres").read_bytes()).hexdigest()
+    assert digest == "a0cf30a960e092bcdd45a7498713a5ea0bfc0cca9f9308a6becf0b49bc03afab"
+    rep = json.loads((tmp_path / "stats.json").read_text())
+    assert rep["stats"] == {
+        "pairs_considered": 2820, "searches_performed": 1101, "searches_skipped": 1719,
+        "searches_successful": 83, "short_elims": 0, "long_elims": 0, "passes": 5,
+        "total_length_before": 2282, "total_length_after": 1678, "gens_before": 3,
+        "gens_after": 3, "rels_before": 40, "rels_after": 40,
+    }
+    assert rep["counters"] == {
+        "windows_scanned": 46837, "filter_hits": 83, "fingerprint_matches": 83,
+        "fingerprint_false_matches": 0, "bloom_false_hits": 0, "confirmations": 83,
+        "successes": 83, "automata_built": 0,
+    }
 
 
 def test_verify_detects_mismatch(tmp_path, capsys):

@@ -247,3 +247,13 @@ def test_config_validation():
         EngineConfig(max_passes=0)
     with pytest.raises(ValueError):
         EngineConfig(bloom_bits=5)
+
+
+def test_config_rejects_nan_growth_and_bad_bloom_size():
+    with pytest.raises(ValueError, match="growth_limit"):
+        EngineConfig(growth_limit=float("nan"))
+    for size in (2, 31):
+        with pytest.raises(ValueError, match="bloom_log2_size"):
+            EngineConfig(bloom_log2_size=size)
+    assert EngineConfig(bloom_log2_size=3).bloom_log2_size == 3
+    assert EngineConfig(bloom_log2_size=30).bloom_log2_size == 30

@@ -17,9 +17,9 @@ from tietze.fingerprint import (
     kr_search,
     symbol_code,
 )
-from tietze.match import SearchCounters, exhaustive_oracle, is_valid_match
+from tietze.match import SearchCounters, exhaustive_oracle, is_valid_match, match_from_seed
 from tietze.randgen import random_reduced_word
-from tietze.words import word_from_letters
+from tietze.words import invert, reduce_cyclic_word, rotate_right, useful_threshold, word_from_letters
 
 W = word_from_letters
 SMALL = FingerprintParams(base=4, modulus=101)
@@ -179,3 +179,57 @@ def test_kr_agrees_with_oracle_all_backings():
             assert (got is not None) == want
             if got is not None:
                 assert is_valid_match(got, p, t)
+
+
+def reference_kr_scan(p, t):
+    """(Match or None, windows scanned) of a plain in-order window scan.
+
+    Text windows are taken in order; for each, the pattern's windows are
+    tried uninverted before inverted, each by ascending start, and the
+    first equal pair is extended.
+    """
+    m = useful_threshold(len(p))
+    pattern_windows = []
+    for inverted, base in ((False, p), (True, invert(p))):
+        ext = base + base[:m - 1]
+        pattern_windows += [(inverted, start, ext[start:start + m]) for start in range(len(base))]
+    text_ext = t + t[:m - 1]
+    for tstart in range(len(t)):
+        window = text_ext[tstart:tstart + m]
+        for inverted, pstart, pw in pattern_windows:
+            if pw == window:
+                return match_from_seed(p, t, inverted, pstart, tstart), tstart + 1
+    return None, len(t)
+
+
+def planted_pair(rng, d):
+    """A pattern and a text that often shares a window with it."""
+    p = random_reduced_word(rng, d, rng.randint(1, 24))
+    t = random_reduced_word(rng, d, rng.randint(len(p), 40))
+    if rng.random() < 0.7:
+        base = invert(p) if rng.random() < 0.5 else p
+        chunk = rotate_right(base, rng.randrange(len(p)))[:rng.randint(1, len(p))]
+        cut = rng.randint(0, len(t))
+        t = reduce_cyclic_word(t[:cut] + chunk + t[cut:])
+    return p, t
+
+
+def test_kr_hash_equals_reference_scan_wide_alphabet():
+    rng = random.Random(36)
+    params = FingerprintParams.from_seed(12)
+    hits = wide_hits = 0
+    for _ in range(1500):
+        p, t = planted_pair(rng, rng.randint(1, 300))
+        if len(t) < len(p):
+            continue
+        want, scanned = reference_kr_scan(p, t)
+        c = SearchCounters()
+        got = kr_search(PatternIndex(p, "exact", params), p, t, c)
+        assert got == want
+        assert c.windows_scanned == scanned
+        assert c.fingerprint_false_matches == 0 and c.bloom_false_hits == 0
+        found = int(got is not None)
+        assert (c.filter_hits, c.fingerprint_matches, c.confirmations, c.successes) == (found,) * 4
+        hits += found
+        wide_hits += found and max(map(abs, p)) > 255
+    assert hits > 300 and wide_hits > 50  # symbols beyond one byte do match

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from tietze import presentation
+from tietze.engine import substitute
 from tietze.presentation import (
     ParseError,
+    Presentation,
+    RelatorRecord,
     make_presentation,
     normalize_involutions,
     parse_presentation,
@@ -12,7 +16,7 @@ from tietze.presentation import (
     sort_rel,
 )
 from tietze.randgen import random_reduced_word
-from tietze.words import word_from_letters
+from tietze.words import canonical_rep, word_from_letters
 
 W = word_from_letters
 
@@ -127,3 +131,71 @@ def test_remove_duplicates_up_to_equivalence():
     removed = remove_duplicates(p)
     assert len(removed) == 2
     assert p.words() == [(1, 2), (1, -2)]
+
+
+def test_trivial_group_roundtrip():
+    p = parse_presentation("gens 0\n")
+    assert p.d == 0 and p.rel == []
+    assert serialize_presentation(p) == "gens 0\n"
+    assert serialize_presentation(parse_presentation(serialize_presentation(p))) == "gens 0\n"
+    with pytest.raises(ParseError, match="out of range"):
+        parse_presentation("gens 0\nrel 1\n")
+    with pytest.raises(ParseError, match=">= 0"):
+        parse_presentation("gens -1\n")
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Counts the canonical_rep calls RelatorRecord.canonical makes."""
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return canonical_rep(w)
+
+    monkeypatch.setattr(presentation, "canonical_rep", counting)
+    return calls
+
+
+def test_canonical_is_cached_until_set_word(canonical_calls):
+    r = RelatorRecord(0, W("bab"))
+    assert r.canonical() == canonical_rep(W("bab"))
+    assert r.canonical() == canonical_rep(W("bab"))
+    assert len(canonical_calls) == 1
+    r.set_word(W("aB"))
+    assert r.canonical() == canonical_rep(W("aB"))
+    assert len(canonical_calls) == 2
+    # the cache is not part of the record's value
+    assert r == RelatorRecord(0, W("aB")) and "_canonical" not in repr(r)
+
+
+def test_canonical_cache_cleared_by_substitute_renumbering(canonical_calls):
+    p = make_presentation(3, [(2, 3, 3), (1, 2, 1, 3)])
+    stale = [r.canonical() for r in p.rel]
+    # eliminating generator 1 touches only the second relator's content,
+    # but renumbers both
+    changed, _ = substitute(p, 1, (2,))
+    assert changed == [1]
+    assert [r.word for r in p.rel] == [(1, 2, 2), (1, 1, 1, 2)]
+    assert [r.canonical() for r in p.rel] == [canonical_rep(r.word) for r in p.rel]
+    assert [r.canonical() for r in p.rel] != stale
+
+
+def test_canonical_cache_cleared_by_normalize_involutions(canonical_calls):
+    p = Presentation(2)
+    p.add_relator((1, 1))
+    r = p.add_relator((-1, 2, 2, 2))
+    stale = r.canonical()
+    assert normalize_involutions(p) == [r.id]
+    assert r.word == (1, 2, 2, 2)
+    assert r.canonical() == canonical_rep(r.word) != stale
+
+
+def test_clone_does_not_carry_canonical_cache(canonical_calls):
+    p = make_presentation(2, [W("abb"), W("aBaB")])
+    for r in p.rel:
+        r.canonical()
+    q = p.clone()
+    assert len(canonical_calls) == 2
+    assert [r.canonical() for r in q.rel] == [r.canonical() for r in p.rel]
+    assert len(canonical_calls) == 4
