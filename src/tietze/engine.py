@@ -32,6 +32,15 @@ class EngineError(RuntimeError):
 
 @dataclass
 class EngineConfig:
+    """Configuration of one ``simplify`` run.
+
+    ``growth_limit`` bounds each long elimination separately, against the
+    total relator length just before that elimination, not against the
+    run's initial length.  Successive long eliminations can therefore
+    compound, and the total length can exceed ``growth_limit`` times the
+    initial length.
+    """
+
     match_strategy: str = "brute"
     skip_policy: str = "ts-sorted"
     bloom_bits: int = 3
@@ -83,16 +92,6 @@ class EngineStats:
     events: list = field(default_factory=list)
     change_log: list = field(default_factory=list)
     reorders: int = 0
-
-    def absorb_events(self, events) -> None:
-        self.pairs_considered += len(events)
-        for e in events:
-            if e.performed:
-                self.searches_performed += 1
-                if e.successful:
-                    self.searches_successful += 1
-            else:
-                self.searches_skipped += 1
 
     def to_dict(self) -> dict:
         return {
@@ -233,7 +232,9 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
     Among candidates (g occurs once in R, len(R) > 2), picks the pair
     minimizing predicted growth occurrences_elsewhere * (len(R) - 1) -
     len(R), and only proceeds while the predicted total stays within
-    growth_limit times the current total length.
+    growth_limit times the current total length.  The bound is per step:
+    it is measured against the length before this elimination, not the
+    run's initial length, so repeated calls may compound growth.
     """
     total = pres.total_length()
     occurrences: dict[int, int] = {}
@@ -320,18 +321,23 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None
     searcher = ReplacingSearcher(strategy, stats.counters,
                                  stats.change_log if cfg.record_events else None)
     ctx = PassContext(policy=cfg.skip_policy)
+    record = stats.events.append if cfg.record_events else None
 
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
     normalize_involutions(pres)
     init_pass_state(pres, ctx)
+    # No relator is created after this point, and substitute and
+    # normalize_involutions rewrite records in place, so the map stays
+    # valid.  The ids they report belong to live relators, except those
+    # emptied and dropped, which the length test filters out.
+    records = {r.id: r for r in pres.rel}
 
     def on_change(rel_id: int) -> None:
-        for r in pres.rel:
-            if r.id == rel_id:
-                mark_changed(pres, ctx, r)
-                return
+        r = records[rel_id]
+        if r.len > 0:
+            mark_changed(pres, ctx, r)
 
     while True:
         progress = False
@@ -349,14 +355,15 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None
         while stats.passes < cfg.max_passes and len(pres.rel) >= 2:
             _boundary_maintenance(pres)
             before = pres.total_length()
-            changed, events = run_pass(pres, ctx, searcher)
+            considered, performed, successful = run_pass(pres, ctx, searcher, record)
             stats.passes += 1
-            stats.absorb_events(events)
-            if cfg.record_events:
-                stats.events.extend(events)
+            stats.pairs_considered += considered
+            stats.searches_performed += performed
+            stats.searches_skipped += considered - performed
+            stats.searches_successful += successful
             if pres.total_length() > before:
                 raise EngineError("replacement pass increased total length")
-            if not changed:
+            if not successful:
                 break
             progress = True
         timings["replacement"] += time.perf_counter() - t0

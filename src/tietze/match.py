@@ -22,7 +22,7 @@ from .words import (
 
 @dataclass
 class SearchCounters:
-    """Match-level diagnostic counters, merged upward by callers."""
+    """Match-level diagnostic counters, accumulated across searches."""
 
     windows_scanned: int = 0
     filter_hits: int = 0
@@ -32,16 +32,6 @@ class SearchCounters:
     confirmations: int = 0
     successes: int = 0
     automata_built: int = 0
-
-    def merge(self, other: "SearchCounters") -> None:
-        self.windows_scanned += other.windows_scanned
-        self.filter_hits += other.filter_hits
-        self.fingerprint_matches += other.fingerprint_matches
-        self.fingerprint_false_matches += other.fingerprint_false_matches
-        self.bloom_false_hits += other.bloom_false_hits
-        self.confirmations += other.confirmations
-        self.successes += other.successes
-        self.automata_built += other.automata_built
 
     def to_dict(self) -> dict:
         return {

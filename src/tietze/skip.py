@@ -12,13 +12,19 @@ A searcher is any callable (presentation, pattern record, text record)
 -> bool reporting whether the text changed; the engine's real searcher
 performs the substring replacement, while tests may inject scripted
 fakes.
+
+Every driver returns a ``PassTally`` of integer counts (pairs considered,
+searches performed, searches successful).  A ``SearchEvent`` exists only
+when the caller passes a recorder: each considered pair is then handed to
+it, in order, as one event.  Without a recorder nothing is allocated per
+pair, which matters because most considered pairs are skipped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .presentation import Presentation, RelatorRecord
 
@@ -39,6 +45,17 @@ class SearchEvent:
     pass_no: int
     performed: bool
     successful: bool
+
+
+Recorder = Callable[[SearchEvent], None]
+
+
+class PassTally(NamedTuple):
+    """What one pass did; considered - performed pairs were skipped."""
+
+    considered: int
+    performed: int
+    successful: int
 
 
 @dataclass
@@ -94,8 +111,12 @@ def _require_sorted(pres: Presentation) -> None:
         raise ValueError("relator sequence must be sorted by length at pass start")
 
 
-def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher
-                ) -> tuple[bool, list[SearchEvent]]:
+def _length(r: RelatorRecord) -> int:
+    return len(r.word)
+
+
+def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
+                record: Recorder | None = None) -> PassTally:
     """Timestamp pass over a sequence kept sorted throughout.
 
     Search (pattern, text) iff pattern.tp <= text.ts.  A changed text gets
@@ -103,49 +124,65 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher
     each pattern's texts the pattern is stamped with the timer, which then
     advances.  The pattern loop walks positions of the live list, so each
     unordered pair is considered at most once per pass.
+
+    The pattern's position ``pi`` is tracked rather than looked up: a
+    re-inserted text lands at or before ``pi`` exactly when it became
+    shorter than the pattern, which shifts the pattern one place right.
+    Until the pattern's first success its texts are walked contiguously;
+    only then is the set of visited text ids built, so that texts moved
+    by a re-insertion are not considered twice.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
+    pass_no = ctx.pass_no
     rel = pres.rel
-    events: list[SearchEvent] = []
-    changed_any = False
+    n = len(rel)
+    considered = performed = successful = 0
     pi = 0
-    while pi < len(rel) - 1:
+    while pi < n - 1:
         pattern = rel[pi]
-        visited: set[int] = set()
+        tp = pattern.tp  # only texts change during the pattern's loop
+        visited: set[int] | None = None
         ti = pi + 1
-        while ti < len(rel):
+        while ti < n:
             text = rel[ti]
-            if text.id in visited:
-                ti += 1
-                continue
-            visited.add(text.id)
-            if pattern.tp <= text.ts:
+            if visited is not None:
+                if text.id in visited:
+                    ti += 1
+                    continue
+                visited.add(text.id)
+            considered += 1
+            if tp <= text.ts:
+                performed += 1
                 success = searcher(pres, pattern, text)
-                events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+                if record is not None:
+                    record(SearchEvent(pattern.id, text.id, pass_no, True, success))
                 if success:
-                    changed_any = True
+                    successful += 1
+                    if visited is None:
+                        visited = {r.id for r in rel[pi + 1:ti + 1]}
                     text.tp = -1
                     text.ts = ctx.timer
                     rel.pop(ti)
-                    new_pos = bisect_right(rel, text.len, key=lambda r: r.len)
+                    new_pos = bisect_right(rel, len(text.word), key=_length)
                     if new_pos != ti:
                         ctx.reorders += 1
                     rel.insert(new_pos, text)
-                    pi = rel.index(pattern)
+                    if new_pos <= pi:
+                        pi += 1
                     ti = pi + 1
                     continue
-            else:
-                events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
+            elif record is not None:
+                record(SearchEvent(pattern.id, text.id, pass_no, False, False))
             ti += 1
         pattern.tp = ctx.timer
         ctx.timer += 1
-        pi = rel.index(pattern) + 1
-    return changed_any, events
+        pi += 1
+    return PassTally(considered, performed, successful)
 
 
-def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher
-                  ) -> tuple[bool, list[SearchEvent]]:
+def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
+                  record: Recorder | None = None) -> PassTally:
     """Timestamp pass with positions frozen for the whole pass.
 
     Search (pattern, text) iff the text is still at least as long as the
@@ -158,36 +195,42 @@ def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher
     """
     _require_sorted(pres)
     ctx.pass_no += 1
+    pass_no = ctx.pass_no
     snapshot = list(pres.rel)
     n = len(snapshot)
     ctx.ts_local = [0] * (n + 1)
     ts_local = ctx.ts_local
-    events: list[SearchEvent] = []
-    changed_any = False
+    considered = performed = successful = 0
     for p in range(1, n + 1):
         pattern = snapshot[p - 1]
-        if pattern.len >= 1:
+        p_len = len(pattern.word)  # only texts change during the pattern's loop
+        if p_len >= 1:
+            p_tp = pattern.tp
+            p_changed = ts_local[p]
             for t in range(p + 1, n + 1):
                 text = snapshot[t - 1]
-                if text.len < pattern.len:
+                if len(text.word) < p_len:
                     continue  # not a valid ComStr in these roles
-                if (ts_local[p] + ts_local[t] != 0
-                        or pattern.tp > text.tp
-                        or pattern.tp <= text.ts):
+                considered += 1
+                if (p_changed + ts_local[t] != 0
+                        or p_tp > text.tp
+                        or p_tp <= text.ts):
+                    performed += 1
                     success = searcher(pres, pattern, text)
-                    events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+                    if record is not None:
+                        record(SearchEvent(pattern.id, text.id, pass_no, True, success))
                     if success:
-                        changed_any = True
+                        successful += 1
                         ts_local[t] = p
-                else:
-                    events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
+                elif record is not None:
+                    record(SearchEvent(pattern.id, text.id, pass_no, False, False))
         pattern.tp = p
         pattern.ts = ts_local[p]
-    return changed_any, events
+    return PassTally(considered, performed, successful)
 
 
-def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher
-                      ) -> tuple[bool, list[SearchEvent]]:
+def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
+                      record: Recorder | None = None) -> PassTally:
     """Search pairs with a member flagged as changed in the previous pass.
 
     Positions are frozen for the pass; pairs whose text has shrunk below
@@ -197,13 +240,13 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher
     """
     _require_sorted(pres)
     ctx.pass_no += 1
+    pass_no = ctx.pass_no
     flagged = ctx.flags_pending
     ctx.flags_pending = set()
     first = ctx.first_pass
     ctx.first_pass = False
     snapshot = list(pres.rel)
-    events: list[SearchEvent] = []
-    changed_any = False
+    considered = performed = successful = 0
     for i in range(len(snapshot) - 1):
         pattern = snapshot[i]
         if pattern.len < 1:
@@ -212,25 +255,28 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher
             text = snapshot[j]
             if text.len < pattern.len:
                 continue
+            considered += 1
             if first or pattern.id in flagged or text.id in flagged:
+                performed += 1
                 success = searcher(pres, pattern, text)
-                events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+                if record is not None:
+                    record(SearchEvent(pattern.id, text.id, pass_no, True, success))
                 if success:
-                    changed_any = True
+                    successful += 1
                     ctx.flags_pending.add(text.id)
-            else:
-                events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
-    return changed_any, events
+            elif record is not None:
+                record(SearchEvent(pattern.id, text.id, pass_no, False, False))
+    return PassTally(considered, performed, successful)
 
 
-def pass_all_pairs(pres: Presentation, ctx: PassContext, searcher: Searcher
-                   ) -> tuple[bool, list[SearchEvent]]:
+def pass_all_pairs(pres: Presentation, ctx: PassContext, searcher: Searcher,
+                   record: Recorder | None = None) -> PassTally:
     """The early method: every considerable pair, every pass."""
     _require_sorted(pres)
     ctx.pass_no += 1
+    pass_no = ctx.pass_no
     snapshot = list(pres.rel)
-    events: list[SearchEvent] = []
-    changed_any = False
+    considered = successful = 0
     for i in range(len(snapshot) - 1):
         pattern = snapshot[i]
         if pattern.len < 1:
@@ -239,11 +285,13 @@ def pass_all_pairs(pres: Presentation, ctx: PassContext, searcher: Searcher
             text = snapshot[j]
             if text.len < pattern.len:
                 continue
+            considered += 1
             success = searcher(pres, pattern, text)
-            events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+            if record is not None:
+                record(SearchEvent(pattern.id, text.id, pass_no, True, success))
             if success:
-                changed_any = True
-    return changed_any, events
+                successful += 1
+    return PassTally(considered, considered, successful)
 
 
 _PASS_FUNCTIONS: dict[str, Callable] = {
@@ -254,9 +302,9 @@ _PASS_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def run_pass(pres: Presentation, ctx: PassContext, searcher: Searcher
-             ) -> tuple[bool, list[SearchEvent]]:
-    return _PASS_FUNCTIONS[ctx.policy](pres, ctx, searcher)
+def run_pass(pres: Presentation, ctx: PassContext, searcher: Searcher,
+             record: Recorder | None = None) -> PassTally:
+    return _PASS_FUNCTIONS[ctx.policy](pres, ctx, searcher, record)
 
 
 def necessary_set_oracle(events: list[SearchEvent],

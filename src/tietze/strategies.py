@@ -15,7 +15,6 @@ from .match import (
     SearchCounters,
     brute_search,
     compute_signature,
-    exhaustive_oracle,
     signature_skip,
 )
 from .words import Word, extend_front, invert, useful_threshold
@@ -100,18 +99,6 @@ class AutomatonStrategy:
         return automaton_search(p_word, t_word, self.mode, counters, automata)
 
 
-class OracleStrategy:
-    """The exhaustive enumeration itself, for differential testing."""
-
-    name = "oracle"
-
-    def search(self, p_word, t_word, involutions, counters):
-        m = exhaustive_oracle(p_word, t_word)
-        if m is not None:
-            counters.successes += 1
-        return m
-
-
 def make_strategy(name: str, seed: int = 0, bloom_log2_size: int = 16):
     params = FingerprintParams.from_seed(seed)
     if name == "brute":
@@ -128,6 +115,4 @@ def make_strategy(name: str, seed: int = 0, bloom_log2_size: int = 16):
         return AutomatonStrategy("two")
     if name == "automaton-one":
         return AutomatonStrategy("one")
-    if name == "oracle":
-        return OracleStrategy()
     raise ValueError(f"unknown match strategy {name!r}")

@@ -24,8 +24,22 @@ def exponent_matrix(p: Presentation) -> IntMatrix:
     return rows
 
 
+def _nearest_quotient(a: int, p: int) -> int:
+    """q with |a - q*p| <= |p|/2, so every reduction at least halves."""
+    return (2 * a + p) // (2 * p)
+
+
 def smith_normal_form(matrix: IntMatrix) -> list[int]:
-    """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix."""
+    """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
+
+    Each step moves the smallest nonzero entry of the remaining submatrix
+    to position (k, k), then reduces column k and row k by nearest
+    quotients.  A nonzero remainder is smaller than the pivot (at most
+    half of it) and becomes the next pivot, so the pivot shrinks
+    geometrically and the entries it touches stay small; with floor
+    quotients a remainder could be almost as large as the pivot and the
+    coefficients grew without bound on some exponent matrices.
+    """
     a = [row[:] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -44,29 +58,35 @@ def smith_normal_form(matrix: IntMatrix) -> list[int]:
         for row in a:
             row[k], row[pj] = row[pj], row[k]
         while True:
-            # clear column k with row operations
-            dirty = False
+            p = a[k][k]
             for i in range(k + 1, rows):
                 if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    for j in range(cols):
-                        a[i][j] -= q * a[k][j]
-                    if a[i][k] != 0:  # remainder becomes the smaller pivot
-                        a[k], a[i] = a[i], a[k]
-                        dirty = True
-            if dirty:
-                continue
+                    q = _nearest_quotient(a[i][k], p)
+                    row, top = a[i], a[k]
+                    for j in range(k, cols):
+                        row[j] -= q * top[j]
             for j in range(k + 1, cols):
                 if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    for row in a:
+                    q = _nearest_quotient(a[k][j], p)
+                    for row in a[k:]:
                         row[j] -= q * row[k]
-                    if a[k][j] != 0:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-            if not dirty:
+            # every remainder left in row k or column k is smaller than
+            # the pivot: the smallest one becomes the pivot
+            best = None
+            for i in range(k + 1, rows):
+                if a[i][k] != 0 and (best is None or abs(a[i][k]) < best[0]):
+                    best = (abs(a[i][k]), i, k)
+            for j in range(k + 1, cols):
+                if a[k][j] != 0 and (best is None or abs(a[k][j]) < best[0]):
+                    best = (abs(a[k][j]), k, j)
+            if best is None:
                 break
+            _, bi, bj = best
+            if bi != k:
+                a[k], a[bi] = a[bi], a[k]
+            else:
+                for row in a:
+                    row[k], row[bj] = row[bj], row[k]
         # pivot must divide every remaining entry for the divisor chain
         offender = None
         for i in range(k + 1, rows):

@@ -76,6 +76,13 @@ class ScriptedSearcher:
         return False
 
 
+def recorded(pass_fn, pres, ctx, searcher):
+    """Run one pass driver with a recorder; returns (tally, events)."""
+    events = []
+    tally = pass_fn(pres, ctx, searcher, events.append)
+    return tally, events
+
+
 def naive_circular_substrings(w: Word) -> set[Word]:
     """All nonempty circular substrings of w, up to length len(w)."""
     out: set[Word] = set()

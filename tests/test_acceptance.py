@@ -51,9 +51,7 @@ def _theorem_trial(policy: str, seed: int) -> bool:
     events = []
     for _ in range(80):
         sort_rel(pres)
-        changed, ev = run_pass(pres, ctx, searcher)
-        events.extend(ev)
-        if not changed:
+        if not run_pass(pres, ctx, searcher, events.append).successful:
             break
     return necessary_set_oracle(events, searcher.changes) == performed_set(events)
 

@@ -220,8 +220,7 @@ def test_full_annihilation_mid_pass():
         ctx = PassContext(policy=policy)
         init_pass_state(p, ctx)
         searcher = ReplacingSearcher(make_strategy("brute"), SearchCounters())
-        changed, _ = pass_fn(p, ctx, searcher)
-        assert changed
+        assert pass_fn(p, ctx, searcher).successful
         assert sorted(r.len for r in p.rel)[0] == 0  # annihilated, kept in place
 
 
@@ -257,3 +256,26 @@ def test_config_rejects_nan_growth_and_bad_bloom_size():
             EngineConfig(bloom_log2_size=size)
     assert EngineConfig(bloom_log2_size=3).bloom_log2_size == 3
     assert EngineConfig(bloom_log2_size=30).bloom_log2_size == 30
+
+
+@pytest.mark.parametrize("policy", ["ts-sorted", "ts-unsorted", "flags", "all-pairs"])
+def test_record_events_changes_nothing(policy):
+    rng = random.Random(71)
+    bases = [sparse_presentation(s) for s in range(8)]
+    bases += [dense_presentation(rng, d_max=5, q_max=14, l_max=14) for _ in range(8)]
+    for n, base in enumerate(bases):
+        for strategy in ("brute", "kr-hash", "automaton"):
+            outs = []
+            for record in (False, True):
+                p, st = simplify(base.clone(), EngineConfig(
+                    match_strategy=strategy, skip_policy=policy, record_events=record))
+                outs.append((serialize_presentation(p), st.to_dict(),
+                             st.counters.to_dict(), st.reorders))
+                if record:
+                    assert len(st.events) == st.pairs_considered
+                    assert sum(e.performed for e in st.events) == st.searches_performed
+                    assert sum(e.successful for e in st.events) == st.searches_successful
+                    assert len(st.change_log) == st.searches_successful
+                else:
+                    assert st.events == [] and st.change_log == []
+            assert outs[0] == outs[1], (n, strategy)

@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
+from pathlib import Path
 
 from tietze.engine import EngineConfig, simplify
-from tietze.presentation import make_presentation
+from tietze.presentation import make_presentation, parse_presentation
 from tietze.randgen import random_reduced_word
 from tietze.verify import abelian_invariants, exponent_matrix, smith_normal_form
 from tietze.words import invert, rotate_right, word_from_letters
@@ -11,8 +12,8 @@ from tietze.words import invert, rotate_right, word_from_letters
 W = word_from_letters
 
 
-def minor_gcd_divisors(matrix):
-    """Independent oracle: elementary divisors from k x k minor gcds."""
+def minors_gcd(matrix, k):
+    """gcd of all k x k minors (0 when they all vanish)."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
 
@@ -28,13 +29,21 @@ def minor_gcd_divisors(matrix):
             total += (-1) ** k * matrix[rs[0]][c] * sub
         return total
 
+    g = 0
+    for rs in combinations(range(rows), k):
+        for cs in combinations(range(cols), k):
+            g = gcd(g, det(list(rs), list(cs)))
+    return g
+
+
+def minor_gcd_divisors(matrix):
+    """Independent oracle: elementary divisors from k x k minor gcds."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
     divisors = []
     prev = 1
     for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for rs in combinations(range(rows), k):
-            for cs in combinations(range(cols), k):
-                g = gcd(g, det(list(rs), list(cs)))
+        g = minors_gcd(matrix, k)
         if g == 0:
             break
         divisors.append(g // prev)
@@ -106,3 +115,28 @@ def test_invariants_preserved_by_simplify():
         before = abelian_invariants(p)
         simplify(p, EngineConfig())
         assert abelian_invariants(p) == before
+
+
+def test_snf_divisor_products_are_minor_gcds():
+    # d_1 * ... * d_k = gcd of the k x k minors, for every k; entries of
+    # both signs and mixed sizes exercise the nearest-quotient reduction
+    rng = random.Random(65)
+    for _ in range(120):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        bound = rng.choice((3, 30, 1000))
+        m = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        d = smith_normal_form(m)
+        for k in range(1, min(rows, cols) + 1):
+            assert minors_gcd(m, k) == (prod(d[:k]) if k <= len(d) else 0), (m, d)
+
+
+def test_snf_obfuscated_fibonacci_67():
+    # F(2,7) behind 60 added generators: a 67 x 67 exponent matrix whose
+    # coefficients grew without bound under floor-quotient reduction
+    text = (Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres").read_text()
+    p = parse_presentation(text)
+    m = exponent_matrix(p)
+    assert (len(m), len(m[0])) == (67, 67)
+    assert abelian_invariants(p) == ([29], 0)
