@@ -7,6 +7,15 @@ indexed substring ending there.  It is a suffix automaton (at most
 next_state / next_length tables, so a step is a single dictionary probe:
 next_length caps the running length after a fallback through suffix
 links.  Space is O(len(P) * alphabet) for the resolved tables.
+
+A search builds each extended text once (mode ``two`` scans the same one
+with both automata) and scans it with one tight loop.  The loop inlines
+``LSAutomaton.step``, which stays as the one-symbol reference: per symbol
+it probes the resolved table, unpacks the next state and cap, and raises
+the running length by one up to the cap; a dead symbol reads as state 0
+with cap 0.  ``windows_scanned`` counts the symbols fed and is added once
+per scan: the hit position plus one on a hit, the whole extended text on
+a miss.
 """
 
 from __future__ import annotations
@@ -103,25 +112,25 @@ def build_ls_automaton(word: Word) -> LSAutomaton:
     return LSAutomaton(word)
 
 
-def automaton_step(a: LSAutomaton, state: int, length: int, sym: int) -> tuple[int, int]:
-    return a.step(state, length, sym)
+# table entry of a symbol absent from a state: back to the initial state
+_DEAD = (0, 0)
 
 
-def _scan_for_match(a: LSAutomaton, p_word: Word, t_word: Word, inverted_pattern: bool,
-                    inverted_text: bool, counters: SearchCounters) -> Match | None:
+def _scan_for_match(a: LSAutomaton, scan_text: Word, m: int, p_word: Word, t_word: Word,
+                    inverted_pattern: bool, inverted_text: bool,
+                    counters: SearchCounters) -> Match | None:
     """Scan one extended text and turn the first threshold hit into a Match."""
-    l_p, l_t = len(p_word), len(t_word)
-    m = useful_threshold(l_p)
-    t_base = invert(t_word) if inverted_text else t_word
-    scan_text = extend_front(t_base, min(m - 1, l_t))
-    state, length = 0, 0
+    table = a.table
+    state = length = 0
     for idx, sym in enumerate(scan_text):
-        counters.windows_scanned += 1
-        state, length = a.step(state, length, sym)
+        state, cap = table[state].get(sym, _DEAD)
+        length = length + 1 if length < cap else cap
         if length < m:
             continue
+        counters.windows_scanned += idx + 1
         # some occurrence of the matched string ends at first_end in the
         # indexed word; map both ends back onto the original circles
+        l_p, l_t = len(p_word), len(t_word)
         p_end = (a.first_end[state] - 1) % l_p
         t_end = idx % l_t
         if inverted_text:
@@ -136,43 +145,31 @@ def _scan_for_match(a: LSAutomaton, p_word: Word, t_word: Word, inverted_pattern
             raise AssertionError("threshold hit failed to extend")
         counters.successes += 1
         return match
+    counters.windows_scanned += len(scan_text)
     return None
 
 
-def automaton_search(p_word: Word, t_word: Word, mode: str = "two",
-                     counters: SearchCounters | None = None,
-                     automata: tuple[LSAutomaton, ...] | None = None) -> Match | None:
-    """Automaton-backed ComStr.
+def automaton_search(p_word: Word, t_word: Word, mode: str, counters: SearchCounters,
+                     automata: tuple[LSAutomaton, ...]) -> Match | None:
+    """Automaton-backed ComStr over automata prebuilt for the pattern.
 
-    ``two`` builds automata for the extended pattern and its extended
-    inverse and runs both over the extended text; ``one`` builds only the
+    ``two`` takes automata for the extended pattern and its extended
+    inverse and runs both over the extended text; ``one`` takes only the
     pattern automaton and additionally runs it over the extended inverse
-    of the text.  Prebuilt automata may be supplied by a caller that
-    caches them per pattern.
+    of the text.  ``AutomatonStrategy`` builds and caches the automata.
     """
     l_p, l_t = len(p_word), len(t_word)
     if not 1 <= l_p <= l_t:
         raise ValueError("automaton search requires 1 <= |pattern| <= |text|")
     if mode not in ("one", "two"):
         raise ValueError(f"unknown automaton mode {mode!r}")
-    if counters is None:
-        counters = SearchCounters()
-    ext = useful_threshold(l_p) - 1
-    if automata is None:
-        if mode == "two":
-            automata = (
-                build_ls_automaton(extend_front(p_word, ext)),
-                build_ls_automaton(extend_front(invert(p_word), ext)),
-            )
-        else:
-            automata = (build_ls_automaton(extend_front(p_word, ext)),)
-        counters.automata_built += len(automata)
+    m = useful_threshold(l_p)
+    # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
+    scan_text = extend_front(t_word, m - 1)
+    found = _scan_for_match(automata[0], scan_text, m, p_word, t_word, False, False, counters)
+    if found is not None:
+        return found
     if mode == "two":
-        m = _scan_for_match(automata[0], p_word, t_word, False, False, counters)
-        if m is not None:
-            return m
-        return _scan_for_match(automata[1], p_word, t_word, True, False, counters)
-    m = _scan_for_match(automata[0], p_word, t_word, False, False, counters)
-    if m is not None:
-        return m
-    return _scan_for_match(automata[0], p_word, t_word, False, True, counters)
+        return _scan_for_match(automata[1], scan_text, m, p_word, t_word, True, False, counters)
+    return _scan_for_match(automata[0], extend_front(invert(t_word), m - 1), m,
+                           p_word, t_word, False, True, counters)

@@ -164,7 +164,7 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> tuple[list[int], list[i
             new = r.word
         new = tuple(renum(s) for s in new)
         r.set_word(new)
-        if r.len == 0:
+        if len(r.word) == 0:
             dropped.append(r.id)
         else:
             kept.append(r)
@@ -201,10 +201,10 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
         note(normalize_involutions(pres))
         action = None
         for r in pres.rel:
-            if r.len == 1:
+            if len(r.word) == 1:
                 action = (abs(r.word[0]), ())
                 break
-            if r.len == 2:
+            if len(r.word) == 2:
                 x, y = r.word
                 if abs(x) == abs(y):
                     continue  # square: involution, handled by normalization
@@ -243,7 +243,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
             occurrences[abs(s)] = occurrences.get(abs(s), 0) + 1
     best = None
     for r in pres.rel:
-        if r.len <= 2:
+        if len(r.word) <= 2:
             continue
         counts: dict[int, int] = {}
         for s in r.word:
@@ -252,7 +252,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
             if c != 1:
                 continue
             occ_else = occurrences[g] - 1
-            score = occ_else * (r.len - 1) - r.len
+            score = occ_else * (len(r.word) - 1) - len(r.word)
             if total + score > cfg.growth_limit * total:
                 continue
             key = (score, g, r.id)
@@ -284,7 +284,7 @@ class ReplacingSearcher:
 
     def __call__(self, pres: Presentation, pattern: RelatorRecord,
                  text: RelatorRecord) -> bool:
-        if not 1 <= pattern.len <= text.len:
+        if not 1 <= len(pattern.word) <= len(text.word):
             raise EngineError("searcher called with invalid pattern/text lengths")
         ordinal = self.calls
         self.calls += 1
@@ -292,7 +292,7 @@ class ReplacingSearcher:
         if m is None:
             return False
         new = apply_replacement(text.word, m, pattern.word)
-        if len(new) >= text.len:
+        if len(new) >= len(text.word):
             raise EngineError("replacement failed to shorten the text relator")
         text.set_word(new)
         if self.change_log is not None:
@@ -301,7 +301,7 @@ class ReplacingSearcher:
 
 
 def _boundary_maintenance(pres: Presentation) -> None:
-    pres.rel[:] = [r for r in pres.rel if r.len > 0]
+    pres.rel[:] = [r for r in pres.rel if len(r.word) > 0]
     sort_rel(pres)
     remove_duplicates(pres)
 
@@ -336,7 +336,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None
 
     def on_change(rel_id: int) -> None:
         r = records[rel_id]
-        if r.len > 0:
+        if len(r.word) > 0:
             mark_changed(pres, ctx, r)
 
     while True:

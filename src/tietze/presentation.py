@@ -44,10 +44,6 @@ class RelatorRecord:
     ts: int = 0
     _canonical: Word | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def len(self) -> int:
-        return len(self.word)
-
     def set_word(self, word: Word) -> None:
         self.word = word
         self._canonical = None
@@ -75,13 +71,14 @@ class Presentation:
         return rec
 
     def total_length(self) -> int:
-        return sum(r.len for r in self.rel)
+        return sum(len(r.word) for r in self.rel)
 
     def words(self) -> list[Word]:
         return [r.word for r in self.rel]
 
     def is_sorted(self) -> bool:
-        return all(self.rel[i].len <= self.rel[i + 1].len for i in range(len(self.rel) - 1))
+        return all(len(self.rel[i].word) <= len(self.rel[i + 1].word)
+                   for i in range(len(self.rel) - 1))
 
     def clone(self) -> "Presentation":
         p = Presentation(self.d, set(self.involutions), [], self.next_id)
@@ -97,7 +94,7 @@ def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
             if s == 0 or abs(s) > d:
                 raise ValueError(f"symbol {s} out of range for {d} generators")
         rec = p.add_relator(w)
-        if rec.len == 0:
+        if len(rec.word) == 0:
             p.rel.pop()
     normalize_involutions(p)
     return p
@@ -154,7 +151,7 @@ def parse_presentation(text: str) -> Presentation:
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
         rec = pres.add_relator(word)
-        if rec.len == 0:
+        if len(rec.word) == 0:
             pres.rel.pop()
     if pres is None:
         raise ParseError(0, "missing 'gens' line")
@@ -171,7 +168,7 @@ def serialize_presentation(p: Presentation) -> str:
 
 def sort_rel(p: Presentation) -> Presentation:
     """Stable sort of the relator sequence by ascending length."""
-    p.rel.sort(key=lambda r: r.len)
+    p.rel.sort(key=lambda r: len(r.word))
     return p
 
 
@@ -187,7 +184,7 @@ def normalize_involutions(p: Presentation) -> list[int]:
     while True:
         found = False
         for r in p.rel:
-            if r.len == 2 and r.word[0] == r.word[1]:
+            if len(r.word) == 2 and r.word[0] == r.word[1]:
                 g = abs(r.word[0])
                 if g not in p.involutions:
                     p.involutions.add(g)
@@ -200,7 +197,7 @@ def normalize_involutions(p: Presentation) -> list[int]:
                     r.set_word(reduce_cyclic_word(w))
                     changed.append(r.id)
                     rewritten = True
-        p.rel[:] = [r for r in p.rel if r.len > 0]
+        p.rel[:] = [r for r in p.rel if len(r.word) > 0]
         if not (found or rewritten):
             return changed
 

@@ -249,11 +249,11 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
     considered = performed = successful = 0
     for i in range(len(snapshot) - 1):
         pattern = snapshot[i]
-        if pattern.len < 1:
+        if len(pattern.word) < 1:
             continue
         for j in range(i + 1, len(snapshot)):
             text = snapshot[j]
-            if text.len < pattern.len:
+            if len(text.word) < len(pattern.word):
                 continue
             considered += 1
             if first or pattern.id in flagged or text.id in flagged:
@@ -279,11 +279,11 @@ def pass_all_pairs(pres: Presentation, ctx: PassContext, searcher: Searcher,
     considered = successful = 0
     for i in range(len(snapshot) - 1):
         pattern = snapshot[i]
-        if pattern.len < 1:
+        if len(pattern.word) < 1:
             continue
         for j in range(i + 1, len(snapshot)):
             text = snapshot[j]
-            if text.len < pattern.len:
+            if len(text.word) < len(pattern.word):
                 continue
             considered += 1
             success = searcher(pres, pattern, text)

@@ -69,7 +69,7 @@ class ScriptedSearcher:
     def __call__(self, pres, pattern, text) -> bool:
         ordinal = self.calls
         self.calls += 1
-        if text.len > 1 and self.rng.random() < self.change_prob:
+        if len(text.word) > 1 and self.rng.random() < self.change_prob:
             text.set_word(text.word[:-1])
             self.changes.append((text.id, ordinal))
             return True

@@ -227,7 +227,7 @@ def test_criterion_05_usefulness_threshold_exact():
 def test_criterion_06_bloom_overload_diagnostics():
     t0 = time.perf_counter()
     base = random_presentation(99, 4, 6, 560, "small-alphabet-long")
-    assert all(r.len >= 500 for r in base.rel)
+    assert all(len(r.word) >= 500 for r in base.rel)
     counters = {}
     for strat in ("kr-bloom3", "kr-bloom4", "kr-hash"):
         cfg = EngineConfig(
@@ -292,10 +292,10 @@ def preservation_corpus_results():
 
     class ShrinkChecked(ReplacingSearcher):
         def __call__(self, pres, pattern, text):
-            before = text.len
+            before = len(text.word)
             changed = super().__call__(pres, pattern, text)
             if changed:
-                assert text.len < before, "replacement failed to shorten"
+                assert len(text.word) < before, "replacement failed to shorten"
             return changed
 
     combos = []

@@ -112,7 +112,7 @@ def test_gen_stress_profile(tmp_path):
                  "--seed", "1", "--profile", "small-alphabet-long", "-o", out]) == 0
     p = parse_presentation((tmp_path / "stress.pres").read_text())
     assert p.d == 4
-    assert all(r.len >= 540 for r in p.rel)
+    assert all(len(r.word) >= 540 for r in p.rel)
 
 
 def test_gen_zero_relators(tmp_path, capsys):
@@ -161,6 +161,31 @@ def test_kr_hash_golden_output(tmp_path):
         "successes": 83, "automata_built": 0,
     }
 
+
+
+def test_automaton_golden_output(tmp_path):
+    """Output and counters of automaton-two with ts-unsorted, pinned."""
+    inp = str(tmp_path / "in.pres")
+    out = str(tmp_path / "out.pres")
+    stats = str(tmp_path / "stats.json")
+    assert main(["gen", "--gens", "3", "--rels", "40", "--maxlen", "60", "--seed", "3",
+                 "--profile", "small-alphabet-long", "-o", inp]) == 0
+    assert main(["simplify", inp, "-o", out, "--match", "automaton", "--automata", "two",
+                 "--skip", "ts-unsorted", "--stats", stats]) == 0
+    digest = hashlib.sha256((tmp_path / "out.pres").read_bytes()).hexdigest()
+    assert digest == "77eb9e58250bff107b76cd2205349e7d1b3362797cfb094c49382fb83338d6ab"
+    rep = json.loads((tmp_path / "stats.json").read_text())
+    assert rep["stats"] == {
+        "pairs_considered": 2229, "searches_performed": 1031, "searches_skipped": 1198,
+        "searches_successful": 79, "short_elims": 0, "long_elims": 0, "passes": 3,
+        "total_length_before": 2282, "total_length_after": 1679, "gens_before": 3,
+        "gens_after": 3, "rels_before": 40, "rels_after": 40,
+    }
+    assert rep["counters"] == {
+        "windows_scanned": 125326, "filter_hits": 0, "fingerprint_matches": 0,
+        "fingerprint_false_matches": 0, "bloom_false_hits": 0, "confirmations": 0,
+        "successes": 79, "automata_built": 154,
+    }
 
 def test_verify_detects_mismatch(tmp_path, capsys):
     a = write(tmp_path, "a.pres", "gens 1\nrel 1 1\n")

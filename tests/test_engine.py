@@ -145,10 +145,10 @@ def test_replacements_strictly_shrink():
 
     class Checked(ReplacingSearcher):
         def __call__(self, pres, pattern, text):
-            before = text.len
+            before = len(text.word)
             changed = super().__call__(pres, pattern, text)
             if changed:
-                assert text.len < before
+                assert len(text.word) < before
             return changed
 
     import tietze.engine as engine_mod
@@ -221,13 +221,13 @@ def test_full_annihilation_mid_pass():
         init_pass_state(p, ctx)
         searcher = ReplacingSearcher(make_strategy("brute"), SearchCounters())
         assert pass_fn(p, ctx, searcher).successful
-        assert sorted(r.len for r in p.rel)[0] == 0  # annihilated, kept in place
+        assert sorted(len(r.word) for r in p.rel)[0] == 0  # annihilated, kept in place
 
 
 def test_simplify_annihilating_duplicates():
     p = make_presentation(2, [(1, 2), (2, 1), (1, 1, 2)])
     p, _ = simplify(p, EngineConfig(long_elim_enabled=False))
-    assert all(r.len > 0 for r in p.rel)
+    assert all(len(r.word) > 0 for r in p.rel)
     assert len(p.rel) <= 2
 
 

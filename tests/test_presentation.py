@@ -88,10 +88,10 @@ def test_sort_rel_stable():
     p = make_presentation(3, [(1, 2, 3), (1, 2), (2, 3)])
     ids = [r.id for r in p.rel]
     sort_rel(p)
-    assert [r.len for r in p.rel] == [2, 2, 3]
+    assert [len(r.word) for r in p.rel] == [2, 2, 3]
     assert [r.id for r in p.rel] == [ids[1], ids[2], ids[0]]
     sort_rel(p)  # idempotent
-    assert [r.len for r in p.rel] == [2, 2, 3]
+    assert [len(r.word) for r in p.rel] == [2, 2, 3]
 
 
 def test_normalize_involutions_rewrites():

@@ -39,7 +39,7 @@ class ChangeOn:
     def __call__(self, pres, pattern, text):
         ordinal = self.calls
         self.calls += 1
-        if (pattern.id, text.id) in self.targets and text.len > 1:
+        if (pattern.id, text.id) in self.targets and len(text.word) > 1:
             self.targets.remove((pattern.id, text.id))
             text.set_word(text.word[:-1])
             self.changes.append((text.id, ordinal))
@@ -308,7 +308,7 @@ def test_tally_matches_recorded_events_and_recorder_changes_nothing(policy, kind
         for _ in range(40):
             for pres in (p_rec, p_bare):
                 # the engine's boundary maintenance: drop emptied relators, sort
-                pres.rel[:] = [r for r in pres.rel if r.len > 0]
+                pres.rel[:] = [r for r in pres.rel if len(r.word) > 0]
                 sort_rel(pres)
             tally, events = recorded(run_pass, p_rec, c_rec, s_rec)
             assert tally == _tally_from(events), (n, tally)
@@ -341,7 +341,7 @@ def _reference_pass_sorted(pres, ctx, searcher):
                     text.tp = -1
                     text.ts = ctx.timer
                     rel.pop(ti)
-                    new_pos = bisect_right(rel, text.len, key=lambda r: r.len)
+                    new_pos = bisect_right(rel, len(text.word), key=lambda r: len(r.word))
                     if new_pos != ti:
                         ctx.reorders += 1
                     rel.insert(new_pos, text)
@@ -378,8 +378,8 @@ class RandomCut:
         self.rng = random.Random(seed)
 
     def __call__(self, pres, pattern, text):
-        if text.len > 1 and self.rng.random() < 0.3:
-            text.set_word(text.word[:self.rng.randrange(1, text.len)])
+        if len(text.word) > 1 and self.rng.random() < 0.3:
+            text.set_word(text.word[:self.rng.randrange(1, len(text.word))])
             return True
         return False
 
@@ -425,7 +425,7 @@ def test_sorted_text_cut_to_pattern_length_and_annihilated():
     r = list(pres.rel)
     cuts = {(r[1].id, r[3].id): 3, (r[1].id, r[4].id): 0}
     _compare_with_reference(pres, lambda: Rewrite(cuts), passes=3)
-    assert [x.len for x in pres.rel] == [0, 2, 3, 3, 4]
+    assert [len(x.word) for x in pres.rel] == [0, 2, 3, 3, 4]
     assert pres.rel[0] is r[4] and pres.rel[3] is r[3]
 
 
