@@ -7,7 +7,11 @@ The exact backing (``kr-hash``) keys its table on the windows themselves:
 each word is packed once as machine ints (``array("i")``) and every window
 is a bytes slice of that buffer, so slicing, hashing and lookup all run in
 C and a table hit is already an exact match.  It never reports a
-fingerprint false match.
+fingerprint false match.  Before that scan it samples the text's q-grams
+(q = ceil(m/2), every m - q + 1 positions) against the set of the
+pattern's q-grams; every window contains a sample, so when no sample hits
+the text is a proven miss and is never packed, and when one does the scan
+starts at the earliest window that can contain that sample.
 
 The Bloom backings (``kr-bloom3``/``kr-bloom4``) need a numeric key, so they
 roll Karp-Rabin fingerprints: symbols are coded densely, code(g) = 2g for
@@ -115,14 +119,6 @@ class BloomFilter:
         return all(self.tables[i][a >> 3] >> (a & 7) & 1 for i, a in self._addresses(value))
 
 
-def bloom_insert(b: BloomFilter, value: int) -> None:
-    b.insert(value)
-
-
-def bloom_query(b: BloomFilter, value: int) -> bool:
-    return b.query(value)
-
-
 _ITEM = array("i").itemsize
 
 
@@ -145,6 +141,15 @@ class PatternIndex:
     the Bloom backings key on fingerprints and put a Bloom filter in front,
     so that hits are re-checked against the exact fingerprint set and
     false Bloom hits can be counted.
+
+    The exact backing also keeps ``qgrams``, the circular q-grams of both
+    bases as tuples, with q = ceil(m/2), and ``stride`` = m - q + 1.  Any
+    m-window [i, i + m) of the text contains the q-gram at the one multiple
+    of the stride in [i, i + m - q], and a key window's q-grams are pattern
+    q-grams, so a text none of whose sampled q-grams is in the set holds no
+    key window and is rejected without being packed.  The exact
+    ``candidates`` table is built by ``exact_candidates`` on the first
+    sample hit, so a pattern whose every text misses never builds it.
     """
 
     def __init__(self, p_word: Word, backing: str, params: FingerprintParams,
@@ -160,26 +165,31 @@ class PatternIndex:
         self.windows_inserted = 2 * len(p_word)
         self.candidates: dict[bytes | int, list[tuple[bool, int]]] = {}
         self.bloom: BloomFilter | None = None
-        bases = ((False, p_word), (True, self.inverse))
+        self.bases = ((False, p_word), (True, self.inverse))
         if backing == "exact":
+            q = self.q = (self.m + 1) // 2
+            self.stride = self.m - q + 1
+            self.qgrams = {ext[i:i + q] for ext in (extend_front(p_word, q - 1),
+                                                    extend_front(self.inverse, q - 1))
+                           for i in range(len(p_word))}
+            return
+        self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
+        for inverted, base in self.bases:
+            for start, value in _window_fingerprints(base, self.m, params):
+                self.candidates.setdefault(value, []).append((inverted, start))
+                self.bloom.insert(value)
+
+    def exact_candidates(self) -> dict[bytes | int, list[tuple[bool, int]]]:
+        """The exact backing's ``candidates``, built when first asked for."""
+        if not self.candidates:
             span = self.m * _ITEM
-            for inverted, base in bases:
+            for inverted, base in self.bases:
                 packed = _pack(base, self.m)
                 for start in range(len(base)):
                     offset = start * _ITEM
                     key = packed[offset:offset + span]
                     self.candidates.setdefault(key, []).append((inverted, start))
-            return
-        self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
-        for inverted, base in bases:
-            for start, value in _window_fingerprints(base, self.m, params):
-                self.candidates.setdefault(value, []).append((inverted, start))
-                self.bloom.insert(value)
-
-
-def build_pattern_index(p_word: Word, backing: str, params: FingerprintParams,
-                        bloom_log2_size: int = 16) -> PatternIndex:
-    return PatternIndex(p_word, backing, params, bloom_log2_size)
+        return self.candidates
 
 
 def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
@@ -221,12 +231,25 @@ def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
 
 def _exact_search(idx: PatternIndex, p_word: Word, t_word: Word,
                   counters: SearchCounters) -> Match | None:
-    """The exact backing: the first text window whose bytes are a table key."""
-    l_t = len(t_word)
-    packed = _pack(t_word, idx.m)
-    span = idx.m * _ITEM
-    get = idx.candidates.get
-    for offset in range(0, l_t * _ITEM, _ITEM):
+    """The exact backing: the first text window whose bytes are a table key.
+
+    The sampled q-grams go first (see ``PatternIndex``).  No key window
+    starts more than m - q before the first sample that hits, so the byte
+    scan begins there and still finds the first key window.
+    """
+    l_t, m, q = len(t_word), idx.m, idx.q
+    ext = t_word + t_word[:m - 1]
+    qgrams = idx.qgrams
+    for first in range(0, l_t + m - q, idx.stride):
+        if ext[first:first + q] in qgrams:
+            break
+    else:
+        counters.windows_scanned += l_t
+        return None
+    packed = array("i", ext).tobytes()
+    span = m * _ITEM
+    get = idx.exact_candidates().get
+    for offset in range(max(0, first - (m - q)) * _ITEM, l_t * _ITEM, _ITEM):
         cands = get(packed[offset:offset + span])
         if cands is not None:
             tstart = offset // _ITEM

@@ -187,15 +187,14 @@ def exhaustive_oracle(p_word: Word, t_word: Word) -> Match | None:
     )
 
 
-def anchor_seeds(p_word: Word, involutions: frozenset[int] | set[int] = frozenset()
-                 ) -> list[tuple[bool, int, int]]:
+def anchor_seeds(p_word: Word) -> list[tuple[bool, int, int]]:
     """Anchor alignments (inverted, position in base, symbol) for brute search.
 
     Any useful substring of a pattern equivalent covers the first or the
     middle symbol of the pattern, or one of their inverses; when the
     pattern is a nontrivial power only the first symbol and its inverse
-    are needed.  Seeds whose symbol is the inverse of an involution are
-    dropped (that symbol cannot occur in a normalized text).
+    are needed.  An alignment is listed once, with the symbol at that
+    position of its base.
     """
     l_p = len(p_word)
     positions = [0]
@@ -205,33 +204,43 @@ def anchor_seeds(p_word: Word, involutions: frozenset[int] | set[int] = frozense
     seen: set[tuple[bool, int]] = set()
     for pos in positions:
         sym = p_word[pos]
-        for inverted, bpos, s in (
-            (False, pos, sym),
-            (True, l_p - 1 - pos, -sym),
-        ):
-            if abs(s) in involutions and s < 0:
-                continue
+        for inverted, bpos, s in ((False, pos, sym), (True, l_p - 1 - pos, -sym)):
             if (inverted, bpos) not in seen:
                 seen.add((inverted, bpos))
                 seeds.append((inverted, bpos, s))
     return seeds
 
 
-def anchor_symbols(p_word: Word, involutions: frozenset[int] | set[int] = frozenset()) -> set[int]:
-    """The distinct text symbols the brute search scans for."""
-    return {s for _, _, s in anchor_seeds(p_word, involutions)}
+def live_seeds(seeds: list[tuple[bool, int, int]],
+               involutions: frozenset[int] | set[int]) -> list[tuple[bool, int, int]]:
+    """The seeds whose symbol is not the inverse of an involution.
+
+    That symbol cannot occur in a normalized text.  Dropping after
+    ``anchor_seeds`` deduplicates is the same as dropping before, because
+    an alignment always carries the same symbol.
+    """
+    if not involutions:
+        return seeds
+    return [seed for seed in seeds if not (seed[2] < 0 and -seed[2] in involutions)]
 
 
 def brute_search(p_word: Word, t_word: Word,
                  involutions: frozenset[int] | set[int] = frozenset(),
-                 counters: SearchCounters | None = None) -> Match | None:
-    """Anchored brute force: scan the text for anchor symbols and extend."""
+                 counters: SearchCounters | None = None,
+                 seeds: list[tuple[bool, int, int]] | None = None) -> Match | None:
+    """Anchored brute force: scan the text for anchor symbols and extend.
+
+    ``seeds`` is ``anchor_seeds(p_word)``, computed here when not given;
+    the strategies pass it cached per pattern.
+    """
     l_p, l_t = len(p_word), len(t_word)
     if not 1 <= l_p <= l_t:
         raise ValueError("brute search requires 1 <= |pattern| <= |text|")
     if counters is None:
         counters = SearchCounters()
-    seeds = anchor_seeds(p_word, involutions)
+    if seeds is None:
+        seeds = anchor_seeds(p_word)
+    seeds = live_seeds(seeds, involutions)
     wanted = {s for _, _, s in seeds}
     for j in range(l_t):
         counters.windows_scanned += 1

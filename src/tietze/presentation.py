@@ -202,10 +202,6 @@ def normalize_involutions(p: Presentation) -> list[int]:
             return changed
 
 
-def total_length(p: Presentation) -> int:
-    return p.total_length()
-
-
 def remove_duplicates(p: Presentation) -> list[int]:
     """Drop relators equal to an earlier one up to rotation/inversion."""
     seen: set[Word] = set()

@@ -13,6 +13,7 @@ from .automaton import LSAutomaton, automaton_search, build_ls_automaton
 from .fingerprint import FingerprintParams, PatternIndex, kr_search
 from .match import (
     SearchCounters,
+    anchor_seeds,
     brute_search,
     compute_signature,
     signature_skip,
@@ -33,16 +34,22 @@ STRATEGY_NAMES = (
 class BruteStrategy:
     name = "brute"
 
+    def __init__(self):
+        self._seeds: tuple[Word, list] | None = None
+
     def search(self, p_word, t_word, involutions, counters):
-        return brute_search(p_word, t_word, involutions, counters)
+        if self._seeds is None or self._seeds[0] != p_word:
+            self._seeds = (p_word, anchor_seeds(p_word))
+        return brute_search(p_word, t_word, involutions, counters, self._seeds[1])
 
 
-class SignatureStrategy:
+class SignatureStrategy(BruteStrategy):
     """Signature pre-filter in front of the brute search."""
 
     name = "signature"
 
     def __init__(self):
+        super().__init__()
         self._cache: dict[Word, int] = {}
 
     def _sig(self, w: Word) -> int:
@@ -55,7 +62,7 @@ class SignatureStrategy:
     def search(self, p_word, t_word, involutions, counters):
         if signature_skip(self._sig(p_word), self._sig(t_word), useful_threshold(len(p_word))):
             return None
-        return brute_search(p_word, t_word, involutions, counters)
+        return super().search(p_word, t_word, involutions, counters)
 
 
 class KarpRabinStrategy:

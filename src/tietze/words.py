@@ -126,21 +126,18 @@ def smallest_period(w: Word) -> int:
     return n  # unreachable: p = n always matches
 
 
-def all_equivalents(w: Word) -> list[Word]:
-    """All rotations of ``w`` and of its formal inverse."""
-    n = len(w)
-    if n == 0:
-        return [w]
-    inv = invert(w)
-    return [rotate_right(w, i) for i in range(n)] + [rotate_right(inv, i) for i in range(n)]
-
-
 def canonical_rep(w: Word) -> Word:
     """Lexicographically least equivalent of a cyclically reduced word.
 
     Equal for every rotation of ``w`` and of ``invert(w)``; used for
-    duplicate detection.  Symbols compare by signed integer value.
+    duplicate detection.  Symbols compare by signed integer value.  The
+    least equivalent starts with the least symbol occurring in any
+    equivalent, so only the rotations of ``w`` and of ``invert(w)`` that
+    start with that symbol are built and compared, not all 2n of them.
     """
     if len(w) == 0:
         return w
-    return min(all_equivalents(w))
+    inv = invert(w)
+    least = min(min(w), min(inv))
+    return min(base[i:] + base[:i] for base in (w, inv)
+               for i, s in enumerate(base) if s == least)

@@ -15,7 +15,7 @@ from tietze.engine import EngineConfig, ReplacingSearcher, simplify
 from tietze.fingerprint import (
     BloomFilter,
     FingerprintParams,
-    build_pattern_index,
+    PatternIndex,
     fp_init,
     fp_roll,
     symbol_code,
@@ -361,7 +361,7 @@ def test_criterion_10_rolling_hash_and_window_count():
                 v = fp_roll(v, symbol_code(w[start - 1]),
                             symbol_code(w[start + m - 1]), high, params)
                 assert v == fp_init(w, start, m, params)
-        idx = build_pattern_index(w, "exact", params)
+        idx = PatternIndex(w, "exact", params)
         assert idx.windows_inserted == 2 * len(w)
     print("\nCRITERION 10 PASS: rolling fingerprints equal direct evaluation "
           "and every index holds exactly 2*l_p windows (1000 words)")

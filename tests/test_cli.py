@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,30 @@ def test_automaton_golden_output(tmp_path):
         "fingerprint_false_matches": 0, "bloom_false_hits": 0, "confirmations": 0,
         "successes": 79, "automata_built": 154,
     }
+
+
+def test_brute_golden_output(tmp_path):
+    """Output and counters of the CLI defaults (brute, ts-sorted), pinned."""
+    inp = str(Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres")
+    out = str(tmp_path / "out.pres")
+    stats = str(tmp_path / "stats.json")
+    assert main(["simplify", inp, "-o", out, "--stats", stats]) == 0
+    digest = hashlib.sha256((tmp_path / "out.pres").read_bytes()).hexdigest()
+    assert digest == "49397b2bbdc0ff3fe976da9b737e28243d90d300cd4afbb4c138488def7e4b50"
+    rep = json.loads((tmp_path / "stats.json").read_text())
+    assert rep["config"]["match_strategy"] == "brute"
+    assert rep["stats"] == {
+        "pairs_considered": 54144, "searches_performed": 4797, "searches_skipped": 49347,
+        "searches_successful": 131, "short_elims": 2, "long_elims": 62, "passes": 69,
+        "total_length_before": 1167, "total_length_after": 19, "gens_before": 67,
+        "gens_after": 3, "rels_before": 67, "rels_after": 3,
+    }
+    assert rep["counters"] == {
+        "windows_scanned": 58205, "filter_hits": 0, "fingerprint_matches": 0,
+        "fingerprint_false_matches": 0, "bloom_false_hits": 0, "confirmations": 0,
+        "successes": 131, "automata_built": 0,
+    }
+
 
 def test_verify_detects_mismatch(tmp_path, capsys):
     a = write(tmp_path, "a.pres", "gens 1\nrel 1 1\n")

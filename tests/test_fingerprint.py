@@ -8,9 +8,6 @@ from tietze.fingerprint import (
     BloomFilter,
     FingerprintParams,
     PatternIndex,
-    bloom_insert,
-    bloom_query,
-    build_pattern_index,
     fingerprint_codes,
     fp_init,
     fp_roll,
@@ -77,8 +74,8 @@ def test_bloom_no_false_negatives():
         b = BloomFilter(k, log2_size=10)
         values = [rng.getrandbits(61) for _ in range(300)]
         for v in values:
-            bloom_insert(b, v)
-        assert all(bloom_query(b, v) for v in values)
+            b.insert(v)
+        assert all(b.query(v) for v in values)
 
 
 def test_bloom_empty_filter_rejects():
@@ -113,30 +110,30 @@ def test_bloom_rejects_bad_geometry():
 
 def test_pattern_index_window_count():
     params = FingerprintParams.from_seed(1)
-    idx = build_pattern_index(W("abc"), "exact", params)
+    idx = PatternIndex(W("abc"), "exact", params)
     assert idx.windows_inserted == 6
     assert idx.m == 2
 
 
 def test_pattern_index_single_symbol():
     params = FingerprintParams.from_seed(1)
-    idx = build_pattern_index(W("a"), "exact", params)
+    idx = PatternIndex(W("a"), "exact", params)
     assert idx.m == 1
     assert idx.windows_inserted == 2
-    assert len(idx.candidates) == 2  # the symbol and its inverse
+    assert len(idx.exact_candidates()) == 2  # the symbol and its inverse
 
 
 def test_pattern_index_collapses_duplicate_windows():
     params = FingerprintParams.from_seed(1)
     # invert("abAB") is a rotation of itself, so windows coincide
-    idx = build_pattern_index(W("abAB"), "exact", params)
+    idx = PatternIndex(W("abAB"), "exact", params)
     assert idx.windows_inserted == 8
-    assert len(idx.candidates) <= 8
+    assert len(idx.exact_candidates()) <= 8
 
 
 def test_kr_search_example_exact():
     params = FingerprintParams.from_seed(5)
-    idx = build_pattern_index(W("abc"), "exact", params)
+    idx = PatternIndex(W("abc"), "exact", params)
     c = SearchCounters()
     m = kr_search(idx, W("abc"), W("dab"), c)
     assert m is not None and m.v_len == 2
@@ -147,7 +144,7 @@ def test_kr_search_example_exact():
 
 def test_kr_search_disjoint_counts_only_collisions():
     params = FingerprintParams.from_seed(5)
-    idx = build_pattern_index(W("ab"), "exact", params)
+    idx = PatternIndex(W("ab"), "exact", params)
     c = SearchCounters()
     assert kr_search(idx, W("ab"), W("cd"), c) is None
     assert c.successes == 0
@@ -233,3 +230,68 @@ def test_kr_hash_equals_reference_scan_wide_alphabet():
         hits += found
         wide_hits += found and max(map(abs, p)) > 255
     assert hits > 300 and wide_hits > 50  # symbols beyond one byte do match
+
+
+def sampled_filter_pair(rng, d):
+    """A pattern and a text aimed at the edges of the sampled q-gram filter.
+
+    Kinds: 0 plants a pattern chunk of length q .. m - 1 (samples may hit
+    but no window is a key), 1 plants a chunk of length m .. l_p across
+    the end of the text (the key window wraps), 2 makes the text as long
+    as the pattern, 3 is a plain random pair.  A quarter of the patterns
+    have length 1 to 3.
+    """
+    kind = rng.randrange(4)
+    p = random_reduced_word(rng, d, rng.randint(1, 3) if rng.random() < 0.25 else rng.randint(4, 40))
+    m = useful_threshold(len(p))
+    q = (m + 1) // 2
+    base = rotate_right(invert(p) if rng.random() < 0.5 else p, rng.randrange(len(p)))
+    if kind == 2:
+        t = list(base)
+        for _ in range(rng.randint(0, 3)):
+            t[rng.randrange(len(t))] = rng.choice([s for s in range(-d, d + 1) if s])
+        return p, tuple(t)
+    t = random_reduced_word(rng, d, rng.randint(len(p), 60))
+    if kind == 0:
+        chunk = base[:rng.randint(q, max(q, m - 1))]
+        cut = rng.randint(0, len(t))
+        t = t[:cut] + chunk + t[cut:]
+    elif kind == 1:
+        chunk = base[:rng.randint(m, len(p))]
+        split = rng.randint(1, len(chunk))
+        t = chunk[split:] + t + chunk[:split]
+    return p, t
+
+
+def test_kr_hash_sampled_filter_equals_reference_scan():
+    rng = random.Random(37)
+    params = FingerprintParams.from_seed(13)
+    filtered_misses = wrapped = hits = short = same_length = wide_hits = 0
+    for _ in range(4000):
+        p, t = sampled_filter_pair(rng, rng.choice((1, 2, 3, 8, 300)))
+        if len(t) < len(p):
+            continue
+        want, scanned = reference_kr_scan(p, t)
+        idx = PatternIndex(p, "exact", params)
+        c = SearchCounters()
+        assert kr_search(idx, p, t, c) == want
+        found = int(want is not None)
+        assert c == SearchCounters(windows_scanned=scanned, filter_hits=found,
+                                   fingerprint_matches=found, confirmations=found,
+                                   successes=found)
+        m = useful_threshold(len(p))
+        q = (m + 1) // 2
+        ext = t + t[:m - 1]
+        sampled = {ext[j:j + q] for j in range(0, len(t) + m - q, m - q + 1)}
+        pattern_qgrams = {e[i:i + q] for e in (p + p, invert(p) + invert(p))
+                          for i in range(len(p))}
+        # the window table is built exactly when a sample hits
+        assert bool(idx.candidates) == bool(sampled & pattern_qgrams)
+        filtered_misses += not found and bool(sampled & pattern_qgrams)
+        wrapped += found and scanned > len(t) - m + 1
+        hits += found
+        short += found and len(p) <= 3
+        same_length += found and len(p) == len(t)
+        wide_hits += found and max(map(abs, p)) > 255
+    assert filtered_misses > 300 and wrapped > 150 and hits > 1500
+    assert short > 300 and same_length > 300 and wide_hits > 100

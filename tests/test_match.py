@@ -7,16 +7,17 @@ from tietze.match import (
     Match,
     MatchError,
     SearchCounters,
-    anchor_symbols,
+    anchor_seeds,
     brute_search,
     check_match,
     compute_signature,
     exhaustive_oracle,
     is_valid_match,
+    live_seeds,
     signature_skip,
 )
 from tietze.randgen import random_reduced_word
-from tietze.words import invert, rotate_right, word_from_letters
+from tietze.words import invert, rotate_right, smallest_period, word_from_letters
 
 W = word_from_letters
 
@@ -67,15 +68,46 @@ def test_brute_none_on_disjoint():
     assert brute_search(W("ab"), W("cd")) is None
 
 
+def seed_symbols(seeds):
+    return {s for _, _, s in seeds}
+
+
 def test_anchor_set_for_nontrivial_power():
     # periodic pattern: only the first symbol and its inverse are anchors
-    assert anchor_symbols(W("abab")) == {1, -1}
-    assert anchor_symbols(W("abc")) == {1, -1, 2, -2}
-    assert anchor_symbols(W("abcd")) == {1, -1, 3, -3}
+    assert seed_symbols(anchor_seeds(W("abab"))) == {1, -1}
+    assert seed_symbols(anchor_seeds(W("abc"))) == {1, -1, 2, -2}
+    assert seed_symbols(anchor_seeds(W("abcd"))) == {1, -1, 3, -3}
 
 
 def test_anchor_collapse_under_involutions():
-    assert anchor_symbols(W("abc"), involutions={1}) == {1, 2, -2}
+    assert seed_symbols(live_seeds(anchor_seeds(W("abc")), {1})) == {1, 2, -2}
+
+
+def reference_anchor_seeds(p_word, involutions):
+    """Anchor seeds with involution inverses dropped before deduplication."""
+    l_p = len(p_word)
+    positions = [0]
+    if smallest_period(p_word) == l_p and l_p >= 2:
+        positions.append(l_p // 2)
+    seeds, seen = [], set()
+    for pos in positions:
+        sym = p_word[pos]
+        for inverted, bpos, s in ((False, pos, sym), (True, l_p - 1 - pos, -sym)):
+            if abs(s) in involutions and s < 0:
+                continue
+            if (inverted, bpos) not in seen:
+                seen.add((inverted, bpos))
+                seeds.append((inverted, bpos, s))
+    return seeds
+
+
+def test_live_seeds_equal_filtering_before_deduplication():
+    rng = random.Random(24)
+    words = [W("a"), W("aa"), W("aA"), W("abab"), W("aBaB"), W("abBA")]
+    words += [random_reduced_word(rng, rng.randint(1, 4), rng.randint(1, 9)) for _ in range(400)]
+    for w in words:
+        for involutions in (set(), {1}, {2}, {1, 2}, {1, 2, 3, 4}):
+            assert live_seeds(anchor_seeds(w), involutions) == reference_anchor_seeds(w, involutions)
 
 
 def test_brute_agrees_with_oracle():

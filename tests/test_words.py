@@ -7,7 +7,6 @@ import tietze.words
 from helpers import naive_circular_substrings
 from tietze.randgen import random_reduced_word
 from tietze.words import (
-    all_equivalents,
     canonical_rep,
     cyclic_reduce,
     extend_front,
@@ -21,6 +20,15 @@ from tietze.words import (
 )
 
 W = word_from_letters
+
+
+def all_equivalents(w):
+    """All rotations of ``w`` and of its formal inverse."""
+    n = len(w)
+    if n == 0:
+        return [w]
+    inv = invert(w)
+    return [rotate_right(w, i) for i in range(n)] + [rotate_right(inv, i) for i in range(n)]
 
 
 def test_doctests():
@@ -143,6 +151,23 @@ def test_canonical_rep_constant_on_equivalents():
             continue
         reps = {canonical_rep(e) for e in all_equivalents(w)}
         assert len(reps) == 1
+
+
+def test_canonical_rep_equals_least_equivalent():
+    rng = random.Random(7)
+    words = [W("a"), W("A"), W("ab"), W("aB"), (300,), (-300,), (-300, 299)]
+    words += [W("ab") * k for k in range(1, 8)] + [W("aBc") * k for k in range(1, 6)]
+    words += [W("a") * n for n in range(1, 12)] + [W("B") * n for n in range(1, 12)]
+    # the least symbol repeats, with different continuations
+    words += [W("AbAcAb"), W("AbAbAc"), W("aCaCab"), W("AAbAAbAc"), W("bAbAbA" * 3 + "c")]
+    words += [(-7, 3, -7, 5, -7, 3, -7, 5, -7, 9), (2, -1, 2, -1, -2, 1, -2)]
+    for _ in range(1500):
+        d = rng.choice((1, 2, 3, 4, 20, 300))
+        words.append(random_reduced_word(rng, d, rng.randint(1, 150)))
+    for w in words:
+        w = cyclic_reduce(free_reduce(w))
+        if w:
+            assert canonical_rep(w) == min(all_equivalents(w))
 
 
 def test_smallest_period_against_bruteforce():
