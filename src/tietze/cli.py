@@ -15,21 +15,9 @@ from . import __version__
 from .engine import EngineConfig, simplify
 from .presentation import ParseError, parse_presentation, serialize_presentation
 from .randgen import PROFILES, random_presentation
+from .skip import POLICY_NAMES
+from .strategies import STRATEGIES
 from .verify import abelian_invariants
-
-MATCH_CHOICES = ("brute", "signature", "kr-bloom", "kr-hash", "automaton")
-SKIP_CHOICES = ("all-pairs", "flags", "ts-sorted", "ts-unsorted")
-
-# (match, bloom bits, automata)
-ALL_STRATEGY_CONFIGS = (
-    ("brute", 3, "two"),
-    ("signature", 3, "two"),
-    ("kr-hash", 3, "two"),
-    ("kr-bloom", 3, "two"),
-    ("kr-bloom", 4, "two"),
-    ("automaton", 3, "two"),
-    ("automaton", 3, "one"),
-)
 
 
 def _read_presentation(path: str):
@@ -37,23 +25,21 @@ def _read_presentation(path: str):
         return parse_presentation(f.read())
 
 
-def _flag_strategy(args) -> tuple[str, int, str]:
-    """(match, bloom bits, automata) as given by the engine flags."""
-    return (args.match,
-            args.bloom_bits if args.bloom_bits is not None else 3,
-            args.automata if args.automata is not None else "two")
+def _flag_strategy(args) -> str:
+    """The registry name the validated engine flags select."""
+    flags = (args.match,
+             args.bloom_bits if args.bloom_bits is not None else 3,
+             args.automata if args.automata is not None else "two")
+    return next(name for name, spec in STRATEGIES.items() if spec.flags == flags)
 
 
-def _engine_config(args, parser, match: str, bloom_bits: int, automata: str,
-                   skip: str) -> EngineConfig:
+def _engine_config(args, parser, strategy: str, skip: str) -> EngineConfig:
     """The EngineConfig of one run; an invalid flag value is a usage error."""
     try:
         return EngineConfig(
-            match_strategy=match,
+            match_strategy=strategy,
             skip_policy=skip,
-            bloom_bits=bloom_bits,
             bloom_log2_size=args.bloom_log2 if args.bloom_log2 is not None else 16,
-            automata=automata,
             long_elim_enabled=args.long_elim == "on",
             growth_limit=args.growth_limit,
             max_passes=args.max_passes,
@@ -71,14 +57,15 @@ def _validate_flags(args, parser) -> None:
 
 
 def stats_report(cfg: EngineConfig, stats, wall_ms: float) -> dict:
+    _, bloom_bits, automata = STRATEGIES[cfg.match_strategy].flags
     return {
         "tool_version": __version__,
         "config": {
-            "match_strategy": cfg.strategy_name(),
+            "match_strategy": cfg.match_strategy,
             "skip_policy": cfg.skip_policy,
-            "bloom_bits": cfg.bloom_bits,
+            "bloom_bits": bloom_bits,
             "bloom_log2_size": cfg.bloom_log2_size,
-            "automata": cfg.automata,
+            "automata": automata,
             "long_elim_enabled": cfg.long_elim_enabled,
             "growth_limit": cfg.growth_limit,
             "max_passes": cfg.max_passes,
@@ -98,7 +85,7 @@ def _write_json(path: str, payload) -> None:
 
 def cmd_simplify(args, parser) -> int:
     _validate_flags(args, parser)
-    cfg = _engine_config(args, parser, *_flag_strategy(args), args.skip)
+    cfg = _engine_config(args, parser, _flag_strategy(args), args.skip)
     pres = _read_presentation(args.input)
     t0 = time.perf_counter()
     pres, stats = simplify(pres, cfg)
@@ -114,17 +101,16 @@ def cmd_simplify(args, parser) -> int:
     return 0
 
 
-def _bench_grid(args):
-    """(match, bloom bits, automata, skip) of every configuration to run."""
-    strategies = ALL_STRATEGY_CONFIGS if args.all_strategies else (_flag_strategy(args),)
-    skips = SKIP_CHOICES if args.all_skip else (args.skip,)
-    for strategy in strategies:
-        for skip in skips:
-            yield *strategy, skip
-
-
 def cmd_bench(args, parser) -> int:
-    configs = [_engine_config(args, parser, *run) for run in _bench_grid(args)]
+    if not args.all_strategies:
+        _validate_flags(args, parser)
+    elif args.bloom_bits is not None or args.automata is not None:
+        # the grid runs every registry entry; --bloom-log2 still shapes its Bloom runs
+        parser.error("--bloom-bits/--automata do not apply to --all-strategies")
+    strategies = STRATEGIES if args.all_strategies else (_flag_strategy(args),)
+    skips = POLICY_NAMES if args.all_skip else (args.skip,)
+    configs = [_engine_config(args, parser, strategy, skip)
+               for strategy in strategies for skip in skips]
     base = _read_presentation(args.input)
     reports = []
     for cfg in configs:
@@ -197,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_engine_flags(p):
-        p.add_argument("--match", choices=MATCH_CHOICES, default="brute")
+        p.add_argument("--match", default="brute",
+                       choices=tuple(dict.fromkeys(s.flags[0] for s in STRATEGIES.values())))
         p.add_argument("--automata", choices=("one", "two"), default=None)
-        p.add_argument("--skip", choices=SKIP_CHOICES, default="ts-sorted")
+        p.add_argument("--skip", choices=POLICY_NAMES, default="ts-sorted")
         p.add_argument("--bloom-bits", type=int, choices=(3, 4), default=None)
         p.add_argument("--bloom-log2", type=int, default=None)
         p.add_argument("--long-elim", choices=("on", "off"), default="on")

@@ -11,7 +11,7 @@ configured growth budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .match import Match, SearchCounters, check_match
 from .presentation import (
@@ -21,8 +21,8 @@ from .presentation import (
     remove_duplicates,
     sort_rel,
 )
-from .skip import PassContext, init_pass_state, mark_changed, run_pass
-from .strategies import make_strategy
+from .skip import POLICY_NAMES, PassContext, init_pass_state, mark_changed, run_pass
+from .strategies import STRATEGIES, make_strategy
 from .words import Word, invert, reduce_cyclic_word, rotate_right
 
 
@@ -39,13 +39,14 @@ class EngineConfig:
     run's initial length.  Successive long eliminations can therefore
     compound, and the total length can exceed ``growth_limit`` times the
     initial length.
+
+    ``match_strategy`` is a full name from ``strategies.STRATEGIES``, such
+    as ``kr-bloom4`` or ``automaton-one``.
     """
 
     match_strategy: str = "brute"
     skip_policy: str = "ts-sorted"
-    bloom_bits: int = 3
     bloom_log2_size: int = 16
-    automata: str = "two"
     long_elim_enabled: bool = True
     growth_limit: float = 1.5
     max_passes: int = 100
@@ -53,21 +54,16 @@ class EngineConfig:
     record_events: bool = False  # keep per-search logs on EngineStats
 
     def __post_init__(self):
+        if self.match_strategy not in STRATEGIES:
+            raise ValueError(f"unknown match strategy {self.match_strategy!r}")
+        if self.skip_policy not in POLICY_NAMES:
+            raise ValueError(f"unknown skip policy {self.skip_policy!r}")
         if not self.growth_limit >= 1.0:  # also rejects NaN
             raise ValueError("growth_limit must be >= 1.0")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
-        if self.bloom_bits not in (3, 4):
-            raise ValueError("bloom_bits must be 3 or 4")
         if not 3 <= self.bloom_log2_size <= 30:
             raise ValueError("bloom_log2_size must be in 3..30")
-
-    def strategy_name(self) -> str:
-        if self.match_strategy == "kr-bloom":
-            return f"kr-bloom{self.bloom_bits}"
-        if self.match_strategy == "automaton":
-            return f"automaton-{self.automata}"
-        return self.match_strategy
 
 
 @dataclass
@@ -94,21 +90,9 @@ class EngineStats:
     reorders: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "pairs_considered": self.pairs_considered,
-            "searches_performed": self.searches_performed,
-            "searches_skipped": self.searches_skipped,
-            "searches_successful": self.searches_successful,
-            "short_elims": self.short_elims,
-            "long_elims": self.long_elims,
-            "passes": self.passes,
-            "total_length_before": self.total_length_before,
-            "total_length_after": self.total_length_after,
-            "gens_before": self.gens_before,
-            "gens_after": self.gens_after,
-            "rels_before": self.rels_before,
-            "rels_after": self.rels_after,
-        }
+        """The fields declared before ``counters``, in order."""
+        names = [f.name for f in fields(self)]
+        return {name: getattr(self, name) for name in names[:names.index("counters")]}
 
 
 def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
@@ -317,7 +301,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None
         rels_before=len(pres.rel),
     )
     timings = {"short_elim": 0.0, "replacement": 0.0, "long_elim": 0.0}
-    strategy = make_strategy(cfg.strategy_name(), cfg.seed, cfg.bloom_log2_size)
+    strategy = make_strategy(cfg.match_strategy, cfg.seed, cfg.bloom_log2_size)
     searcher = ReplacingSearcher(strategy, stats.counters,
                                  stats.change_log if cfg.record_events else None)
     ctx = PassContext(policy=cfg.skip_policy)

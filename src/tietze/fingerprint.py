@@ -158,7 +158,6 @@ class PatternIndex:
             raise ValueError(f"unknown backing {backing!r}")
         if len(p_word) < 1:
             raise ValueError("cannot index an empty pattern")
-        self.backing = backing
         self.params = params
         self.m = useful_threshold(len(p_word))
         self.inverse = invert(p_word)

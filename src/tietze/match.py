@@ -3,13 +3,16 @@
 A useful common substring v of a pattern R_p and a text R_t (with
 len(R_p) <= len(R_t)) witnesses a rotation u.v of R_p or of its formal
 inverse and a rotation w.v of R_t with len(v) > len(u), i.e.
-len(v) >= useful_threshold(len(R_p)).  The exhaustive enumeration here is
-the correctness oracle for every faster strategy.
+len(v) >= useful_threshold(len(R_p)).  This module holds the match type
+and its validity check, which guards every rewrite, the anchored brute
+force search and the rotation/inversion invariant signatures.  The
+exhaustive enumeration that every strategy is tested against lives with
+the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .words import (
     Word,
@@ -34,16 +37,7 @@ class SearchCounters:
     automata_built: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "windows_scanned": self.windows_scanned,
-            "filter_hits": self.filter_hits,
-            "fingerprint_matches": self.fingerprint_matches,
-            "fingerprint_false_matches": self.fingerprint_false_matches,
-            "bloom_false_hits": self.bloom_false_hits,
-            "confirmations": self.confirmations,
-            "successes": self.successes,
-            "automata_built": self.automata_built,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -89,32 +83,6 @@ def check_match(m: Match, p_word: Word, t_word: Word) -> None:
         raise MatchError("v segments differ between pattern and text")
 
 
-def is_valid_match(m: Match, p_word: Word, t_word: Word) -> bool:
-    try:
-        check_match(m, p_word, t_word)
-        return True
-    except MatchError:
-        return False
-
-
-def _circular_windows(w: Word, k: int) -> list[Word]:
-    ext = w + w[: k - 1]
-    return [ext[i:i + k] for i in range(len(w))]
-
-
-def _match_from_alignment(p_word: Word, t_word: Word, inverted: bool,
-                          p_end: int, t_end: int, v_len: int) -> Match:
-    """Build a Match whose v segment ends at the given circular positions."""
-    l_p, l_t = len(p_word), len(t_word)
-    return Match(
-        inverted=inverted,
-        pattern_rot=(l_p - 1 - p_end) % l_p,
-        text_rot=(l_t - 1 - t_end) % l_t,
-        u_len=l_p - v_len,
-        v_len=v_len,
-    )
-
-
 def extend_seed(base: Word, t_word: Word, bpos: int, tpos: int) -> tuple[int, int, int]:
     """Grow an aligned single-symbol match circularly in both directions.
 
@@ -138,53 +106,11 @@ def match_from_seed(p_word: Word, t_word: Word, inverted: bool,
     """Maximal Match around one aligned symbol, or None below threshold."""
     base = invert(p_word) if inverted else p_word
     p_end, t_end, length = extend_seed(base, t_word, bpos, tpos)
-    if length < useful_threshold(len(p_word)):
-        return None
-    return _match_from_alignment(p_word, t_word, inverted, p_end, t_end, length)
-
-
-def exhaustive_oracle(p_word: Word, t_word: Word) -> Match | None:
-    """Try every rotation of R_p and invert(R_p) against every rotation of R_t.
-
-    Returns a Match of globally maximal v length, or None when no common
-    circular substring reaches the usefulness threshold.  Deterministic:
-    among maximal matches, the uninverted equivalent and the smallest
-    window offsets win.
-    """
     l_p, l_t = len(p_word), len(t_word)
-    if not 1 <= l_p <= l_t:
-        raise ValueError("oracle requires 1 <= |pattern| <= |text|")
-    m = useful_threshold(l_p)
-    bases = (p_word, invert(p_word))
-
-    def common_at(k: int):
-        text_first: dict[Word, int] = {}
-        for j, g in enumerate(_circular_windows(t_word, k)):
-            text_first.setdefault(g, j)
-        for inv, base in enumerate(bases):
-            for i, g in enumerate(_circular_windows(base, k)):
-                if g in text_first:
-                    return bool(inv), i, text_first[g]
+    if length < useful_threshold(l_p):
         return None
-
-    hit = common_at(m)
-    if hit is None:
-        return None
-    best, best_k = hit, m
-    k = m + 1
-    while k <= l_p:
-        nxt = common_at(k)
-        if nxt is None:
-            break
-        best, best_k = nxt, k
-        k += 1
-    inverted, i, j = best
-    return _match_from_alignment(
-        p_word, t_word, inverted,
-        p_end=(i + best_k - 1) % l_p,
-        t_end=(j + best_k - 1) % l_t,
-        v_len=best_k,
-    )
+    return Match(inverted=inverted, pattern_rot=(l_p - 1 - p_end) % l_p,
+                 text_rot=(l_t - 1 - t_end) % l_t, u_len=l_p - length, v_len=length)
 
 
 def anchor_seeds(p_word: Word) -> list[tuple[bool, int, int]]:

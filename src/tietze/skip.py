@@ -1,12 +1,15 @@
 """Pass drivers: which relator pairs get searched at all.
 
-Four policies share one interface.  ``all_pairs`` is the exhaustive
-baseline, ``change_flags`` searches pairs with a member changed in the
-previous pass, and the two timestamp policies skip every unnecessary
-search exactly: ``ts_sorted`` keeps the relator sequence sorted at all
-times (a changed text is re-inserted at its sorted position mid-pass),
-``ts_unsorted`` freezes positions for the duration of a pass and re-sorts
-between passes.
+Four policies run on three drivers behind one interface.
+``pass_change_flags`` searches pairs with a member changed in the previous
+pass (``flags``); the exhaustive baseline ``all-pairs`` is the same driver
+with every pass treated as a first pass.  The two timestamp policies skip
+every unnecessary search exactly: ``pass_sorted`` (``ts-sorted``) keeps the
+relator sequence sorted at all times (a changed text is re-inserted at its
+sorted position mid-pass), ``pass_unsorted`` (``ts-unsorted``) freezes
+positions for the duration of a pass and re-sorts between passes.  The
+necessity oracle that the timestamp policies are tested against lives with
+the tests.
 
 A searcher is any callable (presentation, pattern record, text record)
 -> bool reporting whether the text changed; the engine's real searcher
@@ -27,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol
 
 from .presentation import Presentation, RelatorRecord
-
-POLICY_NAMES = ("all-pairs", "flags", "ts-sorted", "ts-unsorted")
 
 
 class Searcher(Protocol):
@@ -66,13 +67,9 @@ class PassContext:
     timer: int = 1                      # ts-sorted global counter
     ts_local: list[int] = field(default_factory=list)  # ts-unsorted, per position, 1-based
     pass_no: int = 0
-    first_pass: bool = True             # change-flags
+    first_pass: bool = True             # flags; stays True for all-pairs
     flags_pending: set[int] = field(default_factory=set)
     reorders: int = 0                   # ts-sorted mid-pass re-insertions that moved
-
-    def __post_init__(self):
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown skip policy {self.policy!r}")
 
 
 def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
@@ -236,7 +233,8 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
     Positions are frozen for the pass; pairs whose text has shrunk below
     the pattern mid-pass are deferred to the next pass (same validity
     guard as the unsorted timestamp pass), keeping the pass discipline
-    comparable across policies.
+    comparable across policies.  The first pass searches every pair, and
+    under ``all-pairs`` every pass is a first pass: the early method.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -244,7 +242,7 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
     flagged = ctx.flags_pending
     ctx.flags_pending = set()
     first = ctx.first_pass
-    ctx.first_pass = False
+    ctx.first_pass = ctx.policy == "all-pairs"
     snapshot = list(pres.rel)
     considered = performed = successful = 0
     for i in range(len(snapshot) - 1):
@@ -269,76 +267,16 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
     return PassTally(considered, performed, successful)
 
 
-def pass_all_pairs(pres: Presentation, ctx: PassContext, searcher: Searcher,
-                   record: Recorder | None = None) -> PassTally:
-    """The early method: every considerable pair, every pass."""
-    _require_sorted(pres)
-    ctx.pass_no += 1
-    pass_no = ctx.pass_no
-    snapshot = list(pres.rel)
-    considered = successful = 0
-    for i in range(len(snapshot) - 1):
-        pattern = snapshot[i]
-        if len(pattern.word) < 1:
-            continue
-        for j in range(i + 1, len(snapshot)):
-            text = snapshot[j]
-            if len(text.word) < len(pattern.word):
-                continue
-            considered += 1
-            success = searcher(pres, pattern, text)
-            if record is not None:
-                record(SearchEvent(pattern.id, text.id, pass_no, True, success))
-            if success:
-                successful += 1
-    return PassTally(considered, considered, successful)
-
-
 _PASS_FUNCTIONS: dict[str, Callable] = {
-    "all-pairs": pass_all_pairs,
+    "all-pairs": pass_change_flags,
     "flags": pass_change_flags,
     "ts-sorted": pass_sorted,
     "ts-unsorted": pass_unsorted,
 }
+POLICY_NAMES = tuple(_PASS_FUNCTIONS)
 
 
 def run_pass(pres: Presentation, ctx: PassContext, searcher: Searcher,
              record: Recorder | None = None) -> PassTally:
     return _PASS_FUNCTIONS[ctx.policy](pres, ctx, searcher, record)
 
-
-def necessary_set_oracle(events: list[SearchEvent],
-                         changes: list[tuple[int, int]]
-                         ) -> set[tuple[int, int, int]]:
-    """The necessary searches among the considered pairs.
-
-    ``changes`` lists (relator id, ordinal of the performed search during
-    which the change happened); performed events and searcher invocations
-    correspond one to one, in order.  A consideration is necessary when
-    the pair was never searched before or a member changed at or after the
-    pair's previous search (a change during that search counts).
-    """
-    changes_at: dict[int, list[int]] = {}
-    for rel_id, ordinal in changes:
-        changes_at.setdefault(ordinal, []).append(rel_id)
-    last_search: dict[frozenset[int], int] = {}
-    last_change: dict[int, int] = {}
-    necessary: set[tuple[int, int, int]] = set()
-    performed_count = 0
-    for t, ev in enumerate(events, start=1):
-        pair = frozenset((ev.pattern_id, ev.text_id))
-        prev = last_search.get(pair)
-        if prev is None or any(
-            last_change.get(rid, -1) >= prev for rid in (ev.pattern_id, ev.text_id)
-        ):
-            necessary.add((ev.pattern_id, ev.text_id, ev.pass_no))
-        if ev.performed:
-            last_search[pair] = t
-            for rid in changes_at.get(performed_count, ()):
-                last_change[rid] = t
-            performed_count += 1
-    return necessary
-
-
-def performed_set(events: list[SearchEvent]) -> set[tuple[int, int, int]]:
-    return {(e.pattern_id, e.text_id, e.pass_no) for e in events if e.performed}

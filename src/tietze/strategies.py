@@ -1,13 +1,22 @@
-"""Pluggable match-level strategies behind one search interface.
+"""Match-level strategies behind one search interface, and their registry.
 
 A strategy answers search(pattern word, text word, involutions, counters)
-with an optional Match and must agree with the exhaustive oracle on
-success/failure.  Strategies that precompute per-pattern state (indexes,
-automata) cache it for the current pattern word, which matches how the
-engine drives them: one pattern against many texts.
+with an optional Match and must agree with the exhaustive enumeration of
+all rotation alignments on success/failure.  Strategies that precompute
+per-pattern state (indexes, automata) cache it for the current pattern
+word, which matches how the engine drives them: one pattern against many
+texts.
+
+``STRATEGIES`` is the one table of strategy names: it maps each full name
+to the CLI flags that select it and to its factory.  The engine, the CLI
+choices, the ``bench`` grid (in table order) and the stats ``config``
+block all read it.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .automaton import LSAutomaton, automaton_search, build_ls_automaton
 from .fingerprint import FingerprintParams, PatternIndex, kr_search
@@ -20,20 +29,7 @@ from .match import (
 )
 from .words import Word, extend_front, invert, useful_threshold
 
-STRATEGY_NAMES = (
-    "brute",
-    "signature",
-    "kr-hash",
-    "kr-bloom3",
-    "kr-bloom4",
-    "automaton-two",
-    "automaton-one",
-)
-
-
 class BruteStrategy:
-    name = "brute"
-
     def __init__(self):
         self._seeds: tuple[Word, list] | None = None
 
@@ -45,8 +41,6 @@ class BruteStrategy:
 
 class SignatureStrategy(BruteStrategy):
     """Signature pre-filter in front of the brute search."""
-
-    name = "signature"
 
     def __init__(self):
         super().__init__()
@@ -66,10 +60,9 @@ class SignatureStrategy(BruteStrategy):
 
 
 class KarpRabinStrategy:
-    def __init__(self, backing: str, params: FingerprintParams, bloom_log2_size: int = 16):
-        self.name = {"exact": "kr-hash", "bloom3": "kr-bloom3", "bloom4": "kr-bloom4"}[backing]
+    def __init__(self, backing: str, seed: int = 0, bloom_log2_size: int = 16):
         self.backing = backing
-        self.params = params
+        self.params = FingerprintParams.from_seed(seed)
         self.bloom_log2_size = bloom_log2_size
         self._cached: tuple[Word, PatternIndex] | None = None
 
@@ -87,7 +80,6 @@ class AutomatonStrategy:
     def __init__(self, mode: str = "two"):
         if mode not in ("one", "two"):
             raise ValueError(f"unknown automaton mode {mode!r}")
-        self.name = f"automaton-{mode}"
         self.mode = mode
         self._cached: tuple[Word, tuple[LSAutomaton, ...]] | None = None
 
@@ -106,20 +98,23 @@ class AutomatonStrategy:
         return automaton_search(p_word, t_word, self.mode, counters, automata)
 
 
+class StrategySpec(NamedTuple):
+    """How the CLI selects a strategy, and how to build it."""
+
+    flags: tuple[str, int, str]  # --match, --bloom-bits, --automata
+    build: Callable  # (seed, bloom_log2_size) -> strategy
+
+
+STRATEGIES: dict[str, StrategySpec] = {
+    "brute": StrategySpec(("brute", 3, "two"), lambda *_: BruteStrategy()),
+    "signature": StrategySpec(("signature", 3, "two"), lambda *_: SignatureStrategy()),
+    "kr-hash": StrategySpec(("kr-hash", 3, "two"), partial(KarpRabinStrategy, "exact")),
+    "kr-bloom3": StrategySpec(("kr-bloom", 3, "two"), partial(KarpRabinStrategy, "bloom3")),
+    "kr-bloom4": StrategySpec(("kr-bloom", 4, "two"), partial(KarpRabinStrategy, "bloom4")),
+    "automaton-two": StrategySpec(("automaton", 3, "two"), lambda *_: AutomatonStrategy("two")),
+    "automaton-one": StrategySpec(("automaton", 3, "one"), lambda *_: AutomatonStrategy("one")),
+}
+
+
 def make_strategy(name: str, seed: int = 0, bloom_log2_size: int = 16):
-    params = FingerprintParams.from_seed(seed)
-    if name == "brute":
-        return BruteStrategy()
-    if name == "signature":
-        return SignatureStrategy()
-    if name == "kr-hash":
-        return KarpRabinStrategy("exact", params, bloom_log2_size)
-    if name == "kr-bloom3":
-        return KarpRabinStrategy("bloom3", params, bloom_log2_size)
-    if name == "kr-bloom4":
-        return KarpRabinStrategy("bloom4", params, bloom_log2_size)
-    if name == "automaton-two":
-        return AutomatonStrategy("two")
-    if name == "automaton-one":
-        return AutomatonStrategy("one")
-    raise ValueError(f"unknown match strategy {name!r}")
+    return STRATEGIES[name].build(seed, bloom_log2_size)

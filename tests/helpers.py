@@ -1,12 +1,14 @@
-"""Shared test utilities: corpora, scripted searchers, naive oracles."""
+"""Shared test utilities: corpora, scripted searchers, reference oracles."""
 
 from __future__ import annotations
 
 import random
 
+from tietze.match import Match, MatchError, check_match
 from tietze.presentation import Presentation, make_presentation
 from tietze.randgen import random_reduced_word
-from tietze.words import Word, rotate_right, useful_threshold
+from tietze.skip import SearchEvent
+from tietze.words import Word, invert, rotate_right, useful_threshold
 
 
 def random_pair(rng: random.Random, d_max=6, l_max=20) -> tuple[Word, Word]:
@@ -92,3 +94,97 @@ def naive_circular_substrings(w: Word) -> set[Word]:
         for i in range(n):
             out.add(ext[i:i + k])
     return out
+
+
+def is_valid_match(m: Match, p_word: Word, t_word: Word) -> bool:
+    try:
+        check_match(m, p_word, t_word)
+        return True
+    except MatchError:
+        return False
+
+
+def _circular_windows(w: Word, k: int) -> list[Word]:
+    ext = w + w[: k - 1]
+    return [ext[i:i + k] for i in range(len(w))]
+
+
+def exhaustive_oracle(p_word: Word, t_word: Word) -> Match | None:
+    """Try every rotation of R_p and invert(R_p) against every rotation of R_t.
+
+    The correctness oracle for every match-level strategy.  Returns a Match
+    of globally maximal v length, or None when no common circular
+    substring reaches the usefulness threshold.  Deterministic: among
+    maximal matches, the uninverted equivalent and the smallest window
+    offsets win.
+    """
+    l_p, l_t = len(p_word), len(t_word)
+    if not 1 <= l_p <= l_t:
+        raise ValueError("oracle requires 1 <= |pattern| <= |text|")
+    m = useful_threshold(l_p)
+    bases = (p_word, invert(p_word))
+
+    def common_at(k: int):
+        text_first: dict[Word, int] = {}
+        for j, g in enumerate(_circular_windows(t_word, k)):
+            text_first.setdefault(g, j)
+        for inv, base in enumerate(bases):
+            for i, g in enumerate(_circular_windows(base, k)):
+                if g in text_first:
+                    return bool(inv), i, text_first[g]
+        return None
+
+    hit = common_at(m)
+    if hit is None:
+        return None
+    best, best_k = hit, m
+    k = m + 1
+    while k <= l_p:
+        nxt = common_at(k)
+        if nxt is None:
+            break
+        best, best_k = nxt, k
+        k += 1
+    inverted, i, j = best
+    # the v segment is the window of length best_k at i in the base and at
+    # j in the text: rotate both so that it ends them
+    p_end, t_end = (i + best_k - 1) % l_p, (j + best_k - 1) % l_t
+    return Match(inverted=inverted, pattern_rot=(l_p - 1 - p_end) % l_p,
+                 text_rot=(l_t - 1 - t_end) % l_t, u_len=l_p - best_k, v_len=best_k)
+
+
+def necessary_set_oracle(events: list[SearchEvent],
+                         changes: list[tuple[int, int]]
+                         ) -> set[tuple[int, int, int]]:
+    """The necessary searches among the considered pairs.
+
+    ``changes`` lists (relator id, ordinal of the performed search during
+    which the change happened); performed events and searcher invocations
+    correspond one to one, in order.  A consideration is necessary when
+    the pair was never searched before or a member changed at or after the
+    pair's previous search (a change during that search counts).
+    """
+    changes_at: dict[int, list[int]] = {}
+    for rel_id, ordinal in changes:
+        changes_at.setdefault(ordinal, []).append(rel_id)
+    last_search: dict[frozenset[int], int] = {}
+    last_change: dict[int, int] = {}
+    necessary: set[tuple[int, int, int]] = set()
+    performed_count = 0
+    for t, ev in enumerate(events, start=1):
+        pair = frozenset((ev.pattern_id, ev.text_id))
+        prev = last_search.get(pair)
+        if prev is None or any(
+            last_change.get(rid, -1) >= prev for rid in (ev.pattern_id, ev.text_id)
+        ):
+            necessary.add((ev.pattern_id, ev.text_id, ev.pass_no))
+        if ev.performed:
+            last_search[pair] = t
+            for rid in changes_at.get(performed_count, ()):
+                last_change[rid] = t
+            performed_count += 1
+    return necessary
+
+
+def performed_set(events: list[SearchEvent]) -> set[tuple[int, int, int]]:
+    return {(e.pattern_id, e.text_id, e.pass_no) for e in events if e.performed}

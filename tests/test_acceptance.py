@@ -10,7 +10,15 @@ import time
 
 import pytest
 
-from helpers import ScriptedSearcher, dense_presentation, sparse_presentation
+from helpers import (
+    ScriptedSearcher,
+    dense_presentation,
+    exhaustive_oracle,
+    is_valid_match,
+    necessary_set_oracle,
+    performed_set,
+    sparse_presentation,
+)
 from tietze.engine import EngineConfig, ReplacingSearcher, simplify
 from tietze.fingerprint import (
     BloomFilter,
@@ -20,14 +28,12 @@ from tietze.fingerprint import (
     fp_roll,
     symbol_code,
 )
-from tietze.match import SearchCounters, exhaustive_oracle, is_valid_match
+from tietze.match import SearchCounters
 from tietze.presentation import sort_rel
 from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import (
     PassContext,
     init_pass_state,
-    necessary_set_oracle,
-    performed_set,
     run_pass,
 )
 from tietze.strategies import AutomatonStrategy, make_strategy
@@ -231,9 +237,7 @@ def test_criterion_06_bloom_overload_diagnostics():
     counters = {}
     for strat in ("kr-bloom3", "kr-bloom4", "kr-hash"):
         cfg = EngineConfig(
-            match_strategy={"kr-bloom3": "kr-bloom", "kr-bloom4": "kr-bloom",
-                            "kr-hash": "kr-hash"}[strat],
-            bloom_bits=4 if strat == "kr-bloom4" else 3,
+            match_strategy=strat,
             bloom_log2_size=10,
             skip_policy="ts-sorted",
             long_elim_enabled=False,
@@ -298,14 +302,6 @@ def preservation_corpus_results():
                 assert len(text.word) < before, "replacement failed to shorten"
             return changed
 
-    combos = []
-    for name in STRATEGIES:
-        if name.startswith("kr-bloom"):
-            combos.append((("kr-bloom",), {"bloom_bits": int(name[-1])}))
-        elif name.startswith("automaton"):
-            combos.append((("automaton",), {"automata": name.split("-")[1]}))
-        else:
-            combos.append(((name,), {}))
     n_pres = 500
     mismatches = []
     runs = 0
@@ -316,14 +312,14 @@ def preservation_corpus_results():
             rng = random.Random(8000 + i)
             base = dense_presentation(rng, d_max=6, q_max=10, l_max=12)
             before = abelian_invariants(base)
-            for (match,), extra in combos:
+            for name in STRATEGIES:
                 for policy in POLICIES:
-                    cfg = EngineConfig(match_strategy=match, skip_policy=policy,
-                                       bloom_log2_size=8, seed=5, **extra)
+                    cfg = EngineConfig(match_strategy=name, skip_policy=policy,
+                                       bloom_log2_size=8, seed=5)
                     p, stats = simplify(base.clone(), cfg)
                     runs += 1
                     if abelian_invariants(p) != before:
-                        mismatches.append((i, match, extra, policy))
+                        mismatches.append((i, name, policy))
     finally:
         engine_mod.ReplacingSearcher = orig
     return n_pres, runs, mismatches

@@ -1,9 +1,9 @@
 import random
 from itertools import product
 
-from helpers import random_pair
+from helpers import exhaustive_oracle, is_valid_match, random_pair
 from tietze.automaton import build_ls_automaton
-from tietze.match import SearchCounters, exhaustive_oracle, is_valid_match, match_from_seed
+from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
 from tietze.strategies import AutomatonStrategy
 from tietze.words import (

@@ -59,8 +59,15 @@ def test_parse_error_reports_line(tmp_path, capsys):
 
 def test_invalid_flag_combination(tmp_path, capsys):
     inp = write(tmp_path, "in.pres", "gens 2\nrel 1 2\n")
-    assert main(["simplify", inp, "--match", "brute", "--bloom-bits", "3"]) == 2
-    assert main(["simplify", inp, "--match", "brute", "--automata", "one"]) == 2
+    for command in ("simplify", "bench"):
+        assert main([command, inp, "--match", "brute", "--bloom-bits", "3"]) == 2
+        assert main([command, inp, "--match", "brute", "--bloom-bits", "4"]) == 2
+        assert main([command, inp, "--match", "brute", "--automata", "one"]) == 2
+    # the grid runs every strategy, so the flags that pick one are rejected;
+    # --bloom-log2 still shapes the grid's Bloom runs
+    assert main(["bench", inp, "--all-strategies", "--bloom-bits", "4"]) == 2
+    assert main(["bench", inp, "--all-strategies", "--automata", "one"]) == 2
+    assert main(["bench", inp, "--all-strategies", "--bloom-log2", "10"]) == 0
 
 
 def test_usage_error_exit_code():
@@ -239,11 +246,19 @@ def test_bench_all_skip_dominance_and_report(tmp_path, capsys):
 def test_bench_all_strategies(tmp_path):
     inp = write(tmp_path, "in.pres", "gens 3\nrel 1 2 3 1 2\nrel 2 3 1\nrel 3 3 2\n")
     stats = str(tmp_path / "bench.json")
-    assert main(["bench", inp, "--all-strategies", "--stats", stats]) == 0
+    assert main(["bench", inp, "--all-strategies", "--all-skip", "--stats", stats]) == 0
     rep = json.loads((tmp_path / "bench.json").read_text())
-    names = {r["config"]["match_strategy"] for r in rep["reports"]}
-    assert names == {"brute", "signature", "kr-hash", "kr-bloom3", "kr-bloom4",
-                     "automaton-two", "automaton-one"}
+    # the grid's order and every config key, in key order
+    strategies = [("brute", 3, "two"), ("signature", 3, "two"), ("kr-hash", 3, "two"),
+                  ("kr-bloom3", 3, "two"), ("kr-bloom4", 4, "two"),
+                  ("automaton-two", 3, "two"), ("automaton-one", 3, "one")]
+    expected = [[("match_strategy", name), ("skip_policy", skip), ("bloom_bits", bits),
+                 ("bloom_log2_size", 16), ("automata", automata),
+                 ("long_elim_enabled", True), ("growth_limit", 1.5), ("max_passes", 100),
+                 ("seed", 0)]
+                for name, bits, automata in strategies
+                for skip in ("all-pairs", "flags", "ts-sorted", "ts-unsorted")]
+    assert [list(r["config"].items()) for r in rep["reports"]] == expected
 
 
 def test_bench_single_configuration_degenerates(tmp_path):

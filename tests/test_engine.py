@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import dense_presentation, sparse_presentation
+from helpers import dense_presentation, exhaustive_oracle, sparse_presentation
 from tietze.engine import (
     EngineConfig,
     apply_replacement,
@@ -12,7 +12,7 @@ from tietze.engine import (
     simplify,
     substitute,
 )
-from tietze.match import Match, exhaustive_oracle
+from tietze.match import Match
 from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
 from tietze.verify import abelian_invariants
 from tietze.words import word_from_letters
@@ -123,7 +123,7 @@ def test_simplify_deterministic():
     base = sparse_presentation(77)
     outs = []
     for _ in range(2):
-        p, stats = simplify(base.clone(), EngineConfig(match_strategy="kr-bloom", seed=5))
+        p, stats = simplify(base.clone(), EngineConfig(match_strategy="kr-bloom3", seed=5))
         outs.append((serialize_presentation(p), stats.to_dict(), stats.counters.to_dict()))
     assert outs[0] == outs[1]
 
@@ -201,7 +201,7 @@ def test_intermediate_matches_are_oracle_valid():
     engine_mod.ReplacingSearcher = OracleChecked
     try:
         for _ in range(20):
-            for strategy in ("brute", "kr-hash", "automaton"):
+            for strategy in ("brute", "kr-hash", "automaton-two"):
                 simplify(dense_presentation(rng), EngineConfig(match_strategy=strategy))
     finally:
         engine_mod.ReplacingSearcher = orig
@@ -244,8 +244,11 @@ def test_config_validation():
         EngineConfig(growth_limit=0.5)
     with pytest.raises(ValueError):
         EngineConfig(max_passes=0)
-    with pytest.raises(ValueError):
-        EngineConfig(bloom_bits=5)
+    # unknown names are rejected when the config is built, not inside simplify
+    for bad in ({"match_strategy": "kr-bloom5"}, {"match_strategy": "automaton"},
+                {"skip_policy": "nope"}):
+        with pytest.raises(ValueError):
+            EngineConfig(**bad)
 
 
 def test_config_rejects_nan_growth_and_bad_bloom_size():
@@ -264,7 +267,7 @@ def test_record_events_changes_nothing(policy):
     bases = [sparse_presentation(s) for s in range(8)]
     bases += [dense_presentation(rng, d_max=5, q_max=14, l_max=14) for _ in range(8)]
     for n, base in enumerate(bases):
-        for strategy in ("brute", "kr-hash", "automaton"):
+        for strategy in ("brute", "kr-hash", "automaton-two"):
             outs = []
             for record in (False, True):
                 p, st = simplify(base.clone(), EngineConfig(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_pair
+from helpers import exhaustive_oracle, is_valid_match, random_pair
 from tietze.fingerprint import (
     BloomFilter,
     FingerprintParams,
@@ -14,7 +14,7 @@ from tietze.fingerprint import (
     kr_search,
     symbol_code,
 )
-from tietze.match import SearchCounters, exhaustive_oracle, is_valid_match, match_from_seed
+from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
 from tietze.words import invert, reduce_cyclic_word, rotate_right, useful_threshold, word_from_letters
 

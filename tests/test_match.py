@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_pair
+from helpers import exhaustive_oracle, is_valid_match, random_pair
 from tietze.match import (
     Match,
     MatchError,
@@ -11,8 +11,6 @@ from tietze.match import (
     brute_search,
     check_match,
     compute_signature,
-    exhaustive_oracle,
-    is_valid_match,
     live_seeds,
     signature_skip,
 )

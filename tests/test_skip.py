@@ -3,7 +3,14 @@ from bisect import bisect_right
 
 import pytest
 
-from helpers import ScriptedSearcher, dense_presentation, recorded, sparse_presentation
+from helpers import (
+    ScriptedSearcher,
+    dense_presentation,
+    necessary_set_oracle,
+    performed_set,
+    recorded,
+    sparse_presentation,
+)
 from tietze.engine import ReplacingSearcher
 from tietze.match import SearchCounters
 from tietze.presentation import make_presentation, sort_rel
@@ -12,12 +19,9 @@ from tietze.skip import (
     PassContext,
     SearchEvent,
     init_pass_state,
-    necessary_set_oracle,
-    pass_all_pairs,
     pass_change_flags,
     pass_sorted,
     pass_unsorted,
-    performed_set,
     run_pass,
 )
 from tietze.strategies import make_strategy
@@ -171,11 +175,11 @@ def test_change_flags_exact_pairs_for_single_flag():
 def test_all_pairs_counts():
     pres, ctx = fresh("all-pairs", lengths=(2, 3, 4, 5))
     for _ in range(3):
-        _, ev = recorded(pass_all_pairs, pres, ctx, NeverMatch())
+        _, ev = recorded(run_pass, pres, ctx, NeverMatch())
         assert len(searched(ev)) == 6
     single = make_presentation(2, [(1, 2)])
     ctx = PassContext(policy="all-pairs")
-    _, ev = recorded(pass_all_pairs, single, ctx, NeverMatch())
+    _, ev = recorded(run_pass, single, ctx, NeverMatch())
     assert ev == []
 
 
@@ -184,7 +188,7 @@ def test_all_pairs_pass_size_at_scale():
     pres = make_presentation(1, [(1,) * (2 + i % 3) for i in range(510)])
     sort_rel(pres)
     ctx = PassContext(policy="all-pairs")
-    _, ev = recorded(pass_all_pairs, pres, ctx, NeverMatch())
+    _, ev = recorded(run_pass, pres, ctx, NeverMatch())
     assert len(ev) == 510 * 509 // 2 == 129_795
 
 
