@@ -63,7 +63,6 @@ class LSAutomaton:
             last = cur
         self.max_len = maxlen
         self.first_end = first_end
-        self._next = nxt
         # resolve fallbacks: per state, symbol -> (next state, next length).
         # Parents in the suffix-link tree have strictly smaller max_len, so
         # resolving in max_len order sees the parent table first.
@@ -76,10 +75,6 @@ class LSAutomaton:
                 table[s][c] = (q, maxlen[s] + 1)
         self.table = table
 
-    @property
-    def state_count(self) -> int:
-        return len(self.max_len)
-
     def step(self, state: int, length: int, sym: int) -> tuple[int, int]:
         """One scan step; falls back to the initial state on a dead symbol."""
         hit = self.table[state].get(sym)
@@ -87,25 +82,6 @@ class LSAutomaton:
             return 0, 0
         nstate, nlength = hit
         return nstate, min(length + 1, nlength)
-
-    def longest_match_lengths(self, text: Word) -> list[int]:
-        """Longest indexed substring ending at each text position."""
-        out = []
-        state, length = 0, 0
-        for sym in text:
-            state, length = self.step(state, length, sym)
-            out.append(length)
-        return out
-
-    def accepts_substring(self, s: Word) -> bool:
-        """Whether s is a (linear) substring of the indexed word."""
-        state = 0
-        for sym in s:
-            nstate = self._next[state].get(sym)
-            if nstate is None:
-                return False
-            state = nstate
-        return True
 
 
 def build_ls_automaton(word: Word) -> LSAutomaton:

@@ -11,7 +11,9 @@ configured growth budget.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 from .match import Match, SearchCounters, check_match
 from .presentation import (
@@ -118,22 +120,28 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> tuple[list[int], list[i
     g shift down.  Returns (ids of relators whose content changed, ids of
     dropped relators).  Relators touched only by the renumbering are not
     reported as changed.
+
+    Each relator's cached generator counts tell whether it holds g: only
+    those relators get a new word (``set_word``).  The rest are renumbered
+    with ``relabel``, which carries their caches, and only when they hold
+    a generator above g.  The renumbering h -> h - 1 for h > g is one
+    lookup list indexed by signed symbol, negative indices serving the
+    inverses.
     """
     if not 1 <= g <= pres.d:
         raise ValueError(f"generator {g} out of range")
     if any(abs(s) == g for s in rhs):
         raise ValueError("substitution right-hand side mentions the eliminated generator")
     rhs_inv = invert(rhs)
-
-    def renum(s: int) -> int:
-        a = abs(s)
-        return s if a < g else (s - 1 if s > 0 else s + 1)
+    positive = [h if h < g else h - 1 for h in range(pres.d + 1)]
+    table = positive + [-h for h in reversed(positive[1:])]
 
     changed: list[int] = []
     dropped: list[int] = []
     kept: list[RelatorRecord] = []
     for r in pres.rel:
-        if any(abs(s) == g for s in r.word):
+        counts = r.counts()
+        if g in counts:
             out: list[int] = []
             for s in r.word:
                 if s == g:
@@ -142,20 +150,18 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> tuple[list[int], list[i
                     out.extend(rhs_inv)
                 else:
                     out.append(s)
-            new = reduce_cyclic_word(tuple(out))
-            changed.append(r.id)
-        else:
-            new = r.word
-        new = tuple(renum(s) for s in new)
-        r.set_word(new)
-        if len(r.word) == 0:
-            dropped.append(r.id)
-        else:
+            r.set_word(tuple(map(table.__getitem__, reduce_cyclic_word(tuple(out)))))
+            if r.word:
+                changed.append(r.id)
+        elif counts and max(counts) > g:
+            r.relabel(table)
+        if r.word:
             kept.append(r)
+        else:
+            dropped.append(r.id)
     pres.rel[:] = kept
     pres.involutions = {h - 1 if h > g else h for h in pres.involutions if h != g}
     pres.d -= 1
-    changed = [i for i in changed if i not in dropped]
     return changed, dropped
 
 
@@ -218,26 +224,22 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
     len(R), and only proceeds while the predicted total stays within
     growth_limit times the current total length.  The bound is per step:
     it is measured against the length before this elimination, not the
-    run's initial length, so repeated calls may compound growth.
+    run's initial length, so repeated calls may compound growth.  Each
+    relator's candidates come from its cached once-occurring generators
+    (``RelatorRecord.once``), so only relators rewritten since the last
+    call are recounted.  Ties break on (score, g, relator id).
     """
     total = pres.total_length()
-    occurrences: dict[int, int] = {}
-    for r in pres.rel:
-        for s in r.word:
-            occurrences[abs(s)] = occurrences.get(abs(s), 0) + 1
+    limit = cfg.growth_limit * total
+    occurrences = Counter(map(abs, chain.from_iterable(r.word for r in pres.rel)))
     best = None
     for r in pres.rel:
-        if len(r.word) <= 2:
+        n = len(r.word)
+        if n <= 2:
             continue
-        counts: dict[int, int] = {}
-        for s in r.word:
-            counts[abs(s)] = counts.get(abs(s), 0) + 1
-        for g, c in counts.items():
-            if c != 1:
-                continue
-            occ_else = occurrences[g] - 1
-            score = occ_else * (len(r.word) - 1) - len(r.word)
-            if total + score > cfg.growth_limit * total:
+        for g in r.once():
+            score = (occurrences[g] - 1) * (n - 1) - n
+            if total + score > limit:
                 continue
             key = (score, g, r.id)
             if best is None or key < best[0]:

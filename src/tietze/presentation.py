@@ -13,6 +13,7 @@ Serialization always emits the numeric ``rel`` form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -33,9 +34,11 @@ class RelatorRecord:
 
     ``tp`` is the last time the relator was used as a pattern, ``ts`` the
     last time it was changed; their value domain depends on the active
-    skip policy.  The word is always freely and cyclically reduced, and
-    changes only through ``set_word``, which drops the cached canonical
-    form.
+    skip policy.  The word is always freely and cyclically reduced.  Two
+    caches hang off it, both built on first use: the canonical form and
+    the generator counts (with the generators occurring once).  Only
+    ``set_word``, which drops both, and ``relabel``, which maps both,
+    write ``word``.
     """
 
     id: int
@@ -43,15 +46,46 @@ class RelatorRecord:
     tp: int = -1
     ts: int = 0
     _canonical: Word | None = field(default=None, init=False, repr=False, compare=False)
+    _counts: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _once: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def set_word(self, word: Word) -> None:
         self.word = word
         self._canonical = None
+        self._counts = None
+
+    def relabel(self, table: list[int]) -> None:
+        """Map every symbol s to ``table[s]`` (negative s index from the end).
+
+        ``table`` must be strictly increasing on the signed symbols of the
+        word and commute with inversion (``table[-s] == -table[s]``).  Such
+        a map preserves the lexicographic order of the word's equivalents,
+        so the mapped canonical form is still the least one.
+        """
+        relabelled = table.__getitem__
+        self.word = tuple(map(relabelled, self.word))
+        if self._canonical is not None:
+            self._canonical = tuple(map(relabelled, self._canonical))
+        if self._counts is not None:
+            self._counts = {table[g]: c for g, c in self._counts.items()}
+            self._once = tuple(map(relabelled, self._once))
 
     def canonical(self) -> Word:
         if self._canonical is None:
             self._canonical = canonical_rep(self.word)
         return self._canonical
+
+    def counts(self) -> dict[int, int]:
+        """Occurrences of each generator in the word, either sign."""
+        if self._counts is None:
+            self._counts = Counter(map(abs, self.word))
+            self._once = tuple(g for g, c in self._counts.items() if c == 1)
+        return self._counts
+
+    def once(self) -> tuple[int, ...]:
+        """The generators occurring exactly once, in order of first occurrence."""
+        self.counts()
+        return self._once
 
 
 @dataclass

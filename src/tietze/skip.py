@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple, Protocol
 
 from .presentation import Presentation, RelatorRecord
@@ -112,6 +113,13 @@ def _length(r: RelatorRecord) -> int:
     return len(r.word)
 
 
+def _ts_suffix_max(rel: list[RelatorRecord]) -> list[int]:
+    """``out[i]`` is the largest ``ts`` in ``rel[i:]``."""
+    out = list(accumulate([r.ts for r in reversed(rel)], max))
+    out.reverse()
+    return out
+
+
 def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                 record: Recorder | None = None) -> PassTally:
     """Timestamp pass over a sequence kept sorted throughout.
@@ -128,6 +136,16 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     Until the pattern's first success its texts are walked contiguously;
     only then is the set of visited text ids built, so that texts moved
     by a re-insertion are not considered twice.
+
+    Without a recorder, a dead pattern loop is not walked.  The suffix
+    maxima of ``ts`` over ``rel`` are built at pass start and rebuilt
+    after a re-insertion, at the next pattern (a pattern loop with
+    successes often has several); when the largest ``ts`` after ``pi`` is
+    below the pattern's ``tp``, no text of the loop is searchable, so none
+    changes and ``visited`` stays ``None``: the loop would consider each
+    of the ``n - pi - 1`` texts once and search none.  It is counted as
+    such and the pattern is stamped.  A recorder needs one event per
+    pair, so with one every loop is walked.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -135,12 +153,20 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     rel = pres.rel
     n = len(rel)
     considered = performed = successful = 0
+    skip_dead = record is None
+    ts_max: list[int] | None = None  # built on first use, dropped on re-insertion
     pi = 0
     while pi < n - 1:
         pattern = rel[pi]
         tp = pattern.tp  # only texts change during the pattern's loop
         visited: set[int] | None = None
         ti = pi + 1
+        if skip_dead:
+            if ts_max is None:
+                ts_max = _ts_suffix_max(rel)
+            if ts_max[ti] < tp:
+                considered += n - ti
+                ti = n
         while ti < n:
             text = rel[ti]
             if visited is not None:
@@ -165,6 +191,7 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                     if new_pos != ti:
                         ctx.reorders += 1
                     rel.insert(new_pos, text)
+                    ts_max = None
                     if new_pos <= pi:
                         pi += 1
                     ti = pi + 1

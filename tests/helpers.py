@@ -1,9 +1,11 @@
-"""Shared test utilities: corpora, scripted searchers, reference oracles."""
+"""Shared test utilities: corpora, scripted searchers, reference oracles,
+and automaton queries built on ``LSAutomaton.step``."""
 
 from __future__ import annotations
 
 import random
 
+from tietze.automaton import LSAutomaton
 from tietze.match import Match, MatchError, check_match
 from tietze.presentation import Presentation, make_presentation
 from tietze.randgen import random_reduced_word
@@ -94,6 +96,33 @@ def naive_circular_substrings(w: Word) -> set[Word]:
         for i in range(n):
             out.add(ext[i:i + k])
     return out
+
+
+def state_count(a: LSAutomaton) -> int:
+    return len(a.max_len)
+
+
+def longest_match_lengths(a: LSAutomaton, text: Word) -> list[int]:
+    """Longest indexed substring ending at each text position."""
+    out = []
+    state, length = 0, 0
+    for sym in text:
+        state, length = a.step(state, length, sym)
+        out.append(length)
+    return out
+
+
+def accepts_substring(a: LSAutomaton, s: Word) -> bool:
+    """Whether s is a (linear) substring of the indexed word.
+
+    The running length after feeding s from the initial state is the
+    length of the longest suffix of s that is a substring, so it reaches
+    len(s) exactly when s itself is one.
+    """
+    state = length = 0
+    for sym in s:
+        state, length = a.step(state, length, sym)
+    return length == len(s)
 
 
 def is_valid_match(m: Match, p_word: Word, t_word: Word) -> bool:

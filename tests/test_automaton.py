@@ -1,7 +1,14 @@
 import random
 from itertools import product
 
-from helpers import exhaustive_oracle, is_valid_match, random_pair
+from helpers import (
+    accepts_substring,
+    exhaustive_oracle,
+    is_valid_match,
+    longest_match_lengths,
+    random_pair,
+    state_count,
+)
 from tietze.automaton import build_ls_automaton
 from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
@@ -35,13 +42,13 @@ def test_recognizes_exact_substring_set():
     for n in range(1, 9):
         for word in product((1, -2), repeat=n):
             a = build_ls_automaton(word)
-            assert a.state_count <= 2 * n
+            assert state_count(a) <= 2 * n
             subs = {word[i:j] for i in range(n) for j in range(i + 1, n + 1)}
             for k in range(1, min(n, 4) + 1):
                 for cand in product((1, -2, 3), repeat=k):
-                    assert a.accepts_substring(cand) == (cand in subs)
+                    assert accepts_substring(a, cand) == (cand in subs)
             for s in subs:
-                assert a.accepts_substring(s)
+                assert accepts_substring(a, s)
 
 
 def test_feeding_pattern_reaches_full_length():
@@ -77,7 +84,7 @@ def test_longest_match_lengths_against_naive():
         p = random_reduced_word(rng, 3, rng.randint(1, 10))
         t = random_reduced_word(rng, 3, rng.randint(1, 18))
         a = build_ls_automaton(p)
-        assert a.longest_match_lengths(t) == naive_longest_match_lengths(p, t)
+        assert longest_match_lengths(a, t) == naive_longest_match_lengths(p, t)
 
 
 def test_search_example_both_modes():

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from helpers import dense_presentation, exhaustive_oracle, sparse_presentation
+from tietze import engine
 from tietze.engine import (
     EngineConfig,
     apply_replacement,
@@ -14,8 +15,9 @@ from tietze.engine import (
 )
 from tietze.match import Match
 from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
+from tietze.randgen import random_presentation
 from tietze.verify import abelian_invariants
-from tietze.words import word_from_letters
+from tietze.words import canonical_rep, invert, reduce_cyclic_word, word_from_letters
 
 W = word_from_letters
 
@@ -57,6 +59,61 @@ def test_substitute_examples():
     substitute(p, 3, (-2, -1))
     assert p.d == 2
     assert p.words() == [(-2, -2)]
+
+
+def _reference_substitute(words, g, rhs):
+    """``substitute`` as first written: rebuild and renumber every word per symbol."""
+    rhs_inv = invert(rhs)
+
+    def renum(s):
+        return s if abs(s) < g else (s - 1 if s > 0 else s + 1)
+
+    out = []
+    for w in words:
+        new = []
+        for s in w:
+            new.extend(rhs if s == g else rhs_inv if s == -g else (s,))
+        new = tuple(renum(s) for s in reduce_cyclic_word(tuple(new)))
+        if new:
+            out.append(new)
+    return out
+
+
+def _recount(word):
+    counts = Counter(map(abs, word))
+    return dict(counts), tuple(h for h, c in counts.items() if c == 1)
+
+
+def test_substitute_caches_match_recomputation(monkeypatch):
+    # every substitution of real simplify runs (short and long
+    # eliminations between replacement passes) is checked against the
+    # reference; a random half of the caches is built beforehand, so both
+    # carried (relabelled) and lazily rebuilt caches are compared
+    real = engine.substitute
+    rng = random.Random(0)
+    eliminated = []
+
+    def checked(pres, g, rhs):
+        for r in pres.rel:
+            if rng.random() < 0.5:
+                r.canonical()
+            if rng.random() < 0.5:
+                r.counts()
+        expected = _reference_substitute([r.word for r in pres.rel], g, rhs)
+        result = real(pres, g, rhs)
+        assert [r.word for r in pres.rel] == expected
+        for r in pres.rel:
+            assert r.canonical() == canonical_rep(r.word)
+            assert (dict(r.counts()), r.once()) == _recount(r.word)
+        eliminated.append(g)
+        return result
+
+    monkeypatch.setattr(engine, "substitute", checked)
+    for seed in range(300):
+        pres = random_presentation(seed, d=rng.randint(3, 12), q=rng.randint(2, 10),
+                                   maxlen=rng.randint(3, 14))
+        simplify(pres, EngineConfig(growth_limit=rng.choice([1.0, 1.5, 3.0])))
+    assert len(eliminated) > 1000 and len(set(eliminated)) > 10
 
 
 def test_substitute_rejects_self_reference():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -191,11 +192,21 @@ def test_canonical_cache_cleared_by_normalize_involutions(canonical_calls):
     assert r.canonical() == canonical_rep(r.word) != stale
 
 
-def test_clone_does_not_carry_canonical_cache(canonical_calls):
+def test_clone_does_not_carry_canonical_cache(canonical_calls, monkeypatch):
+    counts_built = []
+
+    def counting(symbols):
+        counts_built.append(1)
+        return Counter(symbols)
+
+    monkeypatch.setattr(presentation, "Counter", counting)
     p = make_presentation(2, [W("abb"), W("aBaB")])
     for r in p.rel:
         r.canonical()
+        r.counts()
     q = p.clone()
-    assert len(canonical_calls) == 2
+    assert len(canonical_calls) == 2 and len(counts_built) == 2
     assert [r.canonical() for r in q.rel] == [r.canonical() for r in p.rel]
     assert len(canonical_calls) == 4
+    assert [(r.counts(), r.once()) for r in q.rel] == [(r.counts(), r.once()) for r in p.rel]
+    assert len(counts_built) == 4
