@@ -13,9 +13,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import chain
 
-from .match import Match, SearchCounters, check_match
+from .match import Match, SearchCounters, check_match, pattern_equivalent
 from .presentation import (
     Presentation,
     RelatorRecord,
@@ -23,7 +24,7 @@ from .presentation import (
     remove_duplicates,
     sort_rel,
 )
-from .skip import POLICY_NAMES, PassContext, init_pass_state, mark_changed, run_pass
+from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
 from .words import Word, invert, reduce_cyclic_word, rotate_right
 
@@ -53,7 +54,6 @@ class EngineConfig:
     growth_limit: float = 1.5
     max_passes: int = 100
     seed: int = 0
-    record_events: bool = False  # keep per-search logs on EngineStats
 
     def __post_init__(self):
         if self.match_strategy not in STRATEGIES:
@@ -85,10 +85,6 @@ class EngineStats:
     rels_after: int = 0
     counters: SearchCounters = field(default_factory=SearchCounters)
     timings_ms: dict[str, float] = field(default_factory=dict)
-    # populated only with record_events: per-search events and
-    # (text id, performed-search ordinal) change log
-    events: list = field(default_factory=list)
-    change_log: list = field(default_factory=list)
     reorders: int = 0
 
     def to_dict(self) -> dict:
@@ -104,21 +100,19 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
     becomes w.u^-1, reduced; strictly shorter since v is longer than u.
     """
     check_match(m, p_word, t_word)  # engine bug guard
-    base = invert(p_word) if m.inverted else p_word
-    pe = rotate_right(base, m.pattern_rot)
+    u = pattern_equivalent(m, p_word)[:m.u_len]
     te = rotate_right(t_word, m.text_rot)
-    u = pe[:m.u_len]
     w = te[:len(t_word) - m.v_len]
     return reduce_cyclic_word(w + invert(u))
 
 
-def substitute(pres: Presentation, g: int, rhs: Word) -> tuple[list[int], list[int]]:
+def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
     """Replace generator g by rhs everywhere and remove g.
 
     Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
     are re-reduced, emptied relators dropped, and generator indices above
-    g shift down.  Returns (ids of relators whose content changed, ids of
-    dropped relators).  Relators touched only by the renumbering are not
+    g shift down.  Returns the live records whose content changed, in
+    relator order.  Relators touched only by the renumbering are not
     reported as changed.
 
     Each relator's cached generator counts tell whether it holds g: only
@@ -136,8 +130,7 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> tuple[list[int], list[i
     positive = [h if h < g else h - 1 for h in range(pres.d + 1)]
     table = positive + [-h for h in reversed(positive[1:])]
 
-    changed: list[int] = []
-    dropped: list[int] = []
+    changed: list[RelatorRecord] = []
     kept: list[RelatorRecord] = []
     for r in pres.rel:
         counts = r.counts()
@@ -152,17 +145,15 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> tuple[list[int], list[i
                     out.append(s)
             r.set_word(tuple(map(table.__getitem__, reduce_cyclic_word(tuple(out)))))
             if r.word:
-                changed.append(r.id)
+                changed.append(r)
         elif counts and max(counts) > g:
             r.relabel(table)
         if r.word:
             kept.append(r)
-        else:
-            dropped.append(r.id)
     pres.rel[:] = kept
     pres.involutions = {h - 1 if h > g else h for h in pres.involutions if h != g}
     pres.d -= 1
-    return changed, dropped
+    return changed
 
 
 def _solve_single_occurrence(word: Word, g: int) -> Word:
@@ -177,13 +168,15 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
     Runs to fixpoint.  A relator gg marks g as an involution and is kept;
-    length-2 eliminations keep the lower-indexed generator.  Returns
+    length-2 eliminations keep the lower-indexed generator.  Each live
+    record that a substitution or involution normalization rewrites is
+    handed to ``on_change``, in the order of the rewrites.  Returns
     (changed anything, number of generator eliminations).
     """
-    def note(ids):
+    def note(records):
         if on_change is not None:
-            for rid in ids:
-                on_change(rid)
+            for r in records:
+                on_change(r)
 
     eliminations = 0
     changed_any = False
@@ -210,8 +203,7 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
         if action is None:
             return changed_any, eliminations
         g, rhs = action
-        changed, _dropped = substitute(pres, g, rhs)
-        note(changed)
+        note(substitute(pres, g, rhs))
         eliminations += 1
         changed_any = True
 
@@ -227,7 +219,9 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
     run's initial length, so repeated calls may compound growth.  Each
     relator's candidates come from its cached once-occurring generators
     (``RelatorRecord.once``), so only relators rewritten since the last
-    call are recounted.  Ties break on (score, g, relator id).
+    call are recounted.  Ties break on (score, g, relator id).  The live
+    records that the substitution and the involution normalization after
+    it rewrite are handed to ``on_change``, in that order.
     """
     total = pres.total_length()
     limit = cfg.growth_limit * total
@@ -248,32 +242,24 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
         return False
     _, g, r = best
     rhs = _solve_single_occurrence(r.word, g)
-    changed, _dropped = substitute(pres, g, rhs)
+    changed = substitute(pres, g, rhs) + normalize_involutions(pres)
     if on_change is not None:
-        for rid in changed:
-            on_change(rid)
-        for rid in normalize_involutions(pres):
-            on_change(rid)
-    else:
-        normalize_involutions(pres)
+        for r in changed:
+            on_change(r)
     return True
 
 
 class ReplacingSearcher:
     """The engine's real searcher: find a useful match, rewrite the text."""
 
-    def __init__(self, strategy, counters: SearchCounters, change_log: list | None = None):
+    def __init__(self, strategy, counters: SearchCounters):
         self.strategy = strategy
         self.counters = counters
-        self.change_log = change_log
-        self.calls = 0
 
     def __call__(self, pres: Presentation, pattern: RelatorRecord,
                  text: RelatorRecord) -> bool:
         if not 1 <= len(pattern.word) <= len(text.word):
             raise EngineError("searcher called with invalid pattern/text lengths")
-        ordinal = self.calls
-        self.calls += 1
         m = self.strategy.search(pattern.word, text.word, pres.involutions, self.counters)
         if m is None:
             return False
@@ -281,8 +267,6 @@ class ReplacingSearcher:
         if len(new) >= len(text.word):
             raise EngineError("replacement failed to shorten the text relator")
         text.set_word(new)
-        if self.change_log is not None:
-            self.change_log.append((text.id, ordinal))
         return True
 
 
@@ -292,9 +276,13 @@ def _boundary_maintenance(pres: Presentation) -> None:
     remove_duplicates(pres)
 
 
-def simplify(pres: Presentation, cfg: EngineConfig | None = None
-             ) -> tuple[Presentation, EngineStats]:
-    """Run the full simplification driver in place; returns (pres, stats)."""
+def simplify(pres: Presentation, cfg: EngineConfig | None = None,
+             record: Recorder | None = None) -> tuple[Presentation, EngineStats]:
+    """Run the full simplification driver in place; returns (pres, stats).
+
+    ``record`` is handed straight to every ``run_pass`` and only observes.
+    Eliminations mark the live records they rewrite changed, in order.
+    """
     if cfg is None:
         cfg = EngineConfig()
     stats = EngineStats(
@@ -304,26 +292,15 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None
     )
     timings = {"short_elim": 0.0, "replacement": 0.0, "long_elim": 0.0}
     strategy = make_strategy(cfg.match_strategy, cfg.seed, cfg.bloom_log2_size)
-    searcher = ReplacingSearcher(strategy, stats.counters,
-                                 stats.change_log if cfg.record_events else None)
+    searcher = ReplacingSearcher(strategy, stats.counters)
     ctx = PassContext(policy=cfg.skip_policy)
-    record = stats.events.append if cfg.record_events else None
+    on_change = partial(mark_changed, pres, ctx)
 
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
     normalize_involutions(pres)
     init_pass_state(pres, ctx)
-    # No relator is created after this point, and substitute and
-    # normalize_involutions rewrite records in place, so the map stays
-    # valid.  The ids they report belong to live relators, except those
-    # emptied and dropped, which the length test filters out.
-    records = {r.id: r for r in pres.rel}
-
-    def on_change(rel_id: int) -> None:
-        r = records[rel_id]
-        if len(r.word) > 0:
-            mark_changed(pres, ctx, r)
 
     while True:
         progress = False

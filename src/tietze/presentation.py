@@ -206,15 +206,17 @@ def sort_rel(p: Presentation) -> Presentation:
     return p
 
 
-def normalize_involutions(p: Presentation) -> list[int]:
+def normalize_involutions(p: Presentation) -> list[RelatorRecord]:
     """Mark generators with a square relator as involutions and rewrite.
 
     Every relator gg (or its inverse form) adds g to the involution set,
     after which g^-1 never appears in any relator: occurrences are
-    rewritten to g and words re-reduced.  Returns ids of relators whose
-    word changed.
+    rewritten to g and words re-reduced.  Returns the records whose word
+    changed, in the order they were rewritten (a record rewritten twice
+    appears twice).  Flipping signs cancels no symbol of a reduced word,
+    so every returned record is live.
     """
-    changed: list[int] = []
+    changed: list[RelatorRecord] = []
     while True:
         found = False
         for r in p.rel:
@@ -229,7 +231,7 @@ def normalize_involutions(p: Presentation) -> list[int]:
                 w = tuple(-s if (s < 0 and -s in p.involutions) else s for s in r.word)
                 if w != r.word:
                     r.set_word(reduce_cyclic_word(w))
-                    changed.append(r.id)
+                    changed.append(r)
                     rewritten = True
         p.rel[:] = [r for r in p.rel if len(r.word) > 0]
         if not (found or rewritten):

@@ -20,7 +20,9 @@ Every driver returns a ``PassTally`` of integer counts (pairs considered,
 searches performed, searches successful).  A ``SearchEvent`` exists only
 when the caller passes a recorder: each considered pair is then handed to
 it, in order, as one event.  Without a recorder nothing is allocated per
-pair, which matters because most considered pairs are skipped.
+pair, which matters because most considered pairs are skipped.  A
+recorder only observes: each driver takes the same path with or without
+one.  ``engine.simplify`` hands its ``record`` straight to ``run_pass``.
 """
 
 from __future__ import annotations
@@ -137,15 +139,15 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     only then is the set of visited text ids built, so that texts moved
     by a re-insertion are not considered twice.
 
-    Without a recorder, a dead pattern loop is not walked.  The suffix
-    maxima of ``ts`` over ``rel`` are built at pass start and rebuilt
-    after a re-insertion, at the next pattern (a pattern loop with
-    successes often has several); when the largest ``ts`` after ``pi`` is
-    below the pattern's ``tp``, no text of the loop is searchable, so none
-    changes and ``visited`` stays ``None``: the loop would consider each
-    of the ``n - pi - 1`` texts once and search none.  It is counted as
-    such and the pattern is stamped.  A recorder needs one event per
-    pair, so with one every loop is walked.
+    A dead pattern loop is not walked.  The suffix maxima of ``ts`` over
+    ``rel`` are built at pass start and rebuilt after a re-insertion, at
+    the next pattern (a pattern loop with successes often has several);
+    when the largest ``ts`` after ``pi`` is below the pattern's ``tp``, no
+    text of the loop is searchable, so none changes and ``visited`` stays
+    ``None``: the loop would consider each of the ``n - pi - 1`` texts
+    once and search none.  It is counted as such and the pattern is
+    stamped; a recorder gets one skipped event per text, in order.  The
+    path is the same with or without a recorder.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -153,7 +155,6 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     rel = pres.rel
     n = len(rel)
     considered = performed = successful = 0
-    skip_dead = record is None
     ts_max: list[int] | None = None  # built on first use, dropped on re-insertion
     pi = 0
     while pi < n - 1:
@@ -161,12 +162,14 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
         tp = pattern.tp  # only texts change during the pattern's loop
         visited: set[int] | None = None
         ti = pi + 1
-        if skip_dead:
-            if ts_max is None:
-                ts_max = _ts_suffix_max(rel)
-            if ts_max[ti] < tp:
-                considered += n - ti
-                ti = n
+        if ts_max is None:
+            ts_max = _ts_suffix_max(rel)
+        if ts_max[ti] < tp:
+            considered += n - ti
+            if record is not None:
+                for text in rel[ti:]:
+                    record(SearchEvent(pattern.id, text.id, pass_no, False, False))
+            ti = n
         while ti < n:
             text = rel[ti]
             if visited is not None:

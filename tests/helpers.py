@@ -87,6 +87,16 @@ def recorded(pass_fn, pres, ctx, searcher):
     return tally, events
 
 
+def changes_from(events: list[SearchEvent]) -> list[tuple[int, int]]:
+    """(text id, ordinal among the performed events) of each successful search.
+
+    A successful search changes its text, so for runs whose only changes
+    are in-pass rewrites this is the change list the necessity oracle reads.
+    """
+    performed = (e for e in events if e.performed)
+    return [(e.text_id, o) for o, e in enumerate(performed) if e.successful]
+
+
 def naive_circular_substrings(w: Word) -> set[Word]:
     """All nonempty circular substrings of w, up to length len(w)."""
     out: set[Word] = set()

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     ScriptedSearcher,
+    changes_from,
     dense_presentation,
     exhaustive_oracle,
     is_valid_match,
@@ -117,11 +118,12 @@ def test_criterion_03_skip_policy_dominance():
     late = late_strict = 0
     for seed in range(n_instances):
         base = sparse_presentation(seed)
-        res = {}
+        res, events = {}, {}
         for pol in POLICIES:
+            events[pol] = []
             p, stats = simplify(base.clone(), EngineConfig(
                 skip_policy=pol, match_strategy="brute",
-                long_elim_enabled=False, seed=3, record_events=True))
+                long_elim_enabled=False, seed=3), events[pol].append)
             res[pol] = stats
         s = {pol: res[pol].searches_performed for pol in POLICIES}
         assert s["ts-sorted"] <= s["flags"] <= s["all-pairs"], (seed, s)
@@ -138,8 +140,9 @@ def test_criterion_03_skip_policy_dominance():
             st = res[pol]
             if pol == "ts-sorted" and st.reorders > 0:
                 continue
-            if _no_post_change_success(st.events, st.change_log) and \
-                    _realized_late_skip(st.events, st.change_log):
+            changes = changes_from(events[pol])
+            if _no_post_change_success(events[pol], changes) and \
+                    _realized_late_skip(events[pol], changes):
                 late += 1
                 late_strict += s[pol] < s["flags"]
     assert multi > 0 and strict >= 0.8 * multi, (strict, multi)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -175,8 +176,8 @@ def test_canonical_cache_cleared_by_substitute_renumbering(canonical_calls):
     stale = [r.canonical() for r in p.rel]
     # eliminating generator 1 touches only the second relator's content,
     # but renumbers both
-    changed, _ = substitute(p, 1, (2,))
-    assert changed == [1]
+    changed = substitute(p, 1, (2,))
+    assert [r.id for r in changed] == [1]
     assert [r.word for r in p.rel] == [(1, 2, 2), (1, 1, 1, 2)]
     assert [r.canonical() for r in p.rel] == [canonical_rep(r.word) for r in p.rel]
     assert [r.canonical() for r in p.rel] != stale
@@ -187,7 +188,7 @@ def test_canonical_cache_cleared_by_normalize_involutions(canonical_calls):
     p.add_relator((1, 1))
     r = p.add_relator((-1, 2, 2, 2))
     stale = r.canonical()
-    assert normalize_involutions(p) == [r.id]
+    assert normalize_involutions(p) == [r]
     assert r.word == (1, 2, 2, 2)
     assert r.canonical() == canonical_rep(r.word) != stale
 
@@ -210,3 +211,12 @@ def test_clone_does_not_carry_canonical_cache(canonical_calls, monkeypatch):
     assert len(canonical_calls) == 4
     assert [(r.counts(), r.once()) for r in q.rel] == [(r.counts(), r.once()) for r in p.rel]
     assert len(counts_built) == 4
+
+
+def test_readme_format_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Presentation file format", 1)[1]
+    block = section.split("```\n", 2)[1]
+    p = parse_presentation(block)
+    # rel 1 2 -3 -1 and relw abCA are one relator, cyclically reduced to bC
+    assert p.d == 3 and p.words() == [(2, -3), (2, -3)]

@@ -11,6 +11,7 @@ from helpers import (
     recorded,
     sparse_presentation,
 )
+from tietze import skip
 from tietze.engine import ReplacingSearcher
 from tietze.match import SearchCounters
 from tietze.presentation import make_presentation, sort_rel
@@ -225,6 +226,21 @@ def run_theorem_trial(policy, seed):
 
 def test_sorted_equals_necessity_oracle_sample():
     assert all(run_theorem_trial("ts-sorted", s) for s in range(120))
+
+
+def test_sorted_theorem_trials_run_the_dead_loop_skip(monkeypatch):
+    # the trials attach a recorder; it must not take them off the path
+    # simplify runs, which skips dead pattern loops with the ts suffix maxima
+    builds = []
+    real = skip._ts_suffix_max
+
+    def counting(rel):
+        builds.append(len(rel))
+        return real(rel)
+
+    monkeypatch.setattr(skip, "_ts_suffix_max", counting)
+    assert all(run_theorem_trial("ts-sorted", s) for s in range(120))
+    assert len(builds) > 0
 
 
 def test_unsorted_equals_necessity_oracle_sample():
