@@ -125,27 +125,25 @@ def _scan_for_match(a: LSAutomaton, scan_text: Word, m: int, p_word: Word, t_wor
     return None
 
 
-def automaton_search(p_word: Word, t_word: Word, mode: str, counters: SearchCounters,
+def automaton_search(p_word: Word, t_word: Word, counters: SearchCounters,
                      automata: tuple[LSAutomaton, ...]) -> Match | None:
     """Automaton-backed ComStr over automata prebuilt for the pattern.
 
-    ``two`` takes automata for the extended pattern and its extended
-    inverse and runs both over the extended text; ``one`` takes only the
-    pattern automaton and additionally runs it over the extended inverse
-    of the text.  ``AutomatonStrategy`` builds and caches the automata.
+    The automata given choose the variant: two (mode ``two``, for the
+    extended pattern and its inverse) each scan the extended text; one
+    (mode ``one``) scans the extended text, then the extended inverted text.
+    ``AutomatonStrategy`` builds and caches the automata.
     """
     l_p, l_t = len(p_word), len(t_word)
     if not 1 <= l_p <= l_t:
         raise ValueError("automaton search requires 1 <= |pattern| <= |text|")
-    if mode not in ("one", "two"):
-        raise ValueError(f"unknown automaton mode {mode!r}")
     m = useful_threshold(l_p)
     # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
     scan_text = extend_front(t_word, m - 1)
     found = _scan_for_match(automata[0], scan_text, m, p_word, t_word, False, False, counters)
     if found is not None:
         return found
-    if mode == "two":
+    if len(automata) == 2:
         return _scan_for_match(automata[1], scan_text, m, p_word, t_word, True, False, counters)
     return _scan_for_match(automata[0], extend_front(invert(t_word), m - 1), m,
                            p_word, t_word, False, True, counters)

@@ -156,7 +156,10 @@ def cmd_bench(args, parser) -> int:
 
 
 def cmd_gen(args, parser) -> int:
-    pres = random_presentation(args.seed, args.gens, args.rels, args.maxlen, args.profile)
+    try:
+        pres = random_presentation(args.seed, args.gens, args.rels, args.maxlen, args.profile)
+    except ValueError as e:
+        parser.error(str(e))
     text = serialize_presentation(pres)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:

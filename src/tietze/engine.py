@@ -250,17 +250,20 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
 
 
 class ReplacingSearcher:
-    """The engine's real searcher: find a useful match, rewrite the text."""
+    """The engine's real searcher: find a useful match, rewrite the text.
+
+    It sees one pair of records.  A rewrite may write an involution's
+    inverse into the text, which stays until the next normalization.
+    """
 
     def __init__(self, strategy, counters: SearchCounters):
         self.strategy = strategy
         self.counters = counters
 
-    def __call__(self, pres: Presentation, pattern: RelatorRecord,
-                 text: RelatorRecord) -> bool:
+    def __call__(self, pattern: RelatorRecord, text: RelatorRecord) -> bool:
         if not 1 <= len(pattern.word) <= len(text.word):
             raise EngineError("searcher called with invalid pattern/text lengths")
-        m = self.strategy.search(pattern.word, text.word, pres.involutions, self.counters)
+        m = self.strategy.search(pattern.word, text.word, self.counters)
         if m is None:
             return False
         new = apply_replacement(text.word, m, pattern.word)

@@ -3,9 +3,10 @@
 A useful common substring v of a pattern R_p and a text R_t (with
 len(R_p) <= len(R_t)) witnesses a rotation u.v of R_p or of its formal
 inverse and a rotation w.v of R_t with len(v) > len(u), i.e.
-len(v) >= useful_threshold(len(R_p)).  This module holds the match type
-and its validity check, which guards every rewrite, the anchored brute
-force search and the rotation/inversion invariant signatures.  The
+len(v) >= useful_threshold(len(R_p)).  A search sees only the two words,
+never the presentation or its involutions.  This module holds the match
+type and its validity check, which guards every rewrite, the anchored
+brute force search and the rotation/inversion invariant signatures.  The
 exhaustive enumeration that every strategy is tested against lives with
 the tests.
 """
@@ -137,21 +138,7 @@ def anchor_seeds(p_word: Word) -> list[tuple[bool, int, int]]:
     return seeds
 
 
-def live_seeds(seeds: list[tuple[bool, int, int]],
-               involutions: frozenset[int] | set[int]) -> list[tuple[bool, int, int]]:
-    """The seeds whose symbol is not the inverse of an involution.
-
-    That symbol cannot occur in a normalized text.  Dropping after
-    ``anchor_seeds`` deduplicates is the same as dropping before, because
-    an alignment always carries the same symbol.
-    """
-    if not involutions:
-        return seeds
-    return [seed for seed in seeds if not (seed[2] < 0 and -seed[2] in involutions)]
-
-
 def brute_search(p_word: Word, t_word: Word,
-                 involutions: frozenset[int] | set[int] = frozenset(),
                  counters: SearchCounters | None = None,
                  seeds: list[tuple[bool, int, int]] | None = None) -> Match | None:
     """Anchored brute force: scan the text for anchor symbols and extend.
@@ -166,7 +153,6 @@ def brute_search(p_word: Word, t_word: Word,
         counters = SearchCounters()
     if seeds is None:
         seeds = anchor_seeds(p_word)
-    seeds = live_seeds(seeds, involutions)
     wanted = {s for _, _, s in seeds}
     for j in range(l_t):
         counters.windows_scanned += 1

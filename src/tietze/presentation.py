@@ -210,32 +210,23 @@ def normalize_involutions(p: Presentation) -> list[RelatorRecord]:
     """Mark generators with a square relator as involutions and rewrite.
 
     Every relator gg (or its inverse form) adds g to the involution set,
-    after which g^-1 never appears in any relator: occurrences are
-    rewritten to g and words re-reduced.  Returns the records whose word
-    changed, in the order they were rewritten (a record rewritten twice
-    appears twice).  Flipping signs cancels no symbol of a reduced word,
-    so every returned record is live.
+    and every g^-1 of an involution g becomes g.  Right after this call
+    no such g^-1 occurs; a later replacement may write one again.  One
+    sweep suffices, with no re-reduction: a sign flip cancels no symbol
+    of a reduced word and makes no new square.  Returns the rewritten
+    records in relator order.
     """
+    for r in p.rel:
+        if len(r.word) == 2 and r.word[0] == r.word[1]:
+            p.involutions.add(abs(r.word[0]))
+    inverses = {-g for g in p.involutions}
     changed: list[RelatorRecord] = []
-    while True:
-        found = False
+    if inverses:
         for r in p.rel:
-            if len(r.word) == 2 and r.word[0] == r.word[1]:
-                g = abs(r.word[0])
-                if g not in p.involutions:
-                    p.involutions.add(g)
-                    found = True
-        rewritten = False
-        if p.involutions:
-            for r in p.rel:
-                w = tuple(-s if (s < 0 and -s in p.involutions) else s for s in r.word)
-                if w != r.word:
-                    r.set_word(reduce_cyclic_word(w))
-                    changed.append(r)
-                    rewritten = True
-        p.rel[:] = [r for r in p.rel if len(r.word) > 0]
-        if not (found or rewritten):
-            return changed
+            if not inverses.isdisjoint(r.word):
+                r.set_word(tuple(-s if s in inverses else s for s in r.word))
+                changed.append(r)
+    return changed
 
 
 def remove_duplicates(p: Presentation) -> list[int]:

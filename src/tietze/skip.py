@@ -11,10 +11,10 @@ positions for the duration of a pass and re-sorts between passes.  The
 necessity oracle that the timestamp policies are tested against lives with
 the tests.
 
-A searcher is any callable (presentation, pattern record, text record)
--> bool reporting whether the text changed; the engine's real searcher
-performs the substring replacement, while tests may inject scripted
-fakes.
+A searcher is any callable (pattern record, text record) -> bool
+reporting whether the text changed; it sees only the pair, never the
+presentation.  The engine's real searcher performs the substring
+replacement, while tests may inject scripted fakes.
 
 Every driver returns a ``PassTally`` of integer counts (pairs considered,
 searches performed, searches successful).  A ``SearchEvent`` exists only
@@ -36,8 +36,7 @@ from .presentation import Presentation, RelatorRecord
 
 
 class Searcher(Protocol):
-    def __call__(self, pres: Presentation, pattern: RelatorRecord,
-                 text: RelatorRecord) -> bool: ...
+    def __call__(self, pattern: RelatorRecord, text: RelatorRecord) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
             considered += 1
             if tp <= text.ts:
                 performed += 1
-                success = searcher(pres, pattern, text)
+                success = searcher(pattern, text)
                 if record is not None:
                     record(SearchEvent(pattern.id, text.id, pass_no, True, success))
                 if success:
@@ -243,7 +242,7 @@ def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                         or p_tp > text.tp
                         or p_tp <= text.ts):
                     performed += 1
-                    success = searcher(pres, pattern, text)
+                    success = searcher(pattern, text)
                     if record is not None:
                         record(SearchEvent(pattern.id, text.id, pass_no, True, success))
                     if success:
@@ -286,7 +285,7 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
             considered += 1
             if first or pattern.id in flagged or text.id in flagged:
                 performed += 1
-                success = searcher(pres, pattern, text)
+                success = searcher(pattern, text)
                 if record is not None:
                     record(SearchEvent(pattern.id, text.id, pass_no, True, success))
                 if success:

@@ -1,11 +1,11 @@
 """Match-level strategies behind one search interface, and their registry.
 
-A strategy answers search(pattern word, text word, involutions, counters)
-with an optional Match and must agree with the exhaustive enumeration of
-all rotation alignments on success/failure.  Strategies that precompute
-per-pattern state (indexes, automata) cache it for the current pattern
-word, which matches how the engine drives them: one pattern against many
-texts.
+A strategy answers search(pattern word, text word, counters), which
+sees only the two words, with an optional Match and must agree with the
+exhaustive enumeration of all rotation alignments on success/failure.
+Strategies that precompute per-pattern state (indexes, automata) cache
+it for the current pattern word, which matches how the engine drives
+them: one pattern against many texts.
 
 ``STRATEGIES`` is the one table of strategy names: it maps each full name
 to the CLI flags that select it and to its factory.  The engine, the CLI
@@ -33,10 +33,10 @@ class BruteStrategy:
     def __init__(self):
         self._seeds: tuple[Word, list] | None = None
 
-    def search(self, p_word, t_word, involutions, counters):
+    def search(self, p_word, t_word, counters):
         if self._seeds is None or self._seeds[0] != p_word:
             self._seeds = (p_word, anchor_seeds(p_word))
-        return brute_search(p_word, t_word, involutions, counters, self._seeds[1])
+        return brute_search(p_word, t_word, counters, self._seeds[1])
 
 
 class SignatureStrategy(BruteStrategy):
@@ -53,10 +53,10 @@ class SignatureStrategy(BruteStrategy):
             self._cache[w] = s
         return s
 
-    def search(self, p_word, t_word, involutions, counters):
+    def search(self, p_word, t_word, counters):
         if signature_skip(self._sig(p_word), self._sig(t_word), useful_threshold(len(p_word))):
             return None
-        return super().search(p_word, t_word, involutions, counters)
+        return super().search(p_word, t_word, counters)
 
 
 class KarpRabinStrategy:
@@ -72,7 +72,7 @@ class KarpRabinStrategy:
             self._cached = (p_word, idx)
         return self._cached[1]
 
-    def search(self, p_word, t_word, involutions, counters):
+    def search(self, p_word, t_word, counters):
         return kr_search(self._index(p_word), p_word, t_word, counters)
 
 
@@ -93,9 +93,9 @@ class AutomatonStrategy:
             self._cached = (p_word, tuple(auts))
         return self._cached[1]
 
-    def search(self, p_word, t_word, involutions, counters):
+    def search(self, p_word, t_word, counters):
         automata = self._automata(p_word, counters)
-        return automaton_search(p_word, t_word, self.mode, counters, automata)
+        return automaton_search(p_word, t_word, counters, automata)
 
 
 class StrategySpec(NamedTuple):

@@ -57,6 +57,20 @@ def dense_presentation(rng: random.Random, d_max=6, q_max=10, l_max=12) -> Prese
     )
 
 
+def squares_words(rng: random.Random, d_max=4, q_max=10, l_max=12) -> tuple[int, list[Word]]:
+    """A generator count and random relator words with planted squares g g.
+
+    The squares make involutions, so a replacement mid-run can write the
+    inverse of an involution into a text before the next normalization.
+    """
+    d = rng.randint(2, d_max)
+    words = [random_reduced_word(rng, d, rng.randint(3, l_max))
+             for _ in range(rng.randint(2, q_max))]
+    for g in rng.sample(range(1, d + 1), rng.randint(1, 2)):
+        words.insert(rng.randrange(len(words) + 1), (g, g) if rng.random() < 0.5 else (-g, -g))
+    return d, words
+
+
 class ScriptedSearcher:
     """Fake searcher for skip-level tests: shrinks texts with seeded probability.
 
@@ -70,7 +84,7 @@ class ScriptedSearcher:
         self.calls = 0
         self.changes: list[tuple[int, int]] = []
 
-    def __call__(self, pres, pattern, text) -> bool:
+    def __call__(self, pattern, text) -> bool:
         ordinal = self.calls
         self.calls += 1
         if len(text.word) > 1 and self.rng.random() < self.change_prob:

@@ -89,7 +89,7 @@ def test_longest_match_lengths_against_naive():
 
 def test_search_example_both_modes():
     for mode in ("two", "one"):
-        m = AutomatonStrategy(mode).search(W("abc"), W("dab"), frozenset(), SearchCounters())
+        m = AutomatonStrategy(mode).search(W("abc"), W("dab"), SearchCounters())
         assert m is not None and m.v_len == 2
         assert is_valid_match(m, W("abc"), W("dab"))
 
@@ -99,8 +99,8 @@ def test_modes_agree_on_success():
     two, one = AutomatonStrategy("two"), AutomatonStrategy("one")
     for _ in range(1500):
         p, t = random_pair(rng)
-        got_two = two.search(p, t, frozenset(), SearchCounters()) is not None
-        got_one = one.search(p, t, frozenset(), SearchCounters()) is not None
+        got_two = two.search(p, t, SearchCounters()) is not None
+        got_one = one.search(p, t, SearchCounters()) is not None
         assert got_two == got_one
 
 
@@ -111,7 +111,7 @@ def test_search_agrees_with_oracle():
         p, t = random_pair(rng)
         want = exhaustive_oracle(p, t) is not None
         for strategy in strategies:
-            got = strategy.search(p, t, frozenset(), SearchCounters())
+            got = strategy.search(p, t, SearchCounters())
             assert (got is not None) == want
             if got is not None:
                 assert is_valid_match(got, p, t)
@@ -119,8 +119,8 @@ def test_search_agrees_with_oracle():
 
 def test_build_counts_per_search():
     c2, c1 = SearchCounters(), SearchCounters()
-    AutomatonStrategy("two").search(W("abc"), W("dab"), frozenset(), c2)
-    AutomatonStrategy("one").search(W("abc"), W("dab"), frozenset(), c1)
+    AutomatonStrategy("two").search(W("abc"), W("dab"), c2)
+    AutomatonStrategy("one").search(W("abc"), W("dab"), c1)
     assert c2.automata_built == 2
     assert c1.automata_built == 1
 
@@ -187,7 +187,7 @@ def test_search_equals_reference_scan():
         for mode in ("two", "one"):
             want_c, got_c = SearchCounters(), SearchCounters()
             want = reference_search(p, t, mode, want_c)
-            got = AutomatonStrategy(mode).search(p, t, frozenset(), got_c)
+            got = AutomatonStrategy(mode).search(p, t, got_c)
             assert got == want
             assert got_c.to_dict() == want_c.to_dict()
         if want is not None:

@@ -93,6 +93,18 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, flags):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gens", "0", "--rels", "3", "--maxlen", "5"],
+    ["--gens", "2", "--rels", "-1", "--maxlen", "5"],
+    ["--gens", "2", "--rels", "3", "--maxlen", "0"],
+])
+def test_bad_gen_value_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "out.pres"
+    assert main(["gen", *flags, "-o", str(out)]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_automaton_flag_reflected_in_stats(tmp_path):
     inp = write(tmp_path, "in.pres", "gens 2\nrel 1 2 1 2 2\nrel 2 1 2\n")
     stats = str(tmp_path / "s.json")

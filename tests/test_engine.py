@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import dense_presentation, exhaustive_oracle, sparse_presentation
+from helpers import dense_presentation, exhaustive_oracle, sparse_presentation, squares_words
 from tietze import engine
 from tietze.engine import (
     EngineConfig,
@@ -16,6 +16,7 @@ from tietze.engine import (
 from tietze.match import Match
 from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
 from tietze.randgen import random_presentation
+from tietze.strategies import STRATEGIES
 from tietze.verify import abelian_invariants
 from tietze.words import canonical_rep, invert, reduce_cyclic_word, word_from_letters
 
@@ -201,9 +202,9 @@ def test_replacements_strictly_shrink():
     from tietze.engine import ReplacingSearcher
 
     class Checked(ReplacingSearcher):
-        def __call__(self, pres, pattern, text):
+        def __call__(self, pattern, text):
             before = len(text.word)
-            changed = super().__call__(pres, pattern, text)
+            changed = super().__call__(pattern, text)
             if changed:
                 assert len(text.word) < before
             return changed
@@ -245,9 +246,9 @@ def test_intermediate_matches_are_oracle_valid():
     from tietze.engine import ReplacingSearcher
 
     class OracleChecked(ReplacingSearcher):
-        def __call__(self, pres, pattern, text):
+        def __call__(self, pattern, text):
             p_word, t_word = pattern.word, text.word
-            changed = super().__call__(pres, pattern, text)
+            changed = super().__call__(pattern, text)
             if changed:
                 assert exhaustive_oracle(p_word, t_word) is not None
             return changed
@@ -338,3 +339,32 @@ def test_record_events_changes_nothing(policy):
                     assert sum(e.performed for e in events) == st.searches_performed
                     assert sum(e.successful for e in events) == st.searches_successful
             assert outs[0] == outs[1], (n, strategy)
+
+
+@pytest.mark.parametrize("name", list(STRATEGIES))
+def test_every_search_of_a_run_agrees_with_oracle(monkeypatch, name):
+    """Every search of full runs agrees with the exhaustive oracle.
+
+    The planted squares make involutions, and a replacement can write an
+    involution's inverse into a text before the next normalization, so
+    the texts searched are not always involution-normal.
+    """
+    disagreements = []
+    make_strategy = engine.make_strategy
+
+    class OracleChecked:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def search(self, p_word, t_word, counters):
+            m = self.inner.search(p_word, t_word, counters)
+            if (m is None) != (exhaustive_oracle(p_word, t_word) is None):
+                disagreements.append((p_word, t_word))
+            return m
+
+    monkeypatch.setattr(engine, "make_strategy", lambda *a: OracleChecked(make_strategy(*a)))
+    rng = random.Random(3)
+    for _ in range(120):
+        d, words = squares_words(rng)
+        simplify(make_presentation(d, words), EngineConfig(match_strategy=name))
+    assert disagreements == []

@@ -11,11 +11,10 @@ from tietze.match import (
     brute_search,
     check_match,
     compute_signature,
-    live_seeds,
     signature_skip,
 )
 from tietze.randgen import random_reduced_word
-from tietze.words import invert, rotate_right, smallest_period, word_from_letters
+from tietze.words import invert, rotate_right, word_from_letters
 
 W = word_from_letters
 
@@ -75,37 +74,6 @@ def test_anchor_set_for_nontrivial_power():
     assert seed_symbols(anchor_seeds(W("abab"))) == {1, -1}
     assert seed_symbols(anchor_seeds(W("abc"))) == {1, -1, 2, -2}
     assert seed_symbols(anchor_seeds(W("abcd"))) == {1, -1, 3, -3}
-
-
-def test_anchor_collapse_under_involutions():
-    assert seed_symbols(live_seeds(anchor_seeds(W("abc")), {1})) == {1, 2, -2}
-
-
-def reference_anchor_seeds(p_word, involutions):
-    """Anchor seeds with involution inverses dropped before deduplication."""
-    l_p = len(p_word)
-    positions = [0]
-    if smallest_period(p_word) == l_p and l_p >= 2:
-        positions.append(l_p // 2)
-    seeds, seen = [], set()
-    for pos in positions:
-        sym = p_word[pos]
-        for inverted, bpos, s in ((False, pos, sym), (True, l_p - 1 - pos, -sym)):
-            if abs(s) in involutions and s < 0:
-                continue
-            if (inverted, bpos) not in seen:
-                seen.add((inverted, bpos))
-                seeds.append((inverted, bpos, s))
-    return seeds
-
-
-def test_live_seeds_equal_filtering_before_deduplication():
-    rng = random.Random(24)
-    words = [W("a"), W("aa"), W("aA"), W("abab"), W("aBaB"), W("abBA")]
-    words += [random_reduced_word(rng, rng.randint(1, 4), rng.randint(1, 9)) for _ in range(400)]
-    for w in words:
-        for involutions in (set(), {1}, {2}, {1, 2}, {1, 2, 3, 4}):
-            assert live_seeds(anchor_seeds(w), involutions) == reference_anchor_seeds(w, involutions)
 
 
 def test_brute_agrees_with_oracle():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import squares_words
 from tietze import presentation
 from tietze.engine import substitute
 from tietze.presentation import (
@@ -18,7 +19,7 @@ from tietze.presentation import (
     sort_rel,
 )
 from tietze.randgen import random_reduced_word
-from tietze.words import canonical_rep, word_from_letters
+from tietze.words import canonical_rep, reduce_cyclic_word, word_from_letters
 
 W = word_from_letters
 
@@ -108,6 +109,50 @@ def test_normalize_involutions_noop_and_idempotent():
     before = p.words()
     assert normalize_involutions(p) == []
     assert p.words() == before
+
+
+def reference_normalize_involutions(p):
+    """The fixpoint loop that the one-sweep normalization replaced."""
+    changed = []
+    while True:
+        found = False
+        for r in p.rel:
+            if len(r.word) == 2 and r.word[0] == r.word[1]:
+                g = abs(r.word[0])
+                if g not in p.involutions:
+                    p.involutions.add(g)
+                    found = True
+        rewritten = False
+        if p.involutions:
+            for r in p.rel:
+                w = tuple(-s if (s < 0 and -s in p.involutions) else s for s in r.word)
+                if w != r.word:
+                    r.set_word(reduce_cyclic_word(w))
+                    changed.append(r)
+                    rewritten = True
+        p.rel[:] = [r for r in p.rel if len(r.word) > 0]
+        if not (found or rewritten):
+            return changed
+
+
+def test_one_sweep_normalization_equals_fixpoint_loop():
+    rng = random.Random(31)
+    for _ in range(400):
+        d, words = squares_words(rng)
+        p = Presentation(d)
+        for w in words:
+            p.add_relator(w)
+        # involutions found earlier in a run, their inverses since rewritten in
+        p.involutions = set(rng.sample(range(1, d + 1), rng.randint(0, 1)))
+        q = p.clone()
+        lengths = [len(r.word) for r in p.rel]
+        got = normalize_involutions(p)
+        want = reference_normalize_involutions(q)
+        assert p.words() == q.words()
+        assert p.involutions == q.involutions
+        assert [r.id for r in got] == [r.id for r in want]
+        assert len({r.id for r in got}) == len(got)
+        assert [len(r.word) for r in p.rel] == lengths
 
 
 def test_normalize_never_increases_length():

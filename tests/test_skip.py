@@ -30,7 +30,7 @@ from tietze.strategies import make_strategy
 
 
 class NeverMatch:
-    def __call__(self, pres, pattern, text):
+    def __call__(self, pattern, text):
         return False
 
 
@@ -42,7 +42,7 @@ class ChangeOn:
         self.calls = 0
         self.changes = []
 
-    def __call__(self, pres, pattern, text):
+    def __call__(self, pattern, text):
         ordinal = self.calls
         self.calls += 1
         if (pattern.id, text.id) in self.targets and len(text.word) > 1:
@@ -393,7 +393,7 @@ def _reference_pass_sorted(pres, ctx, searcher):
                 continue
             visited.add(text.id)
             if pattern.tp <= text.ts:
-                success = searcher(pres, pattern, text)
+                success = searcher(pattern, text)
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
                 if success:
                     text.tp = -1
@@ -421,7 +421,7 @@ class Rewrite:
     def __init__(self, cuts):
         self.cuts = dict(cuts)
 
-    def __call__(self, pres, pattern, text):
+    def __call__(self, pattern, text):
         n = self.cuts.pop((pattern.id, text.id), None)
         if n is None:
             return False
@@ -435,7 +435,7 @@ class RandomCut:
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def __call__(self, pres, pattern, text):
+    def __call__(self, pattern, text):
         if len(text.word) > 1 and self.rng.random() < 0.3:
             text.set_word(text.word[:self.rng.randrange(1, len(text.word))])
             return True
