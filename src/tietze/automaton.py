@@ -20,7 +20,7 @@ a miss.
 
 from __future__ import annotations
 
-from .match import Match, SearchCounters, match_from_seed
+from .match import Match, SearchCounters, extend_hit
 from .words import Word, extend_front, invert, useful_threshold
 
 
@@ -112,32 +112,22 @@ def _scan_for_match(a: LSAutomaton, scan_text: Word, m: int, p_word: Word, t_wor
         if inverted_text:
             # the hit pairs pattern with invert(text); reflect it onto the
             # inverted pattern equivalent against the original text
-            bpos = (l_p - 1 - p_end) % l_p
-            tpos = (l_t - 1 - t_end) % l_t
-            match = match_from_seed(p_word, t_word, True, bpos, tpos)
-        else:
-            match = match_from_seed(p_word, t_word, inverted_pattern, p_end, t_end)
-        if match is None:
-            raise AssertionError("threshold hit failed to extend")
-        counters.successes += 1
-        return match
+            p_end, t_end = (l_p - 1 - p_end) % l_p, (l_t - 1 - t_end) % l_t
+        return extend_hit(p_word, t_word, inverted_pattern or inverted_text, p_end, t_end,
+                          counters)
     counters.windows_scanned += len(scan_text)
     return None
 
 
-def automaton_search(p_word: Word, t_word: Word, counters: SearchCounters,
-                     automata: tuple[LSAutomaton, ...]) -> Match | None:
+def automaton_search(automata: tuple[LSAutomaton, ...], p_word: Word, t_word: Word,
+                     counters: SearchCounters) -> Match | None:
     """Automaton-backed ComStr over automata prebuilt for the pattern.
 
     The automata given choose the variant: two (mode ``two``, for the
     extended pattern and its inverse) each scan the extended text; one
     (mode ``one``) scans the extended text, then the extended inverted text.
-    ``AutomatonStrategy`` builds and caches the automata.
     """
-    l_p, l_t = len(p_word), len(t_word)
-    if not 1 <= l_p <= l_t:
-        raise ValueError("automaton search requires 1 <= |pattern| <= |text|")
-    m = useful_threshold(l_p)
+    m = useful_threshold(len(p_word))
     # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
     scan_text = extend_front(t_word, m - 1)
     found = _scan_for_match(automata[0], scan_text, m, p_word, t_word, False, False, counters)

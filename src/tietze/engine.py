@@ -261,8 +261,6 @@ class ReplacingSearcher:
         self.counters = counters
 
     def __call__(self, pattern: RelatorRecord, text: RelatorRecord) -> bool:
-        if not 1 <= len(pattern.word) <= len(text.word):
-            raise EngineError("searcher called with invalid pattern/text lengths")
         m = self.strategy.search(pattern.word, text.word, self.counters)
         if m is None:
             return False
@@ -318,8 +316,10 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
         timings["short_elim"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        while stats.passes < cfg.max_passes and len(pres.rel) >= 2:
+        while stats.passes < cfg.max_passes:
             _boundary_maintenance(pres)
+            if len(pres.rel) < 2:
+                break
             before = pres.total_length()
             considered, performed, successful = run_pass(pres, ctx, searcher, record)
             stats.passes += 1

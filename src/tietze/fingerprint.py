@@ -26,7 +26,7 @@ import random
 from array import array
 from dataclasses import dataclass
 
-from .match import Match, SearchCounters, match_from_seed
+from .match import Match, SearchCounters, extend_hit
 from .words import Word, extend_front, invert, useful_threshold
 
 MERSENNE61 = (1 << 61) - 1
@@ -161,7 +161,6 @@ class PatternIndex:
         self.params = params
         self.m = useful_threshold(len(p_word))
         self.inverse = invert(p_word)
-        self.windows_inserted = 2 * len(p_word)
         self.candidates: dict[bytes | int, list[tuple[bool, int]]] = {}
         self.bloom: BloomFilter | None = None
         self.bases = ((False, p_word), (True, self.inverse))
@@ -192,16 +191,11 @@ class PatternIndex:
 
 
 def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
-              counters: SearchCounters | None = None) -> Match | None:
+              counters: SearchCounters) -> Match | None:
     """Scan the text's threshold-length windows in order; extend the first hit."""
-    l_p, l_t = len(p_word), len(t_word)
-    if not 1 <= l_p <= l_t:
-        raise ValueError("kr search requires 1 <= |pattern| <= |text|")
-    if counters is None:
-        counters = SearchCounters()
     if idx.bloom is None:
         return _exact_search(idx, p_word, t_word, counters)
-    m = idx.m
+    l_p, l_t, m = len(p_word), len(t_word), idx.m
     bases = (p_word, idx.inverse)
     for tstart, value in _window_fingerprints(t_word, m, idx.params):
         counters.windows_scanned += 1
@@ -224,7 +218,7 @@ def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
         if confirmed is None:
             counters.fingerprint_false_matches += 1
             continue
-        return _extend_hit(p_word, t_word, *confirmed, tstart, counters)
+        return extend_hit(p_word, t_word, *confirmed, tstart, counters)
     return None
 
 
@@ -257,15 +251,7 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_word: Word,
             counters.fingerprint_matches += 1
             counters.confirmations += 1
             inverted, pstart = cands[0]
-            return _extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
+            return extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
     counters.windows_scanned += l_t
     return None
 
-
-def _extend_hit(p_word: Word, t_word: Word, inverted: bool, pstart: int, tstart: int,
-                counters: SearchCounters) -> Match:
-    match = match_from_seed(p_word, t_word, inverted, pstart, tstart)
-    if match is None:  # confirmed window already reaches the threshold
-        raise AssertionError("confirmed window failed to extend")
-    counters.successes += 1
-    return match

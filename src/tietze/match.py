@@ -5,8 +5,9 @@ len(R_p) <= len(R_t)) witnesses a rotation u.v of R_p or of its formal
 inverse and a rotation w.v of R_t with len(v) > len(u), i.e.
 len(v) >= useful_threshold(len(R_p)).  A search sees only the two words,
 never the presentation or its involutions.  This module holds the match
-type and its validity check, which guards every rewrite, the anchored
-brute force search and the rotation/inversion invariant signatures.  The
+type and its validity check, which guards every rewrite, the extension
+of an aligned hit that every scan shares, the anchored brute force
+search and the rotation/inversion invariant signatures.  The
 exhaustive enumeration that every strategy is tested against lives with
 the tests.
 """
@@ -138,34 +139,35 @@ def anchor_seeds(p_word: Word) -> list[tuple[bool, int, int]]:
     return seeds
 
 
-def brute_search(p_word: Word, t_word: Word,
-                 counters: SearchCounters | None = None,
-                 seeds: list[tuple[bool, int, int]] | None = None) -> Match | None:
+def extend_hit(p_word: Word, t_word: Word, inverted: bool, bpos: int, tpos: int,
+               counters: SearchCounters) -> Match:
+    """``match_from_seed`` for a hit already known to reach the threshold."""
+    match = match_from_seed(p_word, t_word, inverted, bpos, tpos)
+    if match is None:
+        raise AssertionError("threshold hit failed to extend")
+    counters.successes += 1
+    return match
+
+
+def brute_search(seeds: list[tuple[bool, int, int]], p_word: Word, t_word: Word,
+                 counters: SearchCounters) -> Match | None:
     """Anchored brute force: scan the text for anchor symbols and extend.
 
-    ``seeds`` is ``anchor_seeds(p_word)``, computed here when not given;
-    the strategies pass it cached per pattern.
+    ``seeds`` is ``anchor_seeds(p_word)``.  ``windows_scanned`` counts the
+    text symbols read: the hit position plus one on a hit, |t| on a miss.
     """
-    l_p, l_t = len(p_word), len(t_word)
-    if not 1 <= l_p <= l_t:
-        raise ValueError("brute search requires 1 <= |pattern| <= |text|")
-    if counters is None:
-        counters = SearchCounters()
-    if seeds is None:
-        seeds = anchor_seeds(p_word)
     wanted = {s for _, _, s in seeds}
-    for j in range(l_t):
-        counters.windows_scanned += 1
-        sym = t_word[j]
+    for j, sym in enumerate(t_word):
         if sym not in wanted:
             continue
         for inverted, bpos, s in seeds:
-            if s != sym:
-                continue
-            m = match_from_seed(p_word, t_word, inverted, bpos, j)
-            if m is not None:
-                counters.successes += 1
-                return m
+            if s == sym:
+                m = match_from_seed(p_word, t_word, inverted, bpos, j)
+                if m is not None:
+                    counters.windows_scanned += j + 1
+                    counters.successes += 1
+                    return m
+    counters.windows_scanned += len(t_word)
     return None
 
 

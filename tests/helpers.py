@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from tietze.automaton import LSAutomaton
+from tietze.fingerprint import PatternIndex
 from tietze.match import Match, MatchError, check_match
 from tietze.presentation import Presentation, make_presentation
 from tietze.randgen import random_reduced_word
@@ -147,6 +148,12 @@ def accepts_substring(a: LSAutomaton, s: Word) -> bool:
     for sym in s:
         state, length = a.step(state, length, sym)
     return length == len(s)
+
+
+def indexed_windows(idx: PatternIndex) -> int:
+    """Window occurrences a PatternIndex holds, over its candidate table."""
+    table = idx.exact_candidates() if idx.bloom is None else idx.candidates
+    return sum(map(len, table.values()))
 
 
 def is_valid_match(m: Match, p_word: Word, t_word: Word) -> bool:

@@ -15,6 +15,7 @@ from helpers import (
     changes_from,
     dense_presentation,
     exhaustive_oracle,
+    indexed_windows,
     is_valid_match,
     necessary_set_oracle,
     performed_set,
@@ -37,7 +38,7 @@ from tietze.skip import (
     init_pass_state,
     run_pass,
 )
-from tietze.strategies import AutomatonStrategy, make_strategy
+from tietze.strategies import make_strategy
 from tietze.verify import abelian_invariants
 from tietze.words import rotate_right, useful_threshold
 
@@ -360,8 +361,8 @@ def test_criterion_10_rolling_hash_and_window_count():
                 v = fp_roll(v, symbol_code(w[start - 1]),
                             symbol_code(w[start + m - 1]), high, params)
                 assert v == fp_init(w, start, m, params)
-        idx = PatternIndex(w, "exact", params)
-        assert idx.windows_inserted == 2 * len(w)
+        for backing in ("exact", "bloom3"):
+            assert indexed_windows(PatternIndex(w, backing, params)) == 2 * len(w)
     print("\nCRITERION 10 PASS: rolling fingerprints equal direct evaluation "
           "and every index holds exactly 2*l_p windows (1000 words)")
 
@@ -373,8 +374,8 @@ def test_criterion_11_automaton_build_cost_halved():
         pres = sparse_presentation(seed)
         sort_rel(pres)
         words = pres.words()
-        two = AutomatonStrategy("two")
-        one = AutomatonStrategy("one")
+        two = make_strategy("automaton-two")
+        one = make_strategy("automaton-one")
         c_two, c_one = SearchCounters(), SearchCounters()
         for i in range(len(words) - 1):
             for j in range(i + 1, len(words)):

@@ -12,7 +12,7 @@ from helpers import (
 from tietze.automaton import build_ls_automaton
 from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
-from tietze.strategies import AutomatonStrategy
+from tietze.strategies import make_strategy
 from tietze.words import (
     extend_front,
     invert,
@@ -89,14 +89,14 @@ def test_longest_match_lengths_against_naive():
 
 def test_search_example_both_modes():
     for mode in ("two", "one"):
-        m = AutomatonStrategy(mode).search(W("abc"), W("dab"), SearchCounters())
+        m = make_strategy(f"automaton-{mode}").search(W("abc"), W("dab"), SearchCounters())
         assert m is not None and m.v_len == 2
         assert is_valid_match(m, W("abc"), W("dab"))
 
 
 def test_modes_agree_on_success():
     rng = random.Random(43)
-    two, one = AutomatonStrategy("two"), AutomatonStrategy("one")
+    two, one = make_strategy("automaton-two"), make_strategy("automaton-one")
     for _ in range(1500):
         p, t = random_pair(rng)
         got_two = two.search(p, t, SearchCounters()) is not None
@@ -106,7 +106,7 @@ def test_modes_agree_on_success():
 
 def test_search_agrees_with_oracle():
     rng = random.Random(44)
-    strategies = [AutomatonStrategy("two"), AutomatonStrategy("one")]
+    strategies = [make_strategy("automaton-two"), make_strategy("automaton-one")]
     for _ in range(1500):
         p, t = random_pair(rng)
         want = exhaustive_oracle(p, t) is not None
@@ -119,8 +119,8 @@ def test_search_agrees_with_oracle():
 
 def test_build_counts_per_search():
     c2, c1 = SearchCounters(), SearchCounters()
-    AutomatonStrategy("two").search(W("abc"), W("dab"), c2)
-    AutomatonStrategy("one").search(W("abc"), W("dab"), c1)
+    make_strategy("automaton-two").search(W("abc"), W("dab"), c2)
+    make_strategy("automaton-one").search(W("abc"), W("dab"), c1)
     assert c2.automata_built == 2
     assert c1.automata_built == 1
 
@@ -187,7 +187,7 @@ def test_search_equals_reference_scan():
         for mode in ("two", "one"):
             want_c, got_c = SearchCounters(), SearchCounters()
             want = reference_search(p, t, mode, want_c)
-            got = AutomatonStrategy(mode).search(p, t, got_c)
+            got = make_strategy(f"automaton-{mode}").search(p, t, got_c)
             assert got == want
             assert got_c.to_dict() == want_c.to_dict()
         if want is not None:

@@ -177,6 +177,23 @@ def test_simplify_single_relator_no_pairs():
     assert stats.pairs_considered == 0
 
 
+def test_every_pass_sees_two_relators(monkeypatch):
+    """A replacement can empty a text; no pass runs before that relator is dropped."""
+    sizes = []
+    run_pass = engine.run_pass
+
+    def sized_pass(pres, *args):
+        sizes.append(len(pres.rel))
+        return run_pass(pres, *args)
+
+    monkeypatch.setattr(engine, "run_pass", sized_pass)
+    rng = random.Random(5)
+    for _ in range(100):
+        simplify(dense_presentation(rng))
+        simplify(make_presentation(*squares_words(rng)))
+    assert sizes and min(sizes) >= 2
+
+
 def test_simplify_deterministic():
     base = sparse_presentation(77)
     outs = []

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import exhaustive_oracle, is_valid_match, random_pair
+from helpers import exhaustive_oracle, indexed_windows, is_valid_match, random_pair
 from tietze.fingerprint import (
     BloomFilter,
     FingerprintParams,
@@ -110,16 +110,17 @@ def test_bloom_rejects_bad_geometry():
 
 def test_pattern_index_window_count():
     params = FingerprintParams.from_seed(1)
-    idx = PatternIndex(W("abc"), "exact", params)
-    assert idx.windows_inserted == 6
-    assert idx.m == 2
+    for backing in ("exact", "bloom3", "bloom4"):
+        idx = PatternIndex(W("abc"), backing, params)
+        assert indexed_windows(idx) == 6
+        assert idx.m == 2
 
 
 def test_pattern_index_single_symbol():
     params = FingerprintParams.from_seed(1)
     idx = PatternIndex(W("a"), "exact", params)
     assert idx.m == 1
-    assert idx.windows_inserted == 2
+    assert indexed_windows(idx) == 2
     assert len(idx.exact_candidates()) == 2  # the symbol and its inverse
 
 
@@ -127,7 +128,7 @@ def test_pattern_index_collapses_duplicate_windows():
     params = FingerprintParams.from_seed(1)
     # invert("abAB") is a rotation of itself, so windows coincide
     idx = PatternIndex(W("abAB"), "exact", params)
-    assert idx.windows_inserted == 8
+    assert indexed_windows(idx) == 8
     assert len(idx.exact_candidates()) <= 8
 
 

@@ -28,13 +28,20 @@ def test_every_traced_layer_is_called(tmp_path):
     tracer = tracer_mod.Tracer()
     tracer.install({"cli": cli, "engine": engine, "presentation": presentation,
                     "strategies": strategies})
+    # every --match choice: brute, signature, kr-hash, kr-bloom, automaton
+    matches = tuple(dict.fromkeys(spec.flags[0] for spec in strategies.STRATEGIES.values()))
+    index_builds = {}
     try:
-        for match in ("brute", "kr-hash", "automaton"):
+        for match in matches:
+            before = tracer.layer_calls("fingerprint.index_build")
             out = str(tmp_path / f"{match}.pres")
             assert cli.main(["simplify", inp, "-o", out, "--match", match]) == 0
+            index_builds[match] = tracer.layer_calls("fingerprint.index_build") - before
     finally:
         tracer.uninstall()
     layers = {layer for _, _, layer in tracer_mod.TRACED_NAMES} | {"match.search"}
     uncalled = sorted(layer for layer in layers if tracer.layer_calls(layer) == 0)
     assert uncalled == []
-    assert len(tracer.reorders) == 3  # the simplify shim saw every run
+    assert len(tracer.reorders) == len(matches)  # the simplify shim saw every run
+    # both backings build their indexes through the traced name
+    assert index_builds["kr-hash"] > 0 and index_builds["kr-bloom"] > 0
