@@ -1,21 +1,19 @@
-"""Longest-substring automaton over a pattern word.
+"""Longest-substring automaton over one or two pattern words.
 
-The automaton recognizes exactly the substrings of the indexed word and,
-scanned over a text, yields at each position the length of the longest
-indexed substring ending there.  It is a suffix automaton (at most
-2*len(P) states) whose transitions are resolved into flat per-symbol
-next_state / next_length tables, so a step is a single dictionary probe:
-next_length caps the running length after a fallback through suffix
-links.  Space is O(len(P) * alphabet) for the resolved tables.
+The suffix automaton of a set of words (the DAWG of Blumer et al., at
+most 2*(total length) states) recognizes exactly their substrings; each
+word is inserted from the initial state.  Its transitions are resolved
+into flat per-symbol (next state, next length) tables, so a step is one
+dictionary probe: next length caps the running length after a fallback
+through suffix links.  Per word k, ``first_end[k][s]`` is the least end
+position in word k of the strings of state s, and ``owner[k][s]`` is s if
+they occur in word k, else the nearest suffix-link ancestor whose do.
 
-A search builds each extended text once (mode ``two`` scans the same one
-with both automata) and scans it with one tight loop.  The loop inlines
-``LSAutomaton.step``, which stays as the one-symbol reference: per symbol
-it probes the resolved table, unpacks the next state and cap, and raises
-the running length by one up to the cap; a dead symbol reads as state 0
-with cap 0.  ``windows_scanned`` counts the symbols fed and is added once
-per scan: the hit position plus one on a hit, the whole extended text on
-a miss.
+Mode ``two`` indexes the extended pattern and its inverse and scans the
+extended text once; mode ``one`` indexes the extended pattern and scans
+the extended text, then the extended inverted text.  ``windows_scanned``
+is counted per indexed word, once per scan: the hit position plus one on
+a hit, the whole extended text on a miss.
 """
 
 from __future__ import annotations
@@ -25,48 +23,69 @@ from .words import Word, extend_front, invert, useful_threshold
 
 
 class LSAutomaton:
-    def __init__(self, word: Word):
-        if len(word) < 1:
+    def __init__(self, *words: Word):
+        if min(map(len, words)) < 1:
             raise ValueError("cannot build an automaton for the empty word")
-        self.word = word
-        # raw suffix automaton arrays
+        self.words = words
+        # raw suffix automaton arrays; ends[k] lists the state holding each
+        # prefix of word k, which stays the longest string of that state
         maxlen = [0]
         link = [-1]
         nxt: list[dict[int, int]] = [{}]
-        first_end = [0]
-        last = 0
-        for i, c in enumerate(word):
-            cur = len(maxlen)
-            maxlen.append(maxlen[last] + 1)
-            link.append(0)
-            nxt.append({})
-            first_end.append(i + 1)
-            p = last
-            while p >= 0 and c not in nxt[p]:
-                nxt[p][c] = cur
+        ends: list[list[int]] = []
+
+        def clone_of(p: int, c: int, q: int) -> int:
+            clone = len(maxlen)
+            maxlen.append(maxlen[p] + 1)
+            link.append(link[q])
+            nxt.append(dict(nxt[q]))
+            while p >= 0 and nxt[p].get(c) == q:
+                nxt[p][c] = clone
                 p = link[p]
-            if p >= 0:
-                q = nxt[p][c]
-                if maxlen[p] + 1 == maxlen[q]:
-                    link[cur] = q
+            link[q] = clone
+            return clone
+
+        for word in words:
+            last = 0
+            ends.append([])
+            for c in word:
+                q = nxt[last].get(c)
+                if q is not None:
+                    # the extended prefix is already a substring: reuse its
+                    # state when it is the longest there, else split it off
+                    last = q if maxlen[last] + 1 == maxlen[q] else clone_of(last, c, q)
                 else:
-                    clone = len(maxlen)
-                    maxlen.append(maxlen[p] + 1)
-                    link.append(link[q])
-                    nxt.append(dict(nxt[q]))
-                    first_end.append(first_end[q])
-                    while p >= 0 and nxt[p].get(c) == q:
-                        nxt[p][c] = clone
+                    cur = len(maxlen)
+                    maxlen.append(maxlen[last] + 1)
+                    link.append(0)
+                    nxt.append({})
+                    p = last
+                    while p >= 0 and c not in nxt[p]:
+                        nxt[p][c] = cur
                         p = link[p]
-                    link[q] = clone
-                    link[cur] = clone
-            last = cur
+                    if p >= 0:
+                        q = nxt[p][c]
+                        link[cur] = q if maxlen[p] + 1 == maxlen[q] else clone_of(p, c, q)
+                    last = cur
+                ends[-1].append(last)
         self.max_len = maxlen
-        self.first_end = first_end
-        # resolve fallbacks: per state, symbol -> (next state, next length).
         # Parents in the suffix-link tree have strictly smaller max_len, so
-        # resolving in max_len order sees the parent table first.
+        # max_len order visits every parent before its children.
         order = sorted(range(len(maxlen)), key=lambda s: maxlen[s])
+        never = max(map(len, words)) + 1
+        self.first_end, self.owner = [], []  # per word: list over states
+        for word_ends in ends:
+            first = [never] * len(maxlen)
+            for pos, s in enumerate(word_ends, 1):
+                first[s] = pos
+            for s in reversed(order[1:]):
+                first[link[s]] = min(first[link[s]], first[s])
+            owner = [0] * len(maxlen)
+            for s in order[1:]:
+                owner[s] = s if first[s] < never else owner[link[s]]
+            self.first_end.append(first)
+            self.owner.append(owner)
+        # resolve fallbacks: per state, symbol -> (next state, next length)
         table: list[dict[int, tuple[int, int]]] = [dict() for _ in maxlen]
         for s in order:
             if link[s] >= 0:
@@ -75,65 +94,67 @@ class LSAutomaton:
                 table[s][c] = (q, maxlen[s] + 1)
         self.table = table
 
-    def step(self, state: int, length: int, sym: int) -> tuple[int, int]:
-        """One scan step; falls back to the initial state on a dead symbol."""
-        hit = self.table[state].get(sym)
-        if hit is None:
-            return 0, 0
-        nstate, nlength = hit
-        return nstate, min(length + 1, nlength)
 
-
-def build_ls_automaton(word: Word) -> LSAutomaton:
-    return LSAutomaton(word)
+def build_ls_automaton(*words: Word) -> LSAutomaton:
+    return LSAutomaton(*words)
 
 
 # table entry of a symbol absent from a state: back to the initial state
 _DEAD = (0, 0)
 
 
-def _scan_for_match(a: LSAutomaton, scan_text: Word, m: int, p_word: Word, t_word: Word,
-                    inverted_pattern: bool, inverted_text: bool,
-                    counters: SearchCounters) -> Match | None:
-    """Scan one extended text and turn the first threshold hit into a Match."""
-    table = a.table
+def _scan(a: LSAutomaton, text: Word, m: int,
+          counters: SearchCounters) -> tuple[int, int, int] | None:
+    """Word 0's first threshold hit in one scan of text, else word 1's.
+
+    Returns (word index, least end position in that word of the matched
+    string, text position) or None.
+    """
+    table, max_len, owner = a.table, a.max_len, a.owner[0]
     state = length = 0
-    for idx, sym in enumerate(scan_text):
+    second = None
+    for idx, sym in enumerate(text):
         state, cap = table[state].get(sym, _DEAD)
         length = length + 1 if length < cap else cap
         if length < m:
             continue
-        counters.windows_scanned += idx + 1
-        # some occurrence of the matched string ends at first_end in the
-        # indexed word; map both ends back onto the original circles
-        l_p, l_t = len(p_word), len(t_word)
-        p_end = (a.first_end[state] - 1) % l_p
-        t_end = idx % l_t
-        if inverted_text:
-            # the hit pairs pattern with invert(text); reflect it onto the
-            # inverted pattern equivalent against the original text
-            p_end, t_end = (l_p - 1 - p_end) % l_p, (l_t - 1 - t_end) % l_t
-        return extend_hit(p_word, t_word, inverted_pattern or inverted_text, p_end, t_end,
-                          counters)
-    counters.windows_scanned += len(scan_text)
-    return None
+        # the running length is the longer of the words' matches; word 0's
+        # grows by at most one per symbol, so its first hit is exactly m long
+        o = owner[state]
+        if o == state or max_len[o] >= m:
+            counters.windows_scanned += idx + 1
+            return 0, a.first_end[0][o], idx
+        # word 1 holds the running match, m long at its first hit
+        if second is None:
+            second = (1, a.first_end[1][state], idx)
+    # per indexed word: word 0 read the whole text, word 1 up to its hit
+    counters.windows_scanned += (len(text) * len(a.words) if second is None
+                                 else len(text) + second[2] + 1)
+    return second
 
 
-def automaton_search(automata: tuple[LSAutomaton, ...], p_word: Word, t_word: Word,
+def automaton_search(a: LSAutomaton, p_word: Word, t_word: Word,
                      counters: SearchCounters) -> Match | None:
-    """Automaton-backed ComStr over automata prebuilt for the pattern.
+    """Automaton-backed ComStr over an automaton prebuilt for the pattern.
 
-    The automata given choose the variant: two (mode ``two``, for the
-    extended pattern and its inverse) each scan the extended text; one
+    An automaton over the extended pattern and its inverse (mode ``two``)
+    scans the extended text once; one over the extended pattern alone
     (mode ``one``) scans the extended text, then the extended inverted text.
     """
     m = useful_threshold(len(p_word))
     # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
-    scan_text = extend_front(t_word, m - 1)
-    found = _scan_for_match(automata[0], scan_text, m, p_word, t_word, False, False, counters)
-    if found is not None:
-        return found
-    if len(automata) == 2:
-        return _scan_for_match(automata[1], scan_text, m, p_word, t_word, True, False, counters)
-    return _scan_for_match(automata[0], extend_front(invert(t_word), m - 1), m,
-                           p_word, t_word, False, True, counters)
+    hit = _scan(a, extend_front(t_word, m - 1), m, counters)
+    inverted_text = hit is None and len(a.words) == 1
+    if inverted_text:
+        hit = _scan(a, extend_front(invert(t_word), m - 1), m, counters)
+    if hit is None:
+        return None
+    # map both ends of the hit back onto the original circles
+    k, end, idx = hit
+    l_p, l_t = len(p_word), len(t_word)
+    p_end, t_end = (end - 1) % l_p, idx % l_t
+    if inverted_text:
+        # the hit pairs pattern with invert(text); reflect it onto the
+        # inverted pattern equivalent against the original text
+        p_end, t_end = (l_p - 1 - p_end) % l_p, (l_t - 1 - t_end) % l_t
+    return extend_hit(p_word, t_word, bool(k) or inverted_text, p_end, t_end, counters)

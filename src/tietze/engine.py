@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 
-from .match import Match, SearchCounters, check_match, pattern_equivalent
+from .match import Match, SearchCounters, check_match
 from .presentation import (
     Presentation,
     RelatorRecord,
@@ -99,10 +99,8 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
     With the pattern equivalent u.v and the text rotation w.v, the text
     becomes w.u^-1, reduced; strictly shorter since v is longer than u.
     """
-    check_match(m, p_word, t_word)  # engine bug guard
-    u = pattern_equivalent(m, p_word)[:m.u_len]
-    te = rotate_right(t_word, m.text_rot)
-    w = te[:len(t_word) - m.v_len]
+    pe, te = check_match(m, p_word, t_word)  # engine bug guard
+    w, u = te[:len(t_word) - m.v_len], pe[:m.u_len]
     return reduce_cyclic_word(w + invert(u))
 
 

@@ -27,7 +27,11 @@ from .words import (
 
 @dataclass
 class SearchCounters:
-    """Match-level diagnostic counters, accumulated across searches."""
+    """Match-level diagnostic counters, accumulated across searches.
+
+    The automata count ``automata_built`` and ``windows_scanned`` per
+    indexed pattern word, also where two words share one automaton.
+    """
 
     windows_scanned: int = 0
     filter_hits: int = 0
@@ -63,13 +67,11 @@ class MatchError(ValueError):
     """A Match that violates its invariants against the given words."""
 
 
-def pattern_equivalent(m: Match, p_word: Word) -> Word:
-    base = invert(p_word) if m.inverted else p_word
-    return rotate_right(base, m.pattern_rot)
+def check_match(m: Match, p_word: Word, t_word: Word) -> tuple[Word, Word]:
+    """Raise MatchError unless ``m`` is a valid witness for the pair.
 
-
-def check_match(m: Match, p_word: Word, t_word: Word) -> None:
-    """Raise MatchError unless ``m`` is a valid witness for the pair."""
+    Returns the compared pattern equivalent and text rotation.
+    """
     l_p, l_t = len(p_word), len(t_word)
     if m.u_len + m.v_len != l_p:
         raise MatchError(f"u+v = {m.u_len}+{m.v_len} != pattern length {l_p}")
@@ -79,10 +81,11 @@ def check_match(m: Match, p_word: Word, t_word: Word) -> None:
         raise MatchError("v segment below usefulness threshold")
     if m.v_len > l_t:
         raise MatchError("v segment longer than text")
-    pe = pattern_equivalent(m, p_word)
+    pe = rotate_right(invert(p_word) if m.inverted else p_word, m.pattern_rot)
     te = rotate_right(t_word, m.text_rot)
     if pe[m.u_len:] != te[l_t - m.v_len:]:
         raise MatchError("v segments differ between pattern and text")
+    return pe, te
 
 
 def extend_seed(base: Word, t_word: Word, bpos: int, tpos: int) -> tuple[int, int, int]:

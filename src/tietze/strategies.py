@@ -4,7 +4,7 @@ A strategy answers search(pattern word, text word, counters), which
 sees only the two words, with an optional Match and must agree with the
 exhaustive enumeration of all rotation alignments on success/failure.
 Each is one ``Strategy``: it prepares per-pattern state (anchor seeds, a
-``PatternIndex`` or automata) and keeps it for the current pattern word,
+``PatternIndex`` or an automaton) and keeps it for the current pattern word,
 which matches how the engine drives it: one pattern against many texts.
 
 ``STRATEGIES`` is the one table of strategy names: it maps each full name
@@ -82,7 +82,7 @@ def _automaton(mode: str):
         ext = useful_threshold(len(p_word)) - 1
         bases = (p_word, invert(p_word)) if mode == "two" else (p_word,)
         counters.automata_built += len(bases)
-        return tuple(build_ls_automaton(extend_front(w, ext)) for w in bases)
+        return build_ls_automaton(*(extend_front(w, ext) for w in bases))
 
     return lambda *_: Strategy(prepare, automaton_search)
 

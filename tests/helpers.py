@@ -1,5 +1,5 @@
 """Shared test utilities: corpora, scripted searchers, reference oracles,
-and automaton queries built on ``LSAutomaton.step``."""
+and the one-symbol automaton step with the queries built on it."""
 
 from __future__ import annotations
 
@@ -123,31 +123,48 @@ def naive_circular_substrings(w: Word) -> set[Word]:
     return out
 
 
-def state_count(a: LSAutomaton) -> int:
-    return len(a.max_len)
+def step(a: LSAutomaton, state: int, length: int, sym: int) -> tuple[int, int]:
+    """One scan step, the reference for the inlined scan loop; falls back
+    to the initial state on a dead symbol."""
+    hit = a.table[state].get(sym)
+    if hit is None:
+        return 0, 0
+    nstate, nlength = hit
+    return nstate, min(length + 1, nlength)
 
 
-def longest_match_lengths(a: LSAutomaton, text: Word) -> list[int]:
-    """Longest indexed substring ending at each text position."""
+def word_match_length(a: LSAutomaton, k: int, state: int, length: int) -> int:
+    """Word k's longest match where the scan stands at (state, length)."""
+    owner = a.owner[k][state]
+    return length if owner == state else a.max_len[owner]
+
+
+def state_count(a: LSAutomaton, k: int = 0) -> int:
+    """States whose strings occur in word k."""
+    return sum(owner == s for s, owner in enumerate(a.owner[k]))
+
+
+def longest_match_lengths(a: LSAutomaton, text: Word, k: int = 0) -> list[int]:
+    """Longest substring of word k ending at each text position."""
     out = []
     state, length = 0, 0
     for sym in text:
-        state, length = a.step(state, length, sym)
-        out.append(length)
+        state, length = step(a, state, length, sym)
+        out.append(word_match_length(a, k, state, length))
     return out
 
 
-def accepts_substring(a: LSAutomaton, s: Word) -> bool:
-    """Whether s is a (linear) substring of the indexed word.
+def accepts_substring(a: LSAutomaton, s: Word, k: int = 0) -> bool:
+    """Whether s is a (linear) substring of word k.
 
-    The running length after feeding s from the initial state is the
-    length of the longest suffix of s that is a substring, so it reaches
-    len(s) exactly when s itself is one.
+    Word k's match length after feeding s from the initial state is the
+    length of the longest suffix of s that is a substring of word k, so it
+    reaches len(s) exactly when s itself is one.
     """
     state = length = 0
     for sym in s:
-        state, length = a.step(state, length, sym)
-    return length == len(s)
+        state, length = step(a, state, length, sym)
+    return word_match_length(a, k, state, length) == len(s)
 
 
 def indexed_windows(idx: PatternIndex) -> int:

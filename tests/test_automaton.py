@@ -8,13 +8,16 @@ from helpers import (
     longest_match_lengths,
     random_pair,
     state_count,
+    step,
 )
+from tietze import automaton, strategies
 from tietze.automaton import build_ls_automaton
 from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
 from tietze.strategies import make_strategy
 from tietze.words import (
     extend_front,
+    free_reduce,
     invert,
     reduce_cyclic_word,
     rotate_right,
@@ -55,13 +58,13 @@ def test_feeding_pattern_reaches_full_length():
     a = build_ls_automaton(W("abcd"))
     state, length = 0, 0
     for sym in W("abc"):
-        state, length = a.step(state, length, sym)
+        state, length = step(a, state, length, sym)
     assert length == 3
 
 
 def test_absent_symbol_falls_to_initial():
     a = build_ls_automaton(W("abcd"))
-    state, length = a.step(0, 0, 26)
+    state, length = step(a, 0, 0, 26)
     assert (state, length) == (0, 0)
 
 
@@ -73,7 +76,7 @@ def test_step_increases_length_by_at_most_one():
         a = build_ls_automaton(p)
         state, length = 0, 0
         for sym in t:
-            state, nlength = a.step(state, length, sym)
+            state, nlength = step(a, state, length, sym)
             assert nlength <= length + 1
             length = nlength
 
@@ -126,10 +129,12 @@ def test_build_counts_per_search():
 
 
 def reference_search(p, t, mode, counters):
-    """The automaton search with one ``LSAutomaton.step`` call per symbol.
+    """The automaton search with one ``step`` call per symbol.
 
-    Builds its own automata and counts every symbol as it is fed, where
-    ``automaton_search`` inlines the step and counts once per scan.
+    Builds its own single-word automata, one per indexed word, scans the
+    text once per automaton and counts every symbol as it is fed, where
+    ``automaton_search`` shares one automaton between the pattern and its
+    inverse, inlines the step and counts once per scan.
     """
     l_p, l_t = len(p), len(t)
     m = useful_threshold(l_p)
@@ -145,10 +150,10 @@ def reference_search(p, t, mode, counters):
         state, length = 0, 0
         for idx, sym in enumerate(text):
             counters.windows_scanned += 1
-            state, length = a.step(state, length, sym)
+            state, length = step(a, state, length, sym)
             if length < m:
                 continue
-            p_end = (a.first_end[state] - 1) % l_p
+            p_end = (a.first_end[0][state] - 1) % l_p
             t_end = idx % l_t
             if inverted_text:
                 found = match_from_seed(p, t, True, (l_p - 1 - p_end) % l_p,
@@ -196,3 +201,105 @@ def test_search_equals_reference_scan():
             hits["wide"] += max(map(abs, p + t)) > 100
             hits["inverted"] += want.inverted
     assert min(hits.values()) > 50, hits
+
+
+def naive_first_end(word, s):
+    """The least end position (one past the last symbol) of s in word."""
+    return next(e for e in range(len(s), len(word) + 1) if word[e - len(s):e] == s)
+
+
+def pattern_and_inverse(rng):
+    """A random pattern and its inverse, extended as the strategy extends
+    them half the time.  Half the patterns are conjugates u.v.u^-1, which
+    share the long factors u and u^-1 with their inverse u.v^-1.u^-1."""
+    d = rng.choice((2, 3, 5))
+    if rng.random() < 0.5:
+        u = random_reduced_word(rng, d, rng.randint(1, 6))
+        p = free_reduce(u + random_reduced_word(rng, d, rng.randint(1, 4)) + invert(u))
+    else:
+        p = random_reduced_word(rng, d, rng.randint(1, 12))
+    words = (p, invert(p))
+    if rng.random() < 0.5:
+        words = tuple(extend_front(w, useful_threshold(len(p)) - 1) for w in words)
+    return d, words
+
+
+def mixed_text(rng, d, words):
+    """Random symbols mixed with pieces of the indexed words."""
+    text = ()
+    while len(text) < 24:
+        if rng.random() < 0.6:
+            w = rng.choice(words)
+            i = rng.randrange(len(w))
+            text += w[i:i + rng.randint(1, len(w))]
+        else:
+            text += random_reduced_word(rng, d, rng.randint(1, 3))
+    return text
+
+
+def test_shared_automaton_answers_for_each_word():
+    rng = random.Random(46)
+    for _ in range(300):
+        d, words = pattern_and_inverse(rng)
+        a = build_ls_automaton(*words)
+        assert len(a.max_len) <= 2 * sum(map(len, words))
+        for k, w in enumerate(words):
+            for _ in range(3):
+                text = mixed_text(rng, d, words)
+                assert longest_match_lengths(a, text, k) == naive_longest_match_lengths(w, text)
+            for sub in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
+                state = length = 0
+                for sym in sub:
+                    state, length = step(a, state, length, sym)
+                assert length == len(sub) and a.owner[k][state] == state
+                assert a.first_end[k][state] == naive_first_end(w, sub)
+
+
+class FedWord(tuple):
+    """A word that counts the symbols read from it by iteration."""
+
+    fed = 0
+
+    def __iter__(self):
+        for sym in tuple.__iter__(self):
+            self.fed += 1
+            yield sym
+
+
+def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
+    builds, texts = [], []
+    build, extend = strategies.build_ls_automaton, automaton.extend_front
+
+    def counting_build(*words):
+        builds.append(words)
+        return build(*words)
+
+    def fed_extend(w, k):
+        texts.append(FedWord(extend(w, k)))
+        return texts[-1]
+
+    monkeypatch.setattr(strategies, "build_ls_automaton", counting_build)
+    monkeypatch.setattr(automaton, "extend_front", fed_extend)
+    a, b, miss = W("abc"), W("abd"), W("xyzw")
+    for mode, words in (("two", 2), ("one", 1)):
+        strategy = make_strategy(f"automaton-{mode}")
+        builds.clear()
+        for p in (a, a, b, a):
+            texts.clear()
+            counters = SearchCounters()
+            assert strategy.search(p, miss, counters) is None
+            # mode two: one pass over the extended text; mode one: one over
+            # it and one over the extended inverted text
+            assert len(texts) == 3 - words
+            assert all(t.fed == len(t) == len(miss) + 1 for t in texts)
+            # counted per indexed word, as if each were scanned on its own
+            assert counters.windows_scanned == 2 * len(texts[0])
+        assert [len(ws) for ws in builds] == [words] * 3
+    # a hit on the inverse in mode two still reads the text once, to its end
+    texts.clear()
+    counters = SearchCounters()
+    found = make_strategy("automaton-two").search(a, W("xyCB"), counters)
+    assert found is not None and found.inverted
+    assert len(texts) == 1 and texts[0].fed == len(texts[0]) == 5
+    # word 0 misses the 5 symbols; word 1 first hits "CB" at position 3
+    assert counters.windows_scanned == 5 + 4

@@ -29,19 +29,25 @@ def test_every_traced_layer_is_called(tmp_path):
     tracer.install({"cli": cli, "engine": engine, "presentation": presentation,
                     "strategies": strategies})
     # every --match choice: brute, signature, kr-hash, kr-bloom, automaton
-    matches = tuple(dict.fromkeys(spec.flags[0] for spec in strategies.STRATEGIES.values()))
-    index_builds = {}
+    # (the default --automata two), then the automaton with --automata one
+    runs = {match: ["--match", match] for match in
+            dict.fromkeys(spec.flags[0] for spec in strategies.STRATEGIES.values())}
+    runs["automaton-one"] = ["--match", "automaton", "--automata", "one"]
+    build_layers = ("fingerprint.index_build", "automaton.build")
+    builds = {}
     try:
-        for match in matches:
-            before = tracer.layer_calls("fingerprint.index_build")
-            out = str(tmp_path / f"{match}.pres")
-            assert cli.main(["simplify", inp, "-o", out, "--match", match]) == 0
-            index_builds[match] = tracer.layer_calls("fingerprint.index_build") - before
+        for name, flags in runs.items():
+            before = [tracer.layer_calls(layer) for layer in build_layers]
+            out = str(tmp_path / f"{name}.pres")
+            assert cli.main(["simplify", inp, "-o", out, *flags]) == 0
+            builds[name] = [tracer.layer_calls(layer) - b for layer, b in zip(build_layers, before)]
     finally:
         tracer.uninstall()
     layers = {layer for _, _, layer in tracer_mod.TRACED_NAMES} | {"match.search"}
     uncalled = sorted(layer for layer in layers if tracer.layer_calls(layer) == 0)
     assert uncalled == []
-    assert len(tracer.reorders) == len(matches)  # the simplify shim saw every run
-    # both backings build their indexes through the traced name
-    assert index_builds["kr-hash"] > 0 and index_builds["kr-bloom"] > 0
+    assert len(tracer.reorders) == len(runs)  # the simplify shim saw every run
+    # both backings build their indexes through the traced name, and so do
+    # both automaton modes
+    assert builds["kr-hash"][0] > 0 and builds["kr-bloom"][0] > 0
+    assert builds["automaton"][1] > 0 and builds["automaton-one"][1] > 0
