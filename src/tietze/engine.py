@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import chain
 
 from .match import Match, SearchCounters, check_match
@@ -206,7 +205,8 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
         changed_any = True
 
 
-def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> bool:
+def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
+                   on_change=None) -> bool:
     """One elimination of a generator occurring exactly once in some relator.
 
     Among candidates (g occurs once in R, len(R) > 2), picks the pair
@@ -219,9 +219,9 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, on_change=None) -> boo
     (``RelatorRecord.once``), so only relators rewritten since the last
     call are recounted.  Ties break on (score, g, relator id).  The live
     records that the substitution and the involution normalization after
-    it rewrite are handed to ``on_change``, in that order.
+    it rewrite are handed to ``on_change``, in that order.  ``total`` is
+    the current total relator length, which the caller already knows.
     """
-    total = pres.total_length()
     limit = cfg.growth_limit * total
     occurrences = Counter(map(abs, chain.from_iterable(r.word for r in pres.rel)))
     best = None
@@ -281,6 +281,13 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
 
     ``record`` is handed straight to every ``run_pass`` and only observes.
     Eliminations mark the live records they rewrite changed, in order.
+
+    Boundary maintenance (sorting and duplicate removal) runs before a
+    pass only when a relator was rewritten since it last ran: dropping
+    emptied relators and relabelling generators keep the sequence sorted
+    and free of duplicates.  The total length is computed once at each
+    phase boundary where it may have moved and carried across the others;
+    both length guards compare against it.
     """
     if cfg is None:
         cfg = EngineConfig()
@@ -293,50 +300,64 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     strategy = make_strategy(cfg.match_strategy, cfg.seed, cfg.bloom_log2_size)
     searcher = ReplacingSearcher(strategy, stats.counters)
     ctx = PassContext(policy=cfg.skip_policy)
-    on_change = partial(mark_changed, pres, ctx)
+    # the initial normalization below may rewrite relators
+    rewritten = True
+
+    def on_change(rec: RelatorRecord) -> None:
+        nonlocal rewritten
+        rewritten = True
+        mark_changed(pres, ctx, rec)
 
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
     normalize_involutions(pres)
     init_pass_state(pres, ctx)
+    length = pres.total_length()
 
     while True:
         progress = False
 
         t0 = time.perf_counter()
-        before = pres.total_length()
         changed_short, elims = short_eliminate(pres, on_change)
-        if pres.total_length() > before:
-            raise EngineError("short elimination increased total length")
+        if changed_short:
+            before, length = length, pres.total_length()
+            if length > before:
+                raise EngineError("short elimination increased total length")
         stats.short_elims += elims
         progress |= changed_short
         timings["short_elim"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         while stats.passes < cfg.max_passes:
-            _boundary_maintenance(pres)
+            if rewritten:
+                count = len(pres.rel)
+                _boundary_maintenance(pres)
+                if len(pres.rel) != count:
+                    length = pres.total_length()
+                rewritten = False
             if len(pres.rel) < 2:
                 break
-            before = pres.total_length()
             considered, performed, successful = run_pass(pres, ctx, searcher, record)
             stats.passes += 1
             stats.pairs_considered += considered
             stats.searches_performed += performed
             stats.searches_skipped += considered - performed
             stats.searches_successful += successful
-            if pres.total_length() > before:
-                raise EngineError("replacement pass increased total length")
             if not successful:
                 break
-            progress = True
+            rewritten = progress = True
+            before, length = length, pres.total_length()
+            if length > before:
+                raise EngineError("replacement pass increased total length")
         timings["replacement"] += time.perf_counter() - t0
 
         if cfg.long_elim_enabled:
             t0 = time.perf_counter()
-            did_long = long_eliminate(pres, cfg, on_change)
+            did_long = long_eliminate(pres, cfg, length, on_change)
             timings["long_elim"] += time.perf_counter() - t0
             if did_long:
+                length = pres.total_length()
                 stats.long_elims += 1
                 continue
         if not progress:

@@ -7,11 +7,11 @@ The exact backing (``kr-hash``) keys its table on the windows themselves:
 each word is packed once as machine ints (``array("i")``) and every window
 is a bytes slice of that buffer, so slicing, hashing and lookup all run in
 C and a table hit is already an exact match.  It never reports a
-fingerprint false match.  Before that scan it samples the text's q-grams
-(q = ceil(m/2), every m - q + 1 positions) against the set of the
-pattern's q-grams; every window contains a sample, so when no sample hits
-the text is a proven miss and is never packed, and when one does the scan
-starts at the earliest window that can contain that sample.
+fingerprint false match.  It filters first: it samples the text's q-grams
+(q = ``sample_length(m)``, every m - q + 1 positions) against the set of
+the pattern's q-grams.  Every window contains exactly one sample, so when
+no sample hits the text is a proven miss and is never packed; when one
+does, only the m - q + 1 windows that contain that sample are looked up.
 
 The Bloom backings (``kr-bloom3``/``kr-bloom4``) need a numeric key, so they
 roll Karp-Rabin fingerprints: symbols are coded densely, code(g) = 2g for
@@ -121,6 +121,20 @@ class BloomFilter:
 
 _ITEM = array("i").itemsize
 
+# the longest q-gram the exact backing samples
+QGRAM_CAP = 8
+
+
+def sample_length(m: int) -> int:
+    """q of the exact backing's q-gram filter for threshold length m.
+
+    Any q <= m keeps the filter sound (the q-gram lemma): a window equal
+    to a pattern window has only pattern q-grams.  Half the window, capped
+    at ``QGRAM_CAP``, keeps the pattern's q-gram set cheap to build and
+    the samples far apart (stride m - q + 1) on long patterns.
+    """
+    return min((m + 1) // 2, QGRAM_CAP)
+
 
 def _pack(w: Word, m: int) -> bytes:
     """``w`` extended by its first m - 1 symbols, as native ints.
@@ -143,13 +157,13 @@ class PatternIndex:
     false Bloom hits can be counted.
 
     The exact backing also keeps ``qgrams``, the circular q-grams of both
-    bases as tuples, with q = ceil(m/2), and ``stride`` = m - q + 1.  Any
-    m-window [i, i + m) of the text contains the q-gram at the one multiple
-    of the stride in [i, i + m - q], and a key window's q-grams are pattern
-    q-grams, so a text none of whose sampled q-grams is in the set holds no
-    key window and is rejected without being packed.  The exact
-    ``candidates`` table is built by ``exact_candidates`` on the first
-    sample hit, so a pattern whose every text misses never builds it.
+    bases as tuples, with q = ``sample_length(m)``, and ``stride`` =
+    m - q + 1.  Any m-window [i, i + m) of the text contains the q-gram at
+    the one multiple of the stride in [i, i + m - q], and a key window's
+    q-grams are pattern q-grams, so a text none of whose sampled q-grams is
+    in the set holds no key window and is rejected without being packed.
+    The exact ``candidates`` table is built by ``exact_candidates`` on the
+    first sample hit, so a pattern whose every text misses never builds it.
     """
 
     def __init__(self, p_word: Word, backing: str, params: FingerprintParams,
@@ -165,7 +179,7 @@ class PatternIndex:
         self.bloom: BloomFilter | None = None
         self.bases = ((False, p_word), (True, self.inverse))
         if backing == "exact":
-            q = self.q = (self.m + 1) // 2
+            q = self.q = sample_length(self.m)
             self.stride = self.m - q + 1
             self.qgrams = {ext[i:i + q] for ext in (extend_front(p_word, q - 1),
                                                     extend_front(self.inverse, q - 1))
@@ -226,32 +240,34 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_word: Word,
                   counters: SearchCounters) -> Match | None:
     """The exact backing: the first text window whose bytes are a table key.
 
-    The sampled q-grams go first (see ``PatternIndex``).  No key window
-    starts more than m - q before the first sample that hits, so the byte
-    scan begins there and still finds the first key window.
+    The samples (see ``PatternIndex``) are taken in order, straight from
+    the text, wrapping past its end.  Sample j lies in exactly the windows
+    starting in [j - (m - q), j], and these ranges follow one another
+    without overlap, so looking up, in order, only the windows of each
+    hitting sample still finds the first key window, and looks up each
+    window at most once.  The text is packed on the first hit.
     """
     l_t, m, q = len(t_word), idx.m, idx.q
-    ext = t_word + t_word[:m - 1]
     qgrams = idx.qgrams
-    for first in range(0, l_t + m - q, idx.stride):
-        if ext[first:first + q] in qgrams:
-            break
-    else:
-        counters.windows_scanned += l_t
-        return None
-    packed = array("i", ext).tobytes()
     span = m * _ITEM
-    get = idx.exact_candidates().get
-    for offset in range(max(0, first - (m - q)) * _ITEM, l_t * _ITEM, _ITEM):
-        cands = get(packed[offset:offset + span])
-        if cands is not None:
-            tstart = offset // _ITEM
-            counters.windows_scanned += tstart + 1
-            counters.filter_hits += 1
-            counters.fingerprint_matches += 1
-            counters.confirmations += 1
-            inverted, pstart = cands[0]
-            return extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
+    packed = None
+    for j in range(0, l_t + m - q, idx.stride):
+        k = j % l_t
+        sample = t_word[k:k + q] if k + q <= l_t else t_word[k:] + t_word[:k + q - l_t]
+        if sample not in qgrams:
+            continue
+        if packed is None:
+            packed = array("i", t_word + t_word[:m - 1]).tobytes()
+            get = idx.exact_candidates().get
+        for offset in range(max(0, j - m + q) * _ITEM, min(j + 1, l_t) * _ITEM, _ITEM):
+            cands = get(packed[offset:offset + span])
+            if cands is not None:
+                tstart = offset // _ITEM
+                counters.windows_scanned += tstart + 1
+                counters.filter_hits += 1
+                counters.fingerprint_matches += 1
+                counters.confirmations += 1
+                inverted, pstart = cands[0]
+                return extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
     counters.windows_scanned += l_t
     return None
-

@@ -36,9 +36,12 @@ class RelatorRecord:
     last time it was changed; their value domain depends on the active
     skip policy.  The word is always freely and cyclically reduced.  Two
     caches hang off it, both built on first use: the canonical form and
-    the generator counts (with the generators occurring once).  Only
-    ``set_word``, which drops both, and ``relabel``, which maps both,
-    write ``word``.
+    the generator counts, with the generators occurring once and the
+    shape (length, sorted count values).  A rotation or an inverse of a
+    word has the word's shape, so unequal shapes prove two relators
+    distinct without a canonical form.  Only ``set_word``, which drops
+    both caches, and ``relabel``, which maps both, write ``word``; a
+    relabelling keeps every count value, so the shape stays.
     """
 
     id: int
@@ -48,6 +51,8 @@ class RelatorRecord:
     _canonical: Word | None = field(default=None, init=False, repr=False, compare=False)
     _counts: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _once: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _shape: tuple[int, tuple[int, ...]] = field(default=(0, ()), init=False, repr=False,
+                                                compare=False)
 
     def set_word(self, word: Word) -> None:
         self.word = word
@@ -80,12 +85,18 @@ class RelatorRecord:
         if self._counts is None:
             self._counts = Counter(map(abs, self.word))
             self._once = tuple(g for g, c in self._counts.items() if c == 1)
+            self._shape = (len(self.word), tuple(sorted(self._counts.values())))
         return self._counts
 
     def once(self) -> tuple[int, ...]:
         """The generators occurring exactly once, in order of first occurrence."""
         self.counts()
         return self._once
+
+    def shape(self) -> tuple[int, tuple[int, ...]]:
+        """(length, sorted generator counts), equal for equivalent words."""
+        self.counts()
+        return self._shape
 
 
 @dataclass
@@ -229,17 +240,31 @@ def normalize_involutions(p: Presentation) -> list[RelatorRecord]:
     return changed
 
 
+# Relators shorter than this skip the shape and go straight to their
+# canonical form: there a canonical form costs little more than a shape,
+# and most short relators on few generators share a shape anyway.
+SHAPE_MIN_LENGTH = 48
+
+
 def remove_duplicates(p: Presentation) -> list[int]:
-    """Drop relators equal to an earlier one up to rotation/inversion."""
+    """Drop relators equal to an earlier one up to rotation/inversion.
+
+    Returns the ids removed, in relator order; the first relator of each
+    class is kept.  Relators of at least ``SHAPE_MIN_LENGTH`` symbols are
+    first keyed on their shape (``RelatorRecord.shape``): one whose shape
+    no other relator shares has no duplicate and needs no canonical form.
+    """
+    shapes = Counter(r.shape() for r in p.rel if len(r.word) >= SHAPE_MIN_LENGTH)
     seen: set[Word] = set()
     removed: list[int] = []
     kept: list[RelatorRecord] = []
     for r in p.rel:
-        key = r.canonical()
-        if key in seen:
-            removed.append(r.id)
-        else:
+        if len(r.word) < SHAPE_MIN_LENGTH or shapes[r.shape()] > 1:
+            key = r.canonical()
+            if key in seen:
+                removed.append(r.id)
+                continue
             seen.add(key)
-            kept.append(r)
+        kept.append(r)
     p.rel[:] = kept
     return removed

@@ -37,6 +37,8 @@ class Strategy:
     ``scan(state, p_word, t_word, counters)`` searches one text with it.
     ``search`` keeps the state of the last pattern word, rebuilding it
     when the pattern changes, and is the one place that checks lengths.
+    The engine hands it the same pattern tuple for many texts in a row,
+    so the cached word is compared by identity before by value.
     """
 
     def __init__(self, prepare: Callable, scan: Callable):
@@ -47,9 +49,10 @@ class Strategy:
     def search(self, p_word, t_word, counters: SearchCounters):
         if not 1 <= len(p_word) <= len(t_word):
             raise ValueError("search requires 1 <= |pattern| <= |text|")
-        if self._last is None or self._last[0] != p_word:
-            self._last = (p_word, self.prepare(p_word, counters))
-        return self.scan(self._last[1], p_word, t_word, counters)
+        last = self._last
+        if last is None or (last[0] is not p_word and last[0] != p_word):
+            last = self._last = (p_word, self.prepare(p_word, counters))
+        return self.scan(last[1], p_word, t_word, counters)
 
 
 def _seeds(p_word, counters):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_long_eliminate_picks_minimal_growth():
     # elsewhere, so its predicted growth 0*(3-1)-3 is minimal and it wins
     p = make_presentation(3, [(1, 2, 3), (3, 1, 3, 1)])
     before = abelian_invariants(p)
-    assert long_eliminate(p, EngineConfig())
+    assert long_eliminate(p, EngineConfig(), p.total_length())
     assert p.d == 2
     from tietze.words import canonical_rep
     assert canon_multiset(p) == Counter([canonical_rep((2, 1, 2, 1))])
@@ -153,14 +154,14 @@ def test_long_eliminate_picks_minimal_growth():
 
 def test_long_eliminate_no_candidate():
     p = make_presentation(2, [(1, 2, 1, 2)])
-    assert not long_eliminate(p, EngineConfig())
+    assert not long_eliminate(p, EngineConfig(), p.total_length())
 
 
 def test_long_eliminate_growth_gate():
     # every candidate would grow the presentation; budget 1.0 refuses
     p = make_presentation(3, [(1, 2, 3, 2), (3, 1, 1, 1, 3, 1, 1)])
     before = p.words()
-    assert not long_eliminate(p, EngineConfig(growth_limit=1.0))
+    assert not long_eliminate(p, EngineConfig(growth_limit=1.0), p.total_length())
     assert p.words() == before
 
 
@@ -385,3 +386,42 @@ def test_every_search_of_a_run_agrees_with_oracle(monkeypatch, name):
         d, words = squares_words(rng)
         simplify(make_presentation(d, words), EngineConfig(match_strategy=name))
     assert disagreements == []
+
+
+@pytest.mark.parametrize("policy", ["ts-sorted", "ts-unsorted"])
+def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
+    """Boundary maintenance runs only after a rewrite; every pass must
+    still start on a sorted sequence of distinct nonempty relators."""
+    passes, maintained = [], []
+    run_pass, maintenance = engine.run_pass, engine._boundary_maintenance
+
+    def checking_pass(pres, ctx, searcher, record=None):
+        words = pres.words()
+        assert all(words) and pres.is_sorted()
+        assert len({canonical_rep(w) for w in words}) == len(words)
+        passes.append(1)
+        return run_pass(pres, ctx, searcher, record)
+
+    def counting_maintenance(pres):
+        maintained.append(1)
+        maintenance(pres)
+
+    monkeypatch.setattr(engine, "run_pass", checking_pass)
+    monkeypatch.setattr(engine, "_boundary_maintenance", counting_maintenance)
+    rng = random.Random(16)
+    long_elims = 0
+    for i in range(150):
+        if i % 2:
+            d, words = squares_words(rng, l_max=20)
+            pres = make_presentation(d, words)
+        else:
+            pres = sparse_presentation(rng.getrandbits(32))
+        long_elims += simplify(pres, EngineConfig(skip_policy=policy))[1].long_elims
+    assert long_elims > 50
+    # most long eliminations of an obfuscated presentation only drop the
+    # relator that defined the generator, so most passes skip maintenance
+    passes.clear()
+    maintained.clear()
+    fixture = Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres"
+    simplify(parse_presentation(fixture.read_text()), EngineConfig(skip_policy=policy))
+    assert len(passes) > 60 and len(maintained) < len(passes) / 4

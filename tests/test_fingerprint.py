@@ -7,11 +7,13 @@ from helpers import exhaustive_oracle, indexed_windows, is_valid_match, random_p
 from tietze.fingerprint import (
     BloomFilter,
     FingerprintParams,
+    QGRAM_CAP,
     PatternIndex,
     fingerprint_codes,
     fp_init,
     fp_roll,
     kr_search,
+    sample_length,
     symbol_code,
 )
 from tietze.match import SearchCounters, match_from_seed
@@ -187,16 +189,16 @@ def reference_kr_scan(p, t):
     first equal pair is extended.
     """
     m = useful_threshold(len(p))
-    pattern_windows = []
+    first_occurrence = {}
     for inverted, base in ((False, p), (True, invert(p))):
         ext = base + base[:m - 1]
-        pattern_windows += [(inverted, start, ext[start:start + m]) for start in range(len(base))]
+        for start in range(len(base)):
+            first_occurrence.setdefault(ext[start:start + m], (inverted, start))
     text_ext = t + t[:m - 1]
     for tstart in range(len(t)):
-        window = text_ext[tstart:tstart + m]
-        for inverted, pstart, pw in pattern_windows:
-            if pw == window:
-                return match_from_seed(p, t, inverted, pstart, tstart), tstart + 1
+        hit = first_occurrence.get(text_ext[tstart:tstart + m])
+        if hit is not None:
+            return match_from_seed(p, t, *hit, tstart), tstart + 1
     return None, len(t)
 
 
@@ -239,37 +241,46 @@ def sampled_filter_pair(rng, d):
     Kinds: 0 plants a pattern chunk of length q .. m - 1 (samples may hit
     but no window is a key), 1 plants a chunk of length m .. l_p across
     the end of the text (the key window wraps), 2 makes the text as long
-    as the pattern, 3 is a plain random pair.  A quarter of the patterns
-    have length 1 to 3.
+    as the pattern, 3 plants a short chunk and then a key-length chunk
+    later (an earlier sample may hit without a key window), 4 is a plain
+    random pair.  A fifth of the patterns have length 1 to 3; the others
+    reach 90, so thresholds above 2 * QGRAM_CAP are common.
     """
-    kind = rng.randrange(4)
-    p = random_reduced_word(rng, d, rng.randint(1, 3) if rng.random() < 0.25 else rng.randint(4, 40))
+    kind = rng.randrange(5)
+    p = random_reduced_word(rng, d, rng.randint(1, 3) if rng.random() < 0.2 else rng.randint(4, 90))
     m = useful_threshold(len(p))
-    q = (m + 1) // 2
-    base = rotate_right(invert(p) if rng.random() < 0.5 else p, rng.randrange(len(p)))
+    q = sample_length(m)
+
+    def chunk(lo, hi):
+        base = rotate_right(invert(p) if rng.random() < 0.5 else p, rng.randrange(len(p)))
+        return base[:rng.randint(lo, max(lo, hi))]
+
     if kind == 2:
-        t = list(base)
+        t = list(chunk(len(p), len(p)))
         for _ in range(rng.randint(0, 3)):
             t[rng.randrange(len(t))] = rng.choice([s for s in range(-d, d + 1) if s])
         return p, tuple(t)
-    t = random_reduced_word(rng, d, rng.randint(len(p), 60))
-    if kind == 0:
-        chunk = base[:rng.randint(q, max(q, m - 1))]
-        cut = rng.randint(0, len(t))
-        t = t[:cut] + chunk + t[cut:]
-    elif kind == 1:
-        chunk = base[:rng.randint(m, len(p))]
-        split = rng.randint(1, len(chunk))
-        t = chunk[split:] + t + chunk[:split]
+    t = random_reduced_word(rng, d, rng.randint(len(p), len(p) + 60))
+    if kind in (0, 3):
+        cut = rng.randint(0, len(t) // 2 if kind == 3 else len(t))
+        t = t[:cut] + chunk(q, m - 1) + t[cut:]
+    if kind == 1:
+        full = chunk(m, len(p))
+        split = rng.randint(1, len(full))
+        t = full[split:] + t + full[:split]
+    elif kind == 3:
+        cut = rng.randint(len(t) // 2, len(t))
+        t = t[:cut] + chunk(m, len(p)) + t[cut:]
     return p, t
 
 
 def test_kr_hash_sampled_filter_equals_reference_scan():
     rng = random.Random(37)
     params = FingerprintParams.from_seed(13)
-    filtered_misses = wrapped = hits = short = same_length = wide_hits = 0
+    filtered_misses = wrapped = wrapped_sample = later_sample = hits = 0
+    short = long_threshold = same_length = wide_hits = 0
     for _ in range(4000):
-        p, t = sampled_filter_pair(rng, rng.choice((1, 2, 3, 8, 300)))
+        p, t = sampled_filter_pair(rng, rng.choice((1, 2, 2, 3, 3, 8, 300)))
         if len(t) < len(p):
             continue
         want, scanned = reference_kr_scan(p, t)
@@ -281,18 +292,28 @@ def test_kr_hash_sampled_filter_equals_reference_scan():
                                    fingerprint_matches=found, confirmations=found,
                                    successes=found)
         m = useful_threshold(len(p))
-        q = (m + 1) // 2
+        q, stride = sample_length(m), m - sample_length(m) + 1
+        assert (idx.q, idx.stride) == (q, stride)
         ext = t + t[:m - 1]
-        sampled = {ext[j:j + q] for j in range(0, len(t) + m - q, m - q + 1)}
         pattern_qgrams = {e[i:i + q] for e in (p + p, invert(p) + invert(p))
                           for i in range(len(p))}
+        hit_samples = [j for j in range(0, len(t) + m - q, stride)
+                       if ext[j:j + q] in pattern_qgrams]
         # the window table is built exactly when a sample hits
-        assert bool(idx.candidates) == bool(sampled & pattern_qgrams)
-        filtered_misses += not found and bool(sampled & pattern_qgrams)
+        assert bool(idx.candidates) == bool(hit_samples)
+        filtered_misses += not found and bool(hit_samples)
+        if found:
+            # the one sample in the key window [scanned - 1, scanned - 1 + m)
+            key_sample = -(-(scanned - 1) // stride) * stride
+            assert key_sample in hit_samples
+            wrapped_sample += key_sample >= len(t)
+            later_sample += key_sample > hit_samples[0]
         wrapped += found and scanned > len(t) - m + 1
         hits += found
         short += found and len(p) <= 3
+        long_threshold += found and m > 2 * QGRAM_CAP and max(map(abs, p)) <= 3
         same_length += found and len(p) == len(t)
         wide_hits += found and max(map(abs, p)) > 255
     assert filtered_misses > 300 and wrapped > 150 and hits > 1500
+    assert wrapped_sample > 30 and later_sample > 300 and long_threshold > 500
     assert short > 300 and same_length > 300 and wide_hits > 100

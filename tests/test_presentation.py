@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from helpers import squares_words
-from tietze import presentation
-from tietze.engine import substitute
+from tietze import engine, presentation
+from tietze.engine import EngineConfig, simplify, substitute
 from tietze.presentation import (
+    SHAPE_MIN_LENGTH,
     ParseError,
     Presentation,
     RelatorRecord,
@@ -18,8 +19,8 @@ from tietze.presentation import (
     serialize_presentation,
     sort_rel,
 )
-from tietze.randgen import random_reduced_word
-from tietze.words import canonical_rep, reduce_cyclic_word, word_from_letters
+from tietze.randgen import random_presentation, random_reduced_word
+from tietze.words import canonical_rep, invert, reduce_cyclic_word, rotate_right, word_from_letters
 
 W = word_from_letters
 
@@ -180,6 +181,69 @@ def test_remove_duplicates_up_to_equivalence():
     assert p.words() == [(1, 2), (1, -2)]
 
 
+def canonical_only_remove_duplicates(p):
+    """Duplicate removal with a canonical form for every relator (the
+    reference the shape-keyed version must equal)."""
+    seen, removed, kept = set(), [], []
+    for r in p.rel:
+        key = canonical_rep(r.word)
+        if key in seen:
+            removed.append(r.id)
+        else:
+            seen.add(key)
+            kept.append(r)
+    p.rel[:] = kept
+    return removed
+
+
+def test_shape_keyed_remove_duplicates_equals_canonical_only():
+    rng = random.Random(14)
+    removed_total = removed_long = same_shape_kept = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        # short relators go straight to canonical forms, long ones are shaped first
+        base = [random_reduced_word(rng, d, rng.randint(1, 12) if rng.random() < 0.5
+                                    else rng.randint(SHAPE_MIN_LENGTH - 8, SHAPE_MIN_LENGTH + 40))
+                for _ in range(rng.randint(1, 8))]
+        words = list(base)
+        for w in base:
+            for _ in range(rng.randint(0, 2)):
+                v = rotate_right(w, rng.randrange(len(w)))
+                kind = rng.randrange(3)
+                if kind == 1:
+                    v = invert(v)
+                elif kind == 2:
+                    v = v[::-1]  # the mirror: same shape, rarely equivalent
+                words.insert(rng.randrange(len(words) + 1), v)
+        p, q = make_presentation(d, words), make_presentation(d, words)
+        removed = remove_duplicates(p)
+        assert removed == canonical_only_remove_duplicates(q)
+        assert [r.id for r in p.rel] == [r.id for r in q.rel]
+        removed_total += len(removed)
+        lengths = {r.id: len(r.word) for r in make_presentation(d, words).rel}
+        removed_long += sum(lengths[i] >= SHAPE_MIN_LENGTH for i in removed)
+        shapes = Counter(r.shape() for r in p.rel if len(r.word) >= SHAPE_MIN_LENGTH)
+        same_shape_kept += sum(n for n in shapes.values() if n > 1)
+    assert removed_total > 1000 and removed_long > 400 and same_shape_kept > 250
+
+
+def test_shape_is_invariant_and_survives_relabel():
+    rng = random.Random(15)
+    for _ in range(200):
+        d = rng.randint(2, 5)
+        w = random_reduced_word(rng, d, rng.randint(1, 20))
+        shape = RelatorRecord(0, w).shape()
+        assert shape == (len(w), tuple(sorted(Counter(map(abs, w)).values())))
+        v = rotate_right(w, rng.randrange(len(w)))
+        assert RelatorRecord(1, v).shape() == RelatorRecord(2, invert(v)).shape() == shape
+    p = make_presentation(3, [(2, 3, 3), (1, 2, 1, 3)])
+    shapes = [r.shape() for r in p.rel]
+    substitute(p, 1, (2,))
+    # the first relator is only renumbered and keeps its cached shape
+    assert p.rel[0].shape() == shapes[0] == RelatorRecord(0, p.rel[0].word).shape()
+    assert p.rel[1].shape() == RelatorRecord(1, p.rel[1].word).shape() != shapes[1]
+
+
 def test_trivial_group_roundtrip():
     p = parse_presentation("gens 0\n")
     assert p.d == 0 and p.rel == []
@@ -256,6 +320,22 @@ def test_clone_does_not_carry_canonical_cache(canonical_calls, monkeypatch):
     assert len(canonical_calls) == 4
     assert [(r.counts(), r.once()) for r in q.rel] == [(r.counts(), r.once()) for r in p.rel]
     assert len(counts_built) == 4
+
+
+def test_shapes_spare_most_canonical_forms_on_s120(canonical_calls, monkeypatch):
+    # long relators over 3 generators sharing a motif (the s120 family):
+    # few relators share a shape, so few canonical forms are built
+    handed = []
+
+    def counting(p):
+        handed.append(len(p.rel))
+        return remove_duplicates(p)
+
+    monkeypatch.setattr(engine, "remove_duplicates", counting)
+    p = random_presentation(7, 3, 120, 120, "small-alphabet-long")
+    simplify(p, EngineConfig(match_strategy="kr-hash"))
+    assert len(handed) >= 3
+    assert 4 * len(canonical_calls) < sum(handed)
 
 
 def test_readme_format_example_parses():
