@@ -24,8 +24,6 @@ from .words import Word, extend_front, invert, useful_threshold
 
 class LSAutomaton:
     def __init__(self, *words: Word):
-        if min(map(len, words)) < 1:
-            raise ValueError("cannot build an automaton for the empty word")
         self.words = words
         # raw suffix automaton arrays; ends[k] lists the state holding each
         # prefix of word k, which stays the longest string of that state

@@ -77,6 +77,15 @@ def stats_report(cfg: EngineConfig, stats, wall_ms: float) -> dict:
     }
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to the ``-o`` file, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
@@ -90,12 +99,7 @@ def cmd_simplify(args, parser) -> int:
     t0 = time.perf_counter()
     pres, stats = simplify(pres, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    out_text = serialize_presentation(pres)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(out_text)
-    else:
-        sys.stdout.write(out_text)
+    _write_output(args.output, serialize_presentation(pres))
     if args.stats:
         _write_json(args.stats, stats_report(cfg, stats, wall_ms))
     return 0
@@ -160,12 +164,7 @@ def cmd_gen(args, parser) -> int:
         pres = random_presentation(args.seed, args.gens, args.rels, args.maxlen, args.profile)
     except ValueError as e:
         parser.error(str(e))
-    text = serialize_presentation(pres)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, serialize_presentation(pres))
     return 0
 
 
@@ -195,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--long-elim", choices=("on", "off"), default="on")
         p.add_argument("--growth-limit", type=float, default=1.5)
         p.add_argument("--max-passes", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="picks the fingerprint base of the kr-bloom strategies; "
+                            "every other strategy, kr-hash included, ignores it")
         p.add_argument("--stats", metavar="FILE", default=None)
 
     p = sub.add_parser("simplify", help="simplify one presentation")

@@ -14,17 +14,19 @@ no sample hits the text is a proven miss and is never packed; when one
 does, only the m - q + 1 windows that contain that sample are looked up.
 
 The Bloom backings (``kr-bloom3``/``kr-bloom4``) need a numeric key, so they
-roll Karp-Rabin fingerprints: symbols are coded densely, code(g) = 2g for
-a generator and 2g + 1 for its inverse, and a fingerprint is the Horner
-evaluation of the code sequence modulo a Mersenne prime, with the base
-drawn from the run seed so adversarial collisions are improbable.
+use Karp-Rabin fingerprints, all from one roll, ``window_fingerprints``,
+for the index build and the text scan alike.  It codes each symbol once,
+densely: code(g) = 2g for a generator and 2g + 1 for its inverse.  The
+first window's fingerprint is the Horner evaluation of its codes modulo
+the Mersenne prime 2^61 - 1, and each later window is rolled from the one
+before it.  The base is drawn from the run seed (``fingerprint_base``), so
+adversarial collisions are improbable.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 
 from .match import Match, SearchCounters, extend_hit
 from .words import Word, extend_front, invert, useful_threshold
@@ -40,83 +42,49 @@ _BLOOM_MIX = (
 )
 
 
-def symbol_code(s: int) -> int:
-    """code(g_j) = 2j, code(g_j^-1) = 2j + 1."""
-    if s == 0:
-        raise ValueError("0 is not a symbol")
-    return 2 * s if s > 0 else 1 - 2 * s
+def fingerprint_base(seed: int) -> int:
+    """The Bloom backings' fingerprint base, drawn from the run seed."""
+    return random.Random(seed).randrange(2, MERSENNE61 - 1)
 
 
-@dataclass(frozen=True)
-class FingerprintParams:
-    base: int
-    modulus: int = MERSENNE61
+def window_fingerprints(w: Word, m: int, base: int) -> list[int]:
+    """Fingerprints of the len(w) circular length-m windows of w, in order.
 
-    @staticmethod
-    def from_seed(seed: int) -> "FingerprintParams":
-        base = random.Random(seed).randrange(2, MERSENNE61 - 1)
-        return FingerprintParams(base)
-
-    def high_power(self, m: int) -> int:
-        """base^(m-1) mod modulus, the weight of the outgoing code."""
-        return pow(self.base, m - 1, self.modulus)
-
-
-def fingerprint_codes(codes, params: FingerprintParams) -> int:
-    if len(codes) == 0:
-        raise ValueError("empty window has no fingerprint")
+    Each symbol is coded once; window 0 is evaluated by Horner's rule and
+    every later window is rolled from the one before it, modulo MERSENNE61.
+    """
+    codes = [2 * s if s > 0 else 1 - 2 * s for s in w]
+    codes += codes[:m - 1]
     v = 0
-    for c in codes:
-        v = (v * params.base + c) % params.modulus
-    return v
-
-
-def fp_init(w: Word, start: int, m: int, params: FingerprintParams) -> int:
-    if m < 1 or start < 0 or start + m > len(w):
-        raise ValueError(f"window [{start}, {start + m}) out of bounds")
-    return fingerprint_codes([symbol_code(s) for s in w[start:start + m]], params)
-
-
-def fp_roll(value: int, out_code: int, in_code: int, high: int,
-            params: FingerprintParams) -> int:
-    """Shift the window one symbol: drop out_code, append in_code."""
-    return ((value - out_code * high) * params.base + in_code) % params.modulus
-
-
-def _window_fingerprints(w: Word, m: int, params: FingerprintParams):
-    """Fingerprints of all len(w) circular length-m windows, by rolling."""
-    ext = extend_front(w, m - 1)
-    high = params.high_power(m)
-    v = fp_init(ext, 0, m, params)
-    yield 0, v
-    for i in range(1, len(w)):
-        v = fp_roll(v, symbol_code(ext[i - 1]), symbol_code(ext[i + m - 1]), high, params)
-        yield i, v
+    for c in codes[:m]:
+        v = (v * base + c) % MERSENNE61
+    out = [v]
+    high = pow(base, m - 1, MERSENNE61)  # the weight of the outgoing code
+    for out_code, in_code in zip(codes, codes[m:]):
+        v = ((v - out_code * high) * base + in_code) % MERSENNE61
+        out.append(v)
+    return out
 
 
 class BloomFilter:
     """k bit-tables of 2^log2_size bits; one bit per table per fingerprint."""
 
     def __init__(self, bits_per_fingerprint: int = 3, log2_size: int = 16):
-        if bits_per_fingerprint not in (3, 4):
-            raise ValueError("bits_per_fingerprint must be 3 or 4")
-        if not 3 <= log2_size <= 30:
-            raise ValueError("log2_size out of range")
-        self.k = bits_per_fingerprint
-        self.log2_size = log2_size
-        self.tables = [bytearray(1 << (log2_size - 3)) for _ in range(self.k)]
-
-    def _addresses(self, value: int):
-        shift = 64 - self.log2_size
-        for i in range(self.k):
-            yield i, ((value * _BLOOM_MIX[i]) & 0xFFFFFFFFFFFFFFFF) >> shift
+        self.shift = 64 - log2_size
+        self.tables = [(mix, bytearray(1 << (log2_size - 3)))
+                       for mix in _BLOOM_MIX[:bits_per_fingerprint]]
 
     def insert(self, value: int) -> None:
-        for i, a in self._addresses(value):
-            self.tables[i][a >> 3] |= 1 << (a & 7)
+        for mix, table in self.tables:
+            a = ((value * mix) & 0xFFFFFFFFFFFFFFFF) >> self.shift
+            table[a >> 3] |= 1 << (a & 7)
 
     def query(self, value: int) -> bool:
-        return all(self.tables[i][a >> 3] >> (a & 7) & 1 for i, a in self._addresses(value))
+        for mix, table in self.tables:
+            a = ((value * mix) & 0xFFFFFFFFFFFFFFFF) >> self.shift
+            if not table[a >> 3] >> (a & 7) & 1:
+                return False
+        return True
 
 
 _ITEM = array("i").itemsize
@@ -166,13 +134,8 @@ class PatternIndex:
     first sample hit, so a pattern whose every text misses never builds it.
     """
 
-    def __init__(self, p_word: Word, backing: str, params: FingerprintParams,
-                 bloom_log2_size: int = 16):
-        if backing not in ("exact", "bloom3", "bloom4"):
-            raise ValueError(f"unknown backing {backing!r}")
-        if len(p_word) < 1:
-            raise ValueError("cannot index an empty pattern")
-        self.params = params
+    def __init__(self, p_word: Word, backing: str, base: int, bloom_log2_size: int = 16):
+        self.base = base
         self.m = useful_threshold(len(p_word))
         self.inverse = invert(p_word)
         self.candidates: dict[bytes | int, list[tuple[bool, int]]] = {}
@@ -186,8 +149,8 @@ class PatternIndex:
                            for i in range(len(p_word))}
             return
         self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
-        for inverted, base in self.bases:
-            for start, value in _window_fingerprints(base, self.m, params):
+        for inverted, word in self.bases:
+            for start, value in enumerate(window_fingerprints(word, self.m, base)):
                 self.candidates.setdefault(value, []).append((inverted, start))
                 self.bloom.insert(value)
 
@@ -195,9 +158,9 @@ class PatternIndex:
         """The exact backing's ``candidates``, built when first asked for."""
         if not self.candidates:
             span = self.m * _ITEM
-            for inverted, base in self.bases:
-                packed = _pack(base, self.m)
-                for start in range(len(base)):
+            for inverted, word in self.bases:
+                packed = _pack(word, self.m)
+                for start in range(len(word)):
                     offset = start * _ITEM
                     key = packed[offset:offset + span]
                     self.candidates.setdefault(key, []).append((inverted, start))
@@ -211,9 +174,9 @@ def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
         return _exact_search(idx, p_word, t_word, counters)
     l_p, l_t, m = len(p_word), len(t_word), idx.m
     bases = (p_word, idx.inverse)
-    for tstart, value in _window_fingerprints(t_word, m, idx.params):
-        counters.windows_scanned += 1
-        if not idx.bloom.query(value):
+    query = idx.bloom.query
+    for tstart, value in enumerate(window_fingerprints(t_word, m, idx.base)):
+        if not query(value):
             continue
         counters.filter_hits += 1
         cands = idx.candidates.get(value)
@@ -222,17 +185,14 @@ def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
             continue
         counters.fingerprint_matches += 1
         t_window = tuple(t_word[(tstart + i) % l_t] for i in range(m))
-        confirmed = None
         for inverted, pstart in cands:
             counters.confirmations += 1
-            base = bases[inverted]
-            if all(base[(pstart + i) % l_p] == t_window[i] for i in range(m)):
-                confirmed = (inverted, pstart)
-                break
-        if confirmed is None:
-            counters.fingerprint_false_matches += 1
-            continue
-        return extend_hit(p_word, t_word, *confirmed, tstart, counters)
+            word = bases[inverted]
+            if all(word[(pstart + i) % l_p] == t_window[i] for i in range(m)):
+                counters.windows_scanned += tstart + 1
+                return extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
+        counters.fingerprint_false_matches += 1
+    counters.windows_scanned += l_t
     return None
 
 
@@ -257,7 +217,7 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_word: Word,
         if sample not in qgrams:
             continue
         if packed is None:
-            packed = array("i", t_word + t_word[:m - 1]).tobytes()
+            packed = _pack(t_word, m)
             get = idx.exact_candidates().get
         for offset in range(max(0, j - m + q) * _ITEM, min(j + 1, l_t) * _ITEM, _ITEM):
             cands = get(packed[offset:offset + span])

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .automaton import automaton_search, build_ls_automaton
-from .fingerprint import FingerprintParams, PatternIndex, kr_search
+from .fingerprint import PatternIndex, fingerprint_base, kr_search
 from .match import (
     SearchCounters,
     anchor_seeds,
@@ -73,8 +73,8 @@ def _signature(*_) -> Strategy:
 
 def _karp_rabin(backing: str):
     def build(seed, bloom_log2_size) -> Strategy:
-        params = FingerprintParams.from_seed(seed)
-        return Strategy(lambda p_word, _: PatternIndex(p_word, backing, params, bloom_log2_size),
+        base = fingerprint_base(seed)
+        return Strategy(lambda p_word, _: PatternIndex(p_word, backing, base, bloom_log2_size),
                         kr_search)
 
     return build

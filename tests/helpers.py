@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from tietze.automaton import LSAutomaton
-from tietze.fingerprint import PatternIndex
+from tietze.fingerprint import MERSENNE61, PatternIndex
 from tietze.match import Match, MatchError, check_match
 from tietze.presentation import Presentation, make_presentation
 from tietze.randgen import random_reduced_word
@@ -171,6 +171,17 @@ def indexed_windows(idx: PatternIndex) -> int:
     """Window occurrences a PatternIndex holds, over its candidate table."""
     table = idx.exact_candidates() if idx.bloom is None else idx.candidates
     return sum(map(len, table.values()))
+
+
+def horner_fingerprint(w: Word, start: int, m: int, base: int) -> int:
+    """Karp-Rabin fingerprint of the circular window w[start:start + m],
+    evaluated directly by Horner's rule over the codes 2g (g) and 2g + 1
+    (g^-1): the reference for the rolled fingerprints."""
+    v = 0
+    for i in range(start, start + m):
+        s = w[i % len(w)]
+        v = (v * base + (2 * s if s > 0 else 1 - 2 * s)) % MERSENNE61
+    return v
 
 
 def is_valid_match(m: Match, p_word: Word, t_word: Word) -> bool:

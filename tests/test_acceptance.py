@@ -15,6 +15,7 @@ from helpers import (
     changes_from,
     dense_presentation,
     exhaustive_oracle,
+    horner_fingerprint,
     indexed_windows,
     is_valid_match,
     necessary_set_oracle,
@@ -22,14 +23,7 @@ from helpers import (
     sparse_presentation,
 )
 from tietze.engine import EngineConfig, ReplacingSearcher, simplify
-from tietze.fingerprint import (
-    BloomFilter,
-    FingerprintParams,
-    PatternIndex,
-    fp_init,
-    fp_roll,
-    symbol_code,
-)
+from tietze.fingerprint import BloomFilter, PatternIndex, fingerprint_base, window_fingerprints
 from tietze.match import SearchCounters
 from tietze.presentation import sort_rel
 from tietze.randgen import random_presentation, random_reduced_word
@@ -349,22 +343,17 @@ def test_criterion_09_monotone_phases_and_shrinking(preservation_corpus_results)
 
 def test_criterion_10_rolling_hash_and_window_count():
     rng = random.Random(4242)
-    params = FingerprintParams.from_seed(88)
+    base = fingerprint_base(88)
     for _ in range(1000):
         d = rng.randint(1, 6)
         w = random_reduced_word(rng, d, rng.randint(1, 30))
-        if len(w) >= 2:
-            m = rng.randint(1, len(w) - 1)
-            high = params.high_power(m)
-            v = fp_init(w, 0, m, params)
-            for start in range(1, len(w) - m + 1):
-                v = fp_roll(v, symbol_code(w[start - 1]),
-                            symbol_code(w[start + m - 1]), high, params)
-                assert v == fp_init(w, start, m, params)
+        m = rng.randint(1, len(w))
+        assert window_fingerprints(w, m, base) == [
+            horner_fingerprint(w, start, m, base) for start in range(len(w))]
         for backing in ("exact", "bloom3"):
-            assert indexed_windows(PatternIndex(w, backing, params)) == 2 * len(w)
-    print("\nCRITERION 10 PASS: rolling fingerprints equal direct evaluation "
-          "and every index holds exactly 2*l_p windows (1000 words)")
+            assert indexed_windows(PatternIndex(w, backing, base)) == 2 * len(w)
+    print("\nCRITERION 10 PASS: rolled fingerprints of every circular window equal "
+          "direct evaluation and every index holds exactly 2*l_p windows (1000 words)")
 
 
 def test_criterion_11_automaton_build_cost_halved():

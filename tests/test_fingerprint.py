@@ -3,71 +3,67 @@ import random
 
 import pytest
 
-from helpers import exhaustive_oracle, indexed_windows, is_valid_match, random_pair
+from helpers import (
+    exhaustive_oracle,
+    horner_fingerprint,
+    indexed_windows,
+    is_valid_match,
+    random_pair,
+)
 from tietze.fingerprint import (
     BloomFilter,
-    FingerprintParams,
+    MERSENNE61,
     QGRAM_CAP,
     PatternIndex,
-    fingerprint_codes,
-    fp_init,
-    fp_roll,
+    fingerprint_base,
     kr_search,
     sample_length,
-    symbol_code,
+    window_fingerprints,
 )
 from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
+from tietze.strategies import make_strategy
 from tietze.words import invert, reduce_cyclic_word, rotate_right, useful_threshold, word_from_letters
 
 W = word_from_letters
-SMALL = FingerprintParams(base=4, modulus=101)
 
 
 def test_symbol_codes_dense_and_distinct():
-    assert symbol_code(1) == 2 and symbol_code(-1) == 3
-    assert symbol_code(7) == 14 and symbol_code(-7) == 15
-    codes = {symbol_code(s) for s in range(-20, 21) if s}
-    assert len(codes) == 40
+    # with m = 1 each window's fingerprint is its symbol's code
+    assert window_fingerprints((1, -1, 7, -7), 1, 4) == [2, 3, 14, 15]
+    w = tuple(s for s in range(-20, 21) if s)
+    assert sorted(window_fingerprints(w, 1, fingerprint_base(9))) == list(range(2, 42))
 
 
-def test_fp_init_example():
-    assert fingerprint_codes([1, 2, 3], SMALL) == 27
-    assert fingerprint_codes([0], SMALL) == 0
-    with pytest.raises(ValueError):
-        fingerprint_codes([], SMALL)
+def test_first_window_is_horner_evaluation():
+    # codes of a, b, c are 2, 4, 6; base 4
+    assert window_fingerprints(W("abc"), 3, 4)[0] == (2 * 4 + 4) * 4 + 6 == 54
+    assert window_fingerprints(W("aBc"), 3, 4)[0] == (2 * 4 + 5) * 4 + 6
+    assert window_fingerprints(W("a"), 1, 4) == [2]
 
 
-def test_fp_init_window_bounds():
-    w = W("abc")
-    assert fp_init(w, 0, 3, SMALL) == fingerprint_codes([symbol_code(s) for s in w], SMALL)
-    with pytest.raises(ValueError):
-        fp_init(w, 1, 3, SMALL)
-    with pytest.raises(ValueError):
-        fp_init(w, 0, 0, SMALL)
+def test_windows_wrap_circularly():
+    # windows "abc", "bca", "cab": one per start, the last two wrap
+    assert window_fingerprints(W("abc"), 3, 4) == [54, (4 * 4 + 6) * 4 + 2, (6 * 4 + 2) * 4 + 4]
 
 
-def test_fp_roll_example():
-    high = SMALL.high_power(3)
-    assert high == 16
-    assert fp_roll(27, 1, 4, high, SMALL) == 48
+def test_roll_example():
+    # window "bc" rolls from "ab": drop code 2 at weight 4, append code 6
+    assert window_fingerprints(W("abc"), 2, 4) == [12, (12 - 2 * 4) * 4 + 6, 26]
+    # base -1: signed sums of codes, reduced into [0, MERSENNE61)
+    assert window_fingerprints(W("abc"), 2, MERSENNE61 - 1) == [2, 2, MERSENNE61 - 4]
     # constant word: rolling the same code in and out is a fixed point
-    v = fingerprint_codes([5, 5, 5], SMALL)
-    assert fp_roll(v, 5, 5, high, SMALL) == v
+    assert len(set(window_fingerprints(W("aaaaa"), 3, fingerprint_base(3)))) == 1
 
 
 def test_roll_sweep_matches_direct_evaluation():
     rng = random.Random(31)
-    params = FingerprintParams.from_seed(9)
+    base = fingerprint_base(9)
     for _ in range(100):
         w = random_reduced_word(rng, 6, rng.randint(2, 30))
         m = rng.randint(1, len(w))
-        high = params.high_power(m)
-        v = fp_init(w, 0, m, params)
-        for start in range(1, len(w) - m + 1):
-            v = fp_roll(v, symbol_code(w[start - 1]), symbol_code(w[start + m - 1]),
-                        high, params)
-            assert v == fp_init(w, start, m, params)
+        assert window_fingerprints(w, m, base) == [
+            horner_fingerprint(w, start, m, base) for start in range(len(w))]
 
 
 def test_bloom_no_false_negatives():
@@ -103,40 +99,33 @@ def test_bloom_false_positive_rate_ballpark():
     assert hits / probes == pytest.approx(expected, rel=0.3)
 
 
-def test_bloom_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        BloomFilter(2, 10)
-    with pytest.raises(ValueError):
-        BloomFilter(3, 2)
-
-
 def test_pattern_index_window_count():
-    params = FingerprintParams.from_seed(1)
+    base = fingerprint_base(1)
     for backing in ("exact", "bloom3", "bloom4"):
-        idx = PatternIndex(W("abc"), backing, params)
+        idx = PatternIndex(W("abc"), backing, base)
         assert indexed_windows(idx) == 6
         assert idx.m == 2
 
 
 def test_pattern_index_single_symbol():
-    params = FingerprintParams.from_seed(1)
-    idx = PatternIndex(W("a"), "exact", params)
+    base = fingerprint_base(1)
+    idx = PatternIndex(W("a"), "exact", base)
     assert idx.m == 1
     assert indexed_windows(idx) == 2
     assert len(idx.exact_candidates()) == 2  # the symbol and its inverse
 
 
 def test_pattern_index_collapses_duplicate_windows():
-    params = FingerprintParams.from_seed(1)
+    base = fingerprint_base(1)
     # invert("abAB") is a rotation of itself, so windows coincide
-    idx = PatternIndex(W("abAB"), "exact", params)
+    idx = PatternIndex(W("abAB"), "exact", base)
     assert indexed_windows(idx) == 8
     assert len(idx.exact_candidates()) <= 8
 
 
 def test_kr_search_example_exact():
-    params = FingerprintParams.from_seed(5)
-    idx = PatternIndex(W("abc"), "exact", params)
+    base = fingerprint_base(5)
+    idx = PatternIndex(W("abc"), "exact", base)
     c = SearchCounters()
     m = kr_search(idx, W("abc"), W("dab"), c)
     assert m is not None and m.v_len == 2
@@ -146,8 +135,8 @@ def test_kr_search_example_exact():
 
 
 def test_kr_search_disjoint_counts_only_collisions():
-    params = FingerprintParams.from_seed(5)
-    idx = PatternIndex(W("ab"), "exact", params)
+    base = fingerprint_base(5)
+    idx = PatternIndex(W("ab"), "exact", base)
     c = SearchCounters()
     assert kr_search(idx, W("ab"), W("cd"), c) is None
     assert c.successes == 0
@@ -156,11 +145,11 @@ def test_kr_search_disjoint_counts_only_collisions():
 
 def test_kr_counter_identity_with_bloom():
     rng = random.Random(34)
-    params = FingerprintParams.from_seed(7)
+    base = fingerprint_base(7)
     for _ in range(400):
         p, t = random_pair(rng, d_max=3, l_max=16)
         c = SearchCounters()
-        idx = PatternIndex(p, "bloom3", params, bloom_log2_size=6)
+        idx = PatternIndex(p, "bloom3", base, bloom_log2_size=6)
         kr_search(idx, p, t, c)
         assert c.filter_hits == c.fingerprint_matches + c.bloom_false_hits
         assert c.fingerprint_false_matches <= c.fingerprint_matches
@@ -168,13 +157,13 @@ def test_kr_counter_identity_with_bloom():
 
 def test_kr_agrees_with_oracle_all_backings():
     rng = random.Random(35)
-    params = FingerprintParams.from_seed(11)
+    base = fingerprint_base(11)
     indexes = {}
     for _ in range(1500):
         p, t = random_pair(rng)
         want = exhaustive_oracle(p, t) is not None
         for backing in ("exact", "bloom3", "bloom4"):
-            idx = PatternIndex(p, backing, params, bloom_log2_size=10)
+            idx = PatternIndex(p, backing, base, bloom_log2_size=10)
             got = kr_search(idx, p, t, SearchCounters())
             assert (got is not None) == want
             if got is not None:
@@ -216,7 +205,7 @@ def planted_pair(rng, d):
 
 def test_kr_hash_equals_reference_scan_wide_alphabet():
     rng = random.Random(36)
-    params = FingerprintParams.from_seed(12)
+    base = fingerprint_base(12)
     hits = wide_hits = 0
     for _ in range(1500):
         p, t = planted_pair(rng, rng.randint(1, 300))
@@ -224,7 +213,7 @@ def test_kr_hash_equals_reference_scan_wide_alphabet():
             continue
         want, scanned = reference_kr_scan(p, t)
         c = SearchCounters()
-        got = kr_search(PatternIndex(p, "exact", params), p, t, c)
+        got = kr_search(PatternIndex(p, "exact", base), p, t, c)
         assert got == want
         assert c.windows_scanned == scanned
         assert c.fingerprint_false_matches == 0 and c.bloom_false_hits == 0
@@ -233,6 +222,66 @@ def test_kr_hash_equals_reference_scan_wide_alphabet():
         hits += found
         wide_hits += found and max(map(abs, p)) > 255
     assert hits > 300 and wide_hits > 50  # symbols beyond one byte do match
+
+
+def reference_bloom_scan(p, t, k, log2_size, base):
+    """(Match or None, counters) of a plain in-order Bloom window scan.
+
+    The pattern's windows are fingerprinted directly and inserted into a
+    fresh k-table Bloom filter.  Each text window, in order, is
+    fingerprinted directly and probed; a hit is looked up in the pattern's
+    fingerprints, and a fingerprint match is confirmed against the pattern
+    windows with that fingerprint, uninverted before inverted, each by
+    ascending start.
+    """
+    m = useful_threshold(len(p))
+    bloom = BloomFilter(k, log2_size)
+    windows = {}
+    for inverted, b in ((False, p), (True, invert(p))):
+        for start in range(len(b)):
+            v = horner_fingerprint(b, start, m, base)
+            windows.setdefault(v, []).append((inverted, b, start))
+            bloom.insert(v)
+    c = SearchCounters()
+    for tstart in range(len(t)):
+        c.windows_scanned += 1
+        v = horner_fingerprint(t, tstart, m, base)
+        if not bloom.query(v):
+            continue
+        c.filter_hits += 1
+        if v not in windows:
+            c.bloom_false_hits += 1
+            continue
+        c.fingerprint_matches += 1
+        for inverted, b, start in windows[v]:
+            c.confirmations += 1
+            if all(b[(start + i) % len(b)] == t[(tstart + i) % len(t)] for i in range(m)):
+                c.successes += 1
+                return match_from_seed(p, t, inverted, start, tstart), c
+        c.fingerprint_false_matches += 1
+    return None, c
+
+
+def test_kr_bloom_equals_reference_scan_with_false_hits():
+    rng = random.Random(38)
+    seed, log2_size = 14, 6
+    base = random.Random(seed).randrange(2, MERSENNE61 - 1)
+    strategies = {k: make_strategy(f"kr-bloom{k}", seed, log2_size) for k in (3, 4)}
+    hits = {3: 0, 4: 0}
+    false_hit_scans = {3: 0, 4: 0}
+    for _ in range(800):
+        p, t = planted_pair(rng, rng.randint(1, 8))
+        if len(t) < len(p):
+            continue
+        for k, strategy in strategies.items():
+            want, ref = reference_bloom_scan(p, t, k, log2_size, base)
+            c = SearchCounters()
+            assert strategy.search(p, t, c) == want
+            assert c == ref
+            hits[k] += want is not None
+            false_hit_scans[k] += ref.bloom_false_hits > 0
+    assert min(hits.values()) > 300
+    assert min(false_hit_scans.values()) > 150  # a 64-bit table overfills
 
 
 def sampled_filter_pair(rng, d):
@@ -276,7 +325,7 @@ def sampled_filter_pair(rng, d):
 
 def test_kr_hash_sampled_filter_equals_reference_scan():
     rng = random.Random(37)
-    params = FingerprintParams.from_seed(13)
+    base = fingerprint_base(13)
     filtered_misses = wrapped = wrapped_sample = later_sample = hits = 0
     short = long_threshold = same_length = wide_hits = 0
     for _ in range(4000):
@@ -284,7 +333,7 @@ def test_kr_hash_sampled_filter_equals_reference_scan():
         if len(t) < len(p):
             continue
         want, scanned = reference_kr_scan(p, t)
-        idx = PatternIndex(p, "exact", params)
+        idx = PatternIndex(p, "exact", base)
         c = SearchCounters()
         assert kr_search(idx, p, t, c) == want
         found = int(want is not None)
