@@ -9,11 +9,12 @@ through suffix links.  Per word k, ``first_end[k][s]`` is the least end
 position in word k of the strings of state s, and ``owner[k][s]`` is s if
 they occur in word k, else the nearest suffix-link ancestor whose do.
 
-Mode ``two`` indexes the extended pattern and its inverse and scans the
+Mode ``two`` indexes the extended pattern and its inverse and scans each
 extended text once; mode ``one`` indexes the extended pattern and scans
-the extended text, then the extended inverted text.  ``windows_scanned``
-is counted per indexed word, once per scan: the hit position plus one on
-a hit, the whole extended text on a miss.
+each extended text, then, on a miss, the extended inverted text.  One
+``automaton_search`` call scans a whole list of texts with one automaton.
+``windows_scanned`` is counted per indexed word, once per scan: the hit
+position plus one on a hit, the whole extended text on a miss.
 """
 
 from __future__ import annotations
@@ -101,58 +102,64 @@ def build_ls_automaton(*words: Word) -> LSAutomaton:
 _DEAD = (0, 0)
 
 
-def _scan(a: LSAutomaton, text: Word, m: int,
-          counters: SearchCounters) -> tuple[int, int, int] | None:
-    """Word 0's first threshold hit in one scan of text, else word 1's.
-
-    Returns (word index, least end position in that word of the matched
-    string, text position) or None.
-    """
-    table, max_len, owner = a.table, a.max_len, a.owner[0]
-    state = length = 0
-    second = None
-    for idx, sym in enumerate(text):
-        state, cap = table[state].get(sym, _DEAD)
-        length = length + 1 if length < cap else cap
-        if length < m:
-            continue
-        # the running length is the longer of the words' matches; word 0's
-        # grows by at most one per symbol, so its first hit is exactly m long
-        o = owner[state]
-        if o == state or max_len[o] >= m:
-            counters.windows_scanned += idx + 1
-            return 0, a.first_end[0][o], idx
-        # word 1 holds the running match, m long at its first hit
-        if second is None:
-            second = (1, a.first_end[1][state], idx)
-    # per indexed word: word 0 read the whole text, word 1 up to its hit
-    counters.windows_scanned += (len(text) * len(a.words) if second is None
-                                 else len(text) + second[2] + 1)
-    return second
-
-
-def automaton_search(a: LSAutomaton, p_word: Word, t_word: Word,
-                     counters: SearchCounters) -> Match | None:
-    """Automaton-backed ComStr over an automaton prebuilt for the pattern.
+def automaton_search(a: LSAutomaton, p_word: Word, t_words: list[Word],
+                     counters: SearchCounters) -> list[Match | None]:
+    """Automaton-backed ComStr of each text over an automaton prebuilt for the pattern.
 
     An automaton over the extended pattern and its inverse (mode ``two``)
-    scans the extended text once; one over the extended pattern alone
-    (mode ``one``) scans the extended text, then the extended inverted text.
+    scans each extended text once and reports word 0's first threshold hit,
+    else word 1's; one over the extended pattern alone (mode ``one``) scans
+    the extended text, then the extended inverted text.  Returns one
+    optional Match per text.
     """
-    m = useful_threshold(len(p_word))
-    # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
-    hit = _scan(a, extend_front(t_word, m - 1), m, counters)
-    inverted_text = hit is None and len(a.words) == 1
-    if inverted_text:
-        hit = _scan(a, extend_front(invert(t_word), m - 1), m, counters)
-    if hit is None:
-        return None
-    # map both ends of the hit back onto the original circles
-    k, end, idx = hit
-    l_p, l_t = len(p_word), len(t_word)
-    p_end, t_end = (end - 1) % l_p, idx % l_t
-    if inverted_text:
-        # the hit pairs pattern with invert(text); reflect it onto the
-        # inverted pattern equivalent against the original text
-        p_end, t_end = (l_p - 1 - p_end) % l_p, (l_t - 1 - t_end) % l_t
-    return extend_hit(p_word, t_word, bool(k) or inverted_text, p_end, t_end, counters)
+    l_p = len(p_word)
+    m = useful_threshold(l_p)
+    table, max_len, first_end = a.table, a.max_len, a.first_end
+    owner = a.owner[0]
+    words = len(a.words)
+    flips = (False,) if words == 2 else (False, True)
+    found: list[Match | None] = []
+    for t_word in t_words:
+        hit = None
+        for inverted_text in flips:
+            # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
+            text = extend_front(invert(t_word) if inverted_text else t_word, m - 1)
+            state = length = 0
+            second = None
+            for idx, sym in enumerate(text):
+                state, cap = table[state].get(sym, _DEAD)
+                length = length + 1 if length < cap else cap
+                if length < m:
+                    continue
+                # the running length is the longer of the words' matches; word
+                # 0's grows by at most one per symbol, so its first hit is
+                # exactly m long
+                o = owner[state]
+                if o == state or max_len[o] >= m:
+                    hit = 0, first_end[0][o], idx
+                    break
+                # word 1 holds the running match, m long at its first hit
+                if second is None:
+                    second = 1, first_end[1][state], idx
+            if hit is not None:
+                counters.windows_scanned += hit[2] + 1
+                break
+            # per indexed word: word 0 read the whole text, word 1 up to its hit
+            counters.windows_scanned += (len(text) * words if second is None
+                                         else len(text) + second[2] + 1)
+            hit = second
+            if hit is not None:
+                break
+        if hit is None:
+            found.append(None)
+            continue
+        # map both ends of the hit back onto the original circles
+        k, end, idx = hit
+        l_t = len(t_word)
+        p_end, t_end = (end - 1) % l_p, idx % l_t
+        if inverted_text:
+            # the hit pairs pattern with invert(text); reflect it onto the
+            # inverted pattern equivalent against the original text
+            p_end, t_end = (l_p - 1 - p_end) % l_p, (l_t - 1 - t_end) % l_t
+        found.append(extend_hit(p_word, t_word, bool(k) or inverted_text, p_end, t_end, counters))
+    return found

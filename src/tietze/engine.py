@@ -248,25 +248,30 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
 
 
 class ReplacingSearcher:
-    """The engine's real searcher: find a useful match, rewrite the text.
+    """The engine's real searcher: find useful matches, rewrite the texts.
 
-    It sees one pair of records.  A rewrite may write an involution's
-    inverse into the text, which stays until the next normalization.
+    It sees one pattern record and the texts to search it against.  The
+    strategy searches them all in one call; each match then rewrites its
+    own text, in order.  A rewrite may write an involution's inverse into
+    the text, which stays until the next normalization.
     """
 
     def __init__(self, strategy, counters: SearchCounters):
         self.strategy = strategy
         self.counters = counters
 
-    def __call__(self, pattern: RelatorRecord, text: RelatorRecord) -> bool:
-        m = self.strategy.search(pattern.word, text.word, self.counters)
-        if m is None:
-            return False
-        new = apply_replacement(text.word, m, pattern.word)
-        if len(new) >= len(text.word):
-            raise EngineError("replacement failed to shorten the text relator")
-        text.set_word(new)
-        return True
+    def __call__(self, pattern: RelatorRecord, texts: list[RelatorRecord]) -> list[bool]:
+        p_word = pattern.word
+        matches = self.strategy.search(p_word, [t.word for t in texts], self.counters)
+        changed = []
+        for text, m in zip(texts, matches):
+            if m is not None:
+                new = apply_replacement(text.word, m, p_word)
+                if len(new) >= len(text.word):
+                    raise EngineError("replacement failed to shorten the text relator")
+                text.set_word(new)
+            changed.append(m is not None)
+        return changed
 
 
 def _boundary_maintenance(pres: Presentation) -> None:

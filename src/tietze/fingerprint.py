@@ -1,7 +1,8 @@
 """Karp-Rabin window search with an exact or a Bloom-filter backing.
 
 Both backings index the 2*l_p threshold-length circular windows of a
-pattern and of its formal inverse, and scan the text's windows in order.
+pattern and of its formal inverse once, and one ``kr_search`` call scans
+a whole list of texts with that index, each text's windows in order.
 
 The exact backing (``kr-hash``) keys its table on the windows themselves:
 each word is packed once as machine ints (``array("i")``) and every window
@@ -167,67 +168,89 @@ class PatternIndex:
         return self.candidates
 
 
-def kr_search(idx: PatternIndex, p_word: Word, t_word: Word,
-              counters: SearchCounters) -> Match | None:
-    """Scan the text's threshold-length windows in order; extend the first hit."""
+def kr_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
+              counters: SearchCounters) -> list[Match | None]:
+    """Scan each text's threshold-length windows in order; extend the first hit.
+
+    Returns one optional Match per text.
+    """
     if idx.bloom is None:
-        return _exact_search(idx, p_word, t_word, counters)
-    l_p, l_t, m = len(p_word), len(t_word), idx.m
+        return _exact_search(idx, p_word, t_words, counters)
+    l_p, m, base = len(p_word), idx.m, idx.base
     bases = (p_word, idx.inverse)
+    candidates = idx.candidates
     query = idx.bloom.query
-    for tstart, value in enumerate(window_fingerprints(t_word, m, idx.base)):
-        if not query(value):
-            continue
-        counters.filter_hits += 1
-        cands = idx.candidates.get(value)
-        if cands is None:
-            counters.bloom_false_hits += 1
-            continue
-        counters.fingerprint_matches += 1
-        t_window = tuple(t_word[(tstart + i) % l_t] for i in range(m))
-        for inverted, pstart in cands:
-            counters.confirmations += 1
-            word = bases[inverted]
-            if all(word[(pstart + i) % l_p] == t_window[i] for i in range(m)):
-                counters.windows_scanned += tstart + 1
-                return extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
-        counters.fingerprint_false_matches += 1
-    counters.windows_scanned += l_t
-    return None
+    found: list[Match | None] = []
+    for t_word in t_words:
+        l_t = len(t_word)
+        for tstart, value in enumerate(window_fingerprints(t_word, m, base)):
+            if not query(value):
+                continue
+            counters.filter_hits += 1
+            cands = candidates.get(value)
+            if cands is None:
+                counters.bloom_false_hits += 1
+                continue
+            counters.fingerprint_matches += 1
+            t_window = tuple(t_word[(tstart + i) % l_t] for i in range(m))
+            for inverted, pstart in cands:
+                counters.confirmations += 1
+                word = bases[inverted]
+                if all(word[(pstart + i) % l_p] == t_window[i] for i in range(m)):
+                    break
+            else:
+                counters.fingerprint_false_matches += 1
+                continue
+            counters.windows_scanned += tstart + 1
+            found.append(extend_hit(p_word, t_word, inverted, pstart, tstart, counters))
+            break
+        else:
+            counters.windows_scanned += l_t
+            found.append(None)
+    return found
 
 
-def _exact_search(idx: PatternIndex, p_word: Word, t_word: Word,
-                  counters: SearchCounters) -> Match | None:
-    """The exact backing: the first text window whose bytes are a table key.
+def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
+                  counters: SearchCounters) -> list[Match | None]:
+    """The exact backing: in each text, the first window whose bytes are a table key.
 
     The samples (see ``PatternIndex``) are taken in order, straight from
     the text, wrapping past its end.  Sample j lies in exactly the windows
     starting in [j - (m - q), j], and these ranges follow one another
     without overlap, so looking up, in order, only the windows of each
     hitting sample still finds the first key window, and looks up each
-    window at most once.  The text is packed on the first hit.
+    window at most once.  A text is packed on its first hit.
     """
-    l_t, m, q = len(t_word), idx.m, idx.q
+    m, q, stride = idx.m, idx.q, idx.stride
     qgrams = idx.qgrams
     span = m * _ITEM
-    packed = None
-    for j in range(0, l_t + m - q, idx.stride):
-        k = j % l_t
-        sample = t_word[k:k + q] if k + q <= l_t else t_word[k:] + t_word[:k + q - l_t]
-        if sample not in qgrams:
-            continue
-        if packed is None:
-            packed = _pack(t_word, m)
-            get = idx.exact_candidates().get
-        for offset in range(max(0, j - m + q) * _ITEM, min(j + 1, l_t) * _ITEM, _ITEM):
-            cands = get(packed[offset:offset + span])
-            if cands is not None:
-                tstart = offset // _ITEM
-                counters.windows_scanned += tstart + 1
-                counters.filter_hits += 1
-                counters.fingerprint_matches += 1
-                counters.confirmations += 1
-                inverted, pstart = cands[0]
-                return extend_hit(p_word, t_word, inverted, pstart, tstart, counters)
-    counters.windows_scanned += l_t
-    return None
+    found: list[Match | None] = []
+    for t_word in t_words:
+        l_t = len(t_word)
+        packed = None
+        for j in range(0, l_t + m - q, stride):
+            k = j % l_t
+            sample = t_word[k:k + q] if k + q <= l_t else t_word[k:] + t_word[:k + q - l_t]
+            if sample not in qgrams:
+                continue
+            if packed is None:
+                packed = _pack(t_word, m)
+                get = idx.exact_candidates().get
+            for offset in range(max(0, j - m + q) * _ITEM, min(j + 1, l_t) * _ITEM, _ITEM):
+                cands = get(packed[offset:offset + span])
+                if cands is not None:
+                    break
+            else:
+                continue
+            tstart = offset // _ITEM
+            counters.windows_scanned += tstart + 1
+            counters.filter_hits += 1
+            counters.fingerprint_matches += 1
+            counters.confirmations += 1
+            inverted, pstart = cands[0]
+            found.append(extend_hit(p_word, t_word, inverted, pstart, tstart, counters))
+            break
+        else:
+            counters.windows_scanned += l_t
+            found.append(None)
+    return found

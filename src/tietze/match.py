@@ -3,11 +3,12 @@
 A useful common substring v of a pattern R_p and a text R_t (with
 len(R_p) <= len(R_t)) witnesses a rotation u.v of R_p or of its formal
 inverse and a rotation w.v of R_t with len(v) > len(u), i.e.
-len(v) >= useful_threshold(len(R_p)).  A search sees only the two words,
-never the presentation or its involutions.  This module holds the match
-type and its validity check, which guards every rewrite, the extension
-of an aligned hit that every scan shares, the anchored brute force
-search and the rotation/inversion invariant signatures.  The
+len(v) >= useful_threshold(len(R_p)).  A search sees only the words,
+never the presentation or its involutions; every scan takes one pattern
+and a list of texts and answers for each text on its own.  This module
+holds the match type and its validity check, which guards every rewrite,
+the extension of an aligned hit that every scan shares, the anchored
+brute force search and the rotation/inversion invariant signatures.  The
 exhaustive enumeration that every strategy is tested against lives with
 the tests.
 """
@@ -152,26 +153,33 @@ def extend_hit(p_word: Word, t_word: Word, inverted: bool, bpos: int, tpos: int,
     return match
 
 
-def brute_search(seeds: list[tuple[bool, int, int]], p_word: Word, t_word: Word,
-                 counters: SearchCounters) -> Match | None:
-    """Anchored brute force: scan the text for anchor symbols and extend.
+def brute_search(seeds: list[tuple[bool, int, int]], p_word: Word, t_words: list[Word],
+                 counters: SearchCounters) -> list[Match | None]:
+    """Anchored brute force: scan each text for anchor symbols and extend.
 
-    ``seeds`` is ``anchor_seeds(p_word)``.  ``windows_scanned`` counts the
-    text symbols read: the hit position plus one on a hit, |t| on a miss.
+    ``seeds`` is ``anchor_seeds(p_word)``; returns one optional Match per
+    text.  ``windows_scanned`` counts the text symbols read: the hit
+    position plus one on a hit, |t| on a miss.
     """
     wanted = {s for _, _, s in seeds}
-    for j, sym in enumerate(t_word):
-        if sym not in wanted:
-            continue
-        for inverted, bpos, s in seeds:
-            if s == sym:
-                m = match_from_seed(p_word, t_word, inverted, bpos, j)
+    found: list[Match | None] = []
+    for t_word in t_words:
+        m = None
+        for j, sym in enumerate(t_word):
+            if sym in wanted:
+                for inverted, bpos, s in seeds:
+                    if s == sym:
+                        m = match_from_seed(p_word, t_word, inverted, bpos, j)
+                        if m is not None:
+                            break
                 if m is not None:
                     counters.windows_scanned += j + 1
                     counters.successes += 1
-                    return m
-    counters.windows_scanned += len(t_word)
-    return None
+                    break
+        else:
+            counters.windows_scanned += len(t_word)
+        found.append(m)
+    return found
 
 
 # --- rotation/inversion invariant signatures -------------------------------

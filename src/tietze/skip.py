@@ -11,10 +11,16 @@ positions for the duration of a pass and re-sorts between passes.  The
 necessity oracle that the timestamp policies are tested against lives with
 the tests.
 
-A searcher is any callable (pattern record, text record) -> bool
-reporting whether the text changed; it sees only the pair, never the
-presentation.  The engine's real searcher performs the substring
-replacement, while tests may inject scripted fakes.
+A searcher is any callable (pattern record, list of text records) ->
+list of bool, reporting for each text, in order, whether it changed; it
+sees only the pattern and those texts, never the presentation.  A success
+shortens only its own text.  Within one pattern loop the searches are
+independent: a text's searchability reads only the pattern's stamp and
+that text's own fields, and only the text's own search changes them.  So
+each driver selects a pattern's searchable texts up front, hands them to
+the searcher in one call, and then applies the results in text order,
+exactly as a pair-by-pair loop would.  The engine's real searcher performs
+the substring replacements, while tests may inject scripted fakes.
 
 Every driver returns a ``PassTally`` of integer counts (pairs considered,
 searches performed, searches successful).  A ``SearchEvent`` exists only
@@ -36,7 +42,9 @@ from .presentation import Presentation, RelatorRecord
 
 
 class Searcher(Protocol):
-    def __call__(self, pattern: RelatorRecord, text: RelatorRecord) -> bool: ...
+    """Search ``pattern`` against each of ``texts``; one bool per text, in order."""
+
+    def __call__(self, pattern: RelatorRecord, texts: list[RelatorRecord]) -> list[bool]: ...
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,16 @@ def _ts_suffix_max(rel: list[RelatorRecord]) -> list[int]:
     return out
 
 
+def _record_loop(record: Recorder, pass_no: int, pattern: RelatorRecord,
+                 considered: list[RelatorRecord], batch: list[RelatorRecord],
+                 results: list[bool]) -> None:
+    """Hand one pattern loop's considered pairs to ``record``, in text order."""
+    found = {text.id: ok for text, ok in zip(batch, results)}
+    for text in considered:
+        ok = found.get(text.id)
+        record(SearchEvent(pattern.id, text.id, pass_no, ok is not None, bool(ok)))
+
+
 def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                 record: Recorder | None = None) -> PassTally:
     """Timestamp pass over a sequence kept sorted throughout.
@@ -131,20 +149,22 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     advances.  The pattern loop walks positions of the live list, so each
     unordered pair is considered at most once per pass.
 
+    A pattern loop considers the texts after the pattern once each, in
+    order, and searches those with pattern.tp <= text.ts in one searcher
+    call.  The successes are then re-inserted in text order, each popped
+    at its index ``i`` at loop start: every earlier re-insertion lands left
+    of ``i``, so the index still holds.  Texts right of ``i`` may already be
+    shortened, so the sorted position is looked up in ``rel[:i]`` only.
     The pattern's position ``pi`` is tracked rather than looked up: a
     re-inserted text lands at or before ``pi`` exactly when it became
     shorter than the pattern, which shifts the pattern one place right.
-    Until the pattern's first success its texts are walked contiguously;
-    only then is the set of visited text ids built, so that texts moved
-    by a re-insertion are not considered twice.
 
     A dead pattern loop is not walked.  The suffix maxima of ``ts`` over
     ``rel`` are built at pass start and rebuilt after a re-insertion, at
     the next pattern (a pattern loop with successes often has several);
     when the largest ``ts`` after ``pi`` is below the pattern's ``tp``, no
-    text of the loop is searchable, so none changes and ``visited`` stays
-    ``None``: the loop would consider each of the ``n - pi - 1`` texts
-    once and search none.  It is counted as such and the pattern is
+    text of the loop is searchable: the loop is counted as considering each
+    of the ``n - pi - 1`` texts once and searching none, and the pattern is
     stamped; a recorder gets one skipped event per text, in order.  The
     path is the same with or without a recorder.
     """
@@ -159,48 +179,28 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     while pi < n - 1:
         pattern = rel[pi]
         tp = pattern.tp  # only texts change during the pattern's loop
-        visited: set[int] | None = None
-        ti = pi + 1
         if ts_max is None:
             ts_max = _ts_suffix_max(rel)
-        if ts_max[ti] < tp:
-            considered += n - ti
-            if record is not None:
-                for text in rel[ti:]:
-                    record(SearchEvent(pattern.id, text.id, pass_no, False, False))
-            ti = n
-        while ti < n:
-            text = rel[ti]
-            if visited is not None:
-                if text.id in visited:
-                    ti += 1
-                    continue
-                visited.add(text.id)
-            considered += 1
-            if tp <= text.ts:
-                performed += 1
-                success = searcher(pattern, text)
-                if record is not None:
-                    record(SearchEvent(pattern.id, text.id, pass_no, True, success))
-                if success:
-                    successful += 1
-                    if visited is None:
-                        visited = {r.id for r in rel[pi + 1:ti + 1]}
-                    text.tp = -1
-                    text.ts = ctx.timer
-                    rel.pop(ti)
-                    new_pos = bisect_right(rel, len(text.word), key=_length)
-                    if new_pos != ti:
-                        ctx.reorders += 1
-                    rel.insert(new_pos, text)
-                    ts_max = None
-                    if new_pos <= pi:
-                        pi += 1
-                    ti = pi + 1
-                    continue
-            elif record is not None:
-                record(SearchEvent(pattern.id, text.id, pass_no, False, False))
-            ti += 1
+        considered += n - pi - 1
+        at = [] if ts_max[pi + 1] < tp else [i for i in range(pi + 1, n) if tp <= rel[i].ts]
+        batch = [rel[i] for i in at]
+        results = searcher(pattern, batch) if batch else []
+        if record is not None:
+            _record_loop(record, pass_no, pattern, rel[pi + 1:], batch, results)
+        performed += len(batch)
+        for i, text, ok in zip(at, batch, results):
+            if ok:
+                successful += 1
+                text.tp = -1
+                text.ts = ctx.timer
+                rel.pop(i)
+                new_pos = bisect_right(rel, len(text.word), hi=i, key=_length)
+                if new_pos != i:
+                    ctx.reorders += 1
+                rel.insert(new_pos, text)
+                ts_max = None
+                if new_pos <= pi:
+                    pi += 1
         pattern.tp = ctx.timer
         ctx.timer += 1
         pi += 1
@@ -213,7 +213,8 @@ def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
 
     Search (pattern, text) iff the text is still at least as long as the
     pattern and (either changed this pass, or pattern.tp > text.tp, or
-    pattern.tp <= text.ts).  Timestamps here are positions: after each
+    pattern.tp <= text.ts); a pattern's searchable texts go to the
+    searcher in one call.  Timestamps here are positions: after each
     position's texts the relator is stamped tp = position and
     ts = ts_local[position].  Every position is stamped, including the
     last (whose text loop is empty); leaving the last relator's
@@ -233,23 +234,26 @@ def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
         if p_len >= 1:
             p_tp = pattern.tp
             p_changed = ts_local[p]
-            for t in range(p + 1, n + 1):
-                text = snapshot[t - 1]
+            at, batch = [], []
+            for t, text in enumerate(snapshot[p:], p + 1):
                 if len(text.word) < p_len:
                     continue  # not a valid ComStr in these roles
                 considered += 1
                 if (p_changed + ts_local[t] != 0
                         or p_tp > text.tp
                         or p_tp <= text.ts):
-                    performed += 1
-                    success = searcher(pattern, text)
-                    if record is not None:
-                        record(SearchEvent(pattern.id, text.id, pass_no, True, success))
-                    if success:
-                        successful += 1
-                        ts_local[t] = p
-                elif record is not None:
-                    record(SearchEvent(pattern.id, text.id, pass_no, False, False))
+                    at.append(t)
+                    batch.append(text)
+            if record is not None:
+                seen = [text for text in snapshot[p:] if len(text.word) >= p_len]
+            results = searcher(pattern, batch) if batch else []
+            if record is not None:
+                _record_loop(record, pass_no, pattern, seen, batch, results)
+            performed += len(batch)
+            for t, ok in zip(at, results):
+                if ok:
+                    successful += 1
+                    ts_local[t] = p
         pattern.tp = p
         pattern.ts = ts_local[p]
     return PassTally(considered, performed, successful)
@@ -262,8 +266,9 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
     Positions are frozen for the pass; pairs whose text has shrunk below
     the pattern mid-pass are deferred to the next pass (same validity
     guard as the unsorted timestamp pass), keeping the pass discipline
-    comparable across policies.  The first pass searches every pair, and
-    under ``all-pairs`` every pass is a first pass: the early method.
+    comparable across policies.  A pattern's searchable texts go to the
+    searcher in one call.  The first pass searches every pair, and under
+    ``all-pairs`` every pass is a first pass: the early method.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -276,23 +281,21 @@ def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
     considered = performed = successful = 0
     for i in range(len(snapshot) - 1):
         pattern = snapshot[i]
-        if len(pattern.word) < 1:
+        p_len = len(pattern.word)
+        if p_len < 1:
             continue
-        for j in range(i + 1, len(snapshot)):
-            text = snapshot[j]
-            if len(text.word) < len(pattern.word):
-                continue
-            considered += 1
-            if first or pattern.id in flagged or text.id in flagged:
-                performed += 1
-                success = searcher(pattern, text)
-                if record is not None:
-                    record(SearchEvent(pattern.id, text.id, pass_no, True, success))
-                if success:
-                    successful += 1
-                    ctx.flags_pending.add(text.id)
-            elif record is not None:
-                record(SearchEvent(pattern.id, text.id, pass_no, False, False))
+        every = first or pattern.id in flagged
+        seen = [text for text in snapshot[i + 1:] if len(text.word) >= p_len]
+        considered += len(seen)
+        batch = seen if every else [text for text in seen if text.id in flagged]
+        results = searcher(pattern, batch) if batch else []
+        if record is not None:
+            _record_loop(record, pass_no, pattern, seen, batch, results)
+        performed += len(batch)
+        for text, ok in zip(batch, results):
+            if ok:
+                successful += 1
+                ctx.flags_pending.add(text.id)
     return PassTally(considered, performed, successful)
 
 

@@ -1,11 +1,12 @@
 """Match-level strategies behind one search interface, and their registry.
 
-A strategy answers search(pattern word, text word, counters), which
-sees only the two words, with an optional Match and must agree with the
-exhaustive enumeration of all rotation alignments on success/failure.
-Each is one ``Strategy``: it prepares per-pattern state (anchor seeds, a
-``PatternIndex`` or an automaton) and keeps it for the current pattern word,
-which matches how the engine drives it: one pattern against many texts.
+A strategy answers search(pattern word, text words, counters), which
+sees only those words, with one optional Match per text, in order; each
+must agree with the exhaustive enumeration of all rotation alignments on
+success/failure.  Each is one ``Strategy``: it prepares per-pattern state
+(anchor seeds, a ``PatternIndex`` or an automaton), keeps it for the
+current pattern word, and scans the whole list with it in one call, which
+matches how the engine drives it: one pattern against many texts.
 
 ``STRATEGIES`` is the one table of strategy names: it maps each full name
 to the CLI flags that select it and to its factory.  The engine, the CLI
@@ -31,14 +32,16 @@ from .words import Word, extend_front, invert, useful_threshold
 
 
 class Strategy:
-    """One match strategy: ``prepare`` per pattern, ``scan`` per text.
+    """One match strategy: ``prepare`` per pattern, ``scan`` per list of texts.
 
     ``prepare(p_word, counters)`` builds the per-pattern state and
-    ``scan(state, p_word, t_word, counters)`` searches one text with it.
-    ``search`` keeps the state of the last pattern word, rebuilding it
-    when the pattern changes, and is the one place that checks lengths.
-    The engine hands it the same pattern tuple for many texts in a row,
-    so the cached word is compared by identity before by value.
+    ``scan(state, p_word, t_words, counters)`` searches every text with
+    it, returning one optional Match per text.  ``search`` keeps the state
+    of the last pattern word, rebuilding it when the pattern changes, and
+    is the one place that checks lengths.  Consecutive calls can carry the
+    same pattern tuple, say the last pattern searched in one pass and the
+    first in the next, so the cached word is compared by identity before
+    by value.
     """
 
     def __init__(self, prepare: Callable, scan: Callable):
@@ -46,13 +49,13 @@ class Strategy:
         self.scan = scan
         self._last: tuple[Word, object] | None = None
 
-    def search(self, p_word, t_word, counters: SearchCounters):
-        if not 1 <= len(p_word) <= len(t_word):
-            raise ValueError("search requires 1 <= |pattern| <= |text|")
+    def search(self, p_word, t_words, counters: SearchCounters):
+        if not 1 <= len(p_word) <= min(map(len, t_words), default=0):
+            raise ValueError("search requires texts, and 1 <= |pattern| <= |text| for each")
         last = self._last
         if last is None or (last[0] is not p_word and last[0] != p_word):
             last = self._last = (p_word, self.prepare(p_word, counters))
-        return self.scan(last[1], p_word, t_word, counters)
+        return self.scan(last[1], p_word, t_words, counters)
 
 
 def _seeds(p_word, counters):
@@ -63,10 +66,14 @@ def _signature(*_) -> Strategy:
     """Signature pre-filter in front of the brute search."""
     signature = lru_cache(maxsize=None)(compute_signature)
 
-    def scan(seeds, p_word, t_word, counters):
-        if signature_skip(signature(p_word), signature(t_word), useful_threshold(len(p_word))):
-            return None
-        return brute_search(seeds, p_word, t_word, counters)
+    def scan(seeds, p_word, t_words, counters):
+        sig_p, threshold = signature(p_word), useful_threshold(len(p_word))
+        found: list = [None] * len(t_words)
+        at = [i for i, t in enumerate(t_words)
+              if not signature_skip(sig_p, signature(t), threshold)]
+        for i, m in zip(at, brute_search(seeds, p_word, [t_words[i] for i in at], counters)):
+            found[i] = m
+        return found
 
     return Strategy(_seeds, scan)
 

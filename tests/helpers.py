@@ -7,7 +7,7 @@ import random
 
 from tietze.automaton import LSAutomaton
 from tietze.fingerprint import MERSENNE61, PatternIndex
-from tietze.match import Match, MatchError, check_match
+from tietze.match import Match, MatchError, SearchCounters, check_match
 from tietze.presentation import Presentation, make_presentation
 from tietze.randgen import random_reduced_word
 from tietze.skip import SearchEvent
@@ -72,7 +72,19 @@ def squares_words(rng: random.Random, d_max=4, q_max=10, l_max=12) -> tuple[int,
     return d, words
 
 
-class ScriptedSearcher:
+class PairSearcher:
+    """A batch searcher built from a per-pair rule.
+
+    The skip drivers hand a searcher one pattern and a list of texts and
+    read back one bool per text.  A subclass defines ``pair(pattern, text)
+    -> bool``, and a call maps it over the texts in order.
+    """
+
+    def __call__(self, pattern, texts) -> list[bool]:
+        return [self.pair(pattern, text) for text in texts]
+
+
+class ScriptedSearcher(PairSearcher):
     """Fake searcher for skip-level tests: shrinks texts with seeded probability.
 
     Records (relator id, ordinal of the performed search) for every change,
@@ -85,7 +97,7 @@ class ScriptedSearcher:
         self.calls = 0
         self.changes: list[tuple[int, int]] = []
 
-    def __call__(self, pattern, text) -> bool:
+    def pair(self, pattern, text) -> bool:
         ordinal = self.calls
         self.calls += 1
         if len(text.word) > 1 and self.rng.random() < self.change_prob:
@@ -110,6 +122,54 @@ def changes_from(events: list[SearchEvent]) -> list[tuple[int, int]]:
     """
     performed = (e for e in events if e.performed)
     return [(e.text_id, o) for o, e in enumerate(performed) if e.successful]
+
+
+def mixed_batch(rng: random.Random, p_word: Word, d: int) -> list[Word]:
+    """Texts for one pattern over d generators, shuffled.
+
+    A threshold-length or longer window of the pattern, and one of its
+    inverse, each planted in a text as long as the pattern and in a
+    longer one; a random text; and two misses over other generators, one
+    as long as the pattern.
+    """
+    l_p = len(p_word)
+    m = useful_threshold(l_p)
+    texts = []
+    for base in (p_word, invert(p_word)):
+        for length in (l_p, l_p + rng.randint(1, 6)):
+            k = rng.randint(m, l_p)
+            start = rng.randrange(l_p)
+            w = (base + base)[start:start + k]
+            if length > k:
+                w += random_reduced_word(rng, d, length - k)
+            texts.append(rotate_right(w, rng.randrange(length)))
+    texts.append(random_reduced_word(rng, d, l_p + rng.randint(0, 6)))
+    for length in (l_p, l_p + rng.randint(1, 6)):
+        texts.append(tuple(s + d if s > 0 else s - d for s in random_reduced_word(rng, d, length)))
+    rng.shuffle(texts)
+    return texts
+
+
+def batch_per_text(make, p_word: Word, texts: list[Word]) -> list[tuple[Match | None, dict]]:
+    """Each text's Match and counters inside one batch scan of ``texts``.
+
+    ``make()`` builds a fresh strategy, whose per-pattern state is built
+    before the batches so that it counts in no text.  The batches of the
+    first k and the first k + 1 texts differ by text k's counters; every
+    batch must report the same Matches for the texts they share.
+    """
+    out: list[tuple[Match | None, dict]] = []
+    before = SearchCounters().to_dict()
+    for k in range(1, len(texts) + 1):
+        strategy = make()
+        strategy.search(p_word, [p_word], SearchCounters())
+        c = SearchCounters()
+        found = strategy.search(p_word, texts[:k], c)
+        assert found[:-1] == [m for m, _ in out]
+        after = c.to_dict()
+        out.append((found[-1], {key: after[key] - before[key] for key in after}))
+        before = after
+    return out
 
 
 def naive_circular_substrings(w: Word) -> set[Word]:

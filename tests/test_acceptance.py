@@ -11,6 +11,7 @@ import time
 import pytest
 
 from helpers import (
+    PairSearcher,
     ScriptedSearcher,
     changes_from,
     dense_presentation,
@@ -162,7 +163,7 @@ def test_criterion_04_strategy_oracle_agreement():
         t = random_reduced_word(rng, d, lt)
         want = exhaustive_oracle(p, t) is not None
         for name, strat in strategies.items():
-            m = strat.search(p, t, SearchCounters())
+            m = strat.search(p, [t], SearchCounters())[0]
             if (m is not None) != want:
                 mismatches += 1
             elif m is not None and not is_valid_match(m, p, t):
@@ -204,7 +205,7 @@ def test_criterion_05_usefulness_threshold_exact():
         m = exhaustive_oracle(pattern, text)
         assert m is not None and m.v_len >= t_star
         for name, strat in strategies.items():
-            got = strat.search(pattern, text, SearchCounters())
+            got = strat.search(pattern, [text], SearchCounters())[0]
             assert got is not None, (l_p, name)
             assert is_valid_match(got, pattern, text)
         # negative instance: nothing of threshold length exists
@@ -222,7 +223,7 @@ def test_criterion_05_usefulness_threshold_exact():
                         for s in random_reduced_word(rng, 2, l_p + 1))
             assert exhaustive_oracle(pattern, neg) is None
         for name, strat in strategies.items():
-            assert strat.search(pattern, neg, SearchCounters()) is None, \
+            assert strat.search(pattern, [neg], SearchCounters())[0] is None, \
                 (l_p, name)
     print("\nCRITERION 5 PASS: planted threshold-length substrings found, "
           "threshold-minus-one not found, for pattern lengths 1..64")
@@ -292,10 +293,10 @@ def preservation_corpus_results():
     """Criteria 8 and 9 share one corpus sweep over all combinations."""
     import tietze.engine as engine_mod
 
-    class ShrinkChecked(ReplacingSearcher):
-        def __call__(self, pattern, text):
+    class ShrinkChecked(PairSearcher, ReplacingSearcher):
+        def pair(self, pattern, text):
             before = len(text.word)
-            changed = super().__call__(pattern, text)
+            changed = ReplacingSearcher.__call__(self, pattern, [text])[0]
             if changed:
                 assert len(text.word) < before, "replacement failed to shorten"
             return changed
@@ -369,8 +370,8 @@ def test_criterion_11_automaton_build_cost_halved():
         for i in range(len(words) - 1):
             for j in range(i + 1, len(words)):
                 p, t = words[i], words[j]
-                m2 = two.search(p, t, c_two)
-                m1 = one.search(p, t, c_one)
+                m2 = two.search(p, [t], c_two)[0]
+                m1 = one.search(p, [t], c_one)[0]
                 want = exhaustive_oracle(p, t) is not None
                 assert (m2 is not None) == (m1 is not None) == want
                 checked_pairs += 1

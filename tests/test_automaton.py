@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 from itertools import product
+
+import pytest
 
 from helpers import (
     accepts_substring,
+    batch_per_text,
     exhaustive_oracle,
     is_valid_match,
     longest_match_lengths,
+    mixed_batch,
     random_pair,
     state_count,
     step,
@@ -92,7 +97,7 @@ def test_longest_match_lengths_against_naive():
 
 def test_search_example_both_modes():
     for mode in ("two", "one"):
-        m = make_strategy(f"automaton-{mode}").search(W("abc"), W("dab"), SearchCounters())
+        m = make_strategy(f"automaton-{mode}").search(W("abc"), [W("dab")], SearchCounters())[0]
         assert m is not None and m.v_len == 2
         assert is_valid_match(m, W("abc"), W("dab"))
 
@@ -102,8 +107,8 @@ def test_modes_agree_on_success():
     two, one = make_strategy("automaton-two"), make_strategy("automaton-one")
     for _ in range(1500):
         p, t = random_pair(rng)
-        got_two = two.search(p, t, SearchCounters()) is not None
-        got_one = one.search(p, t, SearchCounters()) is not None
+        got_two = two.search(p, [t], SearchCounters())[0] is not None
+        got_one = one.search(p, [t], SearchCounters())[0] is not None
         assert got_two == got_one
 
 
@@ -114,7 +119,7 @@ def test_search_agrees_with_oracle():
         p, t = random_pair(rng)
         want = exhaustive_oracle(p, t) is not None
         for strategy in strategies:
-            got = strategy.search(p, t, SearchCounters())
+            got = strategy.search(p, [t], SearchCounters())[0]
             assert (got is not None) == want
             if got is not None:
                 assert is_valid_match(got, p, t)
@@ -122,8 +127,8 @@ def test_search_agrees_with_oracle():
 
 def test_build_counts_per_search():
     c2, c1 = SearchCounters(), SearchCounters()
-    make_strategy("automaton-two").search(W("abc"), W("dab"), c2)
-    make_strategy("automaton-one").search(W("abc"), W("dab"), c1)
+    make_strategy("automaton-two").search(W("abc"), [W("dab")], c2)[0]
+    make_strategy("automaton-one").search(W("abc"), [W("dab")], c1)[0]
     assert c2.automata_built == 2
     assert c1.automata_built == 1
 
@@ -165,6 +170,30 @@ def reference_search(p, t, mode, counters):
     return None
 
 
+@pytest.mark.parametrize("mode", ["two", "one"])
+def test_batch_scan_equals_reference_search(mode):
+    # one automaton scans a mixed batch; each text's Match and counters
+    # inside it equal the reference scan of that text alone, so nothing
+    # (state, running length, word 1's hit) carries over between texts
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        p = random_reduced_word(rng, d, rng.randint(1, 12))
+        texts = mixed_batch(rng, p, d)
+        per_text = batch_per_text(lambda: make_strategy(f"automaton-{mode}"), p, texts)
+        for t, (m, counts) in zip(texts, per_text):
+            c = SearchCounters()
+            assert reference_search(p, t, mode, c) == m
+            # the reference builds its automata for every text; the batch
+            # built them before its first text
+            c.automata_built = 0
+            assert c.to_dict() == counts
+            seen["miss" if m is None else "inverted" if m.inverted else "hit"] += 1
+            seen["equal length"] += len(t) == len(p)
+    assert min(seen.values()) > 100, seen
+
+
 def shaped_pair(rng):
     """A pattern of length 1, 2 or more, a text that is often exactly as long,
     symbols from up to 300 generators, and often a piece of the pattern or of
@@ -192,7 +221,7 @@ def test_search_equals_reference_scan():
         for mode in ("two", "one"):
             want_c, got_c = SearchCounters(), SearchCounters()
             want = reference_search(p, t, mode, want_c)
-            got = make_strategy(f"automaton-{mode}").search(p, t, got_c)
+            got = make_strategy(f"automaton-{mode}").search(p, [t], got_c)[0]
             assert got == want
             assert got_c.to_dict() == want_c.to_dict()
         if want is not None:
@@ -287,7 +316,7 @@ def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
         for p in (a, a, b, a):
             texts.clear()
             counters = SearchCounters()
-            assert strategy.search(p, miss, counters) is None
+            assert strategy.search(p, [miss], counters)[0] is None
             # mode two: one pass over the extended text; mode one: one over
             # it and one over the extended inverted text
             assert len(texts) == 3 - words
@@ -298,7 +327,7 @@ def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
     # a hit on the inverse in mode two still reads the text once, to its end
     texts.clear()
     counters = SearchCounters()
-    found = make_strategy("automaton-two").search(a, W("xyCB"), counters)
+    found = make_strategy("automaton-two").search(a, [W("xyCB")], counters)[0]
     assert found is not None and found.inverted
     assert len(texts) == 1 and texts[0].fed == len(texts[0]) == 5
     # word 0 misses the 5 symbols; word 1 first hits "CB" at position 3

@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import dense_presentation, exhaustive_oracle, sparse_presentation, squares_words
+from helpers import (
+    PairSearcher,
+    dense_presentation,
+    exhaustive_oracle,
+    sparse_presentation,
+    squares_words,
+)
 from tietze import engine
 from tietze.engine import (
     EngineConfig,
@@ -219,10 +225,10 @@ def test_replacements_strictly_shrink():
     # instrumented searcher: every successful search must shrink its text
     from tietze.engine import ReplacingSearcher
 
-    class Checked(ReplacingSearcher):
-        def __call__(self, pattern, text):
+    class Checked(PairSearcher, ReplacingSearcher):
+        def pair(self, pattern, text):
             before = len(text.word)
-            changed = super().__call__(pattern, text)
+            changed = ReplacingSearcher.__call__(self, pattern, [text])[0]
             if changed:
                 assert len(text.word) < before
             return changed
@@ -263,10 +269,10 @@ def test_intermediate_matches_are_oracle_valid():
     # exhaustive enumeration confirms
     from tietze.engine import ReplacingSearcher
 
-    class OracleChecked(ReplacingSearcher):
-        def __call__(self, pattern, text):
+    class OracleChecked(PairSearcher, ReplacingSearcher):
+        def pair(self, pattern, text):
             p_word, t_word = pattern.word, text.word
-            changed = super().__call__(pattern, text)
+            changed = ReplacingSearcher.__call__(self, pattern, [text])[0]
             if changed:
                 assert exhaustive_oracle(p_word, t_word) is not None
             return changed
@@ -374,11 +380,12 @@ def test_every_search_of_a_run_agrees_with_oracle(monkeypatch, name):
         def __init__(self, inner):
             self.inner = inner
 
-        def search(self, p_word, t_word, counters):
-            m = self.inner.search(p_word, t_word, counters)
-            if (m is None) != (exhaustive_oracle(p_word, t_word) is None):
-                disagreements.append((p_word, t_word))
-            return m
+        def search(self, p_word, t_words, counters):
+            found = self.inner.search(p_word, t_words, counters)
+            for t_word, m in zip(t_words, found):
+                if (m is None) != (exhaustive_oracle(p_word, t_word) is None):
+                    disagreements.append((p_word, t_word))
+            return found
 
     monkeypatch.setattr(engine, "make_strategy", lambda *a: OracleChecked(make_strategy(*a)))
     rng = random.Random(3)

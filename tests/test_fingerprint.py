@@ -4,10 +4,12 @@ import random
 import pytest
 
 from helpers import (
+    batch_per_text,
     exhaustive_oracle,
     horner_fingerprint,
     indexed_windows,
     is_valid_match,
+    mixed_batch,
     random_pair,
 )
 from tietze.fingerprint import (
@@ -127,7 +129,7 @@ def test_kr_search_example_exact():
     base = fingerprint_base(5)
     idx = PatternIndex(W("abc"), "exact", base)
     c = SearchCounters()
-    m = kr_search(idx, W("abc"), W("dab"), c)
+    m = kr_search(idx, W("abc"), [W("dab")], c)[0]
     assert m is not None and m.v_len == 2
     assert c.fingerprint_matches >= 1
     assert c.fingerprint_false_matches == 0
@@ -138,7 +140,7 @@ def test_kr_search_disjoint_counts_only_collisions():
     base = fingerprint_base(5)
     idx = PatternIndex(W("ab"), "exact", base)
     c = SearchCounters()
-    assert kr_search(idx, W("ab"), W("cd"), c) is None
+    assert kr_search(idx, W("ab"), [W("cd")], c)[0] is None
     assert c.successes == 0
     assert c.fingerprint_matches == 0
 
@@ -150,7 +152,7 @@ def test_kr_counter_identity_with_bloom():
         p, t = random_pair(rng, d_max=3, l_max=16)
         c = SearchCounters()
         idx = PatternIndex(p, "bloom3", base, bloom_log2_size=6)
-        kr_search(idx, p, t, c)
+        kr_search(idx, p, [t], c)[0]
         assert c.filter_hits == c.fingerprint_matches + c.bloom_false_hits
         assert c.fingerprint_false_matches <= c.fingerprint_matches
 
@@ -164,7 +166,7 @@ def test_kr_agrees_with_oracle_all_backings():
         want = exhaustive_oracle(p, t) is not None
         for backing in ("exact", "bloom3", "bloom4"):
             idx = PatternIndex(p, backing, base, bloom_log2_size=10)
-            got = kr_search(idx, p, t, SearchCounters())
+            got = kr_search(idx, p, [t], SearchCounters())[0]
             assert (got is not None) == want
             if got is not None:
                 assert is_valid_match(got, p, t)
@@ -213,7 +215,7 @@ def test_kr_hash_equals_reference_scan_wide_alphabet():
             continue
         want, scanned = reference_kr_scan(p, t)
         c = SearchCounters()
-        got = kr_search(PatternIndex(p, "exact", base), p, t, c)
+        got = kr_search(PatternIndex(p, "exact", base), p, [t], c)[0]
         assert got == want
         assert c.windows_scanned == scanned
         assert c.fingerprint_false_matches == 0 and c.bloom_false_hits == 0
@@ -262,6 +264,36 @@ def reference_bloom_scan(p, t, k, log2_size, base):
     return None, c
 
 
+def test_kr_batch_scans_equal_reference_scans():
+    # both backings scan a mixed batch in one call; each text's Match and
+    # counters inside it equal the plain reference scan of that text alone
+    rng = random.Random(39)
+    seed, log2_size = 15, 6
+    base = fingerprint_base(seed)
+    hits = inverted = false_hits = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        p = random_reduced_word(rng, d, rng.randint(1, 12))
+        texts = mixed_batch(rng, p, d)
+        exact = batch_per_text(lambda: make_strategy("kr-hash", seed, log2_size), p, texts)
+        for t, got in zip(texts, exact):
+            want, scanned = reference_kr_scan(p, t)
+            found = int(want is not None)
+            assert got == (want, SearchCounters(
+                windows_scanned=scanned, filter_hits=found, fingerprint_matches=found,
+                confirmations=found, successes=found).to_dict())
+            hits += found
+            inverted += found and want.inverted
+        for k in (3, 4):
+            bloom = batch_per_text(lambda: make_strategy(f"kr-bloom{k}", seed, log2_size),
+                                   p, texts)
+            for t, got in zip(texts, bloom):
+                want, ref = reference_bloom_scan(p, t, k, log2_size, base)
+                assert got == (want, ref.to_dict())
+                false_hits += ref.bloom_false_hits > 0
+    assert hits > 300 and inverted > 100 and false_hits > 40
+
+
 def test_kr_bloom_equals_reference_scan_with_false_hits():
     rng = random.Random(38)
     seed, log2_size = 14, 6
@@ -276,7 +308,7 @@ def test_kr_bloom_equals_reference_scan_with_false_hits():
         for k, strategy in strategies.items():
             want, ref = reference_bloom_scan(p, t, k, log2_size, base)
             c = SearchCounters()
-            assert strategy.search(p, t, c) == want
+            assert strategy.search(p, [t], c)[0] == want
             assert c == ref
             hits[k] += want is not None
             false_hit_scans[k] += ref.bloom_false_hits > 0
@@ -335,7 +367,7 @@ def test_kr_hash_sampled_filter_equals_reference_scan():
         want, scanned = reference_kr_scan(p, t)
         idx = PatternIndex(p, "exact", base)
         c = SearchCounters()
-        assert kr_search(idx, p, t, c) == want
+        assert kr_search(idx, p, [t], c)[0] == want
         found = int(want is not None)
         assert c == SearchCounters(windows_scanned=scanned, filter_hits=found,
                                    fingerprint_matches=found, confirmations=found,

@@ -55,14 +55,14 @@ def test_match_invariants_checked():
 
 
 def test_brute_spec_example():
-    m = brute_search(anchor_seeds(W("abc")), W("abc"), W("dab"), SearchCounters())
+    m = brute_search(anchor_seeds(W("abc")), W("abc"), [W("dab")], SearchCounters())[0]
     assert m is not None
     check_match(m, W("abc"), W("dab"))
     assert m.v_len == 2
 
 
 def test_brute_none_on_disjoint():
-    assert brute_search(anchor_seeds(W("ab")), W("ab"), W("cd"), SearchCounters()) is None
+    assert brute_search(anchor_seeds(W("ab")), W("ab"), [W("cd")], SearchCounters())[0] is None
 
 
 def seed_symbols(seeds):
@@ -81,7 +81,7 @@ def test_brute_agrees_with_oracle():
     for _ in range(2000):
         p, t = random_pair(rng)
         want = exhaustive_oracle(p, t)
-        got = brute_search(anchor_seeds(p), p, t, SearchCounters())
+        got = brute_search(anchor_seeds(p), p, [t], SearchCounters())[0]
         assert (got is None) == (want is None)
         if got is not None:
             assert is_valid_match(got, p, t)
@@ -127,8 +127,8 @@ def test_signature_skip_is_sound():
 
 def test_counters_default_and_success_counting():
     c = SearchCounters()
-    m = brute_search(anchor_seeds(W("abc")), W("abc"), W("dab"), c)
+    m = brute_search(anchor_seeds(W("abc")), W("abc"), [W("dab")], c)[0]
     assert m is not None and c.successes == 1
     assert c.windows_scanned == 2  # the hit is at text position 1
-    assert brute_search(anchor_seeds(W("ab")), W("ab"), W("cd"), c) is None
+    assert brute_search(anchor_seeds(W("ab")), W("ab"), [W("cd")], c)[0] is None
     assert c.successes == 1 and c.windows_scanned == 4  # a miss reads the whole text

@@ -4,6 +4,7 @@ from bisect import bisect_right
 import pytest
 
 from helpers import (
+    PairSearcher,
     ScriptedSearcher,
     dense_presentation,
     necessary_set_oracle,
@@ -29,12 +30,12 @@ from tietze.skip import (
 from tietze.strategies import make_strategy
 
 
-class NeverMatch:
-    def __call__(self, pattern, text):
+class NeverMatch(PairSearcher):
+    def pair(self, pattern, text):
         return False
 
 
-class ChangeOn:
+class ChangeOn(PairSearcher):
     """Change the text on designated (pattern_id, text_id) pairs, in order."""
 
     def __init__(self, targets):
@@ -42,7 +43,7 @@ class ChangeOn:
         self.calls = 0
         self.changes = []
 
-    def __call__(self, pattern, text):
+    def pair(self, pattern, text):
         ordinal = self.calls
         self.calls += 1
         if (pattern.id, text.id) in self.targets and len(text.word) > 1:
@@ -393,7 +394,7 @@ def _reference_pass_sorted(pres, ctx, searcher):
                 continue
             visited.add(text.id)
             if pattern.tp <= text.ts:
-                success = searcher(pattern, text)
+                success = searcher(pattern, [text])[0]
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
                 if success:
                     text.tp = -1
@@ -415,13 +416,80 @@ def _reference_pass_sorted(pres, ctx, searcher):
     return events
 
 
-class Rewrite:
+def _reference_pass_unsorted(pres, ctx, searcher):
+    """ts-unsorted as first written: one searcher call per considered pair."""
+    ctx.pass_no += 1
+    snapshot = list(pres.rel)
+    n = len(snapshot)
+    ctx.ts_local = [0] * (n + 1)
+    ts_local = ctx.ts_local
+    events = []
+    for p in range(1, n + 1):
+        pattern = snapshot[p - 1]
+        p_len = len(pattern.word)
+        if p_len >= 1:
+            p_tp = pattern.tp
+            p_changed = ts_local[p]
+            for t in range(p + 1, n + 1):
+                text = snapshot[t - 1]
+                if len(text.word) < p_len:
+                    continue
+                if (p_changed + ts_local[t] != 0
+                        or p_tp > text.tp
+                        or p_tp <= text.ts):
+                    success = searcher(pattern, [text])[0]
+                    events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+                    if success:
+                        ts_local[t] = p
+                else:
+                    events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
+        pattern.tp = p
+        pattern.ts = ts_local[p]
+    return events
+
+
+def _reference_pass_change_flags(pres, ctx, searcher):
+    """flags and all-pairs as first written: one searcher call per considered pair."""
+    ctx.pass_no += 1
+    flagged = ctx.flags_pending
+    ctx.flags_pending = set()
+    first = ctx.first_pass
+    ctx.first_pass = ctx.policy == "all-pairs"
+    snapshot = list(pres.rel)
+    events = []
+    for i in range(len(snapshot) - 1):
+        pattern = snapshot[i]
+        if len(pattern.word) < 1:
+            continue
+        for j in range(i + 1, len(snapshot)):
+            text = snapshot[j]
+            if len(text.word) < len(pattern.word):
+                continue
+            if first or pattern.id in flagged or text.id in flagged:
+                success = searcher(pattern, [text])[0]
+                events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+                if success:
+                    ctx.flags_pending.add(text.id)
+            else:
+                events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
+    return events
+
+
+_REFERENCES = {
+    "all-pairs": _reference_pass_change_flags,
+    "flags": _reference_pass_change_flags,
+    "ts-sorted": _reference_pass_sorted,
+    "ts-unsorted": _reference_pass_unsorted,
+}
+
+
+class Rewrite(PairSearcher):
     """Cut the text to a given length on designated (pattern id, text id) pairs."""
 
     def __init__(self, cuts):
         self.cuts = dict(cuts)
 
-    def __call__(self, pattern, text):
+    def pair(self, pattern, text):
         n = self.cuts.pop((pattern.id, text.id), None)
         if n is None:
             return False
@@ -429,29 +497,38 @@ class Rewrite:
         return True
 
 
-class RandomCut:
+class RandomCut(PairSearcher):
     """Cut texts to a random shorter length (often below the pattern's)."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def __call__(self, pattern, text):
+    def pair(self, pattern, text):
         if len(text.word) > 1 and self.rng.random() < 0.3:
             text.set_word(text.word[:self.rng.randrange(1, len(text.word))])
             return True
         return False
 
 
-def _compare_with_reference(pres, make_searcher, passes=1):
+def _compare_with_reference(pres, make_searcher, passes=1, policy="ts-sorted"):
+    """Run the batched driver and the pair-by-pair reference side by side.
+
+    Events, tallies and ``_state`` must agree after every pass.  Between
+    passes both sequences are sorted, as the engine's boundary maintenance
+    does; ``ts-sorted`` keeps its sequence sorted itself.
+    """
     ref = pres.clone()
-    ctx, ref_ctx = PassContext(policy="ts-sorted"), PassContext(policy="ts-sorted")
+    ctx, ref_ctx = PassContext(policy=policy), PassContext(policy=policy)
     init_pass_state(pres, ctx)
     init_pass_state(ref, ref_ctx)
     searcher, ref_searcher = make_searcher(), make_searcher()
     all_events = []
     for _ in range(passes):
-        tally, events = recorded(pass_sorted, pres, ctx, searcher)
-        ref_events = _reference_pass_sorted(ref, ref_ctx, ref_searcher)
+        if policy != "ts-sorted":
+            sort_rel(pres)
+            sort_rel(ref)
+        tally, events = recorded(run_pass, pres, ctx, searcher)
+        ref_events = _REFERENCES[policy](ref, ref_ctx, ref_searcher)
         assert events == ref_events
         assert tally == _tally_from(ref_events)
         assert _state(pres, ctx) == _state(ref, ref_ctx)
@@ -493,3 +570,57 @@ def test_sorted_equals_reference_under_random_cuts():
         pres = dense_presentation(rng, d_max=3, q_max=12, l_max=12)
         sort_rel(pres)
         _compare_with_reference(pres, lambda: RandomCut(seed), passes=4)
+
+
+def _some_pairs(pres, rng, k):
+    """k random (pattern id, text id) pairs of distinct relators, with repeats."""
+    ids = [r.id for r in pres.rel]
+    return [tuple(rng.sample(ids, 2)) for _ in range(k)] if len(ids) >= 2 else []
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("kind", ["random-cut", "scripted", "change-on"])
+def test_batched_drivers_equal_pair_references(policy, kind):
+    # each driver selects a pattern's searchable texts up front and searches
+    # them in one call; the pair-by-pair drivers they replaced must see the
+    # same events, tallies and state on every pass
+    for seed in range(40):
+        rng = random.Random(seed)
+        if seed % 2:
+            pres = dense_presentation(rng, d_max=3, q_max=12, l_max=12)
+        else:
+            pres = sparse_presentation(seed)
+        sort_rel(pres)
+        if kind == "random-cut":
+            make = lambda: RandomCut(seed)  # noqa: E731
+        elif kind == "scripted":
+            make = lambda: ScriptedSearcher(seed, change_prob=0.3)  # noqa: E731
+        else:
+            targets = _some_pairs(pres, rng, 2 * len(pres.rel))
+            make = lambda: ChangeOn(targets)  # noqa: E731
+        _compare_with_reference(pres, make, passes=5, policy=policy)
+
+
+def test_sorted_several_successes_later_text_cut_below_earlier():
+    # one pattern loop with two or three successes, where a later text is
+    # cut below an earlier one: the later text is already short while the
+    # earlier one is re-inserted, so the sorted position must be looked up
+    # left of the earlier text only
+    cases = 0
+    for pattern_pos in range(3):
+        for j in range(pattern_pos + 1, 8):
+            for i in range(j + 1, 9):
+                for cut_j in range(1, j + 2):
+                    for cut_i in range(0, cut_j):
+                        pres, _ = fresh("ts-sorted", lengths=(2, 3, 4, 5, 6))
+                        for w in ((1, 2, 1, 2, 1, 2, 1), (1, 2, 1, 2, 1, 2, 1, 2),
+                                  (1, 2, 1, 2, 1, 2, 1, 2, 1), (1, 2) * 5):
+                            pres.add_relator(w)
+                        r = list(pres.rel)
+                        cuts = {(r[pattern_pos].id, r[j].id): cut_j,
+                                (r[pattern_pos].id, r[i].id): cut_i}
+                        if i + 1 < len(r):
+                            cuts[(r[pattern_pos].id, r[-1].id)] = cut_i
+                        _compare_with_reference(pres, lambda: Rewrite(cuts), passes=2)
+                        cases += 1
+    assert cases > 300
