@@ -20,7 +20,7 @@ position plus one on a hit, the whole extended text on a miss.
 from __future__ import annotations
 
 from .match import Match, SearchCounters, extend_hit
-from .words import Word, extend_front, invert, useful_threshold
+from .words import Word, invert, useful_threshold
 
 
 class LSAutomaton:
@@ -123,7 +123,8 @@ def automaton_search(a: LSAutomaton, p_word: Word, t_words: list[Word],
         hit = None
         for inverted_text in flips:
             # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
-            text = extend_front(invert(t_word) if inverted_text else t_word, m - 1)
+            t = invert(t_word) if inverted_text else t_word
+            text = t + t[:m - 1]
             state = length = 0
             second = None
             for idx, sym in enumerate(text):

@@ -161,6 +161,17 @@ def _solve_single_occurrence(word: Word, g: int) -> Word:
     return invert(rest) if lead[0] > 0 else rest
 
 
+def _eliminate(pres: Presentation, on_change, g: int | None = None, rhs: Word = ()) -> None:
+    """Substitute ``rhs`` for generator ``g`` (no substitution without
+    ``g``), then normalize involutions.  Each live record rewritten is
+    handed to ``on_change``, in the order of the rewrites."""
+    changed = substitute(pres, g, rhs) if g is not None else []
+    changed += normalize_involutions(pres)
+    if on_change is not None:
+        for r in changed:
+            on_change(r)
+
+
 def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
@@ -170,15 +181,9 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
     handed to ``on_change``, in the order of the rewrites.  Returns
     (changed anything, number of generator eliminations).
     """
-    def note(records):
-        if on_change is not None:
-            for r in records:
-                on_change(r)
-
     eliminations = 0
-    changed_any = False
+    _eliminate(pres, on_change)
     while True:
-        note(normalize_involutions(pres))
         action = None
         for r in pres.rel:
             if len(r.word) == 1:
@@ -198,11 +203,9 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
                 action = (target, rhs)
                 break
         if action is None:
-            return changed_any, eliminations
-        g, rhs = action
-        note(substitute(pres, g, rhs))
+            return eliminations > 0, eliminations
+        _eliminate(pres, on_change, *action)
         eliminations += 1
-        changed_any = True
 
 
 def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
@@ -239,11 +242,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     if best is None:
         return False
     _, g, r = best
-    rhs = _solve_single_occurrence(r.word, g)
-    changed = substitute(pres, g, rhs) + normalize_involutions(pres)
-    if on_change is not None:
-        for r in changed:
-            on_change(r)
+    _eliminate(pres, on_change, g, _solve_single_occurrence(r.word, g))
     return True
 
 

@@ -1,22 +1,22 @@
 """Pass drivers: which relator pairs get searched at all.
 
-Four policies run on three drivers behind one interface.
-``pass_change_flags`` searches pairs with a member changed in the previous
-pass (``flags``); the exhaustive baseline ``all-pairs`` is the same driver
-with every pass treated as a first pass.  The two timestamp policies skip
-every unnecessary search exactly: ``pass_sorted`` (``ts-sorted``) keeps the
-relator sequence sorted at all times (a changed text is re-inserted at its
-sorted position mid-pass), ``pass_unsorted`` (``ts-unsorted``) freezes
-positions for the duration of a pass and re-sorts between passes.  The
-necessity oracle that the timestamp policies are tested against lives with
-the tests.
+Four policies run on two drivers behind one interface.  The two timestamp
+policies skip every unnecessary search exactly: ``pass_sorted``
+(``ts-sorted``) keeps the relator sequence sorted at all times (a changed
+text is re-inserted at its sorted position mid-pass), while
+``pass_frozen`` freezes positions for the duration of a pass and the
+engine re-sorts between passes.  ``pass_frozen`` also runs ``flags``,
+which searches pairs with a member changed in the previous pass, and the
+exhaustive baseline ``all-pairs``; the policies differ only in which
+texts a pattern searches.  The necessity oracle that the timestamp
+policies are tested against lives with the tests.
 
 A searcher is any callable (pattern record, list of text records) ->
 list of bool, reporting for each text, in order, whether it changed; it
 sees only the pattern and those texts, never the presentation.  A success
 shortens only its own text.  Within one pattern loop the searches are
-independent: a text's searchability reads only the pattern's stamp and
-that text's own fields, and only the text's own search changes them.  So
+independent: a text's searchability reads only the pattern's stamps and
+flags and that text's own, and only the text's own search changes them.  So
 each driver selects a pattern's searchable texts up front, hands them to
 the searcher in one call, and then applies the results in text order,
 exactly as a pair-by-pair loop would.  The engine's real searcher performs
@@ -75,10 +75,8 @@ class PassContext:
 
     policy: str
     timer: int = 1                      # ts-sorted global counter
-    ts_local: list[int] = field(default_factory=list)  # ts-unsorted, per position, 1-based
     pass_no: int = 0
-    first_pass: bool = True             # flags; stays True for all-pairs
-    flags_pending: set[int] = field(default_factory=set)
+    flagged: set[int] = field(default_factory=set)  # changed since the last pass began
     reorders: int = 0                   # ts-sorted mid-pass re-insertions that moved
 
 
@@ -92,8 +90,7 @@ def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
         for pos, r in enumerate(pres.rel, start=1):
             r.tp = r.ts = pos
     elif ctx.policy == "flags":
-        ctx.first_pass = True
-        ctx.flags_pending = set()
+        ctx.flagged = {r.id for r in pres.rel}
 
 
 def mark_changed(pres: Presentation, ctx: PassContext, rec: RelatorRecord) -> None:
@@ -101,16 +98,17 @@ def mark_changed(pres: Presentation, ctx: PassContext, rec: RelatorRecord) -> No
 
     For ts-sorted the timer advances past the mark so that the next
     pass's pattern stamps compare strictly greater: a pair searched once
-    after the mark must not look searchable again.
+    after the mark must not look searchable again.  The frozen-position
+    policies flag the record.
     """
     if ctx.policy == "ts-sorted":
         rec.tp = -1
         rec.ts = ctx.timer
         ctx.timer += 1
-    elif ctx.policy == "ts-unsorted":
+        return
+    if ctx.policy == "ts-unsorted":
         rec.tp = -1
-    elif ctx.policy == "flags":
-        ctx.flags_pending.add(rec.id)
+    ctx.flagged.add(rec.id)
 
 
 def _require_sorted(pres: Presentation) -> None:
@@ -207,103 +205,70 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     return PassTally(considered, performed, successful)
 
 
-def pass_unsorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
-                  record: Recorder | None = None) -> PassTally:
-    """Timestamp pass with positions frozen for the whole pass.
+def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
+                record: Recorder | None = None) -> PassTally:
+    """Pass with positions frozen for the whole pass: ts-unsorted, flags, all-pairs.
 
-    Search (pattern, text) iff the text is still at least as long as the
-    pattern and (either changed this pass, or pattern.tp > text.tp, or
-    pattern.tp <= text.ts); a pattern's searchable texts go to the
-    searcher in one call.  Timestamps here are positions: after each
-    position's texts the relator is stamped tp = position and
-    ts = ts_local[position].  Every position is stamped, including the
-    last (whose text loop is empty); leaving the last relator's
-    initialization in place would make its pairs look forever fresh.
+    The pattern at position p (1-based) is paired with the later texts
+    still at least as long as it (``seen``); a text shrunk below the
+    pattern mid-pass waits for the next pass.  ``changed`` maps the id of
+    each text changed this pass to the position of the pattern that
+    changed it.  A fresh pattern searches all of ``seen``: under
+    ts-unsorted one changed this pass, under flags a flagged one, under
+    all-pairs every one.  Any other pattern searches the texts that pass
+    its policy's predicate, chosen once per pattern: under ts-unsorted the
+    text changed this pass, or pattern.tp > text.tp, or pattern.tp <=
+    text.ts; under flags the text is flagged.
+
+    ts-unsorted's timestamps are positions: after its texts, the relator
+    at position p is stamped tp = p and ts = ``changed.get(id, 0)``, the
+    last position included (leaving its initialization in place would
+    make its pairs look forever fresh).  At the end of the pass the ids in
+    ``changed`` become ``ctx.flagged``, to which ``mark_changed`` adds
+    between passes; ``init_pass_state`` flags every relator under flags,
+    so its first pass searches every pair.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
     pass_no = ctx.pass_no
+    policy = ctx.policy
+    stamped = policy == "ts-unsorted"
+    flagged = ctx.flagged
+    changed: dict[int, int] = {}
     snapshot = list(pres.rel)
-    n = len(snapshot)
-    ctx.ts_local = [0] * (n + 1)
-    ts_local = ctx.ts_local
     considered = performed = successful = 0
-    for p in range(1, n + 1):
-        pattern = snapshot[p - 1]
+    for p, pattern in enumerate(snapshot, 1):
         p_len = len(pattern.word)  # only texts change during the pattern's loop
-        if p_len >= 1:
-            p_tp = pattern.tp
-            p_changed = ts_local[p]
-            at, batch = [], []
-            for t, text in enumerate(snapshot[p:], p + 1):
-                if len(text.word) < p_len:
-                    continue  # not a valid ComStr in these roles
-                considered += 1
-                if (p_changed + ts_local[t] != 0
-                        or p_tp > text.tp
-                        or p_tp <= text.ts):
-                    at.append(t)
-                    batch.append(text)
-            if record is not None:
-                seen = [text for text in snapshot[p:] if len(text.word) >= p_len]
+        seen = [text for text in snapshot[p:] if len(text.word) >= p_len] if p_len else []
+        if seen:
+            considered += len(seen)
+            if policy == "all-pairs" or pattern.id in (changed if stamped else flagged):
+                batch = seen
+            elif stamped:
+                tp = pattern.tp
+                batch = [t for t in seen if t.id in changed or tp > t.tp or tp <= t.ts]
+            else:
+                batch = [t for t in seen if t.id in flagged]
             results = searcher(pattern, batch) if batch else []
             if record is not None:
                 _record_loop(record, pass_no, pattern, seen, batch, results)
             performed += len(batch)
-            for t, ok in zip(at, results):
+            for text, ok in zip(batch, results):
                 if ok:
                     successful += 1
-                    ts_local[t] = p
-        pattern.tp = p
-        pattern.ts = ts_local[p]
-    return PassTally(considered, performed, successful)
-
-
-def pass_change_flags(pres: Presentation, ctx: PassContext, searcher: Searcher,
-                      record: Recorder | None = None) -> PassTally:
-    """Search pairs with a member flagged as changed in the previous pass.
-
-    Positions are frozen for the pass; pairs whose text has shrunk below
-    the pattern mid-pass are deferred to the next pass (same validity
-    guard as the unsorted timestamp pass), keeping the pass discipline
-    comparable across policies.  A pattern's searchable texts go to the
-    searcher in one call.  The first pass searches every pair, and under
-    ``all-pairs`` every pass is a first pass: the early method.
-    """
-    _require_sorted(pres)
-    ctx.pass_no += 1
-    pass_no = ctx.pass_no
-    flagged = ctx.flags_pending
-    ctx.flags_pending = set()
-    first = ctx.first_pass
-    ctx.first_pass = ctx.policy == "all-pairs"
-    snapshot = list(pres.rel)
-    considered = performed = successful = 0
-    for i in range(len(snapshot) - 1):
-        pattern = snapshot[i]
-        p_len = len(pattern.word)
-        if p_len < 1:
-            continue
-        every = first or pattern.id in flagged
-        seen = [text for text in snapshot[i + 1:] if len(text.word) >= p_len]
-        considered += len(seen)
-        batch = seen if every else [text for text in seen if text.id in flagged]
-        results = searcher(pattern, batch) if batch else []
-        if record is not None:
-            _record_loop(record, pass_no, pattern, seen, batch, results)
-        performed += len(batch)
-        for text, ok in zip(batch, results):
-            if ok:
-                successful += 1
-                ctx.flags_pending.add(text.id)
+                    changed[text.id] = p
+        if stamped:
+            pattern.tp = p
+            pattern.ts = changed.get(pattern.id, 0)
+    ctx.flagged = set(changed)
     return PassTally(considered, performed, successful)
 
 
 _PASS_FUNCTIONS: dict[str, Callable] = {
-    "all-pairs": pass_change_flags,
-    "flags": pass_change_flags,
+    "all-pairs": pass_frozen,
+    "flags": pass_frozen,
     "ts-sorted": pass_sorted,
-    "ts-unsorted": pass_unsorted,
+    "ts-unsorted": pass_frozen,
 }
 POLICY_NAMES = tuple(_PASS_FUNCTIONS)
 

@@ -297,18 +297,22 @@ class FedWord(tuple):
 
 def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
     builds, texts = [], []
-    build, extend = strategies.build_ls_automaton, automaton.extend_front
+    build = strategies.build_ls_automaton
 
     def counting_build(*words):
         builds.append(words)
         return build(*words)
 
-    def fed_extend(w, k):
-        texts.append(FedWord(extend(w, k)))
-        return texts[-1]
+    def fed_enumerate(iterable, start=0):
+        # a scan enumerates its extended text, a tuple; the build
+        # enumerates lists of prefix ends
+        if isinstance(iterable, tuple):
+            texts.append(FedWord(iterable))
+            iterable = texts[-1]
+        return enumerate(iterable, start)
 
     monkeypatch.setattr(strategies, "build_ls_automaton", counting_build)
-    monkeypatch.setattr(automaton, "extend_front", fed_extend)
+    monkeypatch.setattr(automaton, "enumerate", fed_enumerate, raising=False)
     a, b, miss = W("abc"), W("abd"), W("xyzw")
     for mode, words in (("two", 2), ("one", 1)):
         strategy = make_strategy(f"automaton-{mode}")

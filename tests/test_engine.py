@@ -23,6 +23,7 @@ from tietze.engine import (
 from tietze.match import Match
 from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
 from tietze.randgen import random_presentation
+from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 from tietze.verify import abelian_invariants
 from tietze.words import canonical_rep, invert, reduce_cyclic_word, word_from_letters
@@ -291,19 +292,20 @@ def test_intermediate_matches_are_oracle_valid():
 
 def test_full_annihilation_mid_pass():
     # a text equivalent to its pattern is replaced by the empty word
-    # mid-pass; the record survives as length 0 until the engine drops it
+    # mid-pass; the record survives as length 0 until the engine drops it.
+    # pass_sorted runs ts-sorted, pass_frozen the other three policies
     from tietze.engine import ReplacingSearcher
     from tietze.match import SearchCounters
-    from tietze.skip import PassContext, init_pass_state, pass_sorted, pass_unsorted
+    from tietze.skip import PassContext, init_pass_state, run_pass
     from tietze.strategies import make_strategy
 
-    for pass_fn, policy in ((pass_sorted, "ts-sorted"), (pass_unsorted, "ts-unsorted")):
+    for policy in POLICY_NAMES:
         p = make_presentation(2, [(1, 2), (2, 1), (1, 1, 2)])
         ctx = PassContext(policy=policy)
         init_pass_state(p, ctx)
         searcher = ReplacingSearcher(make_strategy("brute"), SearchCounters())
-        assert pass_fn(p, ctx, searcher).successful
-        assert sorted(len(r.word) for r in p.rel)[0] == 0  # annihilated, kept in place
+        assert run_pass(p, ctx, searcher).successful, policy
+        assert sorted(len(r.word) for r in p.rel)[0] == 0, policy  # annihilated, kept in place
 
 
 def test_simplify_annihilating_duplicates():
@@ -343,7 +345,7 @@ def test_config_rejects_nan_growth_and_bad_bloom_size():
     assert EngineConfig(bloom_log2_size=30).bloom_log2_size == 30
 
 
-@pytest.mark.parametrize("policy", ["ts-sorted", "ts-unsorted", "flags", "all-pairs"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_record_events_changes_nothing(policy):
     rng = random.Random(71)
     bases = [sparse_presentation(s) for s in range(8)]
@@ -395,7 +397,7 @@ def test_every_search_of_a_run_agrees_with_oracle(monkeypatch, name):
     assert disagreements == []
 
 
-@pytest.mark.parametrize("policy", ["ts-sorted", "ts-unsorted"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
     """Boundary maintenance runs only after a rewrite; every pass must
     still start on a sorted sequence of distinct nonempty relators."""

@@ -64,15 +64,9 @@ def test_ts_unsorted_equals_all_pairs(strategy):
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_ts_sorted_equals_sorted_all_pairs(monkeypatch, strategy):
     policy_runs = [_outcome(pres, "ts-sorted", strategy) for pres in CORPUS]
-    run_pass = engine.run_pass
-
-    def reference(pres, ctx, searcher, record=None):
-        assert ctx.policy == "ts-sorted"
-        return _sorted_all_pairs(pres, ctx, searcher, record)
-
-    monkeypatch.setattr(engine, "run_pass", reference)
-    reference_runs = [_outcome(pres, "ts-sorted", strategy) for pres in CORPUS]
-    monkeypatch.setattr(engine, "run_pass", run_pass)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "run_pass", _sorted_all_pairs)
+        reference_runs = [_outcome(pres, "ts-sorted", strategy) for pres in CORPUS]
     for n, (got, want) in enumerate(zip(policy_runs, reference_runs)):
         assert got == want, n
 

@@ -22,9 +22,8 @@ from tietze.skip import (
     SearchEvent,
     init_pass_state,
     mark_changed,
-    pass_change_flags,
+    pass_frozen,
     pass_sorted,
-    pass_unsorted,
     run_pass,
 )
 from tietze.strategies import make_strategy
@@ -107,11 +106,11 @@ def test_sorted_requires_sorted_input():
 
 def test_unsorted_first_pass_full_then_quiescent():
     pres, ctx = fresh("ts-unsorted")
-    _, ev1 = recorded(pass_unsorted, pres, ctx, NeverMatch())
+    _, ev1 = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev1) == [(0, 1), (0, 2), (1, 2)]
-    assert all(x == 0 for x in ctx.ts_local)
+    assert ctx.flagged == set()
     assert [(r.tp, r.ts) for r in pres.rel] == [(1, 0), (2, 0), (3, 0)]
-    _, ev2 = recorded(pass_unsorted, pres, ctx, NeverMatch())
+    _, ev2 = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev2) == []
 
 
@@ -120,12 +119,12 @@ def test_unsorted_stamps_and_next_pass_reaction():
     pres, ctx = fresh("ts-unsorted", lengths=(2, 4, 6))
     r1, r2, r3 = pres.rel
     searcher = ChangeOn([(r1.id, r2.id)])
-    _, ev1 = recorded(pass_unsorted, pres, ctx, searcher)
-    # (r2, r3) still searched in the same pass through ts_local
+    _, ev1 = recorded(pass_frozen, pres, ctx, searcher)
+    # (r2, r3) still searched in the same pass: r2 changed this pass
     assert (r2.id, r3.id) in searched(ev1)
     assert (r1.tp, r1.ts) == (1, 0) and (r2.tp, r2.ts) == (2, 1)
     sort_rel(pres)
-    _, ev2 = recorded(pass_unsorted, pres, ctx, NeverMatch())
+    _, ev2 = recorded(pass_frozen, pres, ctx, NeverMatch())
     # (r1, r2) searched again: r1 stamped before r2 changed
     assert (r1.id, r2.id) in searched(ev2)
 
@@ -134,9 +133,9 @@ def test_unsorted_same_pass_reaction_via_ts_local():
     pres, ctx = fresh("ts-unsorted", lengths=(2, 3, 4, 6))
     r1, r2, r3, r4 = pres.rel
     searcher = ChangeOn([(r1.id, r4.id), (r1.id, r4.id)])
-    pass_unsorted(pres, ctx, searcher)
+    pass_frozen(pres, ctx, searcher)
     sort_rel(pres)
-    _, ev2 = recorded(pass_unsorted, pres, ctx, searcher)
+    _, ev2 = recorded(pass_frozen, pres, ctx, searcher)
     # the pass-2 change at pattern position 1 wakes up (r2, r4) ...
     assert (r1.id, r4.id) in searched(ev2)
     assert (r2.id, r4.id) in searched(ev2)
@@ -151,7 +150,7 @@ def test_unsorted_defers_pairs_broken_by_shrinking():
     r1, r2, r3 = pres.rel
     searcher = ChangeOn([(r1.id, r3.id)])
     # shrink r3 to length 3 via the scripted change
-    _, ev = recorded(pass_unsorted, pres, ctx, searcher)
+    _, ev = recorded(pass_frozen, pres, ctx, searcher)
     pairs = [(e.pattern_id, e.text_id) for e in ev]
     assert (r1.id, r3.id) in pairs
     assert (r2.id, r3.id) not in pairs  # deferred, no event at all
@@ -159,17 +158,16 @@ def test_unsorted_defers_pairs_broken_by_shrinking():
 
 def test_change_flags_first_pass_full():
     pres, ctx = fresh("flags")
-    _, ev = recorded(pass_change_flags, pres, ctx, NeverMatch())
+    _, ev = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev) == [(0, 1), (0, 2), (1, 2)]
-    _, ev2 = recorded(pass_change_flags, pres, ctx, NeverMatch())
+    _, ev2 = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev2) == []
 
 
 def test_change_flags_exact_pairs_for_single_flag():
     pres, ctx = fresh("flags")
-    ctx.first_pass = False
-    ctx.flags_pending = {pres.rel[1].id}
-    _, ev = recorded(pass_change_flags, pres, ctx, NeverMatch())
+    ctx.flagged = {pres.rel[1].id}
+    _, ev = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev) == [(0, 1), (1, 2)]
     skipped = [(e.pattern_id, e.text_id) for e in ev if not e.performed]
     assert skipped == [(0, 2)]
@@ -292,8 +290,7 @@ def test_flags_covers_changes_by_the_next_pass():
 
 def _state(pres, ctx):
     return ([(r.id, r.word, r.tp, r.ts) for r in pres.rel],
-            ctx.pass_no, ctx.timer, ctx.reorders, list(ctx.ts_local),
-            ctx.first_pass, set(ctx.flags_pending))
+            ctx.pass_no, ctx.timer, ctx.reorders, set(ctx.flagged))
 
 
 def _tally_from(events):
@@ -421,8 +418,7 @@ def _reference_pass_unsorted(pres, ctx, searcher):
     ctx.pass_no += 1
     snapshot = list(pres.rel)
     n = len(snapshot)
-    ctx.ts_local = [0] * (n + 1)
-    ts_local = ctx.ts_local
+    ts_local = [0] * (n + 1)  # per position, 1-based: the position that changed it
     events = []
     for p in range(1, n + 1):
         pattern = snapshot[p - 1]
@@ -445,16 +441,16 @@ def _reference_pass_unsorted(pres, ctx, searcher):
                     events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
         pattern.tp = p
         pattern.ts = ts_local[p]
+    ctx.flagged = {snapshot[t - 1].id for t in range(1, n + 1) if ts_local[t]}
     return events
 
 
 def _reference_pass_change_flags(pres, ctx, searcher):
     """flags and all-pairs as first written: one searcher call per considered pair."""
     ctx.pass_no += 1
-    flagged = ctx.flags_pending
-    ctx.flags_pending = set()
-    first = ctx.first_pass
-    ctx.first_pass = ctx.policy == "all-pairs"
+    flagged = ctx.flagged
+    ctx.flagged = set()
+    all_pairs = ctx.policy == "all-pairs"
     snapshot = list(pres.rel)
     events = []
     for i in range(len(snapshot) - 1):
@@ -465,11 +461,11 @@ def _reference_pass_change_flags(pres, ctx, searcher):
             text = snapshot[j]
             if len(text.word) < len(pattern.word):
                 continue
-            if first or pattern.id in flagged or text.id in flagged:
+            if all_pairs or pattern.id in flagged or text.id in flagged:
                 success = searcher(pattern, [text])[0]
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
                 if success:
-                    ctx.flags_pending.add(text.id)
+                    ctx.flagged.add(text.id)
             else:
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
     return events
