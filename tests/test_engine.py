@@ -21,7 +21,12 @@ from tietze.engine import (
     substitute,
 )
 from tietze.match import Match
-from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
+from tietze.presentation import (
+    make_presentation,
+    normalize_involutions,
+    parse_presentation,
+    serialize_presentation,
+)
 from tietze.randgen import random_presentation
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
@@ -145,6 +150,49 @@ def test_short_eliminate_examples():
     changed, n = short_eliminate(p)
     assert not changed and n == 0
     assert p.involutions == {1} and p.words() == [(1, 1)]
+
+
+def _reference_short_eliminate(pres, on_change):
+    """Short elimination with the right-hand side of each case written out."""
+    eliminations = 0
+    for r in normalize_involutions(pres):
+        on_change(r)
+    while True:
+        for r in pres.rel:
+            if len(r.word) == 1:
+                g, rhs = abs(r.word[0]), ()
+                break
+            if len(r.word) == 2 and abs(r.word[0]) != abs(r.word[1]):
+                x, y = r.word
+                g, sign, other = (abs(y), y, x) if abs(x) < abs(y) else (abs(x), x, y)
+                rhs = (-other,) if sign > 0 else (other,)
+                break
+        else:
+            return eliminations > 0, eliminations
+        for r in substitute(pres, g, rhs) + normalize_involutions(pres):
+            on_change(r)
+        eliminations += 1
+
+
+SHORT_COMPANIONS = [(1, 2, 3, 1, 2), (3, 3), (2, -1, 3, -2, -1, -3), (1, 1, 2, -3, 2)]
+
+
+def test_short_eliminate_equals_the_explicit_right_hand_sides():
+    # every length-1 relator and every reduced non-square length-2 relator
+    # over 3 generators, first and last among fixed companions
+    syms = (1, -1, 2, -2, 3, -3)
+    shorts = [(x,) for x in syms] + [(x, y) for x in syms for y in syms if abs(x) != abs(y)]
+    assert len(shorts) == 30
+    for word in shorts:
+        for words in ([word] + SHORT_COMPANIONS, SHORT_COMPANIONS + [word]):
+            runs = []
+            for eliminate in (short_eliminate, _reference_short_eliminate):
+                p = make_presentation(3, words)
+                seen = []
+                result = eliminate(p, lambda r: seen.append(r.id))
+                runs.append((result, seen, p.d, p.involutions,
+                             [(r.id, r.word) for r in p.rel]))
+            assert runs[0] == runs[1], words
 
 
 def test_long_eliminate_picks_minimal_growth():

@@ -374,6 +374,55 @@ def test_recorder_changes_nothing_with_out_of_pass_changes(policy, kind):
     _compare_recorded_and_bare(policy, kind, passes=12, between=_eliminations_between_passes)
 
 
+def _pseudocode_start(pres, ctx):
+    """The paper's initial timestamps, set per policy."""
+    if ctx.policy == "ts-sorted":
+        ctx.timer = 1
+        for r in pres.rel:
+            r.tp, r.ts = -1, 0
+    elif ctx.policy == "ts-unsorted":
+        for pos, r in enumerate(pres.rel, start=1):
+            r.tp = r.ts = pos
+    elif ctx.policy == "flags":
+        ctx.flagged = {r.id for r in pres.rel}
+
+
+def _marked_start(pres, ctx):
+    for r in pres.rel:
+        mark_changed(pres, ctx, r)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_marking_every_relator_starts_like_the_pseudocode_stamps(policy):
+    # a marked relator has tp = -1, so the first pass searches every pair as
+    # the paper's stamps arrange; under ts-sorted every later stamp moves up
+    # by the same n, which no tp <= ts comparison can see
+    for n, base in enumerate(_presentations()):
+        rng = random.Random(n)
+        # stamps left over from an earlier run, which either start must override
+        leftover = [(rng.randint(-1, 50), rng.randint(0, 50)) for _ in base.rel]
+        runs = []
+        for start in (_pseudocode_start, _marked_start):
+            pres = base.clone()
+            for r, (tp, ts) in zip(pres.rel, leftover):
+                r.tp, r.ts = tp, ts
+            sort_rel(pres)
+            ctx = PassContext(policy=policy)
+            start(pres, ctx)
+            runs.append((pres, ctx))
+        searchers = [ScriptedSearcher(n, change_prob=0.3) for _ in runs]
+        for _ in range(6):
+            outcomes = []
+            for (pres, ctx), searcher in zip(runs, searchers):
+                pres.rel[:] = [r for r in pres.rel if len(r.word) > 0]
+                sort_rel(pres)
+                tally, events = recorded(run_pass, pres, ctx, searcher)
+                outcomes.append((tally, events, [(r.id, r.word) for r in pres.rel],
+                                 ctx.reorders))
+            assert outcomes[0] == outcomes[1], (n, outcomes[0][0], outcomes[1][0])
+            _eliminations_between_passes(rng, runs)
+
+
 def _reference_pass_sorted(pres, ctx, searcher):
     """ts-sorted as first written: re-locates the pattern with rel.index."""
     ctx.pass_no += 1
