@@ -86,12 +86,6 @@ def _write_output(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-
 def cmd_simplify(args, parser) -> int:
     _validate_flags(args, parser)
     cfg = _engine_config(args, parser, _flag_strategy(args), args.skip)
@@ -101,7 +95,7 @@ def cmd_simplify(args, parser) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     _write_output(args.output, serialize_presentation(pres))
     if args.stats:
-        _write_json(args.stats, stats_report(cfg, stats, wall_ms))
+        _write_output(args.stats, json.dumps(stats_report(cfg, stats, wall_ms), indent=2) + "\n")
     return 0
 
 
@@ -139,19 +133,19 @@ def cmd_bench(args, parser) -> int:
 
     violations = []
     if args.all_skip:
-        by_strategy: dict[str, dict[str, int]] = {}
-        for rep in reports:
-            by_strategy.setdefault(rep["config"]["match_strategy"], {})[
-                rep["config"]["skip_policy"]] = rep["stats"]["searches_performed"]
-        for strat, counts in by_strategy.items():
-            for ts in ("ts-sorted", "ts-unsorted"):
-                if counts[ts] > counts["flags"]:
-                    violations.append(f"{strat}: searches({ts}) > searches(flags)")
-            if counts["flags"] > counts["all-pairs"]:
-                violations.append(f"{strat}: searches(flags) > searches(all-pairs)")
+        # the timestamp theorem: ts-unsorted ends where all-pairs ends, with no more searches
+        cells = {(rep["config"]["match_strategy"], rep["config"]["skip_policy"]): rep["stats"]
+                 for rep in reports}
+        for strat in strategies:
+            ts, full = cells[strat, "ts-unsorted"], cells[strat, "all-pairs"]
+            for key in ("searches_successful", "passes", "total_length_after", "gens_after"):
+                if ts[key] != full[key]:
+                    violations.append(f"{strat}: {key}(ts-unsorted) != {key}(all-pairs)")
+            if ts["searches_performed"] > full["searches_performed"]:
+                violations.append(f"{strat}: searches(ts-unsorted) > searches(all-pairs)")
     summary = {"reports": reports, "dominance_violations": violations}
     if args.stats:
-        _write_json(args.stats, summary)
+        _write_output(args.stats, json.dumps(summary, indent=2) + "\n")
     if violations:
         for v in violations:
             print(f"dominance violation: {v}", file=sys.stderr)
@@ -232,11 +226,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(args, parser)
-    except SystemExit as e:  # parser.error from flag validation
+    except SystemExit as e:  # usage errors, from parsing or flag validation
         return int(e.code or 0)
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

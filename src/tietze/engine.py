@@ -25,7 +25,7 @@ from .presentation import (
 )
 from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
-from .words import Word, invert, reduce_cyclic_word, rotate_right
+from .words import Word, invert, reduce_cyclic_word
 
 
 class EngineError(RuntimeError):
@@ -153,58 +153,42 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
     return changed
 
 
-def _solve_single_occurrence(word: Word, g: int) -> Word:
-    """Solve relator = 1 for its unique +-g occurrence; result omits g."""
-    pos = next(i for i, s in enumerate(word) if abs(s) == g)
-    lead = rotate_right(word, (len(word) - pos) % len(word))
-    rest = lead[1:]
-    return invert(rest) if lead[0] > 0 else rest
-
-
-def _eliminate(pres: Presentation, on_change, g: int | None = None, rhs: Word = ()) -> None:
-    """Substitute ``rhs`` for generator ``g`` (no substitution without
-    ``g``), then normalize involutions.  Each live record rewritten is
-    handed to ``on_change``, in the order of the rewrites."""
-    changed = substitute(pres, g, rhs) if g is not None else []
+def _eliminate(pres: Presentation, on_change, r: RelatorRecord | None = None, g: int = 0) -> None:
+    """Eliminate generator ``g`` through relator ``r``, in which it occurs
+    once: solve r = 1 for g and substitute the solution everywhere.  Then
+    normalize involutions, which is all a call without ``r`` does.  Each
+    live record rewritten is handed to ``on_change``, in the order of the
+    rewrites."""
+    changed = []
+    if r is not None:
+        pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
+        rest = r.word[pos + 1:] + r.word[:pos]  # r is a rotation of g rest or g^-1 rest
+        changed = substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest)
     changed += normalize_involutions(pres)
     if on_change is not None:
-        for r in changed:
-            on_change(r)
+        for rec in changed:
+            on_change(rec)
 
 
 def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
-    Runs to fixpoint.  A relator gg marks g as an involution and is kept;
-    length-2 eliminations keep the lower-indexed generator.  Each live
-    record that a substitution or involution normalization rewrites is
-    handed to ``on_change``, in the order of the rewrites.  Returns
-    (changed anything, number of generator eliminations).
+    Runs to fixpoint.  A relator gg marks g as an involution and is kept.
+    Each step takes the first relator of length 1, or of length 2 over two
+    generators, and eliminates its highest generator through it, as
+    ``long_eliminate`` does.  Each live record that a substitution or
+    involution normalization rewrites is handed to ``on_change``, in the
+    order of the rewrites.  Returns (changed anything, number of generator
+    eliminations).
     """
     eliminations = 0
     _eliminate(pres, on_change)
     while True:
-        action = None
-        for r in pres.rel:
-            if len(r.word) == 1:
-                action = (abs(r.word[0]), ())
-                break
-            if len(r.word) == 2:
-                x, y = r.word
-                if abs(x) == abs(y):
-                    continue  # square: involution, handled by normalization
-                if abs(x) < abs(y):
-                    target, other = abs(y), x
-                    sign = y
-                else:
-                    target, other = abs(x), y
-                    sign = x
-                rhs = (-other,) if sign > 0 else (other,)
-                action = (target, rhs)
-                break
-        if action is None:
+        r = next((r for r in pres.rel if len(r.word) == 1
+                  or len(r.word) == 2 and abs(r.word[0]) != abs(r.word[1])), None)
+        if r is None:
             return eliminations > 0, eliminations
-        _eliminate(pres, on_change, *action)
+        _eliminate(pres, on_change, r, max(map(abs, r.word)))
         eliminations += 1
 
 
@@ -242,7 +226,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     if best is None:
         return False
     _, g, r = best
-    _eliminate(pres, on_change, g, _solve_single_occurrence(r.word, g))
+    _eliminate(pres, on_change, r, g)
     return True
 
 
@@ -310,7 +294,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     def on_change(rec: RelatorRecord) -> None:
         nonlocal rewritten
         rewritten = True
-        mark_changed(pres, ctx, rec)
+        mark_changed(ctx, rec)
 
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))

@@ -8,8 +8,9 @@ text is re-inserted at its sorted position mid-pass), while
 engine re-sorts between passes.  ``pass_frozen`` also runs ``flags``,
 which searches pairs with a member changed in the previous pass, and the
 exhaustive baseline ``all-pairs``; the policies differ only in which
-texts a pattern searches.  The necessity oracle that the timestamp
-policies are tested against lives with the tests.
+texts a pattern searches.  Every policy starts with every relator marked
+changed, so the first pass searches every pair.  The necessity oracle
+that the timestamp policies are tested against lives with the tests.
 
 A searcher is any callable (pattern record, list of text records) ->
 list of bool, reporting for each text, in order, whether it changed; it
@@ -81,19 +82,17 @@ class PassContext:
 
 
 def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
-    """Set the pseudocode initial timestamps; rel must already be sorted."""
-    if ctx.policy == "ts-sorted":
-        ctx.timer = 1
-        for r in pres.rel:
-            r.tp, r.ts = -1, 0
-    elif ctx.policy == "ts-unsorted":
-        for pos, r in enumerate(pres.rel, start=1):
-            r.tp = r.ts = pos
-    elif ctx.policy == "flags":
-        ctx.flagged = {r.id for r in pres.rel}
+    """Mark every relator changed, in order, before the first pass.
+
+    A marked relator has tp = -1, so the first pass searches every pair, as
+    the paper's initial stamps arrange; under ts-sorted every later stamp
+    is larger by the same n, which no tp <= ts comparison can see.
+    """
+    for r in pres.rel:
+        mark_changed(ctx, r)
 
 
-def mark_changed(pres: Presentation, ctx: PassContext, rec: RelatorRecord) -> None:
+def mark_changed(ctx: PassContext, rec: RelatorRecord) -> None:
     """Record an out-of-pass change (elimination phases, new relators).
 
     For ts-sorted the timer advances past the mark so that the next
@@ -225,8 +224,8 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
     last position included (leaving its initialization in place would
     make its pairs look forever fresh).  At the end of the pass the ids in
     ``changed`` become ``ctx.flagged``, to which ``mark_changed`` adds
-    between passes; ``init_pass_state`` flags every relator under flags,
-    so its first pass searches every pair.
+    between passes; ``init_pass_state`` marks every relator, so the first
+    pass searches every pair.
     """
     _require_sorted(pres)
     ctx.pass_no += 1

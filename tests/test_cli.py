@@ -1,11 +1,14 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from tietze import cli
 from tietze.cli import main
-from tietze.presentation import parse_presentation
+from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
+from tietze.randgen import random_reduced_word
 
 
 def write(tmp_path, name, text):
@@ -281,6 +284,49 @@ def test_bench_all_skip_dominance_and_report(tmp_path, capsys):
     for r in rep["reports"]:
         s = r["stats"]
         assert s["searches_performed"] + s["searches_skipped"] == s["pairs_considered"]
+
+
+def _n75(tmp_path):
+    """75 random relators on 4 generators, lengths 6-16."""
+    rng = random.Random(75)
+    words = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(75)]
+    return write(tmp_path, "n75.pres", serialize_presentation(make_presentation(4, words)))
+
+
+def test_bench_all_skip_accepts_policies_that_search_more_than_flags(tmp_path, capsys):
+    # ts-sorted searches more than flags and all-pairs here (it re-inserts
+    # shortened texts mid-pass), and flags is lossy: neither is a violation
+    stats = str(tmp_path / "bench.json")
+    assert main(["bench", _n75(tmp_path), "--match", "kr-hash", "--all-skip",
+                 "--stats", stats]) == 0
+    rep = json.loads((tmp_path / "bench.json").read_text())
+    s = {r["config"]["skip_policy"]: r["stats"]["searches_performed"] for r in rep["reports"]}
+    assert s["ts-sorted"] > s["all-pairs"] and s["ts-sorted"] > s["flags"]
+    assert s["ts-unsorted"] < s["all-pairs"]
+    assert rep["dominance_violations"] == []
+    assert "dominance violation" not in capsys.readouterr().err
+
+
+def test_bench_all_skip_reports_a_ts_unsorted_mismatch(tmp_path, capsys, monkeypatch):
+    simplify = cli.simplify
+
+    def skewed(pres, cfg):
+        pres, stats = simplify(pres, cfg)
+        if cfg.skip_policy == "ts-unsorted":
+            stats.passes += 1
+            stats.searches_performed = 10**6
+        return pres, stats
+
+    monkeypatch.setattr(cli, "simplify", skewed)
+    inp = write(tmp_path, "in.pres", "gens 3\nrel 1 2 3 1 2\nrel 2 3 1\nrel 3 3 2\n")
+    stats = str(tmp_path / "bench.json")
+    assert main(["bench", inp, "--all-skip", "--stats", stats]) == 3
+    expected = ["brute: passes(ts-unsorted) != passes(all-pairs)",
+                "brute: searches(ts-unsorted) > searches(all-pairs)"]
+    rep = json.loads((tmp_path / "bench.json").read_text())
+    assert rep["dominance_violations"] == expected
+    err = capsys.readouterr().err
+    assert all(f"dominance violation: {v}" in err for v in expected)
 
 
 def test_bench_all_strategies(tmp_path):

@@ -361,7 +361,7 @@ def _eliminations_between_passes(rng, runs):
             r = by_id[rid]
             if cut and len(r.word) > 1:
                 r.set_word(r.word[:-1])
-            mark_changed(pres, ctx, r)
+            mark_changed(ctx, r)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -387,11 +387,6 @@ def _pseudocode_start(pres, ctx):
         ctx.flagged = {r.id for r in pres.rel}
 
 
-def _marked_start(pres, ctx):
-    for r in pres.rel:
-        mark_changed(pres, ctx, r)
-
-
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_marking_every_relator_starts_like_the_pseudocode_stamps(policy):
     # a marked relator has tp = -1, so the first pass searches every pair as
@@ -402,7 +397,7 @@ def test_marking_every_relator_starts_like_the_pseudocode_stamps(policy):
         # stamps left over from an earlier run, which either start must override
         leftover = [(rng.randint(-1, 50), rng.randint(0, 50)) for _ in base.rel]
         runs = []
-        for start in (_pseudocode_start, _marked_start):
+        for start in (_pseudocode_start, init_pass_state):
             pres = base.clone()
             for r, (tp, ts) in zip(pres.rel, leftover):
                 r.tp, r.ts = tp, ts
