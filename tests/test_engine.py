@@ -8,6 +8,7 @@ from helpers import (
     PairSearcher,
     dense_presentation,
     exhaustive_oracle,
+    is_valid_match,
     sparse_presentation,
     squares_words,
 )
@@ -20,18 +21,24 @@ from tietze.engine import (
     simplify,
     substitute,
 )
-from tietze.match import Match
+from tietze.match import Match, MatchError
 from tietze.presentation import (
     make_presentation,
     normalize_involutions,
     parse_presentation,
     serialize_presentation,
 )
-from tietze.randgen import random_presentation
+from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 from tietze.verify import abelian_invariants
-from tietze.words import canonical_rep, invert, reduce_cyclic_word, word_from_letters
+from tietze.words import (
+    canonical_rep,
+    invert,
+    reduce_cyclic_word,
+    rotate_right,
+    word_from_letters,
+)
 
 W = word_from_letters
 
@@ -56,8 +63,90 @@ def test_apply_replacement_spec_examples():
 
 def test_apply_replacement_guards_invalid_match():
     bogus = Match(inverted=False, pattern_rot=0, text_rot=0, u_len=0, v_len=3)
-    with pytest.raises(Exception):
+    with pytest.raises(MatchError, match="v segments differ"):
         apply_replacement(W("xyz"), bogus, W("abc"))
+
+
+def _full_reduction_rewrite(t_word, m, p_word):
+    """The rewrite as first written: w.u^-1 through a full free reduction."""
+    pe = rotate_right(invert(p_word) if m.inverted else p_word, m.pattern_rot)
+    te = rotate_right(t_word, m.text_rot)
+    w, u = te[:len(t_word) - m.v_len], pe[:m.u_len]
+    return reduce_cyclic_word(w + invert(u))
+
+
+def _junction_kind(t_word, m, p_word):
+    """How w.u^-1 cancels where w meets u^-1."""
+    w = rotate_right(t_word, m.text_rot)[:len(t_word) - m.v_len]
+    u_inv = invert(rotate_right(invert(p_word) if m.inverted else p_word, m.pattern_rot)[:m.u_len])
+    k = 0
+    while k < min(len(w), len(u_inv)) and w[-1 - k] == -u_inv[k]:
+        k += 1
+    if not w:
+        return "empty w"
+    if u_inv and k == len(u_inv):
+        return "u^-1 cancelled"
+    return f"cancel {min(k, 2)}"
+
+
+def _every_valid_match(p_word, t_word):
+    for inverted in (False, True):
+        for u_len in range(len(p_word)):
+            for pattern_rot in range(len(p_word)):
+                for text_rot in range(len(t_word)):
+                    m = Match(inverted, pattern_rot, text_rot, u_len, len(p_word) - u_len)
+                    if is_valid_match(m, p_word, t_word):
+                        yield m
+
+
+def _planted_junctions(rng, count):
+    """Valid matches whose text ends its w with the last k symbols of u,
+    so that w.u^-1 cancels k >= 1 symbols at the junction."""
+    cases = []
+    while len(cases) < count:
+        d, l_p = rng.randint(2, 4), rng.randint(3, 12)
+        p = random_reduced_word(rng, d, l_p)
+        inverted, pattern_rot = rng.random() < 0.5, rng.randrange(l_p)
+        pe = rotate_right(invert(p) if inverted else p, pattern_rot)
+        u_len = rng.randint(1, (l_p - 1) // 2)
+        k = rng.randint(1, u_len)
+        prefix = tuple(rng.choice((1, -1)) * rng.randint(1, d) for _ in range(rng.randint(0, 4)))
+        t = prefix + pe[u_len - k:]  # w = prefix + u[-k:], then v
+        if reduce_cyclic_word(t) != t:
+            continue
+        shift = rng.randrange(len(t))
+        m = Match(inverted, pattern_rot, (len(t) - shift) % len(t), u_len, l_p - u_len)
+        cases.append((rotate_right(t, shift), m, p))
+    return cases
+
+
+def test_apply_replacement_equals_full_reduction():
+    # oracle matches of seeded random pairs, and every valid match of
+    # short pairs on two generators.  A maximal match never cancels at the
+    # junction (its v would extend), so the cancellations come from the
+    # shorter valid matches; patterns longer than the text give an empty w
+    # with a nonempty u
+    rng = random.Random(44)
+    cases = []
+    for _ in range(1500):
+        d, l_p = rng.randint(1, 3), rng.randint(1, 12)
+        p = random_reduced_word(rng, d, l_p)
+        t = random_reduced_word(rng, d, rng.randint(l_p, 16))
+        m = exhaustive_oracle(p, t)
+        if m is not None:
+            cases.append((t, m, p))
+    for _ in range(600):
+        p = random_reduced_word(rng, 2, rng.randint(1, 8))
+        t = random_reduced_word(rng, 2, rng.randint(1, 9))
+        cases += [(t, m, p) for m in _every_valid_match(p, t)]
+    cases += _planted_junctions(rng, 400)
+    kinds = Counter()
+    for t, m, p in cases:
+        assert apply_replacement(t, m, p) == _full_reduction_rewrite(t, m, p), (t, m, p)
+        kinds[_junction_kind(t, m, p), m.inverted] += 1
+    for kind in ("cancel 0", "cancel 1", "cancel 2", "empty w", "u^-1 cancelled"):
+        for inverted in (False, True):
+            assert kinds[kind, inverted] >= 10, kinds
 
 
 def test_substitute_examples():
@@ -210,6 +299,56 @@ def test_long_eliminate_picks_minimal_growth():
 def test_long_eliminate_no_candidate():
     p = make_presentation(2, [(1, 2, 1, 2)])
     assert not long_eliminate(p, EngineConfig(), p.total_length())
+
+
+def _first_written_long_eliminate(pres, cfg, total, on_change=None):
+    """long_eliminate with the growth limit checked per candidate."""
+    limit = cfg.growth_limit * total
+    occurrences = Counter(abs(s) for r in pres.rel for s in r.word)
+    best = None
+    for r in pres.rel:
+        n = len(r.word)
+        if n <= 2:
+            continue
+        for g in r.once():
+            score = (occurrences[g] - 1) * (n - 1) - n
+            if total + score > limit:
+                continue
+            key = (score, g, r.id)
+            if best is None or key < best[0]:
+                best = (key, g, r)
+    if best is None:
+        return False
+    _, g, r = best
+    engine._eliminate(pres, on_change, r, g)
+    return True
+
+
+@pytest.mark.parametrize("growth_limit", [1.0, 1.1, 1.5, 3.0])
+def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
+    # chains of long eliminations, each step run by both and compared
+    cfg = EngineConfig(growth_limit=growth_limit)
+    rng = random.Random(int(growth_limit * 10))
+    outcomes = Counter()
+    for n in range(120):
+        if n % 2:
+            base = sparse_presentation(rng.getrandbits(32))
+        else:
+            base = random_presentation(rng, rng.randint(3, 8), rng.randint(2, 8), 9)
+        for _ in range(8):
+            runs = []
+            for eliminate in (long_eliminate, _first_written_long_eliminate):
+                pres = base.clone()
+                seen = []
+                total = pres.total_length()
+                did = eliminate(pres, cfg, total, lambda r: seen.append(r.id))
+                runs.append((did, seen, pres.d, [(r.id, r.word) for r in pres.rel]))
+            assert runs[0] == runs[1], (n, growth_limit)
+            outcomes[runs[0][0]] += 1
+            if not runs[0][0]:
+                break
+            base = pres
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
 
 
 def test_long_eliminate_growth_gate():

@@ -11,10 +11,11 @@ from tietze.match import (
     brute_search,
     check_match,
     compute_signature,
+    match_from_seed,
     signature_skip,
 )
 from tietze.randgen import random_reduced_word
-from tietze.words import invert, rotate_right, word_from_letters
+from tietze.words import invert, rotate_right, useful_threshold, word_from_letters
 
 W = word_from_letters
 
@@ -52,6 +53,84 @@ def test_match_invariants_checked():
     bad = Match(inverted=False, pattern_rot=0, text_rot=0, u_len=2, v_len=1)
     with pytest.raises(MatchError):
         check_match(bad, W("abc"), W("abc"))
+
+
+# The threshold branch cannot be reached: u + v = |p| and v > u give
+# v >= |p| // 2 + 1, which is the threshold.
+@pytest.mark.parametrize("m, p, t, message", [
+    (Match(False, 0, 0, 1, 1), "abc", "abc", "u+v = 1+1 != pattern length 3"),
+    (Match(False, 0, 0, 2, 2), "abc", "abc", "u+v = 2+2 != pattern length 3"),
+    (Match(False, 0, 0, 2, 1), "abc", "abc", "v segment not longer than u segment"),
+    (Match(False, 0, 0, 2, 2), "abcd", "abcd", "v segment not longer than u segment"),
+    (Match(False, 0, 0, 1, 2), "abc", "a", "v segment longer than text"),
+    (Match(True, 0, 0, 0, 3), "abc", "ab", "v segment longer than text"),
+    (Match(False, 0, 0, 1, 2), "abc", "xyz", "v segments differ between pattern and text"),
+    (Match(False, 2, 0, 1, 2), "abc", "dab", "v segments differ between pattern and text"),
+    (Match(True, 0, 0, 1, 2), "abc", "dab", "v segments differ between pattern and text"),
+])
+def test_check_match_rejects_with_its_message(m, p, t, message):
+    with pytest.raises(MatchError) as err:
+        check_match(m, W(p), W(t))
+    assert str(err.value) == message
+
+
+def test_check_match_returns_the_compared_words():
+    # pattern "abc" rotated right by 1 is "c"+"ab", text "dab" already ends in "ab"
+    m = Match(False, 1, 0, 1, 2)
+    assert check_match(m, W("abc"), W("dab")) == (W("cab"), W("dab"))
+    # the whole inverse "CBA" against "BAC" rotated right by 1
+    m = Match(True, 0, 1, 0, 3)
+    assert check_match(m, W("abc"), W("BAC")) == (W("CBA"), W("CBA"))
+
+
+def _two_step_extend_seed(base, t_word, bpos, tpos):
+    """The seed extension as a separate step, as first written."""
+    l_b, l_t = len(base), len(t_word)
+    cap = min(l_b, l_t)
+    fwd = 0
+    while fwd + 1 < cap and base[(bpos + fwd + 1) % l_b] == t_word[(tpos + fwd + 1) % l_t]:
+        fwd += 1
+    back = 0
+    while fwd + back + 1 < cap and base[(bpos - back - 1) % l_b] == t_word[(tpos - back - 1) % l_t]:
+        back += 1
+    return (bpos + fwd) % l_b, (tpos + fwd) % l_t, fwd + back + 1
+
+
+def _two_step_match_from_seed(p_word, t_word, inverted, bpos, tpos):
+    base = invert(p_word) if inverted else p_word
+    p_end, t_end, length = _two_step_extend_seed(base, t_word, bpos, tpos)
+    l_p, l_t = len(p_word), len(t_word)
+    if length < useful_threshold(l_p):
+        return None
+    return Match(inverted=inverted, pattern_rot=(l_p - 1 - p_end) % l_p,
+                 text_rot=(l_t - 1 - t_end) % l_t, u_len=l_p - length, v_len=length)
+
+
+def test_match_from_seed_equals_the_two_step_extension():
+    # every (inverted, bpos, tpos), aligned or not, of seeded random pairs:
+    # patterns of length 1-3 on small alphabets, longer ones on larger
+    rng = random.Random(31)
+    pairs = [random_pair(rng, d_max=2, l_max=3) for _ in range(120)]
+    pairs += [random_pair(rng, d_max=3, l_max=14) for _ in range(200)]
+    pairs += [(t, p) for p, t in pairs[-40:]]  # a few patterns longer than the text
+    kinds = {"none": 0, "partial": 0, "whole pattern": 0, "aligned": 0}
+    short = set()
+    for p, t in pairs:
+        for inverted in (False, True):
+            base = invert(p) if inverted else p
+            for bpos in range(len(p)):
+                for tpos in range(len(t)):
+                    got = match_from_seed(p, t, inverted, bpos, tpos)
+                    assert got == _two_step_match_from_seed(p, t, inverted, bpos, tpos), \
+                        (p, t, inverted, bpos, tpos)
+                    kinds["aligned"] += base[bpos] == t[tpos]
+                    if got is None:
+                        kinds["none"] += 1
+                    else:
+                        kinds["whole pattern" if got.u_len == 0 else "partial"] += 1
+                        short.add(len(p)) if len(p) <= 3 else None
+    assert min(kinds.values()) > 500, kinds
+    assert short == {1, 2, 3}
 
 
 def test_brute_spec_example():
