@@ -1,4 +1,4 @@
-"""Byte identity of every (strategy, policy) run on two seeded inputs.
+"""Byte identity of every (strategy, policy) run on three seeded inputs.
 
 One digest covers the output file and the ``--stats`` report (without
 ``timings_ms``) of ``tietze simplify`` for each ``STRATEGIES`` entry under
@@ -14,11 +14,11 @@ import random
 from helpers import squares_words
 from tietze.cli import main
 from tietze.presentation import make_presentation, serialize_presentation
-from tietze.randgen import random_presentation
+from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
-GRID_DIGEST = "c02e5ef3fd4c2974215760bab6bbbc17be12844d94e0d80532b5bef994f718d6"
+GRID_DIGEST = "8fbd7f8df1bec9048b304bc750b79bc378fa725c2508d1034106d4bea35905e1"
 
 
 def strategy_flags(name: str) -> list[str]:
@@ -37,8 +37,13 @@ def grid_inputs() -> dict[str, str]:
     # long patterns over 2 generators: thresholds well above 16 symbols
     long_pattern = random_presentation(random.Random(41), 2, 10, 56, "small-alphabet-long")
     d, words = squares_words(random.Random(40), d_max=5, q_max=12, l_max=30)
+    # short random relators on 4 generators, as on the benchmark's dense
+    # workload: about 8.5k rewrites over the grid, most with short patterns
+    rng = random.Random(42)
+    dense = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(40)]
     return {"small-alphabet-long": serialize_presentation(long_pattern),
-            "involutions": serialize_presentation(make_presentation(d, words))}
+            "involutions": serialize_presentation(make_presentation(d, words)),
+            "dense": serialize_presentation(make_presentation(4, dense))}
 
 
 def test_strategy_policy_grid_digest(tmp_path):
