@@ -25,7 +25,7 @@ from .presentation import (
 )
 from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
-from .words import Word, invert, reduce_cyclic_word
+from .words import Word, cyclic_reduce, invert, reduce_cyclic_word
 
 
 class EngineError(RuntimeError):
@@ -97,10 +97,17 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
 
     With the pattern equivalent u.v and the text rotation w.v, the text
     becomes w.u^-1, reduced; strictly shorter since v is longer than u.
+    Every relator is cyclically reduced, so w and u^-1 are freely reduced
+    and only their junction can cancel: what is left after it is freely
+    reduced, and free reduction is unique, so ``cyclic_reduce`` finishes
+    the job that ``reduce_cyclic_word`` would do.
     """
     pe, te = check_match(m, p_word, t_word)  # engine bug guard
     w, u = te[:len(t_word) - m.v_len], pe[:m.u_len]
-    return reduce_cyclic_word(w + invert(u))
+    k, n = 0, min(len(w), len(u))
+    while k < n and w[-1 - k] == u[-1 - k]:  # the k-th symbol of u^-1 is -u[-1 - k]
+        k += 1
+    return cyclic_reduce(w[:len(w) - k] + invert(u[:len(u) - k]))
 
 
 def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
@@ -203,29 +210,27 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     it is measured against the length before this elimination, not the
     run's initial length, so repeated calls may compound growth.  Each
     relator's candidates come from its cached once-occurring generators
-    (``RelatorRecord.once``), so only relators rewritten since the last
-    call are recounted.  Ties break on (score, g, relator id).  The live
-    records that the substitution and the involution normalization after
-    it rewrite are handed to ``on_change``, in that order.  ``total`` is
-    the current total relator length, which the caller already knows.
+    (``RelatorRecord.once``), which only a rewrite rebuilds, but the
+    occurrences of every generator are counted over all relators on every
+    call.  The least (score, g, relator id) is taken, and only it is held
+    against the limit: it has the least score, so if it fails, every
+    candidate fails.  The live records that the substitution and the
+    involution normalization after it rewrite are handed to
+    ``on_change``, in that order.  ``total`` is the current total relator
+    length, which the caller already knows.
     """
-    limit = cfg.growth_limit * total
     occurrences = Counter(map(abs, chain.from_iterable(r.word for r in pres.rel)))
     best = None
     for r in pres.rel:
         n = len(r.word)
-        if n <= 2:
-            continue
-        for g in r.once():
-            score = (occurrences[g] - 1) * (n - 1) - n
-            if total + score > limit:
-                continue
-            key = (score, g, r.id)
-            if best is None or key < best[0]:
-                best = (key, g, r)
-    if best is None:
+        if n > 2:
+            for g in r.once():
+                key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id)
+                if best is None or key < best[0]:
+                    best = (key, r)
+    if best is None or total + best[0][0] > cfg.growth_limit * total:
         return False
-    _, g, r = best
+    (_, g, _), r = best
     _eliminate(pres, on_change, r, g)
     return True
 

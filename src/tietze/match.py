@@ -7,15 +7,16 @@ len(v) >= useful_threshold(len(R_p)).  A search sees only the words,
 never the presentation or its involutions; every scan takes one pattern
 and a list of texts and answers for each text on its own.  This module
 holds the match type and its validity check, which guards every rewrite,
-the extension of an aligned hit that every scan shares, the anchored
-brute force search and the rotation/inversion invariant signatures.  The
-exhaustive enumeration that every strategy is tested against lives with
-the tests.
+the maximal match around an aligned hit that every scan shares, the
+anchored brute force search and the rotation/inversion invariant
+signatures.  The exhaustive enumeration that every strategy is tested
+against lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .words import (
     Word,
@@ -47,8 +48,7 @@ class SearchCounters:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """A witnessed useful common substring.
 
     The chosen pattern equivalent is ``rotate_right(base, pattern_rot)``
@@ -73,50 +73,47 @@ def check_match(m: Match, p_word: Word, t_word: Word) -> tuple[Word, Word]:
 
     Returns the compared pattern equivalent and text rotation.
     """
+    inverted, pattern_rot, text_rot, u_len, v_len = m
     l_p, l_t = len(p_word), len(t_word)
-    if m.u_len + m.v_len != l_p:
-        raise MatchError(f"u+v = {m.u_len}+{m.v_len} != pattern length {l_p}")
-    if m.v_len <= m.u_len:
+    if u_len + v_len != l_p:
+        raise MatchError(f"u+v = {u_len}+{v_len} != pattern length {l_p}")
+    if v_len <= u_len:
         raise MatchError("v segment not longer than u segment")
-    if m.v_len < useful_threshold(l_p):
+    if v_len < useful_threshold(l_p):
         raise MatchError("v segment below usefulness threshold")
-    if m.v_len > l_t:
+    if v_len > l_t:
         raise MatchError("v segment longer than text")
-    pe = rotate_right(invert(p_word) if m.inverted else p_word, m.pattern_rot)
-    te = rotate_right(t_word, m.text_rot)
-    if pe[m.u_len:] != te[l_t - m.v_len:]:
+    pe = rotate_right(invert(p_word) if inverted else p_word, pattern_rot)
+    te = rotate_right(t_word, text_rot)
+    if pe[u_len:] != te[l_t - v_len:]:
         raise MatchError("v segments differ between pattern and text")
     return pe, te
 
 
-def extend_seed(base: Word, t_word: Word, bpos: int, tpos: int) -> tuple[int, int, int]:
-    """Grow an aligned single-symbol match circularly in both directions.
-
-    Returns (end position in base, end position in text, length), with the
-    length capped at len(base) so the match never wraps past a full
-    pattern period.
-    """
-    l_b, l_t = len(base), len(t_word)
-    cap = min(l_b, l_t)
-    fwd = 0
-    while fwd + 1 < cap and base[(bpos + fwd + 1) % l_b] == t_word[(tpos + fwd + 1) % l_t]:
-        fwd += 1
-    back = 0
-    while fwd + back + 1 < cap and base[(bpos - back - 1) % l_b] == t_word[(tpos - back - 1) % l_t]:
-        back += 1
-    return (bpos + fwd) % l_b, (tpos + fwd) % l_t, fwd + back + 1
-
-
 def match_from_seed(p_word: Word, t_word: Word, inverted: bool,
                     bpos: int, tpos: int) -> Match | None:
-    """Maximal Match around one aligned symbol, or None below threshold."""
+    """Maximal Match around one aligned symbol, or None below threshold.
+
+    The symbol at ``bpos`` of the base (R_p, or invert(R_p) when
+    ``inverted``) and at ``tpos`` of the text grows circularly forward,
+    then backward, with its length capped at min(|R_p|, |R_t|) so that it
+    never wraps past a full pattern period.
+    """
     base = invert(p_word) if inverted else p_word
-    p_end, t_end, length = extend_seed(base, t_word, bpos, tpos)
     l_p, l_t = len(p_word), len(t_word)
+    cap = min(l_p, l_t)
+    fwd = 0
+    while fwd + 1 < cap and base[(bpos + fwd + 1) % l_p] == t_word[(tpos + fwd + 1) % l_t]:
+        fwd += 1
+    length = fwd + 1
+    while (length < cap
+           and base[(bpos + fwd - length) % l_p] == t_word[(tpos + fwd - length) % l_t]):
+        length += 1
     if length < useful_threshold(l_p):
         return None
-    return Match(inverted=inverted, pattern_rot=(l_p - 1 - p_end) % l_p,
-                 text_rot=(l_t - 1 - t_end) % l_t, u_len=l_p - length, v_len=length)
+    # v ends at bpos + fwd and tpos + fwd: rotate both so that it ends them
+    return Match(inverted, (-1 - bpos - fwd) % l_p, (-1 - tpos - fwd) % l_t,
+                 l_p - length, length)
 
 
 def anchor_seeds(p_word: Word) -> list[tuple[bool, int, int]]:

@@ -77,7 +77,7 @@ class PassContext:
     policy: str
     timer: int = 1                      # ts-sorted global counter
     pass_no: int = 0
-    flagged: set[int] = field(default_factory=set)  # changed since the last pass began
+    flagged: set[int] = field(default_factory=set)  # flags: changed since the last pass began
     reorders: int = 0                   # ts-sorted mid-pass re-insertions that moved
 
 
@@ -97,17 +97,17 @@ def mark_changed(ctx: PassContext, rec: RelatorRecord) -> None:
 
     For ts-sorted the timer advances past the mark so that the next
     pass's pattern stamps compare strictly greater: a pair searched once
-    after the mark must not look searchable again.  The frozen-position
-    policies flag the record.
+    after the mark must not look searchable again.  Under flags the record
+    is flagged; all-pairs keeps no state.
     """
     if ctx.policy == "ts-sorted":
         rec.tp = -1
         rec.ts = ctx.timer
         ctx.timer += 1
-        return
-    if ctx.policy == "ts-unsorted":
+    elif ctx.policy == "ts-unsorted":
         rec.tp = -1
-    ctx.flagged.add(rec.id)
+    elif ctx.policy == "flags":
+        ctx.flagged.add(rec.id)
 
 
 def _require_sorted(pres: Presentation) -> None:
@@ -222,10 +222,10 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
     ts-unsorted's timestamps are positions: after its texts, the relator
     at position p is stamped tp = p and ts = ``changed.get(id, 0)``, the
     last position included (leaving its initialization in place would
-    make its pairs look forever fresh).  At the end of the pass the ids in
-    ``changed`` become ``ctx.flagged``, to which ``mark_changed`` adds
-    between passes; ``init_pass_state`` marks every relator, so the first
-    pass searches every pair.
+    make its pairs look forever fresh).  Under flags, the ids in
+    ``changed`` become ``ctx.flagged`` at the end of the pass, and
+    ``mark_changed`` adds to it between passes; ``init_pass_state`` marks
+    every relator, so the first pass searches every pair.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -259,7 +259,8 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
         if stamped:
             pattern.tp = p
             pattern.ts = changed.get(pattern.id, 0)
-    ctx.flagged = set(changed)
+    if policy == "flags":
+        ctx.flagged = set(changed)
     return PassTally(considered, performed, successful)
 
 

@@ -173,6 +173,16 @@ def test_change_flags_exact_pairs_for_single_flag():
     assert skipped == [(0, 2)]
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_only_flags_keeps_flagged_ids(policy):
+    # the first pass changes r3; r1 is then marked between passes
+    pres, ctx = fresh(policy, lengths=(2, 4, 6))
+    r1, _, r3 = pres.rel
+    run_pass(pres, ctx, ChangeOn([(r1.id, r3.id)]))
+    mark_changed(ctx, r1)
+    assert ctx.flagged == ({r3.id, r1.id} if policy == "flags" else set())
+
+
 def test_all_pairs_counts():
     pres, ctx = fresh("all-pairs", lengths=(2, 3, 4, 5))
     for _ in range(3):
@@ -485,16 +495,17 @@ def _reference_pass_unsorted(pres, ctx, searcher):
                     events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
         pattern.tp = p
         pattern.ts = ts_local[p]
-    ctx.flagged = {snapshot[t - 1].id for t in range(1, n + 1) if ts_local[t]}
     return events
 
 
 def _reference_pass_change_flags(pres, ctx, searcher):
-    """flags and all-pairs as first written: one searcher call per considered pair."""
+    """flags and all-pairs as first written: one searcher call per considered
+    pair; only flags keeps flagged ids."""
     ctx.pass_no += 1
-    flagged = ctx.flagged
-    ctx.flagged = set()
     all_pairs = ctx.policy == "all-pairs"
+    flagged = ctx.flagged
+    if not all_pairs:
+        ctx.flagged = set()
     snapshot = list(pres.rel)
     events = []
     for i in range(len(snapshot) - 1):
@@ -508,7 +519,7 @@ def _reference_pass_change_flags(pres, ctx, searcher):
             if all_pairs or pattern.id in flagged or text.id in flagged:
                 success = searcher(pattern, [text])[0]
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
-                if success:
+                if success and not all_pairs:
                     ctx.flagged.add(text.id)
             else:
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
