@@ -78,7 +78,8 @@ def _full_reduction_rewrite(t_word, m, p_word):
 def _junction_kind(t_word, m, p_word):
     """How w.u^-1 cancels where w meets u^-1."""
     w = rotate_right(t_word, m.text_rot)[:len(t_word) - m.v_len]
-    u_inv = invert(rotate_right(invert(p_word) if m.inverted else p_word, m.pattern_rot)[:m.u_len])
+    pe = rotate_right(invert(p_word) if m.inverted else p_word, m.pattern_rot)
+    u_inv = invert(pe[:m.u_len])
     k = 0
     while k < min(len(w), len(u_inv)) and w[-1 - k] == -u_inv[k]:
         k += 1

@@ -38,7 +38,7 @@ def grid_inputs() -> dict[str, str]:
     long_pattern = random_presentation(random.Random(41), 2, 10, 56, "small-alphabet-long")
     d, words = squares_words(random.Random(40), d_max=5, q_max=12, l_max=30)
     # short random relators on 4 generators, as on the benchmark's dense
-    # workload: about 8.5k rewrites over the grid, most with short patterns
+    # workload: about 8.5k rewrites over the grid
     rng = random.Random(42)
     dense = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(40)]
     return {"small-alphabet-long": serialize_presentation(long_pattern),

@@ -128,7 +128,8 @@ def test_match_from_seed_equals_the_two_step_extension():
                         kinds["none"] += 1
                     else:
                         kinds["whole pattern" if got.u_len == 0 else "partial"] += 1
-                        short.add(len(p)) if len(p) <= 3 else None
+                        if len(p) <= 3:
+                            short.add(len(p))
     assert min(kinds.values()) > 500, kinds
     assert short == {1, 2, 3}
 
