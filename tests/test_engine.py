@@ -325,14 +325,27 @@ def _first_written_long_eliminate(pres, cfg, total, on_change=None):
     return True
 
 
+def _has_lonely_candidate(pres):
+    """Whether a generator occurring once in the whole presentation sits
+    in a relator longer than 2; if so, the least score is such a one."""
+    occurrences = Counter(abs(s) for r in pres.rel for s in r.word)
+    return any(occurrences[g] == 1 for r in pres.rel if len(r.word) > 2 for g in r.once())
+
+
 @pytest.mark.parametrize("growth_limit", [1.0, 1.1, 1.5, 3.0])
 def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
-    # chains of long eliminations, each step run by both and compared
+    # chains of long eliminations, each step run by both and compared;
+    # a step that eliminates takes a lonely generator or a general one
     cfg = EngineConfig(growth_limit=growth_limit)
     rng = random.Random(int(growth_limit * 10))
     outcomes = Counter()
-    for n in range(120):
-        if n % 2:
+    selections = Counter()
+    for n in range(180):
+        if n >= 120:
+            # many generators over short relators: generators occurring
+            # once or twice in all are common
+            base = random_presentation(rng, rng.randint(6, 10), rng.randint(4, 8), 5)
+        elif n % 2:
             base = sparse_presentation(rng.getrandbits(32))
         else:
             base = random_presentation(rng, rng.randint(3, 8), rng.randint(2, 8), 9)
@@ -348,8 +361,19 @@ def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
             outcomes[runs[0][0]] += 1
             if not runs[0][0]:
                 break
+            selections["lonely" if _has_lonely_candidate(base) else "general"] += 1
             base = pres
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+    assert selections["lonely"] > 50 and selections["general"] > 50, selections
+
+
+def test_long_eliminate_lonely_generator_in_a_short_relator():
+    # b occurs once in all, but only in "ab", which is too short to be a
+    # candidate; the general rule takes c from "cdda" (score 2 < 3 for d
+    # in "acacd"), so "acacd" becomes DDD and the generators above c shift
+    p = make_presentation(4, [(1, 2), (1, 3, 1, 3, 4), (3, 4, 4, 1)])
+    assert long_eliminate(p, EngineConfig(), p.total_length())
+    assert p.d == 3 and [(r.id, r.word) for r in p.rel] == [(0, (1, 2)), (1, (-3, -3, -3))]
 
 
 def test_long_eliminate_growth_gate():

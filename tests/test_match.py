@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,13 @@ from tietze.match import (
     signature_skip,
 )
 from tietze.randgen import random_reduced_word
-from tietze.words import invert, rotate_right, useful_threshold, word_from_letters
+from tietze.words import (
+    invert,
+    rotate_right,
+    smallest_period,
+    useful_threshold,
+    word_from_letters,
+)
 
 W = word_from_letters
 
@@ -165,6 +172,83 @@ def test_brute_agrees_with_oracle():
         assert (got is None) == (want is None)
         if got is not None:
             assert is_valid_match(got, p, t)
+
+
+def _first_written_brute_search(seeds, p_word, t_words, counters, cases):
+    """brute_search as first written, extending every anchor hit; it
+    tallies in ``cases`` what the batches it runs on cover."""
+    wanted = {s for _, _, s in seeds}
+    l_p = len(p_word)
+    if l_p <= 3:
+        cases[f"pattern length {l_p}"] += 1
+    if smallest_period(p_word) < l_p:
+        cases["periodic pattern"] += 1
+    found = []
+    for t_word in t_words:
+        l_t = len(t_word)
+        if wanted.isdisjoint(t_word):
+            cases["anchor-free text"] += 1
+        m = None
+        for j, sym in enumerate(t_word):
+            if sym in wanted:
+                for inverted, bpos, s in seeds:
+                    if s == sym:
+                        base = invert(p_word) if inverted else p_word
+                        if (useful_threshold(l_p) >= 2
+                                and base[(bpos + 1) % l_p] != t_word[(j + 1) % l_t]
+                                and base[bpos - 1] != t_word[j - 1]):
+                            cases["neighbour-rejected attempt"] += 1
+                        m = match_from_seed(p_word, t_word, inverted, bpos, j)
+                        if m is not None:
+                            break
+                if m is not None:
+                    if j in (0, l_t - 1):
+                        cases["hit at the first text position" if j == 0
+                              else "hit at the last text position"] += 1
+                    if m.inverted:
+                        cases["hit from an inverted seed"] += 1
+                    counters.windows_scanned += j + 1
+                    counters.successes += 1
+                    break
+        else:
+            counters.windows_scanned += len(t_word)
+        found.append(m)
+    return found
+
+
+def test_brute_search_equals_the_first_written_scan():
+    # seeded batches, one pattern against texts at least as long: short
+    # and periodic patterns, texts on few generators (hits at both ends
+    # of the text) and texts that hold no anchor symbol at all
+    rng = random.Random(53)
+    cases = Counter()
+    for n in range(2000):
+        d = rng.randint(1, 4)
+        l_p = rng.randint(1, 3) if n % 3 == 0 else rng.randint(4, 12)
+        if n % 5 == 0:
+            # a cyclically reduced root makes a reduced power
+            p = random_reduced_word(rng, d, rng.randint(1, 3)) * rng.randint(2, 4)
+        else:
+            p = random_reduced_word(rng, d, l_p)
+        texts = []
+        for _ in range(rng.randint(1, 6)):
+            length = len(p) + rng.randint(0, rng.choice((2, 10)))
+            if rng.random() < 0.2:
+                # generators above the pattern's: no anchor symbol
+                shift = max(map(abs, p))
+                texts.append(tuple(s + shift if s > 0 else s - shift
+                                   for s in random_reduced_word(rng, 2, length)))
+            else:
+                texts.append(random_reduced_word(rng, d + rng.randint(0, 1), length))
+        want_counters, got_counters = SearchCounters(), SearchCounters()
+        want = _first_written_brute_search(anchor_seeds(p), p, texts, want_counters, cases)
+        got = brute_search(anchor_seeds(p), p, texts, got_counters)
+        assert got == want, (p, texts)
+        assert got_counters == want_counters, (p, texts)
+    kinds = ["anchor-free text", "neighbour-rejected attempt", "hit at the first text position",
+             "hit at the last text position", "hit from an inverted seed", "pattern length 1",
+             "pattern length 2", "pattern length 3", "periodic pattern"]
+    assert min(cases[k] for k in kinds) >= 50, cases
 
 
 def test_signature_invariances():
