@@ -1,4 +1,4 @@
-"""Byte identity of every (strategy, policy) run on three seeded inputs.
+"""Byte identity of every (strategy, policy) run on four inputs.
 
 One digest covers the output file and the ``--stats`` report (without
 ``timings_ms``) of ``tietze simplify`` for each ``STRATEGIES`` entry under
@@ -10,6 +10,7 @@ says so and pins the new value.
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from helpers import squares_words
 from tietze.cli import main
@@ -18,7 +19,7 @@ from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
-GRID_DIGEST = "8fbd7f8df1bec9048b304bc750b79bc378fa725c2508d1034106d4bea35905e1"
+GRID_DIGEST = "aa6143317be906a8aa32842cd6d3eb3cb83f2a24d37a7a533356384738b09b02"
 
 
 def strategy_flags(name: str) -> list[str]:
@@ -41,9 +42,13 @@ def grid_inputs() -> dict[str, str]:
     # workload: about 8.5k rewrites over the grid
     rng = random.Random(42)
     dense = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(40)]
+    # obfuscated F(2,7), as on the benchmark's eliminate workload: about
+    # 1.7k long eliminations over the grid, 94% of them of a lonely generator
+    obfuscated = Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres"
     return {"small-alphabet-long": serialize_presentation(long_pattern),
             "involutions": serialize_presentation(make_presentation(d, words)),
-            "dense": serialize_presentation(make_presentation(4, dense))}
+            "dense": serialize_presentation(make_presentation(4, dense)),
+            "obfuscated": obfuscated.read_text()}
 
 
 def test_strategy_policy_grid_digest(tmp_path):
