@@ -208,26 +208,46 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     len(R), and only proceeds while the predicted total stays within
     growth_limit times the current total length.  The bound is per step:
     it is measured against the length before this elimination, not the
-    run's initial length, so repeated calls may compound growth.  Each
+    run's initial length, so repeated calls may compound growth.  The
+    least (score, g, relator id) is taken, and only it is held against
+    the limit: it has the least score, so if it fails, every candidate
+    fails.
+
+    A lonely generator, one that occurs once in the whole presentation,
+    scores -len(R) <= -3, and every other candidate scores at least
+    (len(R) - 1) - len(R) = -1.  So when a lonely candidate exists, the
+    least key is the lonely one in the longest relator, then the least g,
+    then the least id, and no other score is worked out.  The lonely walk
+    goes from the end of the relator sequence, which is mostly sorted by
+    length, and skips each relator shorter than the best lonely one found
+    so far, which cannot win.  The scores of all candidates are worked out
+    only when no relator longer than 2 holds a lonely generator.  Each
     relator's candidates come from its cached once-occurring generators
     (``RelatorRecord.once``), which only a rewrite rebuilds, but the
     occurrences of every generator are counted over all relators on every
-    call.  The least (score, g, relator id) is taken, and only it is held
-    against the limit: it has the least score, so if it fails, every
-    candidate fails.  The live records that the substitution and the
-    involution normalization after it rewrite are handed to
-    ``on_change``, in that order.  ``total`` is the current total relator
-    length, which the caller already knows.
+    call.  The live records that the substitution and the involution
+    normalization after it rewrite are handed to ``on_change``, in that
+    order.  ``total`` is the current total relator length, which the
+    caller already knows.
     """
     occurrences = Counter(map(abs, chain.from_iterable(r.word for r in pres.rel)))
-    best = None
-    for r in pres.rel:
+    best, shortest = None, 3  # a lonely candidate in a relator shorter than this loses
+    for r in reversed(pres.rel):
         n = len(r.word)
-        if n > 2:
+        if n >= shortest:
             for g in r.once():
-                key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id)
-                if best is None or key < best[0]:
-                    best = (key, r)
+                if occurrences[g] == 1:
+                    key = (-n, g, r.id)
+                    if best is None or key < best[0]:
+                        best, shortest = (key, r), n
+    if best is None:
+        for r in pres.rel:
+            n = len(r.word)
+            if n > 2:
+                for g in r.once():
+                    key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id)
+                    if best is None or key < best[0]:
+                        best = (key, r)
     if best is None or total + best[0][0] > cfg.growth_limit * total:
         return False
     (_, g, _), r = best

@@ -91,15 +91,17 @@ def check_match(m: Match, p_word: Word, t_word: Word) -> tuple[Word, Word]:
 
 
 def match_from_seed(p_word: Word, t_word: Word, inverted: bool,
-                    bpos: int, tpos: int) -> Match | None:
+                    bpos: int, tpos: int, base: Word | None = None) -> Match | None:
     """Maximal Match around one aligned symbol, or None below threshold.
 
     The symbol at ``bpos`` of the base (R_p, or invert(R_p) when
     ``inverted``) and at ``tpos`` of the text grows circularly forward,
     then backward, with its length capped at min(|R_p|, |R_t|) so that it
-    never wraps past a full pattern period.
+    never wraps past a full pattern period.  A caller that holds the base
+    already may pass it.
     """
-    base = invert(p_word) if inverted else p_word
+    if base is None:
+        base = invert(p_word) if inverted else p_word
     l_p, l_t = len(p_word), len(t_word)
     cap = min(l_p, l_t)
     fwd = 0
@@ -157,23 +159,42 @@ def brute_search(seeds: list[tuple[bool, int, int]], p_word: Word, t_words: list
     ``seeds`` is ``anchor_seeds(p_word)``; returns one optional Match per
     text.  ``windows_scanned`` counts the text symbols read: the hit
     position plus one on a hit, |t| on a miss.
+
+    Two rejects skip work that cannot succeed, so the result and the
+    counters are those of extending every anchor hit.  A text that holds
+    no anchor symbol is a miss without a scan.  An anchor hit whose two
+    circular neighbours both differ from the base's, ``base[bpos + 1]``
+    against ``t[j + 1]`` and ``base[bpos - 1]`` against ``t[j - 1]``,
+    aligns a run of one symbol, which fails every threshold of 2 or more:
+    it is not extended unless the threshold is 1 (|R_p| = 1).  The
+    inverted base is built once per call.
     """
+    l_p = len(p_word)
+    inverse = invert(p_word)
+    wide = useful_threshold(l_p) == 1  # a one-symbol run is useful
+    tries = []  # (symbol, inverted, bpos, base, base's next, base's previous)
+    for inverted, bpos, s in seeds:
+        base = inverse if inverted else p_word
+        tries.append((s, inverted, bpos, base, base[(bpos + 1) % l_p], base[bpos - 1]))
     wanted = {s for _, _, s in seeds}
     found: list[Match | None] = []
     for t_word in t_words:
         m = None
-        for j, sym in enumerate(t_word):
-            if sym in wanted:
-                for inverted, bpos, s in seeds:
-                    if s == sym:
-                        m = match_from_seed(p_word, t_word, inverted, bpos, j)
-                        if m is not None:
-                            break
-                if m is not None:
-                    counters.windows_scanned += j + 1
-                    counters.successes += 1
-                    break
-        else:
+        if not wanted.isdisjoint(t_word):
+            l_t = len(t_word)
+            for j, sym in enumerate(t_word):
+                if sym in wanted:
+                    after, before = t_word[(j + 1) % l_t], t_word[j - 1]
+                    for s, inverted, bpos, base, nxt, prv in tries:
+                        if s == sym and (wide or after == nxt or before == prv):
+                            m = match_from_seed(p_word, t_word, inverted, bpos, j, base)
+                            if m is not None:
+                                break
+                    if m is not None:
+                        counters.windows_scanned += j + 1
+                        counters.successes += 1
+                        break
+        if m is None:
             counters.windows_scanned += len(t_word)
         found.append(m)
     return found

@@ -118,9 +118,6 @@ class Presentation:
     def total_length(self) -> int:
         return sum(len(r.word) for r in self.rel)
 
-    def words(self) -> list[Word]:
-        return [r.word for r in self.rel]
-
     def is_sorted(self) -> bool:
         return all(len(self.rel[i].word) <= len(self.rel[i + 1].word)
                    for i in range(len(self.rel) - 1))

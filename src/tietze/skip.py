@@ -160,10 +160,11 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     ``rel`` are built at pass start and rebuilt after a re-insertion, at
     the next pattern (a pattern loop with successes often has several);
     when the largest ``ts`` after ``pi`` is below the pattern's ``tp``, no
-    text of the loop is searchable: the loop is counted as considering each
-    of the ``n - pi - 1`` texts once and searching none, and the pattern is
-    stamped; a recorder gets one skipped event per text, in order.  The
-    path is the same with or without a recorder.
+    text of the loop is searchable, so the live path would search nothing
+    and change nothing.  The dead loop allocates nothing: it adds the
+    ``n - pi - 1`` texts to ``considered``, hands a recorder one skipped
+    event per text, in order, and stamps the pattern.  A recorder does not
+    change which path a loop takes.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -179,25 +180,29 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
         if ts_max is None:
             ts_max = _ts_suffix_max(rel)
         considered += n - pi - 1
-        at = [] if ts_max[pi + 1] < tp else [i for i in range(pi + 1, n) if tp <= rel[i].ts]
-        batch = [rel[i] for i in at]
-        results = searcher(pattern, batch) if batch else []
-        if record is not None:
-            _record_loop(record, pass_no, pattern, rel[pi + 1:], batch, results)
-        performed += len(batch)
-        for i, text, ok in zip(at, batch, results):
-            if ok:
-                successful += 1
-                text.tp = -1
-                text.ts = ctx.timer
-                rel.pop(i)
-                new_pos = bisect_right(rel, len(text.word), hi=i, key=_length)
-                if new_pos != i:
-                    ctx.reorders += 1
-                rel.insert(new_pos, text)
-                ts_max = None
-                if new_pos <= pi:
-                    pi += 1
+        if ts_max[pi + 1] < tp:
+            if record is not None:
+                _record_loop(record, pass_no, pattern, rel[pi + 1:], [], [])
+        else:
+            at = [i for i in range(pi + 1, n) if tp <= rel[i].ts]
+            batch = [rel[i] for i in at]
+            results = searcher(pattern, batch) if batch else []
+            if record is not None:
+                _record_loop(record, pass_no, pattern, rel[pi + 1:], batch, results)
+            performed += len(batch)
+            for i, text, ok in zip(at, batch, results):
+                if ok:
+                    successful += 1
+                    text.tp = -1
+                    text.ts = ctx.timer
+                    rel.pop(i)
+                    new_pos = bisect_right(rel, len(text.word), hi=i, key=_length)
+                    if new_pos != i:
+                        ctx.reorders += 1
+                    rel.insert(new_pos, text)
+                    ts_max = None
+                    if new_pos <= pi:
+                        pi += 1
         pattern.tp = ctx.timer
         ctx.timer += 1
         pi += 1

@@ -112,7 +112,9 @@ def useful_threshold(l_p: int) -> int:
 def smallest_period(w: Word) -> int:
     """Smallest p dividing len(w) with w equal to its length-p prefix repeated.
 
-    ``w`` is a nontrivial power iff the result is < len(w).
+    ``w`` is a nontrivial power iff the result is < len(w).  A divisor p
+    is a period iff w[i] == w[i - p] for every i >= p, which is the one
+    slice comparison ``w[p:] == w[:-p]``.
 
     >>> smallest_period(word_from_letters("abab"))
     2
@@ -120,10 +122,10 @@ def smallest_period(w: Word) -> int:
     n = len(w)
     if n < 1:
         raise ValueError("empty word has no period")
-    for p in range(1, n + 1):
-        if n % p == 0 and all(w[i] == w[i - p] for i in range(p, n)):
+    for p in range(1, n):
+        if n % p == 0 and w[p:] == w[:-p]:
             return p
-    return n  # unreachable: p = n always matches
+    return n
 
 
 def canonical_rep(w: Word) -> Word:

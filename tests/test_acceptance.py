@@ -363,7 +363,7 @@ def test_criterion_11_automaton_build_cost_halved():
     for seed in (3, 4, 5):
         pres = sparse_presentation(seed)
         sort_rel(pres)
-        words = pres.words()
+        words = [r.word for r in pres.rel]
         two = make_strategy("automaton-two")
         one = make_strategy("automaton-one")
         c_two, c_one = SearchCounters(), SearchCounters()

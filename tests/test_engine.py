@@ -153,16 +153,16 @@ def test_apply_replacement_equals_full_reduction():
 def test_substitute_examples():
     p = make_presentation(2, [(2,), (1, 2, 1, 2)])
     substitute(p, 2, ())
-    assert p.d == 1 and p.words() == [(1, 1)]
+    assert p.d == 1 and [r.word for r in p.rel] == [(1, 1)]
 
     p = make_presentation(2, [(1, 2)])
     substitute(p, 2, (-1,))
-    assert p.d == 1 and p.words() == []
+    assert p.d == 1 and [r.word for r in p.rel] == []
 
     p = make_presentation(3, [(1, 2, 3), (3, 1, 3, 1)])
     substitute(p, 3, (-2, -1))
     assert p.d == 2
-    assert p.words() == [(-2, -2)]
+    assert [r.word for r in p.rel] == [(-2, -2)]
 
 
 def _reference_substitute(words, g, rhs):
@@ -230,16 +230,16 @@ def test_short_eliminate_examples():
     p = make_presentation(2, [(2,), (1, 2, 1, 2)])
     changed, n = short_eliminate(p)
     assert changed and n == 1
-    assert p.d == 1 and p.words() == [(1, 1)]
+    assert p.d == 1 and [r.word for r in p.rel] == [(1, 1)]
 
     p = make_presentation(2, [(1, 2)])
     short_eliminate(p)
-    assert p.d == 1 and p.words() == []
+    assert p.d == 1 and [r.word for r in p.rel] == []
 
     p = make_presentation(1, [(1, 1)])
     changed, n = short_eliminate(p)
     assert not changed and n == 0
-    assert p.involutions == {1} and p.words() == [(1, 1)]
+    assert p.involutions == {1} and [r.word for r in p.rel] == [(1, 1)]
 
 
 def _reference_short_eliminate(pres, on_change):
@@ -379,9 +379,9 @@ def test_long_eliminate_lonely_generator_in_a_short_relator():
 def test_long_eliminate_growth_gate():
     # every candidate would grow the presentation; budget 1.0 refuses
     p = make_presentation(3, [(1, 2, 3, 2), (3, 1, 1, 1, 3, 1, 1)])
-    before = p.words()
+    before = [r.word for r in p.rel]
     assert not long_eliminate(p, EngineConfig(growth_limit=1.0), p.total_length())
-    assert p.words() == before
+    assert [r.word for r in p.rel] == before
 
 
 def test_simplify_short_cascade():
@@ -617,7 +617,7 @@ def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
     run_pass, maintenance = engine.run_pass, engine._boundary_maintenance
 
     def checking_pass(pres, ctx, searcher, record=None):
-        words = pres.words()
+        words = [r.word for r in pres.rel]
         assert all(words) and pres.is_sorted()
         assert len({canonical_rep(w) for w in words}) == len(words)
         passes.append(1)

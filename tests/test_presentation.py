@@ -28,13 +28,13 @@ W = word_from_letters
 def test_parse_numeric():
     p = parse_presentation("gens 2\nrel 1 2 -1 -2\n")
     assert p.d == 2
-    assert p.words() == [(1, 2, -1, -2)]
+    assert [r.word for r in p.rel] == [(1, 2, -1, -2)]
 
 
 def test_parse_letter_form_matches_numeric():
     a = parse_presentation("gens 2\nrel 1 2 -1 -2\n")
     b = parse_presentation("gens 2\nrelw abAB\n")
-    assert a.words() == b.words()
+    assert [r.word for r in a.rel] == [r.word for r in b.rel]
 
 
 def test_parse_out_of_range_index():
@@ -60,13 +60,13 @@ def test_relw_rejected_for_large_alphabets():
 
 def test_comments_and_blank_lines_ignored():
     p = parse_presentation("# header\n\ngens 2\n# middle\nrel 1 2\n\n")
-    assert p.words() == [(1, 2)]
+    assert [r.word for r in p.rel] == [(1, 2)]
 
 
 def test_parse_reduces_relators():
     p = parse_presentation("gens 2\nrelw abBA\nrelw abA\n")
     # first reduces to nothing and is dropped, second cyclically reduces
-    assert p.words() == [(2,)]
+    assert [r.word for r in p.rel] == [(2,)]
 
 
 def test_serialize_examples():
@@ -84,7 +84,7 @@ def test_roundtrip_randomized():
                                   for _ in range(q)])
         q2 = parse_presentation(serialize_presentation(p))
         assert q2.d == p.d
-        assert q2.words() == p.words()
+        assert [r.word for r in q2.rel] == [r.word for r in p.rel]
         assert q2.involutions == p.involutions
 
 
@@ -101,15 +101,15 @@ def test_sort_rel_stable():
 def test_normalize_involutions_rewrites():
     p = make_presentation(2, [(1, 1), (2, -1, 2, -1)])
     assert p.involutions == {1}
-    assert sorted(p.words()) == [(1, 1), (2, 1, 2, 1)]
+    assert sorted([r.word for r in p.rel]) == [(1, 1), (2, 1, 2, 1)]
 
 
 def test_normalize_involutions_noop_and_idempotent():
     p = make_presentation(2, [(1, 2), (2, 1, 2)])
     assert p.involutions == set()
-    before = p.words()
+    before = [r.word for r in p.rel]
     assert normalize_involutions(p) == []
-    assert p.words() == before
+    assert [r.word for r in p.rel] == before
 
 
 def reference_normalize_involutions(p):
@@ -149,7 +149,7 @@ def test_one_sweep_normalization_equals_fixpoint_loop():
         lengths = [len(r.word) for r in p.rel]
         got = normalize_involutions(p)
         want = reference_normalize_involutions(q)
-        assert p.words() == q.words()
+        assert [r.word for r in p.rel] == [r.word for r in q.rel]
         assert p.involutions == q.involutions
         assert [r.id for r in got] == [r.id for r in want]
         assert len({r.id for r in got}) == len(got)
@@ -178,7 +178,7 @@ def test_remove_duplicates_up_to_equivalence():
     p = make_presentation(2, [(1, 2), (2, 1), (-2, -1), (1, -2)])
     removed = remove_duplicates(p)
     assert len(removed) == 2
-    assert p.words() == [(1, 2), (1, -2)]
+    assert [r.word for r in p.rel] == [(1, 2), (1, -2)]
 
 
 def canonical_only_remove_duplicates(p):
@@ -344,4 +344,4 @@ def test_readme_format_example_parses():
     block = section.split("```\n", 2)[1]
     p = parse_presentation(block)
     # rel 1 2 -3 -1 and relw abCA are one relator, cyclically reduced to bC
-    assert p.d == 3 and p.words() == [(2, -3), (2, -3)]
+    assert p.d == 3 and [r.word for r in p.rel] == [(2, -3), (2, -3)]
