@@ -231,7 +231,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     caller already knows.
     """
     occurrences = Counter(map(abs, chain.from_iterable(r.word for r in pres.rel)))
-    best, shortest = None, 3  # a lonely candidate in a relator shorter than this loses
+    best, shortest = None, 3  # the shortest relator that can still hold the winner
     for r in reversed(pres.rel):
         n = len(r.word)
         if n >= shortest:
