@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import gcd, prod
@@ -5,7 +6,7 @@ from pathlib import Path
 
 from tietze.engine import EngineConfig, simplify
 from tietze.presentation import make_presentation, parse_presentation
-from tietze.randgen import random_reduced_word
+from tietze.randgen import random_presentation, random_reduced_word
 from tietze.verify import abelian_invariants, exponent_matrix, smith_normal_form
 from tietze.words import invert, rotate_right, word_from_letters
 
@@ -140,3 +141,29 @@ def test_snf_obfuscated_fibonacci_67():
     m = exponent_matrix(p)
     assert (len(m), len(m[0])) == (67, 67)
     assert abelian_invariants(p) == ([29], 0)
+
+
+SNF_DIGEST = "4c12d8c096e13eba3933b78c86478fdbdb69ab873f742288eb08149739f67c61"
+
+
+def snf_guard_matrices():
+    """Matrices too large for the minor-gcd oracle, shaped like real inputs."""
+    text = (Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres").read_text()
+    yield exponent_matrix(parse_presentation(text))
+    rng = random.Random(66)
+    # the benchmark's motif and dense shapes: 120 x 3 and 300 x 4
+    for _ in range(6):
+        yield exponent_matrix(random_presentation(rng, 3, 120, 120, "small-alphabet-long"))
+    for _ in range(6):
+        words = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(300)]
+        yield exponent_matrix(make_presentation(4, words))
+    for _ in range(20):
+        rows, cols = rng.randint(20, 60), rng.randint(20, 60)
+        yield [[rng.randint(-30, 30) if rng.random() < 0.3 else 0 for _ in range(cols)]
+               for _ in range(rows)]
+
+
+def test_snf_digest_on_large_matrices():
+    # a change to the reduction that keeps every divisor keeps this digest
+    divisors = [smith_normal_form(m) for m in snf_guard_matrices()]
+    assert hashlib.sha256(repr(divisors).encode()).hexdigest() == SNF_DIGEST
