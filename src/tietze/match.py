@@ -124,21 +124,16 @@ def anchor_seeds(p_word: Word) -> list[tuple[bool, int, int]]:
     Any useful substring of a pattern equivalent covers the first or the
     middle symbol of the pattern, or one of their inverses; when the
     pattern is a nontrivial power only the first symbol and its inverse
-    are needed.  An alignment is listed once, with the symbol at that
-    position of its base.
+    are needed.  Each alignment carries the symbol at that position of its
+    base; no two coincide, as positions 0 and l_p // 2 differ.
     """
     l_p = len(p_word)
     positions = [0]
     if smallest_period(p_word) == l_p and l_p >= 2:
         positions.append(l_p // 2)
     seeds: list[tuple[bool, int, int]] = []
-    seen: set[tuple[bool, int]] = set()
     for pos in positions:
-        sym = p_word[pos]
-        for inverted, bpos, s in ((False, pos, sym), (True, l_p - 1 - pos, -sym)):
-            if (inverted, bpos) not in seen:
-                seen.add((inverted, bpos))
-                seeds.append((inverted, bpos, s))
+        seeds += [(False, pos, p_word[pos]), (True, l_p - 1 - pos, -p_word[pos])]
     return seeds
 
 

@@ -50,6 +50,9 @@ def random_presentation(seed_or_rng, d: int, q: int, maxlen: int,
         raise ValueError("need d >= 1, q >= 0, maxlen >= 1")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
+    if profile == "small-alphabet-long" and maxlen < 4:
+        # a relator holds the motif (>= 2 symbols) and >= 2 more
+        raise ValueError("small-alphabet-long needs maxlen >= 4")
     words: list[Word] = []
     if profile == "generic":
         for _ in range(q):

@@ -32,76 +32,44 @@ def _nearest_quotient(a: int, p: int) -> int:
 def smith_normal_form(matrix: IntMatrix) -> list[int]:
     """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
 
-    Each step moves the smallest nonzero entry of the remaining submatrix
-    to position (k, k), then reduces column k and row k by nearest
-    quotients.  A nonzero remainder is smaller than the pivot (at most
-    half of it) and becomes the next pivot, so the pivot shrinks
-    geometrically and the entries it touches stay small; with floor
-    quotients a remainder could be almost as large as the pivot and the
-    coefficients grew without bound on some exponent matrices.
+    The least nonzero entry p is the pivot: its row comes out, and nearest
+    quotients clear p's column and row.  A remainder is at most |p|/2, and
+    a row that p does not divide, added to p's row, leaves one; either way
+    the next pivot is smaller, so the loop ends.  Otherwise |p| is recorded
+    and its column dropped; every later entry is a combination of entries
+    p divides, so each divisor divides the next.  Floor quotients let the
+    coefficients grow without bound on some exponent matrices.
+
+    >>> smith_normal_form([[2, 0], [0, 3]])
+    [1, 6]
     """
-    a = [row[:] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    a = [row[:] for row in matrix if any(row)]
     divisors: list[int] = []
-    k = 0
-    while True:
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[k], a[pi] = a[pi], a[k]
+    while a:
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        top = a.pop(i)
+        p = top[j]
         for row in a:
-            row[k], row[pj] = row[pj], row[k]
-        while True:
-            p = a[k][k]
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = _nearest_quotient(a[i][k], p)
-                    row, top = a[i], a[k]
-                    for j in range(k, cols):
-                        row[j] -= q * top[j]
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = _nearest_quotient(a[k][j], p)
-                    for row in a[k:]:
-                        row[j] -= q * row[k]
-            # every remainder left in row k or column k is smaller than
-            # the pivot: the smallest one becomes the pivot
-            best = None
-            for i in range(k + 1, rows):
-                if a[i][k] != 0 and (best is None or abs(a[i][k]) < best[0]):
-                    best = (abs(a[i][k]), i, k)
-            for j in range(k + 1, cols):
-                if a[k][j] != 0 and (best is None or abs(a[k][j]) < best[0]):
-                    best = (abs(a[k][j]), k, j)
-            if best is None:
-                break
-            _, bi, bj = best
-            if bi != k:
-                a[k], a[bi] = a[bi], a[k]
-            else:
+            q = _nearest_quotient(row[j], p)
+            if q:
+                for c, t in enumerate(top):
+                    row[c] -= q * t
+        for c, x in enumerate(top):
+            if x and c != j:
+                q = _nearest_quotient(x, p)
                 for row in a:
-                    row[k], row[bj] = row[bj], row[k]
-        # pivot must divide every remaining entry for the divisor chain
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(cols):
-                a[k][j] += a[offender][j]
-            continue
-        divisors.append(abs(a[k][k]))
-        k += 1
+                    row[c] -= q * row[j]
+                top[c] -= q * p
+        if not any(row[j] for row in a) and not any(top[:j] + top[j + 1:]):
+            offender = next((row for row in a if any(x % p for x in row)), None)
+            if offender is None:
+                divisors.append(abs(p))
+                a = [row[:j] + row[j + 1:] for row in a if any(row)]
+                continue
+            # offender[j] is 0: p's row plus the offender, reduced against p
+            top = [x - _nearest_quotient(x, p) * p for x in offender]
+            top[j] = p
+        a.append(top)
     return divisors
 
 

@@ -108,6 +108,16 @@ def test_bad_gen_value_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_gen_small_alphabet_long_needs_maxlen_4(tmp_path, capsys):
+    out = tmp_path / "out.pres"
+    args = ["gen", "--gens", "3", "--rels", "2", "--profile", "small-alphabet-long"]
+    assert main([*args, "--maxlen", "3", "-o", str(out)]) == 2
+    assert "small-alphabet-long needs maxlen >= 4" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*args, "--maxlen", "4", "-o", str(out)]) == 0
+    assert all(len(r.word) == 4 for r in parse_presentation(out.read_text()).rel)
+
+
 def test_automaton_flag_reflected_in_stats(tmp_path):
     inp = write(tmp_path, "in.pres", "gens 2\nrel 1 2 1 2 2\nrel 2 1 2\n")
     stats = str(tmp_path / "s.json")

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -161,6 +162,18 @@ def test_anchor_set_for_nontrivial_power():
     assert seed_symbols(anchor_seeds(W("abab"))) == {1, -1}
     assert seed_symbols(anchor_seeds(W("abc"))) == {1, -1, 2, -2}
     assert seed_symbols(anchor_seeds(W("abcd"))) == {1, -1, 3, -3}
+
+
+def test_anchor_seeds_closed_form():
+    # every word of length 1-6 over 3 generators; aperiodic means no
+    # nontrivial rotation fixes the word
+    for l in range(1, 7):
+        for w in product((1, -1, 2, -2, 3, -3), repeat=l):
+            want = [(False, 0, w[0]), (True, l - 1, -w[0])]
+            if l >= 2 and all(w[k:] + w[:k] != w for k in range(1, l)):
+                h = l // 2
+                want += [(False, h, w[h]), (True, l - 1 - h, -w[h])]
+            assert anchor_seeds(w) == want, w
 
 
 def test_brute_agrees_with_oracle():
