@@ -398,3 +398,84 @@ def test_kr_hash_sampled_filter_equals_reference_scan():
     assert filtered_misses > 300 and wrapped > 150 and hits > 1500
     assert wrapped_sample > 30 and later_sample > 300 and long_threshold > 500
     assert short > 300 and same_length > 300 and wide_hits > 100
+
+
+def tied_window_pair(rng, d):
+    """A pattern whose windows repeat, and a text that holds some of them.
+
+    Patterns are periodic, u^k or u^k c for a short u, so a threshold
+    window and a sampled q-gram occur at several pattern positions.  Over
+    d >= 2 a third kind, u^k c u^-k, is freely but not cyclically reduced:
+    every window inside the u^-k u^k around its wrap point is the inverse
+    of another such window, so it equals a window of the inverse too.  (In
+    a cyclically reduced pattern no window equals an inverse window: two
+    threshold windows overlap, and a window overlapping its own inverse
+    holds a cancelling pair.)  The text plants, between random symbols, a
+    short chunk of the pattern or its inverse (a sample may hit on the
+    wrong alignment) and a chunk of threshold length or more.
+    """
+    symbols = [s for s in range(-d, d + 1) if s]
+    p = random_reduced_word(rng, d, rng.randint(1, 3)) * rng.randint(2, 7)
+    kind = rng.randrange(3 if d > 1 else 2)
+    if kind == 1:
+        p += (rng.choice([s for s in symbols if s not in (-p[-1], -p[0])]),)
+    elif kind == 2:
+        p += (rng.choice([s for s in symbols if s not in (-p[-1], p[-1])]),) + invert(p)
+    m = useful_threshold(len(p))
+    q = sample_length(m)
+
+    def chunk(lo, hi):
+        base = invert(p) if rng.random() < 0.5 else p
+        start = rng.randrange(len(p))
+        return (base + base)[start:start + rng.randint(lo, max(lo, hi))]
+
+    def noise(hi):
+        n = rng.randint(0, hi)
+        return random_reduced_word(rng, d, n) if n else ()
+
+    t = noise(4) + chunk(q, m - 1) + noise(3) + chunk(m, len(p)) + noise(4)
+    if len(t) < len(p):
+        t += random_reduced_word(rng, d, len(p) - len(t))
+    return p, rotate_right(t, rng.randrange(len(t)) if rng.random() < 0.3 else 0)
+
+
+def test_kr_hash_first_key_window_ties():
+    # when the first key window equals several pattern windows, and the
+    # sample that finds it occurs at several pattern positions, kr-hash
+    # still reports the reference scan's first window and first candidate
+    rng = random.Random(40)
+    base = fingerprint_base(16)
+    hits = many_candidates = both_bases = later_alignment = 0
+    for _ in range(3000):
+        p, t = tied_window_pair(rng, rng.choice((1, 2, 3)))
+        want, scanned = reference_kr_scan(p, t)
+        c = SearchCounters()
+        assert kr_search(PatternIndex(p, "exact", base), p, [t], c)[0] == want
+        found = int(want is not None)
+        assert c == SearchCounters(windows_scanned=scanned, filter_hits=found,
+                                   fingerprint_matches=found, confirmations=found,
+                                   successes=found)
+        if not found:
+            continue
+        hits += 1
+        l_p = len(p)
+        m = useful_threshold(l_p)
+        q = sample_length(m)
+        stride = m - q + 1
+        bases = ((False, p), (True, invert(p)))
+
+        def at(w, start, n):
+            return tuple(w[(start + i) % len(w)] for i in range(n))
+
+        tstart = scanned - 1
+        window = at(t, tstart, m)
+        candidates = [(inv, s) for inv, b in bases for s in range(l_p) if at(b, s, m) == window]
+        j = -(-tstart // stride) * stride  # the one sample inside the key window
+        sample = at(t, j, q)
+        alignments = [(inv, s) for inv, b in bases for s in range(l_p) if at(b, s, q) == sample]
+        holds = [(inv, (s - (j - tstart)) % l_p) in candidates for inv, s in alignments]
+        many_candidates += len(candidates) >= 2
+        both_bases += {inv for inv, _ in candidates} == {False, True}
+        later_alignment += len(alignments) >= 2 and not holds[0] and any(holds[1:])
+    assert hits > 2500 and many_candidates > 1500
+    assert both_bases > 150 and later_alignment > 300
