@@ -1,18 +1,16 @@
 """Karp-Rabin window search with an exact or a Bloom-filter backing.
 
-Both backings index the 2*l_p threshold-length circular windows of a
-pattern and of its formal inverse once, and one ``kr_search`` call scans
-a whole list of texts with that index, each text's windows in order.
+Both backings find, in each text of one ``kr_search`` call, the first
+threshold-length circular window (a key window) equal to one of the
+2*l_p such windows of the pattern and of its formal inverse.
 
-The exact backing (``kr-hash``) keys its table on the windows themselves:
-each word is packed once as machine ints (``array("i")``) and every window
-is a bytes slice of that buffer, so slicing, hashing and lookup all run in
-C and a table hit is already an exact match.  It never reports a
-fingerprint false match.  It filters first: it samples the text's q-grams
-(q = ``sample_length(m)``, every m - q + 1 positions) against the set of
-the pattern's q-grams.  Every window contains exactly one sample, so when
-no sample hits the text is a proven miss and is never packed; when one
-does, only the m - q + 1 windows that contain that sample are looked up.
+The exact backing (``kr-hash``) hashes q-grams and verifies by comparing
+symbols, so it never reports a fingerprint false match.  It samples the
+text's q-grams (q = ``sample_length(m)``, every m - q + 1 positions)
+against the set of the pattern's q-grams.  Every window contains exactly
+one sample, so when no sample hits the text is a proven miss; when one
+does, text and pattern are compared along each alignment that puts that
+q-gram on one of its occurrences in the pattern or its inverse.
 
 The Bloom backings (``kr-bloom3``/``kr-bloom4``) need a numeric key, so they
 use Karp-Rabin fingerprints, all from one roll, ``window_fingerprints``,
@@ -27,7 +25,6 @@ adversarial collisions are improbable.
 from __future__ import annotations
 
 import random
-from array import array
 
 from .match import Match, SearchCounters, extend_hit
 from .words import Word, extend_front, invert, useful_threshold
@@ -88,8 +85,6 @@ class BloomFilter:
         return True
 
 
-_ITEM = array("i").itemsize
-
 # the longest q-gram the exact backing samples
 QGRAM_CAP = 8
 
@@ -105,41 +100,29 @@ def sample_length(m: int) -> int:
     return min((m + 1) // 2, QGRAM_CAP)
 
 
-def _pack(w: Word, m: int) -> bytes:
-    """``w`` extended by its first m - 1 symbols, as native ints.
-
-    Circular window i of length m is ``packed[i * _ITEM:(i + m) * _ITEM]``.
-    """
-    return array("i", extend_front(w, m - 1)).tobytes()
-
-
 class PatternIndex:
     """Per-pattern search state for the Karp-Rabin strategies.
 
-    Indexes the 2*l_p minimal possibly-useful windows (all threshold-length
-    circular windows of the pattern and of its formal inverse).
-    ``candidates`` maps a window key to its ``(inverted, window start)``
-    occurrences in insertion order: uninverted windows first, each base by
-    ascending start.  The exact backing keys on the packed window bytes;
-    the Bloom backings key on fingerprints and put a Bloom filter in front,
-    so that hits are re-checked against the exact fingerprint set and
-    false Bloom hits can be counted.
+    ``bases`` are the pattern and its formal inverse.  The Bloom backings
+    index all threshold-length circular windows of both: ``candidates``
+    maps a fingerprint to its ``(inverted, window start)`` occurrences,
+    uninverted first, each base by ascending start, behind a Bloom filter.
 
-    The exact backing also keeps ``qgrams``, the circular q-grams of both
-    bases as tuples, with q = ``sample_length(m)``, and ``stride`` =
-    m - q + 1.  Any m-window [i, i + m) of the text contains the q-gram at
-    the one multiple of the stride in [i, i + m - q], and a key window's
-    q-grams are pattern q-grams, so a text none of whose sampled q-grams is
-    in the set holds no key window and is rejected without being packed.
-    The exact ``candidates`` table is built by ``exact_candidates`` on the
-    first sample hit, so a pattern whose every text misses never builds it.
+    The exact backing keeps ``qgrams``, the circular q-grams of both bases
+    as tuples, with q = ``sample_length(m)``, and ``stride`` = m - q + 1.
+    Any m-window [i, i + m) of the text contains the q-gram at the one
+    multiple of the stride in [i, i + m - q], and a key window's q-grams
+    are pattern q-grams, so a text none of whose sampled q-grams is in the
+    set holds no key window.  ``occurrences`` maps each q-gram to its
+    ``(inverted, start)`` positions, in the order above; it is built by
+    ``qgram_occurrences`` on the first sample hit, so a pattern whose every
+    text misses never builds it.
     """
 
     def __init__(self, p_word: Word, backing: str, base: int, bloom_log2_size: int = 16):
         self.base = base
         self.m = useful_threshold(len(p_word))
         self.inverse = invert(p_word)
-        self.candidates: dict[bytes | int, list[tuple[bool, int]]] = {}
         self.bloom: BloomFilter | None = None
         self.bases = ((False, p_word), (True, self.inverse))
         if backing == "exact":
@@ -148,24 +131,24 @@ class PatternIndex:
             self.qgrams = {ext[i:i + q] for ext in (extend_front(p_word, q - 1),
                                                     extend_front(self.inverse, q - 1))
                            for i in range(len(p_word))}
+            self.occurrences: dict[Word, list[tuple[bool, int]]] = {}
             return
         self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
+        self.candidates: dict[int, list[tuple[bool, int]]] = {}
         for inverted, word in self.bases:
             for start, value in enumerate(window_fingerprints(word, self.m, base)):
                 self.candidates.setdefault(value, []).append((inverted, start))
                 self.bloom.insert(value)
 
-    def exact_candidates(self) -> dict[bytes | int, list[tuple[bool, int]]]:
-        """The exact backing's ``candidates``, built when first asked for."""
-        if not self.candidates:
-            span = self.m * _ITEM
+    def qgram_occurrences(self) -> dict[Word, list[tuple[bool, int]]]:
+        """The exact backing's ``occurrences``, built when first asked for."""
+        if not self.occurrences:
+            q = self.q
             for inverted, word in self.bases:
-                packed = _pack(word, self.m)
+                ext = extend_front(word, q - 1)
                 for start in range(len(word)):
-                    offset = start * _ITEM
-                    key = packed[offset:offset + span]
-                    self.candidates.setdefault(key, []).append((inverted, start))
-        return self.candidates
+                    self.occurrences.setdefault(ext[start:start + q], []).append((inverted, start))
+        return self.occurrences
 
 
 def kr_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
@@ -212,42 +195,59 @@ def kr_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
 
 def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
                   counters: SearchCounters) -> list[Match | None]:
-    """The exact backing: in each text, the first window whose bytes are a table key.
+    """The exact backing: in each text, the first window equal to a pattern window.
 
-    The samples (see ``PatternIndex``) are taken in order, straight from
-    the text, wrapping past its end.  Sample j lies in exactly the windows
-    starting in [j - (m - q), j], and these ranges follow one another
-    without overlap, so looking up, in order, only the windows of each
-    hitting sample still finds the first key window, and looks up each
-    window at most once.  A text is packed on its first hit.
+    The samples (see ``PatternIndex``) are taken in order, wrapping past
+    the text's end.  Sample j lies in exactly the windows starting in
+    [j - (m - q), j], and these ranges follow one another without overlap,
+    so checking, in order, only the windows of each hitting sample still
+    finds the first key window.  A pattern window equal to text window i
+    holds the sample at offset j - i, so it lies on an alignment: text
+    position j facing position s of an occurrence (inverted, s) of the
+    sample.  Along one alignment, walking back from j (not past the
+    range's first start), then forward from j + q until m symbols agree,
+    finds its first key window, if any; its others start later.  So the
+    least (window start, inverted, pattern start) over the alignments is
+    the first key window with its first equal pattern window, uninverted
+    before inverted and by ascending start, as ``candidates`` orders them.
     """
-    m, q, stride = idx.m, idx.q, idx.stride
+    m, q, stride, l_p = idx.m, idx.q, idx.stride, len(p_word)
     qgrams = idx.qgrams
-    span = m * _ITEM
+    doubled = (p_word + p_word, idx.inverse + idx.inverse)
     found: list[Match | None] = []
     for t_word in t_words:
         l_t = len(t_word)
-        packed = None
+        ext = None
         for j in range(0, l_t + m - q, stride):
             k = j % l_t
             sample = t_word[k:k + q] if k + q <= l_t else t_word[k:] + t_word[:k + q - l_t]
             if sample not in qgrams:
                 continue
-            if packed is None:
-                packed = _pack(t_word, m)
-                get = idx.exact_candidates().get
-            for offset in range(max(0, j - m + q) * _ITEM, min(j + 1, l_t) * _ITEM, _ITEM):
-                cands = get(packed[offset:offset + span])
-                if cands is not None:
-                    break
-            else:
+            if ext is None:
+                ext = extend_front(t_word, m - 1)
+                occurrences = idx.qgram_occurrences()
+            first = max(0, j - m + q)
+            hits = []
+            for inverted, s in occurrences[sample]:
+                base = doubled[inverted]
+                shift = s - j  # text position i faces base position i + shift
+                i = j
+                while i > first and ext[i - 1] == base[i - 1 + shift]:
+                    i -= 1
+                if i >= l_t:
+                    continue
+                end, e = i + m, j + q
+                while e < end and ext[e] == base[e + shift]:
+                    e += 1
+                if e == end:
+                    hits.append((i, inverted, (i + shift) % l_p))
+            if not hits:
                 continue
-            tstart = offset // _ITEM
+            tstart, inverted, pstart = min(hits)
             counters.windows_scanned += tstart + 1
             counters.filter_hits += 1
             counters.fingerprint_matches += 1
             counters.confirmations += 1
-            inverted, pstart = cands[0]
             found.append(extend_hit(p_word, t_word, inverted, pstart, tstart, counters))
             break
         else:

@@ -228,8 +228,8 @@ def accepts_substring(a: LSAutomaton, s: Word, k: int = 0) -> bool:
 
 
 def indexed_windows(idx: PatternIndex) -> int:
-    """Window occurrences a PatternIndex holds, over its candidate table."""
-    table = idx.exact_candidates() if idx.bloom is None else idx.candidates
+    """Occurrences a PatternIndex holds: of q-grams (exact) or of windows (Bloom)."""
+    table = idx.qgram_occurrences() if idx.bloom is None else idx.candidates
     return sum(map(len, table.values()))
 
 

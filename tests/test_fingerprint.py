@@ -114,7 +114,7 @@ def test_pattern_index_single_symbol():
     idx = PatternIndex(W("a"), "exact", base)
     assert idx.m == 1
     assert indexed_windows(idx) == 2
-    assert len(idx.exact_candidates()) == 2  # the symbol and its inverse
+    assert len(idx.qgram_occurrences()) == 2  # the symbol and its inverse
 
 
 def test_pattern_index_collapses_duplicate_windows():
@@ -122,7 +122,7 @@ def test_pattern_index_collapses_duplicate_windows():
     # invert("abAB") is a rotation of itself, so windows coincide
     idx = PatternIndex(W("abAB"), "exact", base)
     assert indexed_windows(idx) == 8
-    assert len(idx.exact_candidates()) <= 8
+    assert len(idx.qgram_occurrences()) <= 8
 
 
 def test_kr_search_example_exact():
@@ -380,8 +380,8 @@ def test_kr_hash_sampled_filter_equals_reference_scan():
                           for i in range(len(p))}
         hit_samples = [j for j in range(0, len(t) + m - q, stride)
                        if ext[j:j + q] in pattern_qgrams]
-        # the window table is built exactly when a sample hits
-        assert bool(idx.candidates) == bool(hit_samples)
+        # the occurrence map is built exactly when a sample hits
+        assert bool(idx.occurrences) == bool(hit_samples)
         filtered_misses += not found and bool(hit_samples)
         if found:
             # the one sample in the key window [scanned - 1, scanned - 1 + m)
