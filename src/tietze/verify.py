@@ -61,7 +61,9 @@ def smith_normal_form(matrix: IntMatrix) -> list[int]:
                     row[c] -= q * row[j]
                 top[c] -= q * p
         if not any(row[j] for row in a) and not any(top[:j] + top[j + 1:]):
-            offender = next((row for row in a if any(x % p for x in row)), None)
+            offender = None
+            if abs(p) > 1:  # a unit divides every entry
+                offender = next((row for row in a if any(x % p for x in row)), None)
             if offender is None:
                 divisors.append(abs(p))
                 a = [row[:j] + row[j + 1:] for row in a if any(row)]
