@@ -197,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
     add_engine_flags(p)
-    p.set_defaults(func=cmd_simplify)
+    p.set_defaults(func=cmd_simplify, parser=p)
 
     p = sub.add_parser("bench", help="compare configurations on one input")
     p.add_argument("input")
     p.add_argument("--all-strategies", action="store_true")
     p.add_argument("--all-skip", action="store_true")
     add_engine_flags(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("gen", help="generate a random presentation")
     p.add_argument("--gens", type=int, required=True)
@@ -213,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=PROFILES, default="generic")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("verify", help="compare abelian invariants of two presentations")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
 
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.func(args, args.parser)  # errors print the subcommand's usage
     except SystemExit as e:  # usage errors, from parsing or flag validation
         return int(e.code or 0)
     except (ParseError, OSError, ValueError) as e:

@@ -108,6 +108,24 @@ def test_bad_gen_value_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simplify", "IN", "--match", "brute", "--bloom-bits", "3"],
+    ["simplify", "IN", "--max-passes", "0"],
+    ["gen", "--gens", "3", "--rels", "2", "--maxlen", "3", "--profile", "small-alphabet-long"],
+])
+def test_usage_errors_after_parsing_show_the_subcommand_usage(tmp_path, capsys, args):
+    # like argparse's own errors (an unknown --match), checks made after
+    # parsing print the usage of the subcommand, not of the top level
+    inp = write(tmp_path, "in.pres", "gens 2\nrel 1\n")
+    args = [inp if a == "IN" else a for a in args]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tietze {args[0]} ")
+    assert f"\ntietze {args[0]}: error: " in err
+    assert main([args[0], "--match", "nope"] if args[0] == "simplify" else [args[0]]) == 2
+    assert capsys.readouterr().err.startswith(f"usage: tietze {args[0]} ")
+
+
 def test_gen_small_alphabet_long_needs_maxlen_4(tmp_path, capsys):
     out = tmp_path / "out.pres"
     args = ["gen", "--gens", "3", "--rels", "2", "--profile", "small-alphabet-long"]
