@@ -11,14 +11,13 @@ configured growth budget.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import chain
 
 from .match import Match, SearchCounters, check_match
 from .presentation import (
     Presentation,
     RelatorRecord,
+    compact_labels,
     normalize_involutions,
     remove_duplicates,
     sort_rel,
@@ -114,31 +113,19 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
     """Replace generator g by rhs everywhere and remove g.
 
     Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
-    are re-reduced, emptied relators dropped, and generator indices above
-    g shift down.  Returns the live records whose content changed, in
-    relator order.  Relators touched only by the renumbering are not
-    reported as changed.
-
-    Each relator's cached generator counts tell whether it holds g: only
-    those relators get a new word (``set_word``).  The rest are renumbered
-    with ``relabel``, which carries their caches, and only when they hold
-    a generator above g.  The renumbering h -> h - 1 for h > g is one
-    lookup list indexed by signed symbol, negative indices serving the
-    inverses.
+    are re-reduced and emptied relators dropped.  Returns the live records
+    whose content changed, in relator order.  Only the relators whose
+    cached counts hold g get a new word.  No other label moves: g joins
+    ``pres.eliminated`` until ``compact_labels``.
     """
-    if not 1 <= g <= pres.d:
+    if not 1 <= g <= pres.d + len(pres.eliminated) or g in pres.eliminated:
         raise ValueError(f"generator {g} out of range")
     if any(abs(s) == g for s in rhs):
         raise ValueError("substitution right-hand side mentions the eliminated generator")
     rhs_inv = invert(rhs)
-    positive = [h if h < g else h - 1 for h in range(pres.d + 1)]
-    table = positive + [-h for h in reversed(positive[1:])]
-
     changed: list[RelatorRecord] = []
-    kept: list[RelatorRecord] = []
     for r in pres.rel:
-        counts = r.counts()
-        if g in counts:
+        if g in r.counts():
             out: list[int] = []
             for s in r.word:
                 if s == g:
@@ -147,25 +134,21 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
                     out.extend(rhs_inv)
                 else:
                     out.append(s)
-            r.set_word(tuple(map(table.__getitem__, reduce_cyclic_word(tuple(out)))))
-            if r.word:
-                changed.append(r)
-        elif counts and max(counts) > g:
-            r.relabel(table)
-        if r.word:
-            kept.append(r)
-    pres.rel[:] = kept
-    pres.involutions = {h - 1 if h > g else h for h in pres.involutions if h != g}
+            r.set_word(reduce_cyclic_word(tuple(out)))
+            changed.append(r)
+    if not all(r.word for r in changed):
+        pres.rel[:] = [r for r in pres.rel if r.word]
+        changed = [r for r in changed if r.word]
+    pres.involutions.discard(g)
+    pres.eliminated.add(g)
     pres.d -= 1
     return changed
 
 
 def _eliminate(pres: Presentation, on_change, r: RelatorRecord | None = None, g: int = 0) -> None:
-    """Eliminate generator ``g`` through relator ``r``, in which it occurs
-    once: solve r = 1 for g and substitute the solution everywhere.  Then
-    normalize involutions, which is all a call without ``r`` does.  Each
-    live record rewritten is handed to ``on_change``, in the order of the
-    rewrites."""
+    """Solve r = 1 for ``g``, which occurs once in ``r``, and substitute the
+    solution everywhere; then normalize involutions, which is all a call
+    without ``r`` does.  Hands the live records rewritten to ``on_change``, in order."""
     changed = []
     if r is not None:
         pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
@@ -182,11 +165,9 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
 
     Runs to fixpoint.  A relator gg marks g as an involution and is kept.
     Each step takes the first relator of length 1, or of length 2 over two
-    generators, and eliminates its highest generator through it, as
-    ``long_eliminate`` does.  Each live record that a substitution or
-    involution normalization rewrites is handed to ``on_change``, in the
-    order of the rewrites.  Returns (changed anything, number of generator
-    eliminations).
+    generators, and eliminates its highest generator through it.  Each
+    live record rewritten is handed to ``on_change``, in the order of the
+    rewrites.  Returns (changed anything, number of eliminations).
     """
     eliminations = 0
     _eliminate(pres, on_change)
@@ -206,31 +187,25 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     Among candidates (g occurs once in R, len(R) > 2), picks the pair
     minimizing predicted growth occurrences_elsewhere * (len(R) - 1) -
     len(R), and only proceeds while the predicted total stays within
-    growth_limit times the current total length.  The bound is per step:
-    it is measured against the length before this elimination, not the
-    run's initial length, so repeated calls may compound growth.  The
-    least (score, g, relator id) is taken, and only it is held against
-    the limit: it has the least score, so if it fails, every candidate
-    fails.
+    growth_limit times ``total``, the current total relator length: the
+    bound is per step, so repeated calls may compound growth.  Only the
+    least (score, g, relator id) is held against the limit: if it fails,
+    every candidate fails.
 
     A lonely generator, one that occurs once in the whole presentation,
     scores -len(R) <= -3, and every other candidate scores at least
     (len(R) - 1) - len(R) = -1.  So when a lonely candidate exists, the
     least key is the lonely one in the longest relator, then the least g,
     then the least id, and no other score is worked out.  The lonely walk
-    goes from the end of the relator sequence, which is mostly sorted by
-    length, and skips each relator shorter than the best lonely one found
-    so far, which cannot win.  The scores of all candidates are worked out
-    only when no relator longer than 2 holds a lonely generator.  Each
-    relator's candidates come from its cached once-occurring generators
-    (``RelatorRecord.once``), which only a rewrite rebuilds, but the
-    occurrences of every generator are counted over all relators on every
-    call.  The live records that the substitution and the involution
-    normalization after it rewrite are handed to ``on_change``, in that
-    order.  ``total`` is the current total relator length, which the
-    caller already knows.
+    goes from the end of the mostly length-sorted relator sequence and
+    skips each relator shorter than the best lonely one found so far.
+    Candidates come from each relator's cached ``RelatorRecord.once``,
+    occurrences from ``Presentation.occurrences``, which folds in only the
+    relators rewritten since the last call.  The live records that the
+    substitution and the involution normalization after it rewrite are
+    handed to ``on_change``, in that order.
     """
-    occurrences = Counter(map(abs, chain.from_iterable(r.word for r in pres.rel)))
+    occurrences = pres.occurrences()
     best, shortest = None, 3  # the shortest relator that can still hold the winner
     for r in reversed(pres.rel):
         n = len(r.word)
@@ -283,7 +258,6 @@ class ReplacingSearcher:
 
 
 def _boundary_maintenance(pres: Presentation) -> None:
-    pres.rel[:] = [r for r in pres.rel if len(r.word) > 0]
     sort_rel(pres)
     remove_duplicates(pres)
 
@@ -297,8 +271,9 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
 
     Boundary maintenance (sorting and duplicate removal) runs before a
     pass only when a relator was rewritten since it last ran: dropping
-    emptied relators and relabelling generators keep the sequence sorted
-    and free of duplicates.  The total length is computed once at each
+    emptied relators keeps the sequence sorted and free of duplicates.
+    Eliminations keep every other label; ``compact_labels`` closes their
+    gaps once, at the end.  The total length is computed once at each
     phase boundary where it may have moved and carried across the others;
     both length guards compare against it.
     """
@@ -377,6 +352,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             break
 
     _boundary_maintenance(pres)
+    compact_labels(pres)
     stats.reorders = ctx.reorders
     stats.total_length_after = pres.total_length()
     stats.gens_after = pres.d

@@ -39,9 +39,9 @@ class RelatorRecord:
     the generator counts, with the generators occurring once and the
     shape (length, sorted count values).  A rotation or an inverse of a
     word has the word's shape, so unequal shapes prove two relators
-    distinct without a canonical form.  Only ``set_word``, which drops
-    both caches, and ``relabel``, which maps both, write ``word``; a
-    relabelling keeps every count value, so the shape stays.
+    distinct without a canonical form.  Only ``set_word`` writes ``word``:
+    it drops both caches and, if armed, queues the record for the
+    occurrence tally that holds its counts ``_tallied``.
     """
 
     id: int
@@ -53,27 +53,16 @@ class RelatorRecord:
     _once: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     _shape: tuple[int, tuple[int, ...]] = field(default=(0, ()), init=False, repr=False,
                                                 compare=False)
+    _tallied: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _queue: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def set_word(self, word: Word) -> None:
         self.word = word
         self._canonical = None
         self._counts = None
-
-    def relabel(self, table: list[int]) -> None:
-        """Map every symbol s to ``table[s]`` (negative s index from the end).
-
-        ``table`` must be strictly increasing on the signed symbols of the
-        word and commute with inversion (``table[-s] == -table[s]``).  Such
-        a map preserves the lexicographic order of the word's equivalents,
-        so the mapped canonical form is still the least one.
-        """
-        relabelled = table.__getitem__
-        self.word = tuple(map(relabelled, self.word))
-        if self._canonical is not None:
-            self._canonical = tuple(map(relabelled, self._canonical))
-        if self._counts is not None:
-            self._counts = {table[g]: c for g, c in self._counts.items()}
-            self._once = tuple(map(relabelled, self._once))
+        if self._queue is not None:  # armed: first change since it was tallied
+            self._queue.append(self)
+            self._queue = None
 
     def canonical(self) -> Word:
         if self._canonical is None:
@@ -103,16 +92,21 @@ class RelatorRecord:
 class Presentation:
     """Generator count, involution set and the ordered relator sequence."""
 
-    d: int
+    d: int  # live generators; the labels of eliminated ones wait in ``eliminated``
     involutions: set[int] = field(default_factory=set)
     rel: list[RelatorRecord] = field(default_factory=list)
     next_id: int = 0
+    eliminated: set[int] = field(default_factory=set)  # until ``compact_labels``
+    _tally: Counter | None = field(default=None, init=False, repr=False, compare=False)
+    _queue: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def add_relator(self, word: Word) -> RelatorRecord:
-        word = reduce_cyclic_word(word)
-        rec = RelatorRecord(self.next_id, word)
+        """Reduce ``word`` and append it, unless it reduces to nothing."""
+        rec = RelatorRecord(self.next_id, reduce_cyclic_word(word))
         self.next_id += 1
-        self.rel.append(rec)
+        if rec.word:
+            self.rel.append(rec)
+            self._tally = None
         return rec
 
     def total_length(self) -> int:
@@ -123,9 +117,28 @@ class Presentation:
                    for i in range(len(self.rel) - 1))
 
     def clone(self) -> "Presentation":
-        p = Presentation(self.d, set(self.involutions), [], self.next_id)
+        p = Presentation(self.d, set(self.involutions), [], self.next_id, set(self.eliminated))
         p.rel = [RelatorRecord(r.id, r.word, r.tp, r.ts) for r in self.rel]
         return p
+
+    def occurrences(self) -> Counter:
+        """Occurrences of each generator in all relators, either sign (or 0).
+
+        Counted in full on first use; later calls fold in only the records
+        queued since, each trading the counts it was tallied with for its
+        current ones.  A record queues once, so the queue stays bounded.
+        """
+        if self._tally is None:
+            self._tally, self._queue[:] = Counter(), self.rel
+            for r in self.rel:
+                r._tallied = {}
+        tally, queue = self._tally, self._queue
+        for r in queue:
+            tally.subtract(r._tallied)
+            tally.update(r.counts())
+            r._tallied, r._queue = r._counts, queue
+        queue.clear()
+        return tally
 
 
 def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
@@ -135,9 +148,7 @@ def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
         for s in w:
             if s == 0 or abs(s) > d:
                 raise ValueError(f"symbol {s} out of range for {d} generators")
-        rec = p.add_relator(w)
-        if len(rec.word) == 0:
-            p.rel.pop()
+        p.add_relator(w)
     normalize_involutions(p)
     return p
 
@@ -192,9 +203,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(lineno, "generator letter out of range")
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
-        rec = pres.add_relator(word)
-        if len(rec.word) == 0:
-            pres.rel.pop()
+        pres.add_relator(word)
     if pres is None:
         raise ParseError(0, "missing 'gens' line")
     normalize_involutions(pres)
@@ -202,10 +211,24 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def serialize_presentation(p: Presentation) -> str:
-    lines = [f"gens {p.d}"]
+    if p.eliminated:
+        raise ValueError("labels not compacted: their gaps would read as free generators")
+    return "".join([f"gens {p.d}\n"] + [f"rel {' '.join(map(str, r.word))}\n" for r in p.rel])
+
+
+def compact_labels(p: Presentation) -> None:
+    """Renumber the live generators 1..d, in order, after eliminations.
+
+    The map is increasing on signed symbols and commutes with inversion, so
+    it keeps lengths and duplicates and maps canonical forms to canonical forms."""
+    if not p.eliminated:
+        return
+    live = [h for h in range(1, p.d + len(p.eliminated) + 1) if h not in p.eliminated]
+    new = {h: i for i, h in enumerate(live, 1)}
+    new.update({-h: -i for h, i in new.items()})
     for r in p.rel:
-        lines.append("rel " + " ".join(str(s) for s in r.word))
-    return "\n".join(lines) + "\n"
+        r.set_word(tuple(map(new.__getitem__, r.word)))
+    p.involutions, p.eliminated, p._tally = {new[h] for h in p.involutions}, set(), None
 
 
 def sort_rel(p: Presentation) -> Presentation:
@@ -244,24 +267,23 @@ SHAPE_MIN_LENGTH = 48
 
 
 def remove_duplicates(p: Presentation) -> list[int]:
-    """Drop relators equal to an earlier one up to rotation/inversion.
+    """Drop emptied relators and those equal to an earlier one up to rotation/inversion.
 
-    Returns the ids removed, in relator order; the first relator of each
+    Returns the duplicates' ids, in relator order; the first relator of each
     class is kept.  Relators of at least ``SHAPE_MIN_LENGTH`` symbols are
     first keyed on their shape (``RelatorRecord.shape``): one whose shape
     no other relator shares has no duplicate and needs no canonical form.
+    A duplicate is emptied first, so its counts leave the occurrence tally.
     """
     shapes = Counter(r.shape() for r in p.rel if len(r.word) >= SHAPE_MIN_LENGTH)
     seen: set[Word] = set()
     removed: list[int] = []
-    kept: list[RelatorRecord] = []
     for r in p.rel:
-        if len(r.word) < SHAPE_MIN_LENGTH or shapes[r.shape()] > 1:
+        if r.word and (len(r.word) < SHAPE_MIN_LENGTH or shapes[r.shape()] > 1):
             key = r.canonical()
             if key in seen:
                 removed.append(r.id)
-                continue
+                r.set_word(())
             seen.add(key)
-        kept.append(r)
-    p.rel[:] = kept
+    p.rel[:] = [r for r in p.rel if r.word]
     return removed

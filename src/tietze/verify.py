@@ -15,6 +15,8 @@ IntMatrix = list[list[int]]
 
 def exponent_matrix(p: Presentation) -> IntMatrix:
     """Row per relator, column per generator, entries are exponent sums."""
+    if p.eliminated:
+        raise ValueError("labels not compacted: their gaps would read as free generators")
     rows = []
     for r in p.rel:
         row = [0] * p.d

@@ -263,12 +263,13 @@ def test_brute_golden_output(tmp_path):
 
 
 @pytest.mark.parametrize("flags, windows_scanned, filter_hits", [
-    (["--match", "signature"], 38039, 0),
+    (["--match", "signature"], 38054, 0),
     (["--match", "kr-bloom", "--bloom-bits", "3"], 58235, 131),
 ])
 def test_label_sensitive_golden_output(tmp_path, flags, windows_scanned, filter_hits):
     """signature and kr-bloom3 hash generator labels, so their counters
-    would move if an elimination renumbered generators differently."""
+    move if eliminations label generators differently: labels stay fixed
+    during the run and are compacted once at its end."""
     inp = str(Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres")
     out = str(tmp_path / "out.pres")
     stats = str(tmp_path / "stats.json")

@@ -23,6 +23,7 @@ from tietze.engine import (
 )
 from tietze.match import Match, MatchError
 from tietze.presentation import (
+    compact_labels,
     make_presentation,
     normalize_involutions,
     parse_presentation,
@@ -188,14 +189,25 @@ def _recount(word):
     return dict(counts), tuple(h for h, c in counts.items() if c == 1)
 
 
+def _compaction_map(pres):
+    """The signed map ``compact_labels`` applies to ``pres``."""
+    live = [h for h in range(1, pres.d + len(pres.eliminated) + 1) if h not in pres.eliminated]
+    m = {h: i for i, h in enumerate(live, 1)}
+    m.update({-h: -i for h, i in m.items()})
+    return m
+
+
 def test_substitute_caches_match_recomputation(monkeypatch):
     # every substitution of real simplify runs (short and long
-    # eliminations between replacement passes) is checked against the
-    # reference; a random half of the caches is built beforehand, so both
-    # carried (relabelled) and lazily rebuilt caches are compared
-    real = engine.substitute
+    # eliminations between replacement passes) is checked, after
+    # compaction, against the reference; a random half of the caches is
+    # built beforehand, so both kept and lazily rebuilt caches are
+    # compared.  After every long elimination the occurrence tally must
+    # equal a full recount.
+    real, real_long = engine.substitute, engine.long_eliminate
     rng = random.Random(0)
     eliminated = []
+    tallies = Counter()
 
     def checked(pres, g, rhs):
         for r in pres.rel:
@@ -203,21 +215,34 @@ def test_substitute_caches_match_recomputation(monkeypatch):
                 r.canonical()
             if rng.random() < 0.5:
                 r.counts()
-        expected = _reference_substitute([r.word for r in pres.rel], g, rhs)
+        m = _compaction_map(pres)
+        expected = _reference_substitute([tuple(map(m.get, r.word)) for r in pres.rel],
+                                         m[g], tuple(map(m.get, rhs)))
         result = real(pres, g, rhs)
-        assert [r.word for r in pres.rel] == expected
+        compacted = pres.clone()
+        compact_labels(compacted)
+        assert [r.word for r in compacted.rel] == expected
         for r in pres.rel:
             assert r.canonical() == canonical_rep(r.word)
             assert (dict(r.counts()), r.once()) == _recount(r.word)
         eliminated.append(g)
         return result
 
+    def tallied(pres, *args):
+        result = real_long(pres, *args)
+        tally = {g: c for g, c in pres.occurrences().items() if c}
+        assert tally == Counter(abs(s) for r in pres.rel for s in r.word)
+        tallies[result] += 1
+        return result
+
     monkeypatch.setattr(engine, "substitute", checked)
+    monkeypatch.setattr(engine, "long_eliminate", tallied)
     for seed in range(300):
         pres = random_presentation(seed, d=rng.randint(3, 12), q=rng.randint(2, 10),
                                    maxlen=rng.randint(3, 14))
         simplify(pres, EngineConfig(growth_limit=rng.choice([1.0, 1.5, 3.0])))
     assert len(eliminated) > 1000 and len(set(eliminated)) > 10
+    assert tallies[True] > 400 and tallies[False] > 400, tallies
 
 
 def test_substitute_rejects_self_reference():
@@ -291,8 +316,9 @@ def test_long_eliminate_picks_minimal_growth():
     p = make_presentation(3, [(1, 2, 3), (3, 1, 3, 1)])
     before = abelian_invariants(p)
     assert long_eliminate(p, EngineConfig(), p.total_length())
-    assert p.d == 2
-    from tietze.words import canonical_rep
+    assert p.d == 2 and p.eliminated == {2}
+    assert canon_multiset(p) == Counter([canonical_rep((3, 1, 3, 1))])
+    compact_labels(p)
     assert canon_multiset(p) == Counter([canonical_rep((2, 1, 2, 1))])
     assert abelian_invariants(p) == before
 
@@ -370,10 +396,11 @@ def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
 def test_long_eliminate_lonely_generator_in_a_short_relator():
     # b occurs once in all, but only in "ab", which is too short to be a
     # candidate; the general rule takes c from "cdda" (score 2 < 3 for d
-    # in "acacd"), so "acacd" becomes DDD and the generators above c shift
+    # in "acacd"), so "acacd" becomes DDD; d keeps its label until compaction
     p = make_presentation(4, [(1, 2), (1, 3, 1, 3, 4), (3, 4, 4, 1)])
     assert long_eliminate(p, EngineConfig(), p.total_length())
-    assert p.d == 3 and [(r.id, r.word) for r in p.rel] == [(0, (1, 2)), (1, (-3, -3, -3))]
+    assert p.d == 3 and p.eliminated == {3}
+    assert [(r.id, r.word) for r in p.rel] == [(0, (1, 2)), (1, (-4, -4, -4))]
 
 
 def test_long_eliminate_growth_gate():
@@ -432,6 +459,27 @@ def test_simplify_stats_identity_and_monotone_phases():
         assert stats.searches_successful <= stats.searches_performed
         assert stats.rels_after == len(p.rel)
         assert stats.gens_after == p.d
+
+
+def test_simplify_output_labels_are_compact():
+    # eliminations leave gaps in the labels; simplify closes them before
+    # it returns, so the output names generators 1..gens_after only
+    rng = random.Random(57)
+    eliminations = involutions = 0
+    for i in range(120):
+        if i % 2:
+            pres = make_presentation(*squares_words(rng, l_max=20))
+        else:
+            pres = sparse_presentation(rng.getrandbits(32))
+        p, stats = simplify(pres, EngineConfig())
+        labels = set(range(1, stats.gens_after + 1))
+        assert not p.eliminated and p.d == stats.gens_after
+        assert {abs(s) for r in p.rel for s in r.word} <= labels
+        assert p.involutions <= labels
+        assert parse_presentation(serialize_presentation(p)).d == stats.gens_after
+        eliminations += stats.short_elims + stats.long_elims
+        involutions += bool(p.involutions)
+    assert eliminations > 150 and involutions > 10
 
 
 def test_replacements_strictly_shrink():

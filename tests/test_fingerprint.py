@@ -119,10 +119,13 @@ def test_pattern_index_single_symbol():
 
 def test_pattern_index_collapses_duplicate_windows():
     base = fingerprint_base(1)
-    # invert("abAB") is a rotation of itself, so windows coincide
-    idx = PatternIndex(W("abAB"), "exact", base)
-    assert indexed_windows(idx) == 8
-    assert len(idx.qgram_occurrences()) <= 8
+    # "abab" has period 2, so each of its q-grams (q = 2) recurs two
+    # places on, in the word and in its inverse: the 8 windows share 4 keys
+    idx = PatternIndex(W("abab"), "exact", base)
+    assert idx.q == 2 and indexed_windows(idx) == 8
+    occurrences = idx.qgram_occurrences()
+    assert len(occurrences) == len(idx.qgrams) == 4
+    assert all(len(at) == 2 for at in occurrences.values())
 
 
 def test_kr_search_example_exact():

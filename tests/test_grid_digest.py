@@ -23,7 +23,7 @@ from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
 GRID_DIGEST = "0a9489dc0cf564b37c3c18d5b90167ffa301266ff4f6de7fb19ebc2b4650b227"
-COUNTERS_DIGEST = "aab3e3a6653e036221e794d2cccc50a85b3388ec9836b9b96f641420111f638d"
+COUNTERS_DIGEST = "b965d743bff219395aa23f5707ff6bca64886daaedc307a1bb6077902b200115"
 
 
 def strategy_flags(name: str) -> list[str]:

@@ -12,6 +12,7 @@ from tietze.presentation import (
     ParseError,
     Presentation,
     RelatorRecord,
+    compact_labels,
     make_presentation,
     normalize_involutions,
     parse_presentation,
@@ -20,6 +21,7 @@ from tietze.presentation import (
     sort_rel,
 )
 from tietze.randgen import random_presentation, random_reduced_word
+from tietze.verify import abelian_invariants
 from tietze.words import canonical_rep, invert, reduce_cyclic_word, rotate_right, word_from_letters
 
 W = word_from_letters
@@ -179,6 +181,16 @@ def test_remove_duplicates_up_to_equivalence():
     removed = remove_duplicates(p)
     assert len(removed) == 2
     assert [r.word for r in p.rel] == [(1, 2), (1, -2)]
+    # emptied relators are dropped too, but only duplicates are reported;
+    # a duplicate is emptied as it goes, which takes it out of the tally
+    p = make_presentation(2, [(1, 2), (1, 1, 2), (2, 1), (1, -2)])
+    assert p.occurrences() == {1: 5, 2: 4}
+    p.rel[1].set_word(())
+    p.rel[3].set_word(())
+    duplicate = p.rel[2]
+    assert remove_duplicates(p) == [duplicate.id] and duplicate.word == ()
+    assert [r.word for r in p.rel] == [(1, 2)]
+    assert +p.occurrences() == {1: 1, 2: 1}
 
 
 def canonical_only_remove_duplicates(p):
@@ -227,7 +239,7 @@ def test_shape_keyed_remove_duplicates_equals_canonical_only():
     assert removed_total > 1000 and removed_long > 400 and same_shape_kept > 250
 
 
-def test_shape_is_invariant_and_survives_relabel():
+def test_shape_is_invariant_and_survives_substitute():
     rng = random.Random(15)
     for _ in range(200):
         d = rng.randint(2, 5)
@@ -239,7 +251,7 @@ def test_shape_is_invariant_and_survives_relabel():
     p = make_presentation(3, [(2, 3, 3), (1, 2, 1, 3)])
     shapes = [r.shape() for r in p.rel]
     substitute(p, 1, (2,))
-    # the first relator is only renumbered and keeps its cached shape
+    # the first relator does not hold generator 1: it keeps its word and shape
     assert p.rel[0].shape() == shapes[0] == RelatorRecord(0, p.rel[0].word).shape()
     assert p.rel[1].shape() == RelatorRecord(1, p.rel[1].word).shape() != shapes[1]
 
@@ -280,16 +292,56 @@ def test_canonical_is_cached_until_set_word(canonical_calls):
     assert r == RelatorRecord(0, W("aB")) and "_canonical" not in repr(r)
 
 
-def test_canonical_cache_cleared_by_substitute_renumbering(canonical_calls):
+def test_labels_stay_fixed_until_compaction():
     p = make_presentation(3, [(2, 3, 3), (1, 2, 1, 3)])
-    stale = [r.canonical() for r in p.rel]
-    # eliminating generator 1 touches only the second relator's content,
-    # but renumbers both
+    p.involutions = {1, 3}
+    # eliminating generator 1 rewrites only the second relator and
+    # renumbers nothing; the gap it leaves is no free generator
     changed = substitute(p, 1, (2,))
     assert [r.id for r in changed] == [1]
+    assert [r.word for r in p.rel] == [(2, 3, 3), (2, 2, 2, 3)]
+    assert p.d == 2 and p.eliminated == {1} and p.involutions == {3}
+    assert p.clone().eliminated == {1}
+    with pytest.raises(ValueError, match="compacted"):
+        serialize_presentation(p)
+    with pytest.raises(ValueError, match="compacted"):
+        abelian_invariants(p)
+    with pytest.raises(ValueError, match="out of range"):
+        substitute(p, 1, ())
+    compact_labels(p)
     assert [r.word for r in p.rel] == [(1, 2, 2), (1, 1, 1, 2)]
-    assert [r.canonical() for r in p.rel] == [canonical_rep(r.word) for r in p.rel]
-    assert [r.canonical() for r in p.rel] != stale
+    assert p.d == 2 and p.eliminated == set() and p.involutions == {2}
+    assert serialize_presentation(p) == "gens 2\nrel 1 2 2\nrel 1 1 1 2\n"
+
+
+def test_compaction_keeps_order_duplicates_and_canonical_forms():
+    # labels with gaps, as eliminations leave them: compaction maps each
+    # canonical form to the mapped word's canonical form, so the sequence
+    # stays sorted and its duplicates stay duplicates
+    rng = random.Random(17)
+    duplicates = 0
+    for _ in range(300):
+        d = rng.randint(2, 9)
+        gone = set(rng.sample(range(1, d + 1), rng.randint(1, d - 1)))
+        live = sorted(set(range(1, d + 1)) - gone)
+        new = {h: i for i, h in enumerate(live, 1)}
+        words = [tuple(rng.choice(live) * rng.choice((1, -1)) for _ in range(rng.randint(1, 9)))
+                 for _ in range(rng.randint(1, 8))]
+        words += [rotate_right(invert(w), rng.randrange(len(w))) for w in words[:2]]
+        p = sort_rel(make_presentation(d, words))
+        involutions = set(rng.sample(live, rng.randint(0, len(live))))
+        p.d, p.eliminated, p.involutions = len(live), set(gone), set(involutions)
+        ids, canon = [r.id for r in p.rel], [r.canonical() for r in p.rel]
+        removed = remove_duplicates(p.clone())
+        compact_labels(p)
+        assert not p.eliminated and p.involutions == {new[h] for h in involutions}
+        assert p.is_sorted() and [r.id for r in p.rel] == ids
+        for r, c in zip(p.rel, canon):
+            mapped = tuple(new[s] if s > 0 else -new[-s] for s in c)
+            assert r.canonical() == canonical_rep(r.word) == mapped
+        assert remove_duplicates(p) == removed
+        duplicates += len(removed)
+    assert duplicates > 300
 
 
 def test_canonical_cache_cleared_by_normalize_involutions(canonical_calls):
