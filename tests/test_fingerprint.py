@@ -482,3 +482,103 @@ def test_kr_hash_first_key_window_ties():
         later_alignment += len(alignments) >= 2 and not holds[0] and any(holds[1:])
     assert hits > 2500 and many_candidates > 1500
     assert both_bases > 150 and later_alignment > 300
+
+
+def alignment_guard_patterns(rng):
+    """Patterns for the q-gram alignment guard, each with its kind.
+
+    Periodic words (``abab``, ``aaaa``, u^k), every short word over two
+    generators up to length 4 and random words up to length 11 (q = 1 to
+    3), involution-heavy words (positive symbols only, as normalized
+    involutions leave them, and u^k c u^-k, whose windows equal windows
+    of its inverse), and long random words.
+    """
+    out = [(kind, W(s)) for kind, s in (
+        ("periodic", "abab"), ("periodic", "aaaa"), ("periodic", "aaaaaaa"),
+        ("periodic", "abcabcabc"), ("periodic", "aBaBaBaB"), ("short", "a"),
+        ("short", "A"), ("short", "ab"), ("short", "aB"), ("short", "aA"),
+        ("involution", "aabb"), ("involution", "abcabcab"), ("involution", "abAB"))]
+    symbols = (1, -1, 2, -2)
+    words = [()]
+    for _ in range(4):
+        words = [w + (s,) for w in words for s in symbols]
+        out += [("short", w) for w in words]
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        u = random_reduced_word(rng, d, rng.randint(1, 3))
+        out.append(("periodic", u * rng.randint(2, 8)))
+        out.append(("short", random_reduced_word(rng, d, rng.randint(1, 11))))
+        out.append(("involution", tuple(rng.randint(1, d) for _ in range(rng.randint(1, 20)))))
+        if d > 1:
+            c = rng.choice([s for s in range(-d, d + 1) if s not in (0, u[-1], -u[-1])])
+            out.append(("involution", u * rng.randint(1, 4) + (c,) + invert(u) * rng.randint(1, 4)))
+        out.append(("random", random_reduced_word(rng, rng.choice((2, 3, 8, 300)),
+                                                  rng.randint(12, 48))))
+    return out
+
+
+def guard_text(rng, p):
+    """A text at least as long as p, planting chunks of p and of its inverse."""
+    d = max(map(abs, p))
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        base = invert(p) if rng.random() < 0.5 else p
+        start = rng.randrange(len(p))
+        parts.append((base + base)[start:start + rng.randint(1, len(p))])
+        parts.append(tuple(rng.choice((1, -1)) * rng.randint(1, d + 1)
+                           for _ in range(rng.randint(0, 4))))
+    t = sum(parts, ())
+    if len(t) < len(p):
+        t += tuple(rng.choice((1, -1)) * rng.randint(1, d + 1) for _ in range(len(p) - len(t)))
+    return t
+
+
+def qgram_alignments(idx, gram):
+    """The ordered (inverted, start) alignments the exact index holds for gram."""
+    return idx.qgram_occurrences().get(gram, [])
+
+
+def test_qgram_alignments_equal_enumeration():
+    # every pattern q-gram, and every sampled text q-gram, has the index's
+    # alignments in enumeration order: uninverted first, by ascending start
+    rng = random.Random(41)
+    base = fingerprint_base(17)
+    kinds, repeats, repeat_hits, hits = set(), 0, 0, 0
+    for kind, p in alignment_guard_patterns(rng):
+        l_p = len(p)
+        m = useful_threshold(l_p)
+        q, stride = sample_length(m), m - sample_length(m) + 1
+        bases = ((False, p), (True, invert(p)))
+
+        def gram_at(w, s):
+            return tuple(w[(s + i) % len(w)] for i in range(q))
+
+        def enumerated(gram):
+            return [(inv, s) for inv, b in bases for s in range(l_p) if gram_at(b, s) == gram]
+
+        idx = PatternIndex(p, "exact", base)
+        assert (idx.q, idx.stride) == (q, stride)
+        pattern_grams = {gram_at(b, s) for _, b in bases for s in range(l_p)}
+        for gram in pattern_grams:
+            assert qgram_alignments(idx, gram) == enumerated(gram)
+        repeats += len(pattern_grams) < 2 * l_p
+        kinds.add(kind)
+        for _ in range(2):
+            t = guard_text(rng, p)
+            samples = [gram_at(t, j) for j in range(0, len(t) + m - q, stride)]
+            for gram in samples:
+                assert qgram_alignments(idx, gram) == enumerated(gram)
+            want, scanned = reference_kr_scan(p, t)
+            c = SearchCounters()
+            assert kr_search(idx, p, [t], c)[0] == want
+            found = int(want is not None)
+            assert c == SearchCounters(windows_scanned=scanned, filter_hits=found,
+                                       fingerprint_matches=found, confirmations=found,
+                                       successes=found)
+            hits += found
+            if found:
+                # the sample that found the key window recurs in the pattern
+                key_sample = samples[-(-(scanned - 1) // stride)]
+                repeat_hits += len(enumerated(key_sample)) >= 2
+    assert kinds == {"periodic", "short", "involution", "random"}
+    assert repeats > 600 and repeat_hits > 700 and hits > 1500
