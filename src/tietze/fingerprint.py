@@ -7,10 +7,11 @@ threshold-length circular window (a key window) equal to one of the
 The exact backing (``kr-hash``) hashes q-grams and verifies by comparing
 symbols, so it never reports a fingerprint false match.  It samples the
 text's q-grams (q = ``sample_length(m)``, every m - q + 1 positions)
-against the set of the pattern's q-grams.  Every window contains exactly
+against a map, built with the index, from each q-gram of the pattern and
+of its inverse to its occurrences there.  Every window contains exactly
 one sample, so when no sample hits the text is a proven miss; when one
 does, text and pattern are compared along each alignment that puts that
-q-gram on one of its occurrences in the pattern or its inverse.
+q-gram on one of its occurrences.
 
 The Bloom backings (``kr-bloom3``/``kr-bloom4``) need a numeric key, so they
 use Karp-Rabin fingerprints, all from one roll, ``window_fingerprints``,
@@ -25,6 +26,7 @@ adversarial collisions are improbable.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
 from .match import Match, SearchCounters, extend_hit
 from .words import Word, extend_front, invert, useful_threshold
@@ -108,15 +110,15 @@ class PatternIndex:
     maps a fingerprint to its ``(inverted, window start)`` occurrences,
     uninverted first, each base by ascending start, behind a Bloom filter.
 
-    The exact backing keeps ``qgrams``, the circular q-grams of both bases
-    as tuples, with q = ``sample_length(m)``, and ``stride`` = m - q + 1.
-    Any m-window [i, i + m) of the text contains the q-gram at the one
-    multiple of the stride in [i, i + m - q], and a key window's q-grams
-    are pattern q-grams, so a text none of whose sampled q-grams is in the
-    set holds no key window.  ``occurrences`` maps each q-gram to its
-    ``(inverted, start)`` positions, in the order above; it is built by
-    ``qgram_occurrences`` on the first sample hit, so a pattern whose every
-    text misses never builds it.
+    The exact backing takes q-grams, q = ``sample_length(m)``, and
+    ``stride`` = m - q + 1.  Any m-window [i, i + m) of the text contains
+    the q-gram at the one multiple of the stride in [i, i + m - q], and a
+    key window's q-grams are pattern q-grams, so a text none of whose
+    sampled q-grams is a pattern q-gram holds no key window.  ``first``
+    maps each circular q-gram of both bases, as a tuple, to its first
+    ``(inverted, start)`` occurrence in the order above.  A q-gram that
+    recurs has its full ordered list of occurrences in ``repeats``, which
+    is empty unless ``first`` has fewer than 2 * l_p keys.
     """
 
     def __init__(self, p_word: Word, backing: str, base: int, bloom_log2_size: int = 16):
@@ -128,10 +130,19 @@ class PatternIndex:
         if backing == "exact":
             q = self.q = sample_length(self.m)
             self.stride = self.m - q + 1
-            self.qgrams = {ext[i:i + q] for ext in (extend_front(p_word, q - 1),
-                                                    extend_front(self.inverse, q - 1))
-                           for i in range(len(p_word))}
-            self.occurrences: dict[Word, list[tuple[bool, int]]] = {}
+            n = len(p_word)
+            grams: list[Word] = []
+            for word in (p_word, self.inverse):
+                ext = extend_front(word, q - 1)
+                grams += zip(*[ext[k:] for k in range(q)])  # ext[s:s + q] for s < n
+            at = [*zip(repeat(False), range(n)), *zip(repeat(True), range(n))]
+            # a later pair overwrites an earlier key's value: go last to first
+            self.first = dict(zip(reversed(grams), reversed(at)))
+            self.repeats: dict[Word, list[tuple[bool, int]]] = {}
+            if len(self.first) < 2 * n:  # some q-gram recurs: chain its later places
+                for gram, a in zip(grams, at):
+                    if a != self.first[gram]:
+                        self.repeats.setdefault(gram, [self.first[gram]]).append(a)
             return
         self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
         self.candidates: dict[int, list[tuple[bool, int]]] = {}
@@ -139,16 +150,6 @@ class PatternIndex:
             for start, value in enumerate(window_fingerprints(word, self.m, base)):
                 self.candidates.setdefault(value, []).append((inverted, start))
                 self.bloom.insert(value)
-
-    def qgram_occurrences(self) -> dict[Word, list[tuple[bool, int]]]:
-        """The exact backing's ``occurrences``, built when first asked for."""
-        if not self.occurrences:
-            q = self.q
-            for inverted, word in self.bases:
-                ext = extend_front(word, q - 1)
-                for start in range(len(word)):
-                    self.occurrences.setdefault(ext[start:start + q], []).append((inverted, start))
-        return self.occurrences
 
 
 def kr_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
@@ -204,7 +205,8 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
     finds the first key window.  A pattern window equal to text window i
     holds the sample at offset j - i, so it lies on an alignment: text
     position j facing position s of an occurrence (inverted, s) of the
-    sample.  Along one alignment, walking back from j (not past the
+    sample, the one in ``first`` or, for a recurring sample, each in
+    ``repeats``.  Along one alignment, walking back from j (not past the
     range's first start), then forward from j + q until m symbols agree,
     finds its first key window, if any; its others start later.  So the
     least (window start, inverted, pattern start) over the alignments is
@@ -212,7 +214,7 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
     before inverted and by ascending start, as ``candidates`` orders them.
     """
     m, q, stride, l_p = idx.m, idx.q, idx.stride, len(p_word)
-    qgrams = idx.qgrams
+    first_at, repeats = idx.first, idx.repeats
     doubled = (p_word + p_word, idx.inverse + idx.inverse)
     found: list[Match | None] = []
     for t_word in t_words:
@@ -221,14 +223,14 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
         for j in range(0, l_t + m - q, stride):
             k = j % l_t
             sample = t_word[k:k + q] if k + q <= l_t else t_word[k:] + t_word[:k + q - l_t]
-            if sample not in qgrams:
+            at = first_at.get(sample)
+            if at is None:
                 continue
             if ext is None:
                 ext = extend_front(t_word, m - 1)
-                occurrences = idx.qgram_occurrences()
             first = max(0, j - m + q)
             hits = []
-            for inverted, s in occurrences[sample]:
+            for inverted, s in repeats.get(sample, (at,)):
                 base = doubled[inverted]
                 shift = s - j  # text position i faces base position i + shift
                 i = j

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .words import Word, canonical_rep, reduce_cyclic_word, word_from_letters
@@ -124,21 +125,26 @@ class Presentation:
     def occurrences(self) -> Counter:
         """Occurrences of each generator in all relators, either sign (or 0).
 
-        Counted in full on first use; later calls fold in only the records
-        queued since, each trading the counts it was tallied with for its
-        current ones.  A record queues once, so the queue stays bounded.
+        Counted in full on first use, and whenever at least half as many
+        records as relators are queued, where a full count costs less than
+        folding each record in.  Otherwise a call folds in only the records
+        queued since the last, each trading the counts it was tallied with
+        for its current ones.  A record queues once, so the queue stays
+        bounded.
         """
-        if self._tally is None:
-            self._tally, self._queue[:] = Counter(), self.rel
+        queue = self._queue
+        if self._tally is None or 2 * len(queue) >= len(self.rel):
+            self._tally = Counter(map(abs, chain.from_iterable(r.word for r in self.rel)))
             for r in self.rel:
-                r._tallied = {}
-        tally, queue = self._tally, self._queue
-        for r in queue:
-            tally.subtract(r._tallied)
-            tally.update(r.counts())
-            r._tallied, r._queue = r._counts, queue
+                r._tallied, r._queue = r.counts(), queue
+        else:
+            tally = self._tally
+            for r in queue:
+                tally.subtract(r._tallied)
+                tally.update(r.counts())
+                r._tallied, r._queue = r._counts, queue
         queue.clear()
-        return tally
+        return self._tally
 
 
 def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:

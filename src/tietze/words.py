@@ -10,6 +10,8 @@ cyclic container.
 
 from __future__ import annotations
 
+from operator import add, neg
+
 Word = tuple[int, ...]
 
 
@@ -46,7 +48,7 @@ def invert(w: Word) -> Word:
     >>> letters(invert(word_from_letters("aBc")))
     'CbA'
     """
-    return tuple(-s for s in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def rotate_right(w: Word, i: int) -> Word:
@@ -67,7 +69,13 @@ def rotate_right(w: Word, i: int) -> Word:
 
 
 def free_reduce(w: Word) -> Word:
-    """Cancel adjacent inverse pairs until none remain."""
+    """Cancel adjacent inverse pairs until none remain.
+
+    A word with no adjacent pair summing to 0 is already reduced and comes
+    back as a tuple, itself when it is one.
+    """
+    if 0 not in map(add, w, w[1:]):
+        return tuple(w)
     out: list[int] = []
     for s in w:
         if out and out[-1] == -s:

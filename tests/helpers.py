@@ -227,10 +227,18 @@ def accepts_substring(a: LSAutomaton, s: Word, k: int = 0) -> bool:
     return word_match_length(a, k, state, length) == len(s)
 
 
+def qgram_alignments(idx: PatternIndex, gram: Word) -> list[tuple[bool, int]]:
+    """The ordered (inverted, start) occurrences the exact index holds for gram."""
+    if gram in idx.repeats:
+        return idx.repeats[gram]
+    return [idx.first[gram]] if gram in idx.first else []
+
+
 def indexed_windows(idx: PatternIndex) -> int:
     """Occurrences a PatternIndex holds: of q-grams (exact) or of windows (Bloom)."""
-    table = idx.qgram_occurrences() if idx.bloom is None else idx.candidates
-    return sum(map(len, table.values()))
+    if idx.bloom is None:
+        return sum(len(qgram_alignments(idx, gram)) for gram in idx.first)
+    return sum(map(len, idx.candidates.values()))
 
 
 def horner_fingerprint(w: Word, start: int, m: int, base: int) -> int:

@@ -10,6 +10,7 @@ from helpers import (
     indexed_windows,
     is_valid_match,
     mixed_batch,
+    qgram_alignments,
     random_pair,
 )
 from tietze.fingerprint import (
@@ -114,7 +115,8 @@ def test_pattern_index_single_symbol():
     idx = PatternIndex(W("a"), "exact", base)
     assert idx.m == 1
     assert indexed_windows(idx) == 2
-    assert len(idx.qgram_occurrences()) == 2  # the symbol and its inverse
+    # the symbol and its inverse, each once
+    assert idx.first == {(1,): (False, 0), (-1,): (True, 0)} and idx.repeats == {}
 
 
 def test_pattern_index_collapses_duplicate_windows():
@@ -123,9 +125,10 @@ def test_pattern_index_collapses_duplicate_windows():
     # places on, in the word and in its inverse: the 8 windows share 4 keys
     idx = PatternIndex(W("abab"), "exact", base)
     assert idx.q == 2 and indexed_windows(idx) == 8
-    occurrences = idx.qgram_occurrences()
-    assert len(occurrences) == len(idx.qgrams) == 4
-    assert all(len(at) == 2 for at in occurrences.values())
+    assert idx.first == {W("ab"): (False, 0), W("ba"): (False, 1),
+                         W("BA"): (True, 0), W("AB"): (True, 1)}
+    assert idx.repeats == {W("ab"): [(False, 0), (False, 2)], W("ba"): [(False, 1), (False, 3)],
+                           W("BA"): [(True, 0), (True, 2)], W("AB"): [(True, 1), (True, 3)]}
 
 
 def test_kr_search_example_exact():
@@ -383,8 +386,15 @@ def test_kr_hash_sampled_filter_equals_reference_scan():
                           for i in range(len(p))}
         hit_samples = [j for j in range(0, len(t) + m - q, stride)
                        if ext[j:j + q] in pattern_qgrams]
-        # the occurrence map is built exactly when a sample hits
-        assert bool(idx.occurrences) == bool(hit_samples)
+        # the map holds exactly the pattern q-grams, each with its ordered
+        # occurrences; a recurring one, and only such, is in ``repeats``
+        occurrences = {}
+        for inverted, b in ((False, p), (True, invert(p))):
+            for i in range(len(p)):
+                occurrences.setdefault((b + b)[i:i + q], []).append((inverted, i))
+        assert set(idx.first) == set(occurrences) == pattern_qgrams
+        assert {gram: qgram_alignments(idx, gram) for gram in idx.first} == occurrences
+        assert set(idx.repeats) == {gram for gram, at in occurrences.items() if len(at) > 1}
         filtered_misses += not found and bool(hit_samples)
         if found:
             # the one sample in the key window [scanned - 1, scanned - 1 + m)
@@ -533,11 +543,6 @@ def guard_text(rng, p):
     return t
 
 
-def qgram_alignments(idx, gram):
-    """The ordered (inverted, start) alignments the exact index holds for gram."""
-    return idx.qgram_occurrences().get(gram, [])
-
-
 def test_qgram_alignments_equal_enumeration():
     # every pattern q-gram, and every sampled text q-gram, has the index's
     # alignments in enumeration order: uninverted first, by ascending start
@@ -561,6 +566,7 @@ def test_qgram_alignments_equal_enumeration():
         pattern_grams = {gram_at(b, s) for _, b in bases for s in range(l_p)}
         for gram in pattern_grams:
             assert qgram_alignments(idx, gram) == enumerated(gram)
+        assert bool(idx.repeats) == (len(pattern_grams) < 2 * l_p)
         repeats += len(pattern_grams) < 2 * l_p
         kinds.add(kind)
         for _ in range(2):
@@ -577,8 +583,10 @@ def test_qgram_alignments_equal_enumeration():
                                        successes=found)
             hits += found
             if found:
-                # the sample that found the key window recurs in the pattern
+                # the sample that found the key window: the search walked
+                # its chained occurrences when it recurs in the pattern
                 key_sample = samples[-(-(scanned - 1) // stride)]
-                repeat_hits += len(enumerated(key_sample)) >= 2
+                assert (key_sample in idx.repeats) == (len(enumerated(key_sample)) >= 2)
+                repeat_hits += key_sample in idx.repeats
     assert kinds == {"periodic", "short", "involution", "random"}
     assert repeats > 600 and repeat_hits > 700 and hits > 1500

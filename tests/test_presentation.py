@@ -193,6 +193,45 @@ def test_remove_duplicates_up_to_equivalence():
     assert +p.occurrences() == {1: 1, 2: 1}
 
 
+def test_occurrence_tally_folds_few_changes_and_recounts_many(monkeypatch):
+    # after each call the tally equals a full recount, whether few of the
+    # relators changed since the last call (each is folded in) or at least
+    # half of them did (the tally is counted afresh, folding none)
+    folded = []
+
+    class SpyCounter(Counter):
+        def subtract(self, *args, **kwargs):
+            folded.append(1)
+            super().subtract(*args, **kwargs)
+
+    monkeypatch.setattr(presentation, "Counter", SpyCounter)
+    rng = random.Random(16)
+    recounts = folds = 0
+    for _ in range(100):
+        d = rng.randint(2, 6)
+        p = make_presentation(d, [random_reduced_word(rng, d, rng.randint(1, 12))
+                                  for _ in range(rng.randint(4, 20))])
+        p.occurrences()
+        for _ in range(6):
+            most = rng.random() < 0.5
+            k = len(p.rel) if most else rng.randint(0, (len(p.rel) - 1) // 2)
+            changing = rng.sample(p.rel, k)
+            for r in changing:
+                r.set_word(() if rng.random() < 0.1 else
+                           reduce_cyclic_word(random_reduced_word(rng, d, rng.randint(1, 12))))
+            p.rel[:] = [r for r in p.rel if r.word]
+            before = len(folded)
+            tally = p.occurrences()
+            assert +tally == Counter(abs(s) for r in p.rel for s in r.word)
+            recount = 2 * len(changing) >= len(p.rel)
+            assert len(folded) - before == (0 if recount else len(changing))
+            recounts += recount and bool(changing)
+            folds += not recount and bool(changing)
+            if not p.rel:
+                break
+    assert recounts > 200 and folds > 150
+
+
 def canonical_only_remove_duplicates(p):
     """Duplicate removal with a canonical form for every relator (the
     reference the shape-keyed version must equal)."""

@@ -116,6 +116,54 @@ def test_invert_of_rotation_is_rotation_of_invert():
         assert invert(rotate_right(w, i)) in rotations_of_inverse
 
 
+def reference_invert(w):
+    out = []
+    for s in w:
+        out.insert(0, -s)
+    return tuple(out)
+
+
+def reference_free_reduce(w):
+    """Cancel the leftmost adjacent inverse pair until none is left."""
+    w = list(w)
+    i = 0
+    while i + 1 < len(w):
+        if w[i] == -w[i + 1]:
+            del w[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(w)
+
+
+def primitive_test_words(rng):
+    """Empty and one-symbol words, reduced words, and words with cancelling
+    neighbours (unreduced ones and reduced ones with a pair spliced in)."""
+    words = [(), (1,), (-3,), (2, -2), (1, 2, -2, -1), (1, -1, 1)]
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        symbols = [s for s in range(-d, d + 1) if s]
+        reduced = random_reduced_word(rng, d, rng.randint(1, 20))
+        words.append(reduced)
+        words.append(tuple(rng.choice(symbols) for _ in range(rng.randint(0, 20))))
+        s, cut = rng.choice(symbols), rng.randint(0, len(reduced))
+        words.append(reduced[:cut] + (s, -s) + reduced[cut:])
+    return words
+
+
+def test_word_primitives_equal_reference_loops():
+    rng = random.Random(17)
+    reduced_kept = 0
+    for w in primitive_test_words(rng):
+        inv, fr = invert(w), free_reduce(w)
+        assert type(inv) is tuple and inv == reference_invert(w)
+        assert type(fr) is tuple and fr == reference_free_reduce(w)
+        # a list comes back as a tuple too
+        assert type(free_reduce(list(w))) is tuple and free_reduce(list(w)) == fr
+        reduced_kept += fr is w
+    assert reduced_kept > 400  # an already reduced tuple is returned as it is
+
+
 def test_reductions_idempotent_and_non_increasing():
     rng = random.Random(4)
     for _ in range(300):
