@@ -23,6 +23,7 @@ from tietze.engine import (
 )
 from tietze.match import Match, MatchError
 from tietze.presentation import (
+    Presentation,
     compact_labels,
     make_presentation,
     normalize_involutions,
@@ -694,6 +695,49 @@ def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
     fixture = Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres"
     simplify(parse_presentation(fixture.read_text()), EngineConfig(skip_policy=policy))
     assert len(passes) > 60 and len(maintained) < len(passes) / 4
+
+
+def _unnormalized_presentation(d, words):
+    """Like ``make_presentation`` but keeps every inverted involution."""
+    p = Presentation(d)
+    for w in words:
+        p.add_relator(w)
+    return p
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy):
+    """The first pass of a run sees no inverse of an involution, and every
+    relator marked changed, however the input spelled its involutions."""
+    firsts = []
+    run_pass = engine.run_pass
+
+    def checking_pass(pres, ctx, searcher, record=None):
+        if not firsts:
+            # read the squares too: the check must not trust the set it checks
+            squares = {abs(r.word[0]) for r in pres.rel
+                       if len(r.word) == 2 and r.word[0] == r.word[1]}
+            inverses = {-g for g in squares | pres.involutions}
+            assert all(inverses.isdisjoint(r.word) for r in pres.rel)
+            if policy in ("ts-sorted", "ts-unsorted"):
+                assert all(r.tp == -1 for r in pres.rel)
+            if policy == "flags":
+                assert {r.id for r in pres.rel} <= ctx.flagged
+            firsts.append(len(pres.rel))
+        return run_pass(pres, ctx, searcher, record)
+
+    monkeypatch.setattr(engine, "run_pass", checking_pass)
+    rng = random.Random(23)
+    inputs = [squares_words(random.Random(40), d_max=5, q_max=12, l_max=30)]  # GRID_DIGEST's
+    inputs += [squares_words(rng, l_max=20) for _ in range(150)]
+    runs = inverted = 0
+    for d, words in inputs:
+        pres = _unnormalized_presentation(d, words)
+        inverted += bool(normalize_involutions(pres.clone()))
+        firsts.clear()
+        simplify(pres, EngineConfig(skip_policy=policy))
+        runs += bool(firsts)
+    assert inverted == runs == len(inputs), (inverted, runs)
 
 
 def test_flags_is_the_lossy_baseline():
