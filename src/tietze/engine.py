@@ -10,7 +10,6 @@ configured growth budget.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 
 from .match import Match, SearchCounters, check_match
@@ -24,7 +23,7 @@ from .presentation import (
 )
 from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
-from .words import Word, cyclic_reduce, invert, reduce_cyclic_word
+from .words import Word, invert, reduce_cyclic_word
 
 
 class EngineError(RuntimeError):
@@ -60,10 +59,10 @@ class EngineConfig:
             raise ValueError(f"unknown skip policy {self.skip_policy!r}")
         if not self.growth_limit >= 1.0:  # also rejects NaN
             raise ValueError("growth_limit must be >= 1.0")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
-        if not 3 <= self.bloom_log2_size <= 30:
-            raise ValueError("bloom_log2_size must be in 3..30")
+        if type(self.max_passes) is not int or self.max_passes < 1:  # nor a bool
+            raise ValueError("max_passes must be an int >= 1")
+        if type(self.bloom_log2_size) is not int or not 3 <= self.bloom_log2_size <= 30:
+            raise ValueError("bloom_log2_size must be an int in 3..30")
 
 
 @dataclass
@@ -82,7 +81,6 @@ class EngineStats:
     rels_before: int = 0
     rels_after: int = 0
     counters: SearchCounters = field(default_factory=SearchCounters)
-    timings_ms: dict[str, float] = field(default_factory=dict)
     reorders: int = 0
 
     def to_dict(self) -> dict:
@@ -96,17 +94,9 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
 
     With the pattern equivalent u.v and the text rotation w.v, the text
     becomes w.u^-1, reduced; strictly shorter since v is longer than u.
-    Every relator is cyclically reduced, so w and u^-1 are freely reduced
-    and only their junction can cancel: what is left after it is freely
-    reduced, and free reduction is unique, so ``cyclic_reduce`` finishes
-    the job that ``reduce_cyclic_word`` would do.
     """
     pe, te = check_match(m, p_word, t_word)  # engine bug guard
-    w, u = te[:len(t_word) - m.v_len], pe[:m.u_len]
-    k, n = 0, min(len(w), len(u))
-    while k < n and w[-1 - k] == u[-1 - k]:  # the k-th symbol of u^-1 is -u[-1 - k]
-        k += 1
-    return cyclic_reduce(w[:len(w) - k] + invert(u[:len(u) - k]))
+    return reduce_cyclic_word(te[:len(t_word) - m.v_len] + invert(pe[:m.u_len]))
 
 
 def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
@@ -160,14 +150,15 @@ def _eliminate(pres: Presentation, on_change, r: RelatorRecord | None = None, g:
             on_change(rec)
 
 
-def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
+def short_eliminate(pres: Presentation, on_change=None) -> int:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
-    Runs to fixpoint.  A relator gg marks g as an involution and is kept.
-    Each step takes the first relator of length 1, or of length 2 over two
-    generators, and eliminates its highest generator through it.  Each
-    live record rewritten is handed to ``on_change``, in the order of the
-    rewrites.  Returns (changed anything, number of eliminations).
+    First normalizes involutions, then runs to fixpoint.  A relator gg
+    marks g as an involution and is kept.  Each step takes the first
+    relator of length 1, or of length 2 over two generators, and
+    eliminates its highest generator through it.  Each live record
+    rewritten, by the normalization or an elimination, is handed to
+    ``on_change``, in order.  Returns the number of eliminations.
     """
     eliminations = 0
     _eliminate(pres, on_change)
@@ -175,7 +166,7 @@ def short_eliminate(pres: Presentation, on_change=None) -> tuple[bool, int]:
         r = next((r for r in pres.rel if len(r.word) == 1
                   or len(r.word) == 2 and abs(r.word[0]) != abs(r.word[1])), None)
         if r is None:
-            return eliminations > 0, eliminations
+            return eliminations
         _eliminate(pres, on_change, r, max(map(abs, r.word)))
         eliminations += 1
 
@@ -267,10 +258,12 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     """Run the full simplification driver in place; returns (pres, stats).
 
     ``record`` is handed straight to every ``run_pass`` and only observes.
-    Eliminations mark the live records they rewrite changed, in order.
+    Eliminations, and the involution normalization that starts each short
+    elimination and so also normalizes the input, mark the live records
+    they rewrite changed, in order.
 
-    Boundary maintenance (sorting and duplicate removal) runs before a
-    pass only when a relator was rewritten since it last ran: dropping
+    Boundary maintenance (sorting and duplicate removal) runs at start-up,
+    then before a pass only when a relator was rewritten since: dropping
     emptied relators keeps the sequence sorted and free of duplicates.
     Eliminations keep every other label; ``compact_labels`` closes their
     gaps once, at the end.  The total length is computed once at each
@@ -284,12 +277,10 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
         gens_before=pres.d,
         rels_before=len(pres.rel),
     )
-    timings = {"short_elim": 0.0, "replacement": 0.0, "long_elim": 0.0}
     strategy = make_strategy(cfg.match_strategy, cfg.seed, cfg.bloom_log2_size)
     searcher = ReplacingSearcher(strategy, stats.counters)
     ctx = PassContext(policy=cfg.skip_policy)
-    # the initial normalization below may rewrite relators
-    rewritten = True
+    rewritten = False
 
     def on_change(rec: RelatorRecord) -> None:
         nonlocal rewritten
@@ -299,24 +290,20 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
-    normalize_involutions(pres)
     init_pass_state(pres, ctx)
     length = pres.total_length()
 
     while True:
         progress = False
 
-        t0 = time.perf_counter()
-        changed_short, elims = short_eliminate(pres, on_change)
-        if changed_short:
+        elims = short_eliminate(pres, on_change)
+        if elims:
             before, length = length, pres.total_length()
             if length > before:
                 raise EngineError("short elimination increased total length")
-        stats.short_elims += elims
-        progress |= changed_short
-        timings["short_elim"] += time.perf_counter() - t0
+            stats.short_elims += elims
+            progress = True
 
-        t0 = time.perf_counter()
         while stats.passes < cfg.max_passes:
             if rewritten:
                 count = len(pres.rel)
@@ -338,16 +325,11 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             before, length = length, pres.total_length()
             if length > before:
                 raise EngineError("replacement pass increased total length")
-        timings["replacement"] += time.perf_counter() - t0
 
-        if cfg.long_elim_enabled:
-            t0 = time.perf_counter()
-            did_long = long_eliminate(pres, cfg, length, on_change)
-            timings["long_elim"] += time.perf_counter() - t0
-            if did_long:
-                length = pres.total_length()
-                stats.long_elims += 1
-                continue
+        if cfg.long_elim_enabled and long_eliminate(pres, cfg, length, on_change):
+            length = pres.total_length()
+            stats.long_elims += 1
+            continue
         if not progress:
             break
 
@@ -357,7 +339,6 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     stats.total_length_after = pres.total_length()
     stats.gens_after = pres.d
     stats.rels_after = len(pres.rel)
-    stats.timings_ms = {k: v * 1000.0 for k, v in timings.items()}
     if stats.searches_performed + stats.searches_skipped != stats.pairs_considered:
         raise EngineError("search accounting identity violated")
     return pres, stats

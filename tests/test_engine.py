@@ -254,8 +254,7 @@ def test_substitute_rejects_self_reference():
 
 def test_short_eliminate_examples():
     p = make_presentation(2, [(2,), (1, 2, 1, 2)])
-    changed, n = short_eliminate(p)
-    assert changed and n == 1
+    assert short_eliminate(p) == 1
     assert p.d == 1 and [r.word for r in p.rel] == [(1, 1)]
 
     p = make_presentation(2, [(1, 2)])
@@ -263,8 +262,7 @@ def test_short_eliminate_examples():
     assert p.d == 1 and [r.word for r in p.rel] == []
 
     p = make_presentation(1, [(1, 1)])
-    changed, n = short_eliminate(p)
-    assert not changed and n == 0
+    assert short_eliminate(p) == 0
     assert p.involutions == {1} and [r.word for r in p.rel] == [(1, 1)]
 
 
@@ -284,7 +282,7 @@ def _reference_short_eliminate(pres, on_change):
                 rhs = (-other,) if sign > 0 else (other,)
                 break
         else:
-            return eliminations > 0, eliminations
+            return eliminations
         for r in substitute(pres, g, rhs) + normalize_involutions(pres):
             on_change(r)
         eliminations += 1
@@ -604,6 +602,12 @@ def test_config_rejects_nan_growth_and_bad_bloom_size():
             EngineConfig(bloom_log2_size=size)
     assert EngineConfig(bloom_log2_size=3).bloom_log2_size == 3
     assert EngineConfig(bloom_log2_size=30).bloom_log2_size == 30
+    # a float or bool budget or Bloom size used to pass, and then ran a
+    # rounded-up number of passes or failed inside BloomFilter
+    for name in ("bloom_log2_size", "max_passes"):
+        for value in (10.5, 16.0, True, "12", None):
+            with pytest.raises(ValueError, match=name):
+                EngineConfig(**{name: value})
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
