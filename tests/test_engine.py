@@ -602,8 +602,8 @@ def test_config_rejects_nan_growth_and_bad_bloom_size():
             EngineConfig(bloom_log2_size=size)
     assert EngineConfig(bloom_log2_size=3).bloom_log2_size == 3
     assert EngineConfig(bloom_log2_size=30).bloom_log2_size == 30
-    # a float or bool budget or Bloom size used to pass, and then ran a
-    # rounded-up number of passes or failed inside BloomFilter
+    # not an int: a float budget would run a rounded-up number of passes,
+    # and a float Bloom size would fail inside BloomFilter
     for name in ("bloom_log2_size", "max_passes"):
         for value in (10.5, 16.0, True, "12", None):
             with pytest.raises(ValueError, match=name):
@@ -701,14 +701,6 @@ def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
     assert len(passes) > 60 and len(maintained) < len(passes) / 4
 
 
-def _unnormalized_presentation(d, words):
-    """Like ``make_presentation`` but keeps every inverted involution."""
-    p = Presentation(d)
-    for w in words:
-        p.add_relator(w)
-    return p
-
-
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy):
     """The first pass of a run sees no inverse of an involution, and every
@@ -736,7 +728,9 @@ def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy)
     inputs += [squares_words(rng, l_max=20) for _ in range(150)]
     runs = inverted = 0
     for d, words in inputs:
-        pres = _unnormalized_presentation(d, words)
+        pres = Presentation(d)  # unlike make_presentation, keeps inverted involutions
+        for w in words:
+            pres.add_relator(w)
         inverted += bool(normalize_involutions(pres.clone()))
         firsts.clear()
         simplify(pres, EngineConfig(skip_policy=policy))
