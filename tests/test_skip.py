@@ -1,5 +1,7 @@
 import random
 from bisect import bisect_right
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +15,18 @@ from helpers import (
     sparse_presentation,
 )
 from tietze import skip
-from tietze.engine import ReplacingSearcher
+from tietze.engine import EngineConfig, ReplacingSearcher, simplify
 from tietze.match import SearchCounters
-from tietze.presentation import make_presentation, sort_rel
+from tietze.presentation import (
+    make_presentation,
+    parse_presentation,
+    serialize_presentation,
+    sort_rel,
+)
 from tietze.skip import (
     POLICY_NAMES,
     PassContext,
+    PassTally,
     SearchEvent,
     init_pass_state,
     mark_changed,
@@ -561,12 +569,15 @@ class RandomCut(PairSearcher):
         return False
 
 
-def _compare_with_reference(pres, make_searcher, passes=1, policy="ts-sorted"):
+def _compare_with_reference(pres, make_searcher, passes=1, policy="ts-sorted",
+                            between=None):
     """Run the batched driver and the pair-by-pair reference side by side.
 
     Events, tallies and ``_state`` must agree after every pass.  Between
     passes both sequences are sorted, as the engine's boundary maintenance
-    does; ``ts-sorted`` keeps its sequence sorted itself.
+    does; ``ts-sorted`` keeps its sequence sorted itself.  ``between(runs)``,
+    when given, changes both runs alike after every pass and leaves them
+    sorted.
     """
     ref = pres.clone()
     ctx, ref_ctx = PassContext(policy=policy), PassContext(policy=policy)
@@ -584,6 +595,8 @@ def _compare_with_reference(pres, make_searcher, passes=1, policy="ts-sorted"):
         assert tally == _tally_from(ref_events)
         assert _state(pres, ctx) == _state(ref, ref_ctx)
         all_events.extend(events)
+        if between is not None:
+            between([(pres, ctx), (ref, ref_ctx)])
     return all_events
 
 
@@ -675,3 +688,73 @@ def test_sorted_several_successes_later_text_cut_below_earlier():
                         _compare_with_reference(pres, lambda: Rewrite(cuts), passes=2)
                         cases += 1
     assert cases > 300
+
+
+def test_sorted_equals_reference_across_out_of_pass_changes():
+    # between passes, in both runs alike: marks (some shortening), an
+    # emptied relator dropped, and a relator grown past the last one and
+    # marked, so that the re-sort moves the previous pass's last relator,
+    # never a pattern in that pass, to a pattern position while its stamp
+    # predates that pass
+    stale = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        if seed % 2:
+            pres = dense_presentation(rng, d_max=3, q_max=12, l_max=12)
+        else:
+            pres = sparse_presentation(seed)
+        sort_rel(pres)
+        starts = []  # the timer at the start of each pass after the first
+
+        def between(runs):
+            nonlocal stale
+            _eliminations_between_passes(rng, runs)
+            ids = [r.id for r in runs[0][0].rel]
+            if not ids:
+                return
+            emptied = rng.choice(ids) if rng.random() < 0.3 else None
+            grown = rng.choice(ids[:-1]) if len(ids) > 2 and rng.random() < 0.6 else None
+            for pres, ctx in runs:
+                by_id = {r.id: r for r in pres.rel}
+                last = pres.rel[-1]
+                if emptied is not None:
+                    by_id[emptied].set_word(())
+                if grown is not None and grown != emptied:
+                    by_id[grown].set_word(by_id[grown].word + last.word)
+                    mark_changed(ctx, by_id[grown])
+                pres.rel[:] = [r for r in pres.rel if len(r.word) > 0]
+                sort_rel(pres)
+            start = starts[-1] if starts else 0
+            if last in pres.rel[:-1] and last.tp < start and last.ts < start:
+                stale += 1
+            starts.append(runs[0][1].timer)
+
+        if seed % 3:
+            make = lambda: RandomCut(seed)  # noqa: E731
+        else:
+            make = lambda: ScriptedSearcher(seed, change_prob=0.3)  # noqa: E731
+        _compare_with_reference(pres, make, passes=6, between=between)
+    assert stale > 40, stale
+
+
+def test_simplify_equals_with_the_reference_sorted_pass(monkeypatch):
+    # the whole engine, once with the batched ts-sorted driver and once with
+    # the pair-by-pair reference injected through run_pass
+    text = (Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres").read_text()
+
+    def reference(pres, ctx, searcher, record=None):
+        events = _reference_pass_sorted(pres, ctx, searcher)
+        if record is not None:
+            for e in events:
+                record(e)
+        return PassTally(*_tally_from(events))
+
+    runs = []
+    for inject in (False, True):
+        if inject:
+            monkeypatch.setitem(skip._PASS_FUNCTIONS, "ts-sorted", reference)
+        pres, stats = simplify(parse_presentation(text), EngineConfig(skip_policy="ts-sorted"))
+        runs.append((serialize_presentation(pres), stats.to_dict(),
+                     asdict(stats.counters), stats.reorders))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["long_elims"] > 50 and runs[0][1]["searches_successful"] > 0
