@@ -57,8 +57,8 @@ class EngineConfig:
             raise ValueError(f"unknown match strategy {self.match_strategy!r}")
         if self.skip_policy not in POLICY_NAMES:
             raise ValueError(f"unknown skip policy {self.skip_policy!r}")
-        if not self.growth_limit >= 1.0:  # also rejects NaN
-            raise ValueError("growth_limit must be >= 1.0")
+        if type(self.growth_limit) not in (int, float) or not self.growth_limit >= 1.0:  # or NaN
+            raise ValueError("growth_limit must be a number >= 1.0")
         if type(self.max_passes) is not int or self.max_passes < 1:  # nor a bool
             raise ValueError("max_passes must be an int >= 1")
         if type(self.bloom_log2_size) is not int or not 3 <= self.bloom_log2_size <= 30:
@@ -99,14 +99,16 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
     return reduce_cyclic_word(te[:len(t_word) - m.v_len] + invert(pe[:m.u_len]))
 
 
-def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
+def substitute(pres: Presentation, g: int, rhs: Word,
+               holders: list[RelatorRecord] | None = None) -> list[RelatorRecord]:
     """Replace generator g by rhs everywhere and remove g.
 
     Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
     are re-reduced and emptied relators dropped.  Returns the live records
     whose content changed, in relator order.  Only the relators whose
-    cached counts hold g get a new word.  No other label moves: g joins
-    ``pres.eliminated`` until ``compact_labels``.
+    cached counts hold g get a new word; ``holders``, when given, are the
+    only ones read and must include all of them.  No other label moves:
+    g joins ``pres.eliminated`` until ``compact_labels``.
     """
     if not 1 <= g <= pres.d + len(pres.eliminated) or g in pres.eliminated:
         raise ValueError(f"generator {g} out of range")
@@ -114,7 +116,7 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
         raise ValueError("substitution right-hand side mentions the eliminated generator")
     rhs_inv = invert(rhs)
     changed: list[RelatorRecord] = []
-    for r in pres.rel:
+    for r in pres.rel if holders is None else holders:
         if g in r.counts():
             out: list[int] = []
             for s in r.word:
@@ -135,15 +137,18 @@ def substitute(pres: Presentation, g: int, rhs: Word) -> list[RelatorRecord]:
     return changed
 
 
-def _eliminate(pres: Presentation, on_change, r: RelatorRecord | None = None, g: int = 0) -> None:
-    """Solve r = 1 for ``g``, which occurs once in ``r``, and substitute the
-    solution everywhere; then normalize involutions, which is all a call
-    without ``r`` does.  Hands the live records rewritten to ``on_change``, in order."""
+def _eliminate(pres: Presentation, on_change, r: RelatorRecord | None = None, g: int = 0,
+               lonely: bool = False) -> None:
+    """Solve r = 1 for ``g``, which occurs once in ``r`` (and nowhere else if
+    ``lonely``), and substitute the solution everywhere; then normalize
+    involutions, which is all a call without ``r`` does.  Hands the live
+    records rewritten to ``on_change``, in order."""
     changed = []
     if r is not None:
         pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
         rest = r.word[pos + 1:] + r.word[:pos]  # r is a rotation of g rest or g^-1 rest
-        changed = substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest)
+        changed = substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest,
+                             [r] if lonely else None)
     changed += normalize_involutions(pres)
     if on_change is not None:
         for rec in changed:
@@ -192,7 +197,8 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     skips each relator shorter than the best lonely one found so far.
     Candidates come from each relator's cached ``RelatorRecord.once``,
     occurrences from ``Presentation.occurrences``, which folds in only the
-    relators rewritten since the last call.  The live records that the
+    relators rewritten since the last call.  A lonely generator's relator
+    is the only one the substitution rewrites.  The live records that the
     substitution and the involution normalization after it rewrite are
     handed to ``on_change``, in that order.
     """
@@ -206,7 +212,8 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
                     key = (-n, g, r.id)
                     if best is None or key < best[0]:
                         best, shortest = (key, r), n
-    if best is None:
+    lonely = best is not None
+    if not lonely:
         for r in pres.rel:
             n = len(r.word)
             if n > 2:
@@ -217,7 +224,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     if best is None or total + best[0][0] > cfg.growth_limit * total:
         return False
     (_, g, _), r = best
-    _eliminate(pres, on_change, r, g)
+    _eliminate(pres, on_change, r, g, lonely)
     return True
 
 

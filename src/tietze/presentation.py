@@ -114,8 +114,8 @@ class Presentation:
         return sum(len(r.word) for r in self.rel)
 
     def is_sorted(self) -> bool:
-        return all(len(self.rel[i].word) <= len(self.rel[i + 1].word)
-                   for i in range(len(self.rel) - 1))
+        lengths = [len(r.word) for r in self.rel]
+        return lengths == sorted(lengths)
 
     def clone(self) -> "Presentation":
         p = Presentation(self.d, set(self.involutions), [], self.next_id, set(self.eliminated))

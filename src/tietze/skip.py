@@ -30,13 +30,14 @@ it, in order, as one event.  Without a recorder nothing is allocated per
 pair, which matters because most considered pairs are skipped.  A
 recorder only observes: each driver takes the same path with or without
 one.  ``engine.simplify`` hands its ``record`` straight to ``run_pass``.
+A ``ts-sorted`` pass reads only the relators changed since the previous
+pass began, and stamps the dead tail after the last of them in one sweep.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, NamedTuple, Protocol
 
 from .presentation import Presentation, RelatorRecord
@@ -79,6 +80,7 @@ class PassContext:
     pass_no: int = 0
     flagged: set[int] = field(default_factory=set)  # flags: changed since the last pass began
     reorders: int = 0                   # ts-sorted mid-pass re-insertions that moved
+    last_start: int = 0                 # ts-sorted: the timer when the previous pass began
 
 
 def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
@@ -119,13 +121,6 @@ def _length(r: RelatorRecord) -> int:
     return len(r.word)
 
 
-def _ts_suffix_max(rel: list[RelatorRecord]) -> list[int]:
-    """``out[i]`` is the largest ``ts`` in ``rel[i:]``."""
-    out = list(accumulate([r.ts for r in reversed(rel)], max))
-    out.reverse()
-    return out
-
-
 def _record_loop(record: Recorder, pass_no: int, pattern: RelatorRecord,
                  considered: list[RelatorRecord], batch: list[RelatorRecord],
                  results: list[bool]) -> None:
@@ -136,6 +131,19 @@ def _record_loop(record: Recorder, pass_no: int, pattern: RelatorRecord,
         record(SearchEvent(pattern.id, text.id, pass_no, ok is not None, bool(ok)))
 
 
+def _stamp_dead_tail(rel: list[RelatorRecord], pi: int, ctx: PassContext,
+                     record: Recorder | None) -> int:
+    """Stamp the k dead patterns from ``pi`` on; returns k(k + 1)/2 pairs considered."""
+    k = len(rel) - 1 - pi
+    if record is not None:
+        for j in range(pi, len(rel) - 1):
+            _record_loop(record, ctx.pass_no, rel[j], rel[j + 1:], [], [])
+    for stamp, pattern in enumerate(rel[pi:-1], ctx.timer):
+        pattern.tp = stamp
+    ctx.timer += k
+    return k * (k + 1) // 2
+
+
 def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                 record: Recorder | None = None) -> PassTally:
     """Timestamp pass over a sequence kept sorted throughout.
@@ -143,8 +151,8 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     Search (pattern, text) iff pattern.tp <= text.ts.  A changed text gets
     tp = -1, ts = timer and is re-inserted at its sorted position; after
     each pattern's texts the pattern is stamped with the timer, which then
-    advances.  The pattern loop walks positions of the live list, so each
-    unordered pair is considered at most once per pass.
+    advances.  The pattern loop walks positions of the changing list, so
+    each unordered pair is considered at most once per pass.
 
     A pattern loop considers the texts after the pattern once each, in
     order, and searches those with pattern.tp <= text.ts in one searcher
@@ -156,53 +164,58 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     re-inserted text lands at or before ``pi`` exactly when it became
     shorter than the pattern, which shifts the pattern one place right.
 
-    A dead pattern loop is not walked.  The suffix maxima of ``ts`` over
-    ``rel`` are built at pass start and rebuilt after a re-insertion, at
-    the next pattern (a pattern loop with successes often has several);
-    when the largest ``ts`` after ``pi`` is below the pattern's ``tp``, no
-    text of the loop is searchable, so the live path would search nothing
-    and change nothing.  The dead loop allocates nothing: it adds the
-    ``n - pi - 1`` texts to ``considered``, hands a recorder one skipped
-    event per text, in order, and stamps the pattern.  A recorder does not
-    change which path a loop takes.
+    A pass reads only the relators changed since the previous pass began,
+    at timer ``old``.  A pattern stamped since has tp >= old, so it can
+    search only hot texts (ts >= old); a marked pattern (tp = -1, below
+    every ts) searches its whole suffix, and one with an older stamp, such
+    as the previous pass's last relator, checks every text.  The live
+    positions (hot relators, and older stamps except at the end) are
+    built when a stamped pattern needs them, again after a re-insertion.
+    Once none lies after a stamped pattern, every loop left is dead: one
+    sweep stamps the tail.  A recorder does not change the path.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
     pass_no = ctx.pass_no
+    old, ctx.last_start = ctx.last_start, ctx.timer
     rel = pres.rel
     n = len(rel)
     considered = performed = successful = 0
-    ts_max: list[int] | None = None  # built on first use, dropped on re-insertion
+    live: list[int] | None = None  # built on first use, dropped on re-insertion
     pi = 0
     while pi < n - 1:
         pattern = rel[pi]
         tp = pattern.tp  # only texts change during the pattern's loop
-        if ts_max is None:
-            ts_max = _ts_suffix_max(rel)
-        considered += n - pi - 1
-        if ts_max[pi + 1] < tp:
-            if record is not None:
-                _record_loop(record, pass_no, pattern, rel[pi + 1:], [], [])
+        if tp < 0:
+            at, batch = range(pi + 1, n), rel[pi + 1:]
         else:
-            at = [i for i in range(pi + 1, n) if tp <= rel[i].ts]
+            if tp >= old and live is None:
+                live = [i for i, r in enumerate(rel)
+                        if r.ts >= old or r.tp < old and i < n - 1]
+            scan = live[bisect_right(live, pi):] if tp >= old else range(pi + 1, n)
+            if not scan:  # only a stamped pattern's can be empty
+                considered += _stamp_dead_tail(rel, pi, ctx, record)
+                break
+            at = [i for i in scan if tp <= rel[i].ts]
             batch = [rel[i] for i in at]
-            results = searcher(pattern, batch) if batch else []
-            if record is not None:
-                _record_loop(record, pass_no, pattern, rel[pi + 1:], batch, results)
-            performed += len(batch)
-            for i, text, ok in zip(at, batch, results):
-                if ok:
-                    successful += 1
-                    text.tp = -1
-                    text.ts = ctx.timer
-                    rel.pop(i)
-                    new_pos = bisect_right(rel, len(text.word), hi=i, key=_length)
-                    if new_pos != i:
-                        ctx.reorders += 1
-                    rel.insert(new_pos, text)
-                    ts_max = None
-                    if new_pos <= pi:
-                        pi += 1
+        considered += n - pi - 1
+        results = searcher(pattern, batch) if batch else []
+        if record is not None:
+            _record_loop(record, pass_no, pattern, rel[pi + 1:], batch, results)
+        performed += len(batch)
+        for i, text, ok in zip(at, batch, results):
+            if ok:
+                successful += 1
+                text.tp = -1
+                text.ts = ctx.timer
+                rel.pop(i)
+                new_pos = bisect_right(rel, len(text.word), hi=i, key=_length)
+                if new_pos != i:
+                    ctx.reorders += 1
+                rel.insert(new_pos, text)
+                live = None
+                if new_pos <= pi:
+                    pi += 1
         pattern.tp = ctx.timer
         ctx.timer += 1
         pi += 1

@@ -74,7 +74,7 @@ def free_reduce(w: Word) -> Word:
     A word with no adjacent pair summing to 0 is already reduced and comes
     back as a tuple, itself when it is one.
     """
-    if 0 not in map(add, w, w[1:]):
+    if all(map(add, w, w[1:])):
         return tuple(w)
     out: list[int] = []
     for s in w:

@@ -208,9 +208,11 @@ def test_substitute_caches_match_recomputation(monkeypatch):
     real, real_long = engine.substitute, engine.long_eliminate
     rng = random.Random(0)
     eliminated = []
-    tallies = Counter()
+    tallies, lonely = Counter(), Counter()
 
-    def checked(pres, g, rhs):
+    def checked(pres, g, rhs, holders=None):
+        # a lonely generator's relator, handed over as its only holder
+        lonely[holders is not None] += 1
         for r in pres.rel:
             if rng.random() < 0.5:
                 r.canonical()
@@ -219,7 +221,7 @@ def test_substitute_caches_match_recomputation(monkeypatch):
         m = _compaction_map(pres)
         expected = _reference_substitute([tuple(map(m.get, r.word)) for r in pres.rel],
                                          m[g], tuple(map(m.get, rhs)))
-        result = real(pres, g, rhs)
+        result = real(pres, g, rhs, holders)
         compacted = pres.clone()
         compact_labels(compacted)
         assert [r.word for r in compacted.rel] == expected
@@ -244,6 +246,7 @@ def test_substitute_caches_match_recomputation(monkeypatch):
         simplify(pres, EngineConfig(growth_limit=rng.choice([1.0, 1.5, 3.0])))
     assert len(eliminated) > 1000 and len(set(eliminated)) > 10
     assert tallies[True] > 400 and tallies[False] > 400, tallies
+    assert lonely[True] > 100 and lonely[False] > 400, lonely
 
 
 def test_substitute_rejects_self_reference():
@@ -595,8 +598,12 @@ def test_config_validation():
 
 
 def test_config_rejects_nan_growth_and_bad_bloom_size():
-    with pytest.raises(ValueError, match="growth_limit"):
-        EngineConfig(growth_limit=float("nan"))
+    # nor a bool or a non-number, which raised TypeError or passed as 1.0
+    for value in (float("nan"), True, False, "2", None, 0, 0.99):
+        with pytest.raises(ValueError, match="growth_limit"):
+            EngineConfig(growth_limit=value)
+    for value in (1, 1.0, 2, 1.5):  # kept as given, so the stats config block does not move
+        assert repr(EngineConfig(growth_limit=value).growth_limit) == repr(value)
     for size in (2, 31):
         with pytest.raises(ValueError, match="bloom_log2_size"):
             EngineConfig(bloom_log2_size=size)

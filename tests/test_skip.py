@@ -247,17 +247,17 @@ def test_sorted_equals_necessity_oracle_sample():
 
 def test_sorted_theorem_trials_run_the_dead_loop_skip(monkeypatch):
     # the trials attach a recorder; it must not take them off the path
-    # simplify runs, which skips dead pattern loops with the ts suffix maxima
-    builds = []
-    real = skip._ts_suffix_max
+    # simplify runs, which stamps the dead tail of a pass in one sweep
+    sweeps = []
+    real = skip._stamp_dead_tail
 
-    def counting(rel):
-        builds.append(len(rel))
-        return real(rel)
+    def counting(rel, pi, ctx, record):
+        sweeps.append(len(rel) - 1 - pi)
+        return real(rel, pi, ctx, record)
 
-    monkeypatch.setattr(skip, "_ts_suffix_max", counting)
+    monkeypatch.setattr(skip, "_stamp_dead_tail", counting)
     assert all(run_theorem_trial("ts-sorted", s) for s in range(120))
-    assert len(builds) > 0
+    assert len(sweeps) > 100 and sum(sweeps) > 200, (len(sweeps), sum(sweeps))
 
 
 def test_unsorted_equals_necessity_oracle_sample():
