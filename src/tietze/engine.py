@@ -63,6 +63,10 @@ class EngineConfig:
             raise ValueError("max_passes must be an int >= 1")
         if type(self.bloom_log2_size) is not int or not 3 <= self.bloom_log2_size <= 30:
             raise ValueError("bloom_log2_size must be an int in 3..30")
+        if type(self.seed) is not int:  # None would draw a fresh base each run
+            raise ValueError("seed must be an int")
+        if type(self.long_elim_enabled) is not bool:  # "off" would be truthy
+            raise ValueError("long_elim_enabled must be a bool")
 
 
 @dataclass

@@ -105,10 +105,11 @@ def sample_length(m: int) -> int:
 class PatternIndex:
     """Per-pattern search state for the Karp-Rabin strategies.
 
-    ``bases`` are the pattern and its formal inverse.  The Bloom backings
-    index all threshold-length circular windows of both: ``candidates``
-    maps a fingerprint to its ``(inverted, window start)`` occurrences,
-    uninverted first, each base by ascending start, behind a Bloom filter.
+    The bases are the pattern and its formal inverse.  The Bloom backings
+    index all threshold-length circular windows of both, fingerprinted
+    with ``base``: ``candidates`` maps a fingerprint to its ``(inverted,
+    window start)`` occurrences, uninverted first, each base by ascending
+    start, behind a Bloom filter.  The exact backing ignores ``base``.
 
     The exact backing takes q-grams, q = ``sample_length(m)``, and
     ``stride`` = m - q + 1.  Any m-window [i, i + m) of the text contains
@@ -122,11 +123,9 @@ class PatternIndex:
     """
 
     def __init__(self, p_word: Word, backing: str, base: int, bloom_log2_size: int = 16):
-        self.base = base
         self.m = useful_threshold(len(p_word))
         self.inverse = invert(p_word)
         self.bloom: BloomFilter | None = None
-        self.bases = ((False, p_word), (True, self.inverse))
         if backing == "exact":
             q = self.q = sample_length(self.m)
             self.stride = self.m - q + 1
@@ -144,9 +143,10 @@ class PatternIndex:
                     if a != self.first[gram]:
                         self.repeats.setdefault(gram, [self.first[gram]]).append(a)
             return
+        self.base = base
         self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
         self.candidates: dict[int, list[tuple[bool, int]]] = {}
-        for inverted, word in self.bases:
+        for inverted, word in ((False, p_word), (True, self.inverse)):
             for start, value in enumerate(window_fingerprints(word, self.m, base)):
                 self.candidates.setdefault(value, []).append((inverted, start))
                 self.bloom.insert(value)

@@ -147,13 +147,13 @@ def extend_hit(p_word: Word, t_word: Word, inverted: bool, bpos: int, tpos: int,
     return match
 
 
-def brute_search(seeds: list[tuple[bool, int, int]], p_word: Word, t_words: list[Word],
+def brute_search(p_word: Word, t_words: list[Word],
                  counters: SearchCounters) -> list[Match | None]:
     """Anchored brute force: scan each text for anchor symbols and extend.
 
-    ``seeds`` is ``anchor_seeds(p_word)``; returns one optional Match per
-    text.  ``windows_scanned`` counts the text symbols read: the hit
-    position plus one on a hit, |t| on a miss.
+    The anchors are ``anchor_seeds(p_word)``, found once per call; returns
+    one optional Match per text.  ``windows_scanned`` counts the text
+    symbols read: the hit position plus one on a hit, |t| on a miss.
 
     Two rejects skip work that cannot succeed, so the result and the
     counters are those of extending every anchor hit.  A text that holds
@@ -167,6 +167,7 @@ def brute_search(seeds: list[tuple[bool, int, int]], p_word: Word, t_words: list
     l_p = len(p_word)
     inverse = invert(p_word)
     wide = useful_threshold(l_p) == 1  # a one-symbol run is useful
+    seeds = anchor_seeds(p_word)
     tries = []  # (symbol, inverted, bpos, base, base's next, base's previous)
     for inverted, bpos, s in seeds:
         base = inverse if inverted else p_word

@@ -149,6 +149,8 @@ class Presentation:
 
 def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
     """Build a normalized presentation from raw relator words."""
+    if d < 0:
+        raise ValueError("generator count must be >= 0")
     p = Presentation(d)
     for w in relators:
         for s in w:

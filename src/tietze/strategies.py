@@ -3,117 +3,91 @@
 A strategy answers search(pattern word, text words, counters), which
 sees only those words, with one optional Match per text, in order; each
 must agree with the exhaustive enumeration of all rotation alignments on
-success/failure.  Each is one ``Strategy``: it prepares per-pattern state
-(anchor seeds, a ``PatternIndex`` or an automaton), keeps it for the
-current pattern word, and scans the whole list with it in one call, which
-matches how the engine drives it: one pattern against many texts.
+success/failure.  Each is one ``Strategy``: a search function that
+builds the pattern's state (anchor seeds, a ``PatternIndex`` or an
+automaton) at the top of each call and scans the whole list with it, as
+the engine drives it: one pattern against many texts.  No pattern state
+outlives its call; the signature memo maps one word to its signature.
 
 ``STRATEGIES`` is the one table of strategy names: it maps each full name
-to the CLI flags that select it and to its factory.  The engine, the CLI
+to the CLI flags that select it and to its builder.  The engine, the CLI
 choices, the ``bench`` grid (in table order) and the stats ``config``
 block all read it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .automaton import automaton_search, build_ls_automaton
 from .fingerprint import PatternIndex, fingerprint_base, kr_search
-from .match import (
-    SearchCounters,
-    anchor_seeds,
-    brute_search,
-    compute_signature,
-    signature_skip,
-)
-from .words import Word, extend_front, invert, useful_threshold
+from .match import SearchCounters, brute_search, compute_signature, signature_skip
+from .words import extend_front, invert, useful_threshold
 
 
-class Strategy:
-    """One match strategy: ``prepare`` per pattern, ``scan`` per list of texts.
+class Strategy(NamedTuple):
+    """One match strategy: ``find(p_word, t_words, counters)``, one optional
+    Match per text, behind the one length guard in ``search``."""
 
-    ``prepare(p_word, counters)`` builds the per-pattern state and
-    ``scan(state, p_word, t_words, counters)`` searches every text with
-    it, returning one optional Match per text.  ``search`` keeps the state
-    of the last pattern word, rebuilding it when the pattern changes, and
-    is the one place that checks lengths.  Consecutive calls can carry the
-    same pattern tuple, say the last pattern searched in one pass and the
-    first in the next, so the cached word is compared by identity before
-    by value.
-    """
-
-    def __init__(self, prepare: Callable, scan: Callable):
-        self.prepare = prepare
-        self.scan = scan
-        self._last: tuple[Word, object] | None = None
+    find: Callable
 
     def search(self, p_word, t_words, counters: SearchCounters):
         if not 1 <= len(p_word) <= min(map(len, t_words), default=0):
             raise ValueError("search requires texts, and 1 <= |pattern| <= |text| for each")
-        last = self._last
-        if last is None or (last[0] is not p_word and last[0] != p_word):
-            last = self._last = (p_word, self.prepare(p_word, counters))
-        return self.scan(last[1], p_word, t_words, counters)
+        return self.find(p_word, t_words, counters)
 
 
-def _seeds(p_word, counters):
-    return anchor_seeds(p_word)
+def _signature(signature, p_word, t_words, counters):
+    """Signature pre-filter in front of the brute search; ``signature``
+    is ``compute_signature``, memoized for one strategy."""
+    sig_p, threshold = signature(p_word), useful_threshold(len(p_word))
+    found: list = [None] * len(t_words)
+    at = [i for i, t in enumerate(t_words)
+          if not signature_skip(sig_p, signature(t), threshold)]
+    for i, m in zip(at, brute_search(p_word, [t_words[i] for i in at], counters)):
+        found[i] = m
+    return found
 
 
-def _signature(*_) -> Strategy:
-    """Signature pre-filter in front of the brute search."""
-    signature = lru_cache(maxsize=None)(compute_signature)
-
-    def scan(seeds, p_word, t_words, counters):
-        sig_p, threshold = signature(p_word), useful_threshold(len(p_word))
-        found: list = [None] * len(t_words)
-        at = [i for i, t in enumerate(t_words)
-              if not signature_skip(sig_p, signature(t), threshold)]
-        for i, m in zip(at, brute_search(seeds, p_word, [t_words[i] for i in at], counters)):
-            found[i] = m
-        return found
-
-    return Strategy(_seeds, scan)
+def _karp_rabin(backing, base, bloom_log2_size, p_word, t_words, counters):
+    """``kr_search`` over a ``PatternIndex`` of the pattern built for this call."""
+    idx = PatternIndex(p_word, backing, base, bloom_log2_size)
+    return kr_search(idx, p_word, t_words, counters)
 
 
-def _karp_rabin(backing: str):
-    def build(seed, bloom_log2_size) -> Strategy:
-        base = fingerprint_base(seed)
-        return Strategy(lambda p_word, _: PatternIndex(p_word, backing, base, bloom_log2_size),
-                        kr_search)
-
-    return build
-
-
-def _automaton(mode: str):
-    def prepare(p_word, counters):
-        ext = useful_threshold(len(p_word)) - 1
-        bases = (p_word, invert(p_word)) if mode == "two" else (p_word,)
-        counters.automata_built += len(bases)
-        return build_ls_automaton(*(extend_front(w, ext) for w in bases))
-
-    return lambda *_: Strategy(prepare, automaton_search)
+def _automata(words, p_word, t_words, counters):
+    """``automaton_search`` over an automaton built for this call, of the
+    extended pattern and, when ``words`` is 2, of its extended inverse."""
+    ext = useful_threshold(len(p_word)) - 1
+    bases = (p_word, invert(p_word)) if words == 2 else (p_word,)
+    counters.automata_built += words
+    automaton = build_ls_automaton(*(extend_front(w, ext) for w in bases))
+    return automaton_search(automaton, p_word, t_words, counters)
 
 
 class StrategySpec(NamedTuple):
-    """How the CLI selects a strategy, and how to build it."""
+    """How the CLI selects a strategy, and how to build its search function."""
 
     flags: tuple[str, int, str]  # --match, --bloom-bits, --automata
-    build: Callable  # (seed, bloom_log2_size) -> Strategy
+    build: Callable  # (seed, bloom_log2_size) -> find(p_word, t_words, counters)
+
+
+def _kr_build(backing: str, seed: int, bloom_log2_size: int) -> Callable:
+    return partial(_karp_rabin, backing, fingerprint_base(seed), bloom_log2_size)
 
 
 STRATEGIES: dict[str, StrategySpec] = {
-    "brute": StrategySpec(("brute", 3, "two"), lambda *_: Strategy(_seeds, brute_search)),
-    "signature": StrategySpec(("signature", 3, "two"), _signature),
-    "kr-hash": StrategySpec(("kr-hash", 3, "two"), _karp_rabin("exact")),
-    "kr-bloom3": StrategySpec(("kr-bloom", 3, "two"), _karp_rabin("bloom3")),
-    "kr-bloom4": StrategySpec(("kr-bloom", 4, "two"), _karp_rabin("bloom4")),
-    "automaton-two": StrategySpec(("automaton", 3, "two"), _automaton("two")),
-    "automaton-one": StrategySpec(("automaton", 3, "one"), _automaton("one")),
+    "brute": StrategySpec(("brute", 3, "two"), lambda *_: brute_search),
+    "signature": StrategySpec(("signature", 3, "two"), lambda *_: partial(
+        _signature, lru_cache(maxsize=None)(compute_signature))),
+    "kr-hash": StrategySpec(("kr-hash", 3, "two"), partial(_kr_build, "exact")),
+    "kr-bloom3": StrategySpec(("kr-bloom", 3, "two"), partial(_kr_build, "bloom3")),
+    "kr-bloom4": StrategySpec(("kr-bloom", 4, "two"), partial(_kr_build, "bloom4")),
+    "automaton-two": StrategySpec(("automaton", 3, "two"), lambda *_: partial(_automata, 2)),
+    "automaton-one": StrategySpec(("automaton", 3, "one"), lambda *_: partial(_automata, 1)),
 }
 
 
 def make_strategy(name: str, seed: int = 0, bloom_log2_size: int = 16) -> Strategy:
-    return STRATEGIES[name].build(seed, bloom_log2_size)
+    return Strategy(STRATEGIES[name].build(seed, bloom_log2_size))

@@ -62,9 +62,7 @@ def rotate_right(w: Word, i: int) -> Word:
     n = len(w)
     if n == 0:
         return w
-    k = i % n
-    if k == 0:
-        return w
+    k = i % n  # k = 0 gives w back
     return w[n - k:] + w[:n - k]
 
 

@@ -153,18 +153,17 @@ def mixed_batch(rng: random.Random, p_word: Word, d: int) -> list[Word]:
 def batch_per_text(make, p_word: Word, texts: list[Word]) -> list[tuple[Match | None, dict]]:
     """Each text's Match and counters inside one batch scan of ``texts``.
 
-    ``make()`` builds a fresh strategy, whose per-pattern state is built
-    before the batches so that it counts in no text.  The batches of the
-    first k and the first k + 1 texts differ by text k's counters; every
-    batch must report the same Matches for the texts they share.
+    ``make()`` builds a fresh strategy.  Every batch builds its own
+    per-pattern state once, so that build (``automata_built``) counts in
+    the first text only.  The batches of the first k and the first k + 1
+    texts differ by text k's counters; every batch must report the same
+    Matches for the texts they share.
     """
     out: list[tuple[Match | None, dict]] = []
     before = SearchCounters().to_dict()
     for k in range(1, len(texts) + 1):
-        strategy = make()
-        strategy.search(p_word, [p_word], SearchCounters())
         c = SearchCounters()
-        found = strategy.search(p_word, texts[:k], c)
+        found = make().search(p_word, texts[:k], c)
         assert found[:-1] == [m for m, _ in out]
         after = c.to_dict()
         out.append((found[-1], {key: after[key] - before[key] for key in after}))

@@ -615,6 +615,28 @@ def test_config_rejects_nan_growth_and_bad_bloom_size():
         for value in (10.5, 16.0, True, "12", None):
             with pytest.raises(ValueError, match=name):
                 EngineConfig(**{name: value})
+    # a seed of None would draw a new Bloom fingerprint base on every run,
+    # and "off" is truthy, so it would run long eliminations
+    for value in (None, 3.0, "3", True):
+        with pytest.raises(ValueError, match="seed"):
+            EngineConfig(seed=value)
+    for value in ("off", 0, 1, None):
+        with pytest.raises(ValueError, match="long_elim_enabled"):
+            EngineConfig(long_elim_enabled=value)
+    assert EngineConfig(seed=-7, long_elim_enabled=False).seed == -7
+
+
+def test_two_runs_of_one_config_count_the_same():
+    fixture = Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres"
+    text = fixture.read_text()
+    for name in ("kr-bloom3", "kr-bloom4"):
+        cfg = EngineConfig(match_strategy=name, bloom_log2_size=6, seed=11)
+        runs = []
+        for _ in range(2):
+            pres, stats = simplify(parse_presentation(text), cfg)
+            runs.append((serialize_presentation(pres), stats.to_dict(), stats.counters.to_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][2]["bloom_false_hits"] > 0
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)

@@ -23,7 +23,7 @@ from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
 GRID_DIGEST = "0a9489dc0cf564b37c3c18d5b90167ffa301266ff4f6de7fb19ebc2b4650b227"
-COUNTERS_DIGEST = "b965d743bff219395aa23f5707ff6bca64886daaedc307a1bb6077902b200115"
+COUNTERS_DIGEST = "7ff90672f3646ffc74ef4603334aa25331b82c75501da3ada890817fc88652e6"
 
 
 def strategy_flags(name: str) -> list[str]:

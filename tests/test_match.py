@@ -143,14 +143,14 @@ def test_match_from_seed_equals_the_two_step_extension():
 
 
 def test_brute_spec_example():
-    m = brute_search(anchor_seeds(W("abc")), W("abc"), [W("dab")], SearchCounters())[0]
+    m = brute_search(W("abc"), [W("dab")], SearchCounters())[0]
     assert m is not None
     check_match(m, W("abc"), W("dab"))
     assert m.v_len == 2
 
 
 def test_brute_none_on_disjoint():
-    assert brute_search(anchor_seeds(W("ab")), W("ab"), [W("cd")], SearchCounters())[0] is None
+    assert brute_search(W("ab"), [W("cd")], SearchCounters())[0] is None
 
 
 def seed_symbols(seeds):
@@ -181,7 +181,7 @@ def test_brute_agrees_with_oracle():
     for _ in range(2000):
         p, t = random_pair(rng)
         want = exhaustive_oracle(p, t)
-        got = brute_search(anchor_seeds(p), p, [t], SearchCounters())[0]
+        got = brute_search(p, [t], SearchCounters())[0]
         assert (got is None) == (want is None)
         if got is not None:
             assert is_valid_match(got, p, t)
@@ -255,7 +255,7 @@ def test_brute_search_equals_the_first_written_scan():
                 texts.append(random_reduced_word(rng, d + rng.randint(0, 1), length))
         want_counters, got_counters = SearchCounters(), SearchCounters()
         want = _first_written_brute_search(anchor_seeds(p), p, texts, want_counters, cases)
-        got = brute_search(anchor_seeds(p), p, texts, got_counters)
+        got = brute_search(p, texts, got_counters)
         assert got == want, (p, texts)
         assert got_counters == want_counters, (p, texts)
     kinds = ["anchor-free text", "neighbour-rejected attempt", "hit at the first text position",
@@ -304,8 +304,8 @@ def test_signature_skip_is_sound():
 
 def test_counters_default_and_success_counting():
     c = SearchCounters()
-    m = brute_search(anchor_seeds(W("abc")), W("abc"), [W("dab")], c)[0]
+    m = brute_search(W("abc"), [W("dab")], c)[0]
     assert m is not None and c.successes == 1
     assert c.windows_scanned == 2  # the hit is at text position 1
-    assert brute_search(anchor_seeds(W("ab")), W("ab"), [W("cd")], c)[0] is None
+    assert brute_search(W("ab"), [W("cd")], c)[0] is None
     assert c.successes == 1 and c.windows_scanned == 4  # a miss reads the whole text

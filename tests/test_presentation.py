@@ -55,6 +55,12 @@ def test_parse_rejects_zero_and_bad_lines():
         parse_presentation("gens 2\nrelw ax!\n")
 
 
+def test_make_presentation_rejects_negative_count():
+    with pytest.raises(ValueError, match="generator count"):
+        make_presentation(-2, [])
+    assert abelian_invariants(make_presentation(0, [])) == ([], 0)
+
+
 def test_relw_rejected_for_large_alphabets():
     with pytest.raises(ParseError, match="relw"):
         parse_presentation("gens 27\nrelw ab\n")

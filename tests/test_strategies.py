@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 
 from helpers import batch_per_text, mixed_batch
-from tietze import strategies
+from tietze import engine, match, strategies
+from tietze.engine import EngineConfig, simplify
 from tietze.match import SearchCounters
+from tietze.presentation import make_presentation
 from tietze.randgen import random_reduced_word
 from tietze.strategies import STRATEGIES, make_strategy
 from tietze.words import word_from_letters
@@ -15,28 +17,35 @@ W = word_from_letters
 
 @pytest.mark.parametrize("name", list(STRATEGIES))
 def test_state_is_built_once_per_pattern_change(monkeypatch, name):
-    """The pattern sequence A, A, B, A builds per-pattern state 3 times."""
+    """The pattern sequence A, A, B, A builds per-pattern state 4 times.
+
+    A strategy keeps no pattern state between calls, so a repeated
+    pattern builds again.  The index and the automaton are built through
+    the names the benchmark's tracer wraps; the brute scan finds its
+    anchors itself.
+    """
     built = Counter()
-    for attr in ("anchor_seeds", "PatternIndex"):
-        real = getattr(strategies, attr)
+    for module, attr in ((match, "anchor_seeds"), (strategies, "PatternIndex"),
+                         (strategies, "build_ls_automaton")):
+        real = getattr(module, attr)
 
         def counting(*args, attr=attr, real=real):
             built[attr] += 1
             return real(*args)
 
-        monkeypatch.setattr(strategies, attr, counting)
+        monkeypatch.setattr(module, attr, counting)
     strategy = make_strategy(name)
     c = SearchCounters()
     text = W("cabdacBA")
     for pattern in (W("abc"), W("abc"), W("abd"), W("abc")):
         strategy.search(pattern, [text], c)[0]
     if name.startswith("automaton"):
-        assert c.automata_built == 3 * (2 if name == "automaton-two" else 1)
-        assert not built
+        assert c.automata_built == 4 * (2 if name == "automaton-two" else 1)
+        assert built == {"build_ls_automaton": 4}
     elif name.startswith("kr-"):
-        assert built == {"PatternIndex": 3}
+        assert built == {"PatternIndex": 4}
     else:
-        assert built == {"anchor_seeds": 3}
+        assert built == {"anchor_seeds": 4}
 
 
 @pytest.mark.parametrize("name", list(STRATEGIES))
@@ -67,11 +76,37 @@ def test_batch_scan_equals_one_text_batches(name):
         p = random_reduced_word(rng, d, rng.randint(1, 12))
         texts = mixed_batch(rng, p, d)
         alone = make()
-        alone.search(p, [p], SearchCounters())
-        for t, (m, counts) in zip(texts, batch_per_text(make, p, texts)):
+        for i, (t, (m, counts)) in enumerate(zip(texts, batch_per_text(make, p, texts))):
             c = SearchCounters()
             assert alone.search(p, [t], c)[0] == m
+            if i:  # the batch counted its one build with its first text
+                c.automata_built = 0
             assert c.to_dict() == counts
             seen["miss" if m is None else "inverted" if m.inverted else "hit"] += 1
             seen["equal length"] += len(t) == len(p)
     assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("name, words", [("automaton-two", 2), ("automaton-one", 1)])
+def test_every_search_call_builds_its_automaton(monkeypatch, name, words):
+    """On full runs, automata_built is the indexed words times the search calls."""
+    calls = [0]
+    make = engine.make_strategy
+
+    class Counted:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def search(self, *args):
+            calls[0] += 1
+            return self.inner.search(*args)
+
+    monkeypatch.setattr(engine, "make_strategy", lambda *a: Counted(make(*a)))
+    rng = random.Random(8)
+    for _ in range(20):
+        pres = make_presentation(4, [random_reduced_word(rng, 4, rng.randint(6, 16))
+                                     for _ in range(30)])
+        calls[0] = 0
+        _, stats = simplify(pres, EngineConfig(match_strategy=name, skip_policy="ts-unsorted"))
+        assert calls[0] > 0
+        assert stats.counters.automata_built == words * calls[0]
