@@ -15,6 +15,7 @@ from helpers import (
 from tietze import engine
 from tietze.engine import (
     EngineConfig,
+    EngineError,
     apply_replacement,
     long_eliminate,
     short_eliminate,
@@ -31,7 +32,7 @@ from tietze.presentation import (
     serialize_presentation,
 )
 from tietze.randgen import random_presentation, random_reduced_word
-from tietze.skip import POLICY_NAMES
+from tietze.skip import POLICY_NAMES, PassTally
 from tietze.strategies import STRATEGIES
 from tietze.verify import abelian_invariants
 from tietze.words import (
@@ -413,6 +414,34 @@ def test_long_eliminate_growth_gate():
     assert [r.word for r in p.rel] == before
 
 
+def _doubling(pres):
+    """Double the first relator's word: w w is still cyclically reduced."""
+    r = pres.rel[0]
+    r.set_word(r.word + r.word)
+
+
+def test_each_length_guard_raises(monkeypatch):
+    # the engine cannot trip these guards (check_match makes v longer than
+    # u), so each is tripped by an injected fault; "aabb" replaces "aab"
+    # in "aabab", and neither relator is short enough to eliminate
+    def run():
+        simplify(parse_presentation("gens 2\nrelw aabb\nrelw aabab\n"),
+                 EngineConfig(long_elim_enabled=False))
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "apply_replacement", lambda t_word, match, p_word: t_word)
+        with pytest.raises(EngineError, match="failed to shorten the text relator"):
+            run()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "run_pass", lambda pres, *args: _doubling(pres) or PassTally(1, 1, 1))
+        with pytest.raises(EngineError, match="replacement pass increased total length"):
+            run()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "short_eliminate", lambda pres, *args: _doubling(pres) or 1)
+        with pytest.raises(EngineError, match="short elimination increased total length"):
+            run()
+    run()  # and without a fault, none raises
+
 def test_simplify_short_cascade():
     p = parse_presentation("gens 2\nrelw b\nrelw abab\n")
     p, stats = simplify(p, EngineConfig())
@@ -779,3 +808,43 @@ def test_flags_is_the_lossy_baseline():
     assert {policy: stats.searches_successful for policy, (_, stats) in runs.items()} \
         == {"flags": 19, "all-pairs": 20}
     assert all(serialize_presentation(p) == "gens 0\n" for p, _ in runs.values())
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_out_of_pass_changes_are_marked_and_nothing_else_moves(monkeypatch, policy):
+    """Between two passes of a run, each live relator that is new or whose
+    word differs from what the previous pass returned is marked changed,
+    and every other relator keeps the stamps and flag that pass left it."""
+    left, seen = {}, Counter()
+    run_pass = engine.run_pass
+
+    def state(r, ctx):
+        return r.word, r.tp, r.ts, r.id in ctx.flagged
+
+    def checking_pass(pres, ctx, searcher, record=None):
+        if left.get("ctx") is ctx:  # a later pass of the same run
+            for r in pres.rel:
+                before = left["rel"].get(r.id)
+                if before is None or before[0] != r.word:
+                    if policy in ("ts-sorted", "ts-unsorted"):
+                        assert r.tp == -1, (r.id, r.word)
+                    if policy == "flags":
+                        assert r.id in ctx.flagged, (r.id, r.word)
+                    seen["marked"] += 1
+                else:
+                    assert state(r, ctx) == before, (r.id, r.word)
+                    seen["unchanged"] += 1
+            seen["passes"] += 1
+        tally = run_pass(pres, ctx, searcher, record)
+        left["ctx"], left["rel"] = ctx, {r.id: state(r, ctx) for r in pres.rel}
+        return tally
+
+    monkeypatch.setattr(engine, "run_pass", checking_pass)
+    rng = random.Random(26)
+    for i in range(150):
+        if i % 2:
+            pres = make_presentation(*squares_words(rng, l_max=20))
+        else:
+            pres = dense_presentation(rng, l_max=16)
+        simplify(pres, EngineConfig(skip_policy=policy, long_elim_enabled=i % 3 != 0))
+    assert seen["passes"] > 400 and seen["marked"] > 80 and seen["unchanged"] > 2000, seen
