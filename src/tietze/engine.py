@@ -104,22 +104,22 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
 
 
 def substitute(pres: Presentation, g: int, rhs: Word,
-               holders: list[RelatorRecord] | None = None) -> list[RelatorRecord]:
+               holders: list[RelatorRecord] | None = None) -> None:
     """Replace generator g by rhs everywhere and remove g.
 
     Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
-    are re-reduced and emptied relators dropped.  Returns the live records
-    whose content changed, in relator order.  Only the relators whose
-    cached counts hold g get a new word; ``holders``, when given, are the
-    only ones read and must include all of them.  No other label moves:
-    g joins ``pres.eliminated`` until ``compact_labels``.
+    are re-reduced and emptied relators dropped.  Only the relators whose
+    cached counts hold g get a new word, in relator order, through
+    ``set_word``; ``holders``, when given, are the only ones read and must
+    include all of them.  No other label moves: g joins
+    ``pres.eliminated`` until ``compact_labels``.
     """
     if not 1 <= g <= pres.d + len(pres.eliminated) or g in pres.eliminated:
         raise ValueError(f"generator {g} out of range")
     if any(abs(s) == g for s in rhs):
         raise ValueError("substitution right-hand side mentions the eliminated generator")
     rhs_inv = invert(rhs)
-    changed: list[RelatorRecord] = []
+    emptied = False
     for r in pres.rel if holders is None else holders:
         if g in r.counts():
             out: list[int] = []
@@ -131,57 +131,45 @@ def substitute(pres: Presentation, g: int, rhs: Word,
                 else:
                     out.append(s)
             r.set_word(reduce_cyclic_word(tuple(out)))
-            changed.append(r)
-    if not all(r.word for r in changed):
+            emptied = emptied or not r.word
+    if emptied:
         pres.rel[:] = [r for r in pres.rel if r.word]
-        changed = [r for r in changed if r.word]
     pres.involutions.discard(g)
     pres.eliminated.add(g)
     pres.d -= 1
-    return changed
 
 
-def _eliminate(pres: Presentation, on_change, r: RelatorRecord | None = None, g: int = 0,
-               lonely: bool = False) -> None:
+def _eliminate(pres: Presentation, r: RelatorRecord, g: int, lonely: bool = False) -> None:
     """Solve r = 1 for ``g``, which occurs once in ``r`` (and nowhere else if
-    ``lonely``), and substitute the solution everywhere; then normalize
-    involutions, which is all a call without ``r`` does.  Hands the live
-    records rewritten to ``on_change``, in order."""
-    changed = []
-    if r is not None:
-        pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
-        rest = r.word[pos + 1:] + r.word[:pos]  # r is a rotation of g rest or g^-1 rest
-        changed = substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest,
-                             [r] if lonely else None)
-    changed += normalize_involutions(pres)
-    if on_change is not None:
-        for rec in changed:
-            on_change(rec)
+    ``lonely``), substitute the solution everywhere and normalize involutions."""
+    pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
+    rest = r.word[pos + 1:] + r.word[:pos]  # r is a rotation of g rest or g^-1 rest
+    substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest, [r] if lonely else None)
+    normalize_involutions(pres)
 
 
-def short_eliminate(pres: Presentation, on_change=None) -> int:
+def short_eliminate(pres: Presentation) -> int:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
     First normalizes involutions, then runs to fixpoint.  A relator gg
     marks g as an involution and is kept.  Each step takes the first
     relator of length 1, or of length 2 over two generators, and
-    eliminates its highest generator through it.  Each live record
-    rewritten, by the normalization or an elimination, is handed to
-    ``on_change``, in order.  Returns the number of eliminations.
+    eliminates its highest generator through it.  The records rewritten
+    wait on the presentation's change list.  Returns the number of
+    eliminations.
     """
     eliminations = 0
-    _eliminate(pres, on_change)
+    normalize_involutions(pres)
     while True:
         r = next((r for r in pres.rel if len(r.word) == 1
                   or len(r.word) == 2 and abs(r.word[0]) != abs(r.word[1])), None)
         if r is None:
             return eliminations
-        _eliminate(pres, on_change, r, max(map(abs, r.word)))
+        _eliminate(pres, r, max(map(abs, r.word)))
         eliminations += 1
 
 
-def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
-                   on_change=None) -> bool:
+def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int) -> bool:
     """One elimination of a generator occurring exactly once in some relator.
 
     Among candidates (g occurs once in R, len(R) > 2), picks the pair
@@ -201,10 +189,10 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     skips each relator shorter than the best lonely one found so far.
     Candidates come from each relator's cached ``RelatorRecord.once``,
     occurrences from ``Presentation.occurrences``, which folds in only the
-    relators rewritten since the last call.  A lonely generator's relator
-    is the only one the substitution rewrites.  The live records that the
-    substitution and the involution normalization after it rewrite are
-    handed to ``on_change``, in that order.
+    relators rewritten since the last take.  A lonely generator's relator
+    is the only one the substitution rewrites.  The records that the
+    substitution and the involution normalization after it rewrite wait
+    on the change list.
     """
     occurrences = pres.occurrences()
     best, shortest = None, 3  # the shortest relator that can still hold the winner
@@ -228,7 +216,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int,
     if best is None or total + best[0][0] > cfg.growth_limit * total:
         return False
     (_, g, _), r = best
-    _eliminate(pres, on_change, r, g, lonely)
+    _eliminate(pres, r, g, lonely)
     return True
 
 
@@ -269,9 +257,11 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     """Run the full simplification driver in place; returns (pres, stats).
 
     ``record`` is handed straight to every ``run_pass`` and only observes.
-    Eliminations, and the involution normalization that starts each short
-    elimination and so also normalizes the input, mark the live records
-    they rewrite changed, in order.
+    After each short elimination, which also follows every long one, each
+    live record on the presentation's change list is marked changed, once,
+    in order of first rewrite; the first one normalizes the input's
+    involutions.  The passes' rewrites are taken and dropped, since the
+    pass drivers stamp their own.
 
     Boundary maintenance (sorting and duplicate removal) runs at start-up,
     then before a pass only when a relator was rewritten since: dropping
@@ -292,22 +282,21 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     searcher = ReplacingSearcher(strategy, stats.counters)
     ctx = PassContext(policy=cfg.skip_policy)
     rewritten = False
-
-    def on_change(rec: RelatorRecord) -> None:
-        nonlocal rewritten
-        rewritten = True
-        mark_changed(ctx, rec)
-
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
+    pres.take_changes()  # every relator is marked next
     init_pass_state(pres, ctx)
     length = pres.total_length()
 
     while True:
         progress = False
 
-        elims = short_eliminate(pres, on_change)
+        elims = short_eliminate(pres)
+        for r in pres.take_changes():
+            if r.word:
+                rewritten = True
+                mark_changed(ctx, r)
         if elims:
             before, length = length, pres.total_length()
             if length > before:
@@ -337,7 +326,8 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             if length > before:
                 raise EngineError("replacement pass increased total length")
 
-        if cfg.long_elim_enabled and long_eliminate(pres, cfg, length, on_change):
+        pres.take_changes()  # the pass drivers stamped their own rewrites
+        if cfg.long_elim_enabled and long_eliminate(pres, cfg, length):
             length = pres.total_length()
             stats.long_elims += 1
             continue
@@ -350,6 +340,4 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     stats.total_length_after = pres.total_length()
     stats.gens_after = pres.d
     stats.rels_after = len(pres.rel)
-    if stats.searches_performed + stats.searches_skipped != stats.pairs_considered:
-        raise EngineError("search accounting identity violated")
     return pres, stats

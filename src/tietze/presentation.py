@@ -41,8 +41,9 @@ class RelatorRecord:
     shape (length, sorted count values).  A rotation or an inverse of a
     word has the word's shape, so unequal shapes prove two relators
     distinct without a canonical form.  Only ``set_word`` writes ``word``:
-    it drops both caches and, if armed, queues the record for the
-    occurrence tally that holds its counts ``_tallied``.
+    it drops both caches and, if armed, appends the record to its
+    presentation's change list, once until ``Presentation.take_changes``
+    re-arms it.  ``_tallied`` is what the occurrence tally holds for it.
     """
 
     id: int
@@ -55,13 +56,13 @@ class RelatorRecord:
     _shape: tuple[int, tuple[int, ...]] = field(default=(0, ()), init=False, repr=False,
                                                 compare=False)
     _tallied: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _queue: list | None = field(default=None, init=False, repr=False, compare=False)
+    _queue: list | None = field(default=None, repr=False, compare=False)
 
     def set_word(self, word: Word) -> None:
         self.word = word
         self._canonical = None
         self._counts = None
-        if self._queue is not None:  # armed: first change since it was tallied
+        if self._queue is not None:  # armed: first rewrite since the last take
             self._queue.append(self)
             self._queue = None
 
@@ -99,13 +100,14 @@ class Presentation:
     next_id: int = 0
     eliminated: set[int] = field(default_factory=set)  # until ``compact_labels``
     _tally: Counter | None = field(default=None, init=False, repr=False, compare=False)
-    _queue: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _changes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def add_relator(self, word: Word) -> RelatorRecord:
-        """Reduce ``word`` and append it, unless it reduces to nothing."""
+        """Reduce ``word`` and append it, armed, unless it reduces to nothing."""
         rec = RelatorRecord(self.next_id, reduce_cyclic_word(word))
         self.next_id += 1
         if rec.word:
+            rec._queue = self._changes
             self.rel.append(rec)
             self._tally = None
         return rec
@@ -119,31 +121,41 @@ class Presentation:
 
     def clone(self) -> "Presentation":
         p = Presentation(self.d, set(self.involutions), [], self.next_id, set(self.eliminated))
-        p.rel = [RelatorRecord(r.id, r.word, r.tp, r.ts) for r in self.rel]
+        p.rel = [RelatorRecord(r.id, r.word, r.tp, r.ts, _queue=p._changes) for r in self.rel]
         return p
+
+    def take_changes(self) -> list[RelatorRecord]:
+        """The records rewritten since the last take, once each, in order of
+        first rewrite, emptied ones included.  Each is folded into the
+        occurrence tally, if one is held, and re-armed."""
+        changes = self._changes[:]
+        if changes and self._tally is not None:
+            self.occurrences()
+        self._changes.clear()
+        for r in changes:
+            r._queue = self._changes
+        return changes
 
     def occurrences(self) -> Counter:
         """Occurrences of each generator in all relators, either sign (or 0).
 
         Counted in full on first use, and whenever at least half as many
-        records as relators are queued, where a full count costs less than
-        folding each record in.  Otherwise a call folds in only the records
-        queued since the last, each trading the counts it was tallied with
-        for its current ones.  A record queues once, so the queue stays
-        bounded.
+        records as relators changed since the last take, where a full count
+        costs less than folding each record in.  Otherwise the records on
+        the change list are folded in, each trading the counts it was
+        tallied with for its current ones.  The list is left as it is.
         """
-        queue = self._queue
-        if self._tally is None or 2 * len(queue) >= len(self.rel):
+        changes = self._changes
+        if self._tally is None or 2 * len(changes) >= len(self.rel):
             self._tally = Counter(map(abs, chain.from_iterable(r.word for r in self.rel)))
-            for r in self.rel:
-                r._tallied, r._queue = r.counts(), queue
+            for r in chain(self.rel, changes):
+                r._tallied = r.counts()
         else:
             tally = self._tally
-            for r in queue:
+            for r in changes:
                 tally.subtract(r._tallied)
                 tally.update(r.counts())
-                r._tallied, r._queue = r._counts, queue
-        queue.clear()
+                r._tallied = r._counts
         return self._tally
 
 
@@ -245,27 +257,23 @@ def sort_rel(p: Presentation) -> Presentation:
     return p
 
 
-def normalize_involutions(p: Presentation) -> list[RelatorRecord]:
+def normalize_involutions(p: Presentation) -> None:
     """Mark generators with a square relator as involutions and rewrite.
 
     Every relator gg (or its inverse form) adds g to the involution set,
     and every g^-1 of an involution g becomes g.  Right after this call
     no such g^-1 occurs; a later replacement may write one again.  One
     sweep suffices, with no re-reduction: a sign flip cancels no symbol
-    of a reduced word and makes no new square.  Returns the rewritten
-    records in relator order.
+    of a reduced word and makes no new square.
     """
     for r in p.rel:
         if len(r.word) == 2 and r.word[0] == r.word[1]:
             p.involutions.add(abs(r.word[0]))
     inverses = {-g for g in p.involutions}
-    changed: list[RelatorRecord] = []
     if inverses:
         for r in p.rel:
             if not inverses.isdisjoint(r.word):
                 r.set_word(tuple(-s if s in inverses else s for s in r.word))
-                changed.append(r)
-    return changed
 
 
 # Relators shorter than this skip the shape and go straight to their

@@ -270,11 +270,10 @@ def test_short_eliminate_examples():
     assert p.involutions == {1} and [r.word for r in p.rel] == [(1, 1)]
 
 
-def _reference_short_eliminate(pres, on_change):
+def _reference_short_eliminate(pres):
     """Short elimination with the right-hand side of each case written out."""
     eliminations = 0
-    for r in normalize_involutions(pres):
-        on_change(r)
+    normalize_involutions(pres)
     while True:
         for r in pres.rel:
             if len(r.word) == 1:
@@ -287,8 +286,8 @@ def _reference_short_eliminate(pres, on_change):
                 break
         else:
             return eliminations
-        for r in substitute(pres, g, rhs) + normalize_involutions(pres):
-            on_change(r)
+        substitute(pres, g, rhs)
+        normalize_involutions(pres)
         eliminations += 1
 
 
@@ -306,8 +305,9 @@ def test_short_eliminate_equals_the_explicit_right_hand_sides():
             runs = []
             for eliminate in (short_eliminate, _reference_short_eliminate):
                 p = make_presentation(3, words)
-                seen = []
-                result = eliminate(p, lambda r: seen.append(r.id))
+                p.take_changes()
+                result = eliminate(p)
+                seen = [r.id for r in p.take_changes()]
                 runs.append((result, seen, p.d, p.involutions,
                              [(r.id, r.word) for r in p.rel]))
             assert runs[0] == runs[1], words
@@ -331,7 +331,7 @@ def test_long_eliminate_no_candidate():
     assert not long_eliminate(p, EngineConfig(), p.total_length())
 
 
-def _first_written_long_eliminate(pres, cfg, total, on_change=None):
+def _first_written_long_eliminate(pres, cfg, total):
     """long_eliminate with the growth limit checked per candidate."""
     limit = cfg.growth_limit * total
     occurrences = Counter(abs(s) for r in pres.rel for s in r.word)
@@ -350,7 +350,7 @@ def _first_written_long_eliminate(pres, cfg, total, on_change=None):
     if best is None:
         return False
     _, g, r = best
-    engine._eliminate(pres, on_change, r, g)
+    engine._eliminate(pres, r, g)
     return True
 
 
@@ -382,9 +382,8 @@ def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
             runs = []
             for eliminate in (long_eliminate, _first_written_long_eliminate):
                 pres = base.clone()
-                seen = []
-                total = pres.total_length()
-                did = eliminate(pres, cfg, total, lambda r: seen.append(r.id))
+                did = eliminate(pres, cfg, pres.total_length())
+                seen = [r.id for r in pres.take_changes()]
                 runs.append((did, seen, pres.d, [(r.id, r.word) for r in pres.rel]))
             assert runs[0] == runs[1], (n, growth_limit)
             outcomes[runs[0][0]] += 1
@@ -441,6 +440,7 @@ def test_each_length_guard_raises(monkeypatch):
         with pytest.raises(EngineError, match="short elimination increased total length"):
             run()
     run()  # and without a fault, none raises
+
 
 def test_simplify_short_cascade():
     p = parse_presentation("gens 2\nrelw b\nrelw abab\n")
@@ -789,7 +789,9 @@ def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy)
         pres = Presentation(d)  # unlike make_presentation, keeps inverted involutions
         for w in words:
             pres.add_relator(w)
-        inverted += bool(normalize_involutions(pres.clone()))
+        normalized = pres.clone()
+        normalize_involutions(normalized)
+        inverted += bool(normalized.take_changes())
         firsts.clear()
         simplify(pres, EngineConfig(skip_policy=policy))
         runs += bool(firsts)

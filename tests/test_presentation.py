@@ -116,7 +116,9 @@ def test_normalize_involutions_noop_and_idempotent():
     p = make_presentation(2, [(1, 2), (2, 1, 2)])
     assert p.involutions == set()
     before = [r.word for r in p.rel]
-    assert normalize_involutions(p) == []
+    p.take_changes()
+    assert normalize_involutions(p) is None
+    assert p.take_changes() == []
     assert [r.word for r in p.rel] == before
 
 
@@ -155,7 +157,8 @@ def test_one_sweep_normalization_equals_fixpoint_loop():
         p.involutions = set(rng.sample(range(1, d + 1), rng.randint(0, 1)))
         q = p.clone()
         lengths = [len(r.word) for r in p.rel]
-        got = normalize_involutions(p)
+        normalize_involutions(p)
+        got = p.take_changes()
         want = reference_normalize_involutions(q)
         assert [r.word for r in p.rel] == [r.word for r in q.rel]
         assert p.involutions == q.involutions
@@ -201,7 +204,7 @@ def test_remove_duplicates_up_to_equivalence():
 
 def test_occurrence_tally_folds_few_changes_and_recounts_many(monkeypatch):
     # after each call the tally equals a full recount, whether few of the
-    # relators changed since the last call (each is folded in) or at least
+    # relators changed since the last take (each is folded in) or at least
     # half of them did (the tally is counted afresh, folding none)
     folded = []
 
@@ -218,6 +221,7 @@ def test_occurrence_tally_folds_few_changes_and_recounts_many(monkeypatch):
         p = make_presentation(d, [random_reduced_word(rng, d, rng.randint(1, 12))
                                   for _ in range(rng.randint(4, 20))])
         p.occurrences()
+        p.take_changes()
         for _ in range(6):
             most = rng.random() < 0.5
             k = len(p.rel) if most else rng.randint(0, (len(p.rel) - 1) // 2)
@@ -233,9 +237,65 @@ def test_occurrence_tally_folds_few_changes_and_recounts_many(monkeypatch):
             assert len(folded) - before == (0 if recount else len(changing))
             recounts += recount and bool(changing)
             folds += not recount and bool(changing)
+            p.take_changes()
             if not p.rel:
                 break
     assert recounts > 200 and folds > 150
+
+
+def test_take_changes_gives_each_rewritten_record_once_in_order():
+    p = make_presentation(2, [(1, 2), (1, 1, 2), (2, 1, 2, 2), (1, -2)])
+    p.take_changes()
+    a, b, c, d = p.rel
+    b.set_word((2,))
+    a.set_word(())  # emptied records are taken too
+    b.set_word((1,))
+    c.set_word((1, 2))
+    assert [r.id for r in p.take_changes()] == [b.id, a.id, c.id]
+    assert p.take_changes() == []
+    c.set_word((2, 2))  # a taken record queues again
+    d.set_word((1,))
+    assert [r.id for r in p.take_changes()] == [c.id, d.id]
+    # new and cloned records are armed from birth
+    e = p.add_relator((1, 2, 2))
+    q = p.clone()
+    e.set_word((1,))
+    q.rel[0].set_word((2,))
+    assert p.take_changes() == [e] and [r.id for r in q.take_changes()] == [q.rel[0].id]
+
+
+def test_tally_and_change_list_under_random_interleavings():
+    # occurrences() brings the tally up to date and leaves the change list
+    # as it was; take_changes() folds what it takes into the tally
+    rng = random.Random(26)
+    ops = Counter()
+    for _ in range(150):
+        d = rng.randint(2, 5)
+        p = make_presentation(d, [random_reduced_word(rng, d, rng.randint(1, 10))
+                                  for _ in range(rng.randint(2, 12))])
+        p.take_changes()
+        expected = []
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.6 and p.rel:
+                r = rng.choice(p.rel)
+                r.set_word(() if rng.random() < 0.1 else
+                           reduce_cyclic_word(random_reduced_word(rng, d, rng.randint(1, 10))))
+                if all(r is not s for s in expected):
+                    expected.append(r)
+                p.rel[:] = [r for r in p.rel if r.word]
+                ops["set_word"] += 1
+            elif op < 0.8:
+                taken = p.take_changes()
+                assert len(taken) == len(expected)
+                assert all(r is s for r, s in zip(taken, expected))
+                ops["take", p._tally is not None and bool(taken)] += 1
+                expected = []
+            else:
+                recount = p._tally is None or 2 * len(expected) >= len(p.rel)
+                assert +p.occurrences() == Counter(abs(s) for r in p.rel for s in r.word)
+                ops["recount" if recount else "fold"] += 1
+    assert min(ops.values()) > 300, ops
 
 
 def canonical_only_remove_duplicates(p):
@@ -342,8 +402,9 @@ def test_labels_stay_fixed_until_compaction():
     p.involutions = {1, 3}
     # eliminating generator 1 rewrites only the second relator and
     # renumbers nothing; the gap it leaves is no free generator
-    changed = substitute(p, 1, (2,))
-    assert [r.id for r in changed] == [1]
+    p.take_changes()
+    substitute(p, 1, (2,))
+    assert [r.id for r in p.take_changes()] == [1]
     assert [r.word for r in p.rel] == [(2, 3, 3), (2, 2, 2, 3)]
     assert p.d == 2 and p.eliminated == {1} and p.involutions == {3}
     assert p.clone().eliminated == {1}
@@ -394,7 +455,8 @@ def test_canonical_cache_cleared_by_normalize_involutions(canonical_calls):
     p.add_relator((1, 1))
     r = p.add_relator((-1, 2, 2, 2))
     stale = r.canonical()
-    assert normalize_involutions(p) == [r]
+    normalize_involutions(p)
+    assert p.take_changes() == [r]
     assert r.word == (1, 2, 2, 2)
     assert r.canonical() == canonical_rep(r.word) != stale
 
