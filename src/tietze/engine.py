@@ -141,26 +141,28 @@ def substitute(pres: Presentation, g: int, rhs: Word,
 
 def _eliminate(pres: Presentation, r: RelatorRecord, g: int, lonely: bool = False) -> None:
     """Solve r = 1 for ``g``, which occurs once in ``r`` (and nowhere else if
-    ``lonely``), substitute the solution everywhere and normalize involutions."""
+    ``lonely``), and substitute the solution everywhere.  Involutions are
+    left for the next ``short_eliminate`` step to normalize."""
     pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
     rest = r.word[pos + 1:] + r.word[:pos]  # r is a rotation of g rest or g^-1 rest
     substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest, [r] if lonely else None)
-    normalize_involutions(pres)
 
 
 def short_eliminate(pres: Presentation) -> int:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
-    First normalizes involutions, then runs to fixpoint.  A relator gg
-    marks g as an involution and is kept.  Each step takes the first
+    Runs to fixpoint.  Each step first normalizes involutions, the one
+    place the engine does, so every elimination, short or long, is
+    normalized before the next step reads the words.  A relator gg marks
+    g as an involution and is kept.  Each step then takes the first
     relator of length 1, or of length 2 over two generators, and
     eliminates its highest generator through it.  The records rewritten
     wait on the presentation's change list.  Returns the number of
     eliminations.
     """
     eliminations = 0
-    normalize_involutions(pres)
     while True:
+        normalize_involutions(pres)
         r = next((r for r in pres.rel if len(r.word) == 1
                   or len(r.word) == 2 and abs(r.word[0]) != abs(r.word[1])), None)
         if r is None:
@@ -190,9 +192,10 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int) -> bool:
     Candidates come from each relator's cached ``RelatorRecord.once``,
     occurrences from ``Presentation.occurrences``, which folds in only the
     relators rewritten since the last take.  A lonely generator's relator
-    is the only one the substitution rewrites.  The records that the
-    substitution and the involution normalization after it rewrite wait
-    on the change list.
+    is the only one the substitution rewrites, and the records it
+    rewrites wait on the change list.  The presentation is not left
+    involution-normal: the ``short_eliminate`` step that follows every
+    long elimination normalizes it.
     """
     occurrences = pres.occurrences()
     best, shortest = None, 3  # the shortest relator that can still hold the winner
