@@ -481,15 +481,34 @@ def test_simplify_deterministic():
     assert outs[0] == outs[1]
 
 
-def test_simplify_stats_identity_and_monotone_phases():
+def test_simplify_stats_identity_and_monotone_phases(monkeypatch):
+    # the search counts equal what a recorder sees, and neither a
+    # replacement pass nor a short elimination lengthens the presentation
+    phases = Counter()
+
+    def monotone(phase, real):
+        def wrapped(pres, *args):
+            before = pres.total_length()
+            result = real(pres, *args)
+            assert pres.total_length() <= before, phase
+            phases[phase] += 1
+            return result
+        return wrapped
+
+    monkeypatch.setattr(engine, "run_pass", monotone("pass", engine.run_pass))
+    monkeypatch.setattr(engine, "short_eliminate",
+                        monotone("short", engine.short_eliminate))
     rng = random.Random(55)
     for _ in range(40):
-        p = dense_presentation(rng)
-        p, stats = simplify(p, EngineConfig())
+        events = []
+        p, stats = simplify(dense_presentation(rng), EngineConfig(), events.append)
+        assert stats.pairs_considered == len(events)
+        assert stats.searches_performed == sum(e.performed for e in events)
+        assert stats.searches_successful == sum(e.successful for e in events)
         assert stats.searches_performed + stats.searches_skipped == stats.pairs_considered
-        assert stats.searches_successful <= stats.searches_performed
         assert stats.rels_after == len(p.rel)
         assert stats.gens_after == p.d
+    assert phases["pass"] > 80 and phases["short"] > 80, phases
 
 
 def test_simplify_output_labels_are_compact():
