@@ -6,15 +6,15 @@ word is inserted from the initial state.  Its transitions are resolved
 into flat per-symbol (next state, next length) tables, so a step is one
 dictionary probe: next length caps the running length after a fallback
 through suffix links.  Per word k, ``first_end[k][s]`` is the least end
-position in word k of the strings of state s, and ``owner[k][s]`` is s if
-they occur in word k, else the nearest suffix-link ancestor whose do.
+position in word k of the strings of state s, or one more than the
+longest word's length when they do not occur in word k.
 
 Mode ``two`` indexes the extended pattern and its inverse and scans each
 extended text once; mode ``one`` indexes the extended pattern and scans
 each extended text, then, on a miss, the extended inverted text.  One
 ``automaton_search`` call scans a whole list of texts with one automaton.
-``windows_scanned`` is counted per indexed word, once per scan: the hit
-position plus one on a hit, the whole extended text on a miss.
+``windows_scanned`` is counted per scan, as the symbols it reads: the
+hit position plus one on a hit, the whole extended text on a miss.
 """
 
 from __future__ import annotations
@@ -67,23 +67,18 @@ class LSAutomaton:
                         link[cur] = q if maxlen[p] + 1 == maxlen[q] else clone_of(p, c, q)
                     last = cur
                 ends[-1].append(last)
-        self.max_len = maxlen
         # Parents in the suffix-link tree have strictly smaller max_len, so
         # max_len order visits every parent before its children.
         order = sorted(range(len(maxlen)), key=lambda s: maxlen[s])
         never = max(map(len, words)) + 1
-        self.first_end, self.owner = [], []  # per word: list over states
+        self.first_end = []  # per word: list over states
         for word_ends in ends:
             first = [never] * len(maxlen)
             for pos, s in enumerate(word_ends, 1):
                 first[s] = pos
             for s in reversed(order[1:]):
                 first[link[s]] = min(first[link[s]], first[s])
-            owner = [0] * len(maxlen)
-            for s in order[1:]:
-                owner[s] = s if first[s] < never else owner[link[s]]
             self.first_end.append(first)
-            self.owner.append(owner)
         # resolve fallbacks: per state, symbol -> (next state, next length)
         table: list[dict[int, tuple[int, int]]] = [dict() for _ in maxlen]
         for s in order:
@@ -106,61 +101,46 @@ def automaton_search(a: LSAutomaton, p_word: Word, t_words: list[Word],
                      counters: SearchCounters) -> list[Match | None]:
     """Automaton-backed ComStr of each text over an automaton prebuilt for the pattern.
 
-    An automaton over the extended pattern and its inverse (mode ``two``)
-    scans each extended text once and reports word 0's first threshold hit,
-    else word 1's; one over the extended pattern alone (mode ``one``) scans
-    the extended text, then the extended inverted text.  Returns one
-    optional Match per text.
+    A scan stops at its first symbol where the running length reaches the
+    threshold m.  It grows by at most one per symbol, so that window is m
+    long and the state is its own: the pattern (word 0) answers for it if
+    it holds it, else the inverse (word 1), at its least end.  The hit is
+    extended from the window's first symbol, as ``kr_search`` extends its
+    first key window.  An automaton over the extended pattern and its
+    inverse (mode ``two``) scans each extended text once; one over the
+    extended pattern alone (mode ``one``) scans the extended text, then
+    the extended inverted text.  Returns one optional Match per text.
     """
     l_p = len(p_word)
     m = useful_threshold(l_p)
-    table, max_len, first_end = a.table, a.max_len, a.first_end
-    owner = a.owner[0]
-    words = len(a.words)
-    flips = (False,) if words == 2 else (False, True)
+    table, first_end = a.table, a.first_end
+    in_pattern = len(a.words[0])  # a larger first_end[0]: not in the pattern
+    flips = (False,) if len(a.words) == 2 else (False, True)
     found: list[Match | None] = []
     for t_word in t_words:
-        hit = None
         for inverted_text in flips:
             # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
             t = invert(t_word) if inverted_text else t_word
             text = t + t[:m - 1]
             state = length = 0
-            second = None
             for idx, sym in enumerate(text):
                 state, cap = table[state].get(sym, _DEAD)
                 length = length + 1 if length < cap else cap
-                if length < m:
-                    continue
-                # the running length is the longer of the words' matches; word
-                # 0's grows by at most one per symbol, so its first hit is
-                # exactly m long
-                o = owner[state]
-                if o == state or max_len[o] >= m:
-                    hit = 0, first_end[0][o], idx
+                if length == m:
                     break
-                # word 1 holds the running match, m long at its first hit
-                if second is None:
-                    second = 1, first_end[1][state], idx
-            if hit is not None:
-                counters.windows_scanned += hit[2] + 1
+            counters.windows_scanned += idx + 1  # the whole text on a miss
+            if length == m:
                 break
-            # per indexed word: word 0 read the whole text, word 1 up to its hit
-            counters.windows_scanned += (len(text) * words if second is None
-                                         else len(text) + second[2] + 1)
-            hit = second
-            if hit is not None:
-                break
-        if hit is None:
+        if length < m:
             found.append(None)
             continue
-        # map both ends of the hit back onto the original circles
-        k, end, idx = hit
-        l_t = len(t_word)
-        p_end, t_end = (end - 1) % l_p, idx % l_t
+        inverse = first_end[0][state] > in_pattern
+        # the window starts at end - m in its word and at idx - m + 1 in the text
+        p_start, t_start = first_end[inverse][state] - m, idx - m + 1
         if inverted_text:
             # the hit pairs pattern with invert(text); reflect it onto the
             # inverted pattern equivalent against the original text
-            p_end, t_end = (l_p - 1 - p_end) % l_p, (l_t - 1 - t_end) % l_t
-        found.append(extend_hit(p_word, t_word, bool(k) or inverted_text, p_end, t_end, counters))
+            p_start, t_start = l_p - 1 - p_start, len(t_word) - 1 - t_start
+        found.append(extend_hit(p_word, t_word, inverse or inverted_text, p_start, t_start,
+                                counters))
     return found

@@ -31,8 +31,8 @@ from .words import (
 class SearchCounters:
     """Match-level diagnostic counters, accumulated across searches.
 
-    The automata count ``automata_built`` and ``windows_scanned`` per
-    indexed pattern word, also where two words share one automaton.
+    The automata count ``automata_built`` per indexed pattern word, also
+    where two words share one automaton, and ``windows_scanned`` per scan.
     """
 
     windows_scanned: int = 0

@@ -192,38 +192,39 @@ def step(a: LSAutomaton, state: int, length: int, sym: int) -> tuple[int, int]:
     return nstate, min(length + 1, nlength)
 
 
-def word_match_length(a: LSAutomaton, k: int, state: int, length: int) -> int:
-    """Word k's longest match where the scan stands at (state, length)."""
-    owner = a.owner[k][state]
-    return length if owner == state else a.max_len[owner]
+def holds(a: LSAutomaton, k: int, state: int) -> bool:
+    """Whether the strings of ``state`` occur in word k."""
+    return a.first_end[k][state] <= len(a.words[k])
 
 
 def state_count(a: LSAutomaton, k: int = 0) -> int:
     """States whose strings occur in word k."""
-    return sum(owner == s for s, owner in enumerate(a.owner[k]))
+    return sum(holds(a, k, s) for s in range(len(a.table)))
 
 
-def longest_match_lengths(a: LSAutomaton, text: Word, k: int = 0) -> list[int]:
-    """Longest substring of word k ending at each text position."""
+def longest_match_lengths(a: LSAutomaton, text: Word) -> list[int]:
+    """Longest substring of any indexed word ending at each text position:
+    the running length of the scan."""
     out = []
     state, length = 0, 0
     for sym in text:
         state, length = step(a, state, length, sym)
-        out.append(word_match_length(a, k, state, length))
+        out.append(length)
     return out
 
 
 def accepts_substring(a: LSAutomaton, s: Word, k: int = 0) -> bool:
     """Whether s is a (linear) substring of word k.
 
-    Word k's match length after feeding s from the initial state is the
-    length of the longest suffix of s that is a substring of word k, so it
-    reaches len(s) exactly when s itself is one.
+    The running length after feeding s from the initial state is the
+    length of the longest suffix of s that is a substring of an indexed
+    word, so it reaches len(s) exactly when s itself is one; the state is
+    then s's own, and it says whether word k holds s.
     """
     state = length = 0
     for sym in s:
         state, length = step(a, state, length, sym)
-    return word_match_length(a, k, state, length) == len(s)
+    return length == len(s) and holds(a, k, state)
 
 
 def qgram_alignments(idx: PatternIndex, gram: Word) -> list[tuple[bool, int]]:

@@ -134,37 +134,37 @@ def test_build_counts_per_search():
 
 
 def reference_search(p, t, mode, counters):
-    """The automaton search with one ``step`` call per symbol.
+    """The automaton search with one ``step`` call per symbol and automaton.
 
-    Builds its own single-word automata, one per indexed word, scans the
-    text once per automaton and counts every symbol as it is fed, where
+    Builds its own single-word automata, one per indexed word, where
     ``automaton_search`` shares one automaton between the pattern and its
-    inverse, inlines the step and counts once per scan.
+    inverse and inlines the step.  Mode two feeds the text to both in
+    lockstep and stops at the first symbol where either reaches the
+    threshold, preferring the pattern's; mode one scans the text, then the
+    inverted text.  The hit is seeded at the window's first symbol, and
+    one window is counted per symbol fed.
     """
     l_p, l_t = len(p), len(t)
     m = useful_threshold(l_p)
-    automata = [build_ls_automaton(extend_front(p, m - 1))]
-    if mode == "two":
-        automata.append(build_ls_automaton(extend_front(invert(p), m - 1)))
-        second = (automata[1], True, False)
-    else:
-        second = (automata[0], False, True)
+    bases = (p, invert(p)) if mode == "two" else (p,)
+    automata = [build_ls_automaton(extend_front(w, m - 1)) for w in bases]
     counters.automata_built += len(automata)
-    for a, inverted_pattern, inverted_text in ((automata[0], False, False), second):
+    for inverted_text in (False,) if mode == "two" else (False, True):
         text = extend_front(invert(t) if inverted_text else t, min(m - 1, l_t))
-        state, length = 0, 0
+        runs = [(0, 0)] * len(automata)
         for idx, sym in enumerate(text):
             counters.windows_scanned += 1
-            state, length = step(a, state, length, sym)
-            if length < m:
+            runs = [step(a, state, length, sym) for a, (state, length) in zip(automata, runs)]
+            k = next((k for k, (_, length) in enumerate(runs) if length >= m), None)
+            if k is None:
                 continue
-            p_end = (a.first_end[0][state] - 1) % l_p
-            t_end = idx % l_t
+            p_start = automata[k].first_end[0][runs[k][0]] - m
+            t_start = idx - m + 1
             if inverted_text:
-                found = match_from_seed(p, t, True, (l_p - 1 - p_end) % l_p,
-                                        (l_t - 1 - t_end) % l_t)
+                found = match_from_seed(p, t, True, (l_p - 1 - p_start) % l_p,
+                                        (l_t - 1 - t_start) % l_t)
             else:
-                found = match_from_seed(p, t, inverted_pattern, p_end, t_end)
+                found = match_from_seed(p, t, k == 1, p_start % l_p, t_start % l_t)
             counters.successes += 1
             return found
     return None
@@ -174,7 +174,7 @@ def reference_search(p, t, mode, counters):
 def test_batch_scan_equals_reference_search(mode):
     # one automaton scans a mixed batch; each text's Match and counters
     # inside it equal the reference scan of that text alone, so nothing
-    # (state, running length, word 1's hit) carries over between texts
+    # (state, running length) carries over between texts
     rng = random.Random(47)
     seen = Counter()
     for _ in range(200):
@@ -269,20 +269,26 @@ def mixed_text(rng, d, words):
 
 def test_shared_automaton_answers_for_each_word():
     rng = random.Random(46)
+    members = Counter()
     for _ in range(300):
         d, words = pattern_and_inverse(rng)
         a = build_ls_automaton(*words)
-        assert len(a.max_len) <= 2 * sum(map(len, words))
+        assert len(a.table) <= 2 * sum(map(len, words))
         for k, w in enumerate(words):
+            subs = {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
             for _ in range(3):
                 text = mixed_text(rng, d, words)
-                assert longest_match_lengths(a, text, k) == naive_longest_match_lengths(w, text)
-            for sub in {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}:
+                for i in range(len(text)):
+                    piece = text[i:i + rng.randint(1, 8)]
+                    assert accepts_substring(a, piece, k) == (piece in subs)
+                    members[piece in subs] += 1
+            for sub in subs:
                 state = length = 0
                 for sym in sub:
                     state, length = step(a, state, length, sym)
-                assert length == len(sub) and a.owner[k][state] == state
+                assert length == len(sub) and accepts_substring(a, sub, k)
                 assert a.first_end[k][state] == naive_first_end(w, sub)
+    assert min(members.values()) > 5000, members
 
 
 class FedWord(tuple):
@@ -326,15 +332,15 @@ def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
             # it and one over the extended inverted text
             assert len(texts) == 3 - words
             assert all(t.fed == len(t) == len(miss) + 1 for t in texts)
-            # counted per indexed word, as if each were scanned on its own
-            assert counters.windows_scanned == 2 * len(texts[0])
+            # counted per scan: the symbols each pass read
+            assert counters.windows_scanned == sum(map(len, texts))
         # no automaton outlives its call: a repeated pattern builds again
         assert [len(ws) for ws in builds] == [words] * 4
-    # a hit on the inverse in mode two still reads the text once, to its end
+    # a hit on the inverse in mode two reads the text once, up to the hit:
+    # "CB" ends at position 3 of the 5 symbols
     texts.clear()
     counters = SearchCounters()
     found = make_strategy("automaton-two").search(a, [W("xyCB")], counters)[0]
     assert found is not None and found.inverted
-    assert len(texts) == 1 and texts[0].fed == len(texts[0]) == 5
-    # word 0 misses the 5 symbols; word 1 first hits "CB" at position 3
-    assert counters.windows_scanned == 5 + 4
+    assert len(texts) == 1 and len(texts[0]) == 5 and texts[0].fed == 4
+    assert counters.windows_scanned == 4

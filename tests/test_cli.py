@@ -233,7 +233,7 @@ def test_automaton_golden_output(tmp_path):
         "gens_after": 3, "rels_before": 40, "rels_after": 40,
     }
     assert rep["counters"] == {
-        "windows_scanned": 125326, "filter_hits": 0, "fingerprint_matches": 0,
+        "windows_scanned": 64590, "filter_hits": 0, "fingerprint_matches": 0,
         "fingerprint_false_matches": 0, "bloom_false_hits": 0, "confirmations": 0,
         "successes": 79, "automata_built": 154,
     }

@@ -22,8 +22,8 @@ from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
-GRID_DIGEST = "0a9489dc0cf564b37c3c18d5b90167ffa301266ff4f6de7fb19ebc2b4650b227"
-COUNTERS_DIGEST = "7ff90672f3646ffc74ef4603334aa25331b82c75501da3ada890817fc88652e6"
+GRID_DIGEST = "58df3d1a67d7f17653549d4cc08fff0e2cc7b88451b692ff9415868823a7e9ff"
+COUNTERS_DIGEST = "2c64f92800afb88d4cbffb2aa4864f771e00c3ad12c77ece1fa06236283f7244"
 
 
 def strategy_flags(name: str) -> list[str]:

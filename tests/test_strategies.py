@@ -3,12 +3,13 @@ from collections import Counter
 
 import pytest
 
-from helpers import batch_per_text, mixed_batch
+from helpers import batch_per_text, dense_presentation, mixed_batch, squares_words
 from tietze import engine, match, strategies
 from tietze.engine import EngineConfig, simplify
 from tietze.match import SearchCounters
-from tietze.presentation import make_presentation
-from tietze.randgen import random_reduced_word
+from tietze.presentation import make_presentation, serialize_presentation
+from tietze.randgen import random_presentation, random_reduced_word
+from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES, make_strategy
 from tietze.words import word_from_letters
 
@@ -110,3 +111,46 @@ def test_every_search_call_builds_its_automaton(monkeypatch, name, words):
         _, stats = simplify(pres, EngineConfig(match_strategy=name, skip_policy="ts-unsorted"))
         assert calls[0] > 0
         assert stats.counters.automata_built == words * calls[0]
+
+
+# the strategies that return the first key window's Match: the least text
+# window start, the pattern before its inverse, then the least pattern start
+WINDOW_RULE = ("kr-hash", "kr-bloom3", "kr-bloom4", "automaton-two")
+
+
+def test_window_rule_strategies_return_one_match():
+    rng = random.Random(5)
+    # a small Bloom filter: false hits too must confirm the same window
+    searchers = [make_strategy(name, bloom_log2_size=8) for name in WINDOW_RULE]
+    seen = Counter()
+    for _ in range(2000):  # 20,000 pairs: each pattern against 10 texts
+        d = rng.randint(1, 4)
+        p = random_reduced_word(rng, d, rng.randint(1, 14))
+        texts = [random_reduced_word(rng, d, rng.randint(len(p), 20)) for _ in range(10)]
+        found = [s.search(p, texts, SearchCounters()) for s in searchers]
+        assert found == [found[0]] * len(found), (p, texts)
+        seen.update("miss" if m is None else "inverted" if m.inverted else "hit"
+                    for m in found[0])
+    assert min(seen.values()) > 2000, seen
+
+
+def test_window_rule_strategies_run_identically():
+    # same rewrites, so the same output, stats and reorders under every
+    # policy; squares make involutions, which the runs normalize
+    rng = random.Random(27)
+    corpus = []
+    for i in range(40):
+        corpus.append(random_presentation(rng, rng.randint(2, 5), rng.randint(4, 12), 10))
+        corpus.append(dense_presentation(rng))
+        corpus.append(make_presentation(*squares_words(rng)))
+    involutions = 0
+    for pres in corpus:
+        for policy in POLICY_NAMES:
+            runs = []
+            for name in WINDOW_RULE:
+                out, stats = simplify(pres.clone(),
+                                      EngineConfig(match_strategy=name, skip_policy=policy))
+                runs.append((serialize_presentation(out), stats.to_dict(), stats.reorders))
+                involutions += bool(out.involutions)
+            assert runs == [runs[0]] * len(runs), (serialize_presentation(pres), policy)
+    assert involutions > 40, involutions
