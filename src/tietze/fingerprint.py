@@ -227,7 +227,7 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
             if at is None:
                 continue
             if ext is None:
-                ext = extend_front(t_word, m - 1)
+                ext = t_word + t_word[:m - 1]  # m - 1 < l_p <= l_t
             first = max(0, j - m + q)
             hits = []
             for inverted, s in repeats.get(sample, (at,)):
