@@ -67,8 +67,8 @@ class LSAutomaton:
                         link[cur] = q if maxlen[p] + 1 == maxlen[q] else clone_of(p, c, q)
                     last = cur
                 ends[-1].append(last)
-        # Parents in the suffix-link tree have strictly smaller max_len, so
-        # max_len order visits every parent before its children.
+        # Parents in the suffix-link tree have strictly smaller maxlen, so
+        # maxlen order visits every parent before its children.
         order = sorted(range(len(maxlen)), key=lambda s: maxlen[s])
         never = max(map(len, words)) + 1
         self.first_end = []  # per word: list over states
