@@ -183,8 +183,8 @@ def naive_circular_substrings(w: Word) -> set[Word]:
 
 
 def step(a: LSAutomaton, state: int, length: int, sym: int) -> tuple[int, int]:
-    """One scan step, the reference for the inlined scan loop; falls back
-    to the initial state on a dead symbol."""
+    """One scan step, the reference for mode one's inlined scan loop;
+    falls back to the initial state on a dead symbol."""
     hit = a.table[state].get(sym)
     if hit is None:
         return 0, 0

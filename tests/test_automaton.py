@@ -302,16 +302,35 @@ class FedWord(tuple):
             yield sym
 
 
+class ReadRow(dict):
+    """A row of an automaton's direct transitions that counts, in ``reads``,
+    the symbols read through it by probe (``get``) and by lookup (``item``)."""
+
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
+
+    def get(self, sym, default=None):
+        self.reads["get"] += 1
+        return dict.get(self, sym, default)
+
+    def __getitem__(self, sym):
+        self.reads["item"] += 1
+        return dict.__getitem__(self, sym)
+
+
 def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
-    builds, texts = [], []
+    builds, texts, reads = [], [], Counter()
     build = strategies.build_ls_automaton
 
     def counting_build(*words):
         builds.append(words)
-        return build(*words)
+        a = build(*words)
+        a.nxt = [ReadRow(row, reads) for row in a.nxt]
+        return a
 
     def fed_enumerate(iterable, start=0):
-        # a scan enumerates its extended text, a tuple; the build
+        # mode one's scan enumerates its extended text, a tuple; the build
         # enumerates lists of prefix ends
         if isinstance(iterable, tuple):
             texts.append(FedWord(iterable))
@@ -326,21 +345,56 @@ def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
         builds.clear()
         for p in (a, a, b, a):
             texts.clear()
+            reads.clear()
             counters = SearchCounters()
             assert strategy.search(p, [miss], counters)[0] is None
-            # mode two: one pass over the extended text; mode one: one over
-            # it and one over the extended inverted text
-            assert len(texts) == 3 - words
-            assert all(t.fed == len(t) == len(miss) + 1 for t in texts)
-            # counted per scan: the symbols each pass read
-            assert counters.windows_scanned == sum(map(len, texts))
+            if mode == "one":
+                # one pass over the extended text and one over the
+                # extended inverted text, each read in full; no direct
+                # transition is read
+                assert len(texts) == 2 and not reads
+                assert all(t.fed == len(t) == len(miss) + 1 for t in texts)
+                assert counters.windows_scanned == sum(map(len, texts))
+            else:
+                # no forward pass: "xyzwx" is read backward from "y", which
+                # fails and rules out the windows at 0 and 1, then from
+                # "w": 2 symbols where a forward scan reads 5
+                assert not texts and reads == {"get": 2}
+                # counted in order: the whole extended text
+                assert counters.windows_scanned == len(miss) + 1
         # no automaton outlives its call: a repeated pattern builds again
         assert [len(ws) for ws in builds] == [words] * 4
-    # a hit on the inverse in mode two reads the text once, up to the hit:
-    # "CB" ends at position 3 of the 5 symbols
-    texts.clear()
+    # a hit on the inverse in mode two: "y" fails, the window "CB" reads
+    # back in full (2 probes), then forward once for its state (2 lookups);
+    # counted in order up to the window's end, position 3 of "xyCBx"
+    reads.clear()
     counters = SearchCounters()
     found = make_strategy("automaton-two").search(a, [W("xyCB")], counters)[0]
     assert found is not None and found.inverted
-    assert len(texts) == 1 and len(texts[0]) == 5 and texts[0].fed == 4
+    assert reads == {"get": 3, "item": 2}
     assert counters.windows_scanned == 4
+
+
+def cyclically_reduced_words(length, gens=2):
+    symbols = [s for g in range(1, gens + 1) for s in (g, -g)]
+    return [w for w in product(symbols, repeat=length) if reduce_cyclic_word(w) == w]
+
+
+def test_backward_scan_equals_reference_on_every_small_pair():
+    # every cyclically reduced pattern of length 1-3 on 2 generators
+    # against every cyclically reduced text of length |p| to 5, one batch
+    # per pattern: thresholds 1 and 2, texts as long as the pattern, and
+    # every shortest skip after a failed backward read
+    words = {n: cyclically_reduced_words(n) for n in range(1, 6)}
+    two = make_strategy("automaton-two")
+    outcomes = Counter()
+    for l_p in (1, 2, 3):
+        texts = [t for n in range(l_p, 6) for t in words[n]]
+        for p in words[l_p]:
+            got_c, want_c = SearchCounters(), SearchCounters()
+            want = [reference_search(p, t, "two", want_c) for t in texts]
+            assert two.search(p, texts, got_c) == want
+            want_c.automata_built = 2  # the reference builds per text, the batch once
+            assert got_c == want_c
+            outcomes.update("miss" if m is None else m.inverted for m in want)
+    assert min(outcomes.values()) > 1000, outcomes
