@@ -8,6 +8,11 @@ counts.  A change meant to keep outputs and counters as they are must keep
 both digests; a change that moves either on purpose says so and pins the
 new value.  Some counters (the ``signature`` hash's) read label values, so
 a change of internal labelling can move ``COUNTERS_DIGEST`` alone.
+
+``OUTPUT_DIGEST`` covers the output files alone: those of the grid, and
+those of 300-relator presentations like the benchmark's dense workload
+under every policy.  A change of which searches run, or in which order,
+moves the first two digests but must keep this one.
 """
 
 import hashlib
@@ -15,8 +20,11 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from helpers import squares_words
 from tietze.cli import main
+from tietze.engine import EngineConfig, simplify
 from tietze.presentation import make_presentation, serialize_presentation
 from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
@@ -24,6 +32,7 @@ from tietze.strategies import STRATEGIES
 
 GRID_DIGEST = "58df3d1a67d7f17653549d4cc08fff0e2cc7b88451b692ff9415868823a7e9ff"
 COUNTERS_DIGEST = "2c64f92800afb88d4cbffb2aa4864f771e00c3ad12c77ece1fa06236283f7244"
+OUTPUT_DIGEST = "2660781a4725861a280226d60c5fa69207d568975a4ba592e332ff43a1699753"
 
 
 def strategy_flags(name: str) -> list[str]:
@@ -55,8 +64,11 @@ def grid_inputs() -> dict[str, str]:
             "obfuscated": obfuscated.read_text()}
 
 
-def test_strategy_policy_grid_digest(tmp_path):
-    digest, counters = hashlib.sha256(), hashlib.sha256()
+@pytest.fixture(scope="module")
+def grid_digests(tmp_path_factory):
+    """The grid's (stats digest, counters digest, output-files hash)."""
+    tmp_path = tmp_path_factory.mktemp("grid")
+    digest, counters, outputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     out, stats = tmp_path / "out.pres", tmp_path / "stats.json"
     for label, text in grid_inputs().items():
         inp = tmp_path / f"{label}.pres"
@@ -74,4 +86,26 @@ def test_strategy_policy_grid_digest(tmp_path):
                 digest.update(key)
                 digest.update(out.read_bytes())
                 digest.update(json.dumps(report, sort_keys=True).encode())
-    assert (digest.hexdigest(), counters.hexdigest()) == (GRID_DIGEST, COUNTERS_DIGEST)
+                outputs.update(key)
+                outputs.update(out.read_bytes())
+    return digest.hexdigest(), counters.hexdigest(), outputs
+
+
+def test_strategy_policy_grid_digest(grid_digests):
+    assert grid_digests[:2] == (GRID_DIGEST, COUNTERS_DIGEST)
+
+
+def test_output_files_alone_digest(grid_digests):
+    # the grid's outputs, then three 300-relator presentations on 4
+    # generators, as on the benchmark's dense workload, under every policy
+    outputs = grid_digests[2].copy()
+    rng = random.Random(300)
+    for n in range(3):
+        words = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(300)]
+        for name in ("automaton-two", "brute"):
+            for policy in POLICY_NAMES:
+                pres, _ = simplify(make_presentation(4, words),
+                                   EngineConfig(match_strategy=name, skip_policy=policy))
+                outputs.update(f"dense-300 {n} {name} {policy}\n".encode())
+                outputs.update(serialize_presentation(pres).encode())
+    assert outputs.hexdigest() == OUTPUT_DIGEST
