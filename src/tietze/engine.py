@@ -3,9 +3,12 @@
 The driver alternates short eliminations (to fixpoint), substring
 replacement passes under the configured skip policy and match strategy
 (to quiescence or the pass budget), and at most one long elimination per
-round, until nothing changes.  Short eliminations and replacements never
-increase the total relator length; long eliminations may, within the
-configured growth budget.
+round, until nothing changes.  A pass whose rewrite leaves a relator
+eliminable ends after that pattern loop, and the driver goes straight
+back to short elimination, so a relator of one or two symbols is removed
+everywhere by one substitution rather than serving as a pattern.  Short
+eliminations and replacements never increase the total relator length;
+long eliminations may, within the configured growth budget.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .presentation import (
 )
 from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
-from .words import Word, invert, reduce_cyclic_word
+from .words import Word, eliminable, invert, reduce_cyclic_word
 
 
 class EngineError(RuntimeError):
@@ -109,9 +112,10 @@ def substitute(pres: Presentation, g: int, rhs: Word,
 
     Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
     are re-reduced and emptied relators dropped.  Only the relators whose
-    cached counts hold g get a new word, in relator order, through
-    ``set_word``; ``holders``, when given, are the only ones read and must
-    include all of them.  No other label moves: g joins
+    word holds g or g^-1 get a new word, in relator order, through
+    ``set_word``; they are found by testing each word, without building
+    any relator's counts.  ``holders``, when given, are the only ones read
+    and must include all of them.  No other label moves: g joins
     ``pres.eliminated`` until ``compact_labels``.
     """
     if not 1 <= g <= pres.d + len(pres.eliminated) or g in pres.eliminated:
@@ -121,7 +125,7 @@ def substitute(pres: Presentation, g: int, rhs: Word,
     rhs_inv = invert(rhs)
     emptied = False
     for r in pres.rel if holders is None else holders:
-        if g in r.counts():
+        if g in r.word or -g in r.word:
             out: list[int] = []
             for s in r.word:
                 if s == g:
@@ -163,8 +167,7 @@ def short_eliminate(pres: Presentation) -> int:
     eliminations = 0
     while True:
         normalize_involutions(pres)
-        r = next((r for r in pres.rel if len(r.word) == 1
-                  or len(r.word) == 2 and abs(r.word[0]) != abs(r.word[1])), None)
+        r = next((r for r in pres.rel if eliminable(r.word)), None)
         if r is None:
             return eliminations
         _eliminate(pres, r, max(map(abs, r.word)))
@@ -263,8 +266,14 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     After each short elimination, which also follows every long one, each
     live record on the presentation's change list is marked changed, once,
     in order of first rewrite; the first one normalizes the input's
-    involutions.  The passes' rewrites are taken and dropped, since the
+    involutions.  Each pass's rewrites are taken and dropped, since the
     pass drivers stamp their own.
+
+    No pass starts with an eliminable relator, so one among a pass's
+    rewrites means the pass ended early, at the pattern loop that left it
+    (see ``skip``).  The driver then runs ``short_eliminate`` at once, with
+    no long elimination in between, and resumes the passes.  A pass that
+    ends early counts in ``passes`` and against ``max_passes``.
 
     Boundary maintenance (sorting and duplicate removal) runs at start-up,
     then before a pass only when a relator was rewritten since: dropping
@@ -307,6 +316,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             stats.short_elims += elims
             progress = True
 
+        ended_early = False
         while stats.passes < cfg.max_passes:
             if rewritten:
                 count = len(pres.rel)
@@ -328,8 +338,13 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             before, length = length, pres.total_length()
             if length > before:
                 raise EngineError("replacement pass increased total length")
+            # the pass drivers stamped their own rewrites
+            ended_early = any(eliminable(r.word) for r in pres.take_changes())
+            if ended_early:
+                break
 
-        pres.take_changes()  # the pass drivers stamped their own rewrites
+        if ended_early:
+            continue
         if cfg.long_elim_enabled and long_eliminate(pres, cfg, length):
             length = pres.total_length()
             stats.long_elims += 1

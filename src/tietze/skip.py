@@ -32,6 +32,16 @@ recorder only observes: each driver takes the same path with or without
 one.  ``engine.simplify`` hands its ``record`` straight to ``run_pass``.
 A ``ts-sorted`` pass reads only the relators changed since the previous
 pass began, and stamps the dead tail after the last of them in one sweep.
+
+A pass can end early: after the pattern loop in which a success leaves
+its text eliminable (``words.eliminable``: one symbol, or two over two
+different generators), so that the engine eliminates the generator before
+that text serves as a pattern.  Each policy then keeps what its next pass
+needs.  ``ts-sorted`` keeps nothing extra: an unreached pattern keeps a
+stamp older than the pass, so the global timer makes it check every text.
+``ts-unsorted`` sets tp = -1 on every relator the pass did not reach, so
+that position stamps from two passes are never compared.  ``flags`` keeps
+its old flags along with this pass's changes; ``all-pairs`` keeps no state.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol
 
 from .presentation import Presentation, RelatorRecord
+from .words import eliminable
 
 
 class Searcher(Protocol):
@@ -172,7 +183,8 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
     positions (hot relators, and older stamps except at the end) are
     built when a stamped pattern needs them, again after a re-insertion.
     Once none lies after a stamped pattern, every loop left is dead: one
-    sweep stamps the tail.  A recorder does not change the path.
+    sweep stamps the tail.  A loop that leaves a text eliminable is the
+    pass's last.  A recorder does not change the path.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -203,9 +215,11 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
         if record is not None:
             _record_loop(record, pass_no, pattern, rel[pi + 1:], batch, results)
         performed += len(batch)
+        short = False
         for i, text, ok in zip(at, batch, results):
             if ok:
                 successful += 1
+                short = short or eliminable(text.word)
                 text.tp = -1
                 text.ts = ctx.timer
                 rel.pop(i)
@@ -218,6 +232,8 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                     pi += 1
         pattern.tp = ctx.timer
         ctx.timer += 1
+        if short:
+            break
         pi += 1
     return PassTally(considered, performed, successful)
 
@@ -244,6 +260,11 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
     ``changed`` become ``ctx.flagged`` at the end of the pass, and
     ``mark_changed`` adds to it between passes; ``init_pass_state`` marks
     every relator, so the first pass searches every pair.
+
+    A loop that leaves a text eliminable is the pass's last.  Under
+    ts-unsorted the relators after its pattern get tp = -1, which makes
+    every pair with one of them searchable; under flags ``ctx.flagged``
+    keeps its ids and gains those in ``changed``.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
@@ -254,6 +275,7 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
     changed: dict[int, int] = {}
     snapshot = list(pres.rel)
     considered = performed = successful = 0
+    short = False
     for p, pattern in enumerate(snapshot, 1):
         p_len = len(pattern.word)  # only texts change during the pattern's loop
         seen = [text for text in snapshot[p:] if len(text.word) >= p_len] if p_len else []
@@ -274,11 +296,17 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
                 if ok:
                     successful += 1
                     changed[text.id] = p
+                    short = short or eliminable(text.word)
         if stamped:
             pattern.tp = p
             pattern.ts = changed.get(pattern.id, 0)
+        if short:
+            if stamped:
+                for r in snapshot[p:]:
+                    r.tp = -1
+            break
     if policy == "flags":
-        ctx.flagged = set(changed)
+        ctx.flagged = flagged.union(changed) if short else set(changed)
     return PassTally(considered, performed, successful)
 
 

@@ -97,6 +97,19 @@ def reduce_cyclic_word(w: Word) -> Word:
     return cyclic_reduce(free_reduce(w))
 
 
+def eliminable(w: Word) -> bool:
+    """Whether relator ``w`` eliminates a generator by a substitution alone.
+
+    A word of one symbol, or of two symbols over two different generators,
+    solves for its highest generator with no other relator's help: what
+    ``engine.short_eliminate`` takes, and what ends a replacement pass.
+
+    >>> eliminable((2,)), eliminable((1, -2)), eliminable((2, 2)), eliminable((1, 2, 1))
+    (True, True, False, False)
+    """
+    return len(w) == 1 or len(w) == 2 and abs(w[0]) != abs(w[1])
+
+
 def extend_front(w: Word, k: int) -> Word:
     """Append the first ``k`` symbols of ``w`` to its end.
 

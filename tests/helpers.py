@@ -8,10 +8,10 @@ import random
 from tietze.automaton import LSAutomaton
 from tietze.fingerprint import MERSENNE61, PatternIndex
 from tietze.match import Match, MatchError, SearchCounters, check_match
-from tietze.presentation import Presentation, make_presentation
+from tietze.presentation import Presentation, make_presentation, sort_rel
 from tietze.randgen import random_reduced_word
-from tietze.skip import SearchEvent
-from tietze.words import Word, invert, rotate_right, useful_threshold
+from tietze.skip import PassContext, SearchEvent, init_pass_state, run_pass
+from tietze.words import Word, eliminable, invert, rotate_right, useful_threshold
 
 
 def random_pair(rng: random.Random, d_max=6, l_max=20) -> tuple[Word, Word]:
@@ -310,24 +310,33 @@ def exhaustive_oracle(p_word: Word, t_word: Word) -> Match | None:
 
 
 def necessary_set_oracle(events: list[SearchEvent],
-                         changes: list[tuple[int, int]]
+                         changes: list[tuple[int, int]],
+                         marks: list[tuple[int, int]] = ()
                          ) -> set[tuple[int, int, int]]:
     """The necessary searches among the considered pairs.
 
     ``changes`` lists (relator id, ordinal of the performed search during
     which the change happened); performed events and searcher invocations
-    correspond one to one, in order.  A consideration is necessary when
-    the pair was never searched before or a member changed at or after the
-    pair's previous search (a change during that search counts).
+    correspond one to one, in order.  ``marks`` lists (relator id, number
+    of events considered before it): relators that count as changed
+    between two events, such as those a pass left marked.  A consideration
+    is necessary when the pair was never searched before or a member
+    changed at or after the pair's previous search (a change during that
+    search counts).
     """
     changes_at: dict[int, list[int]] = {}
     for rel_id, ordinal in changes:
         changes_at.setdefault(ordinal, []).append(rel_id)
+    marks_at: dict[int, list[int]] = {}
+    for rel_id, position in marks:
+        marks_at.setdefault(position, []).append(rel_id)
     last_search: dict[frozenset[int], int] = {}
     last_change: dict[int, int] = {}
     necessary: set[tuple[int, int, int]] = set()
     performed_count = 0
     for t, ev in enumerate(events, start=1):
+        for rid in marks_at.get(t - 1, ()):
+            last_change[rid] = t - 1
         pair = frozenset((ev.pattern_id, ev.text_id))
         prev = last_search.get(pair)
         if prev is None or any(
@@ -344,3 +353,57 @@ def necessary_set_oracle(events: list[SearchEvent],
 
 def performed_set(events: list[SearchEvent]) -> set[tuple[int, int, int]]:
     return {(e.pattern_id, e.text_id, e.pass_no) for e in events if e.performed}
+
+
+def unreached_after_early_end(order: list[int], pass_events: list[SearchEvent],
+                              pres: Presentation) -> list[int]:
+    """The relators a pass never reached as patterns, if it ended early.
+
+    ``order`` lists the relator ids at the start of the pass.  A pass ends
+    after the pattern loop in which a success leaves its text eliminable,
+    and that loop is the pass's last: the relators after its pattern are
+    unreached.  Read from the events and words alone, not from stamps.
+    """
+    if not pass_events:
+        return []
+    last = pass_events[-1].pattern_id
+    words = {r.id: r.word for r in pres.rel}
+    if not any(e.successful and eliminable(words[e.text_id])
+               for e in pass_events if e.pattern_id == last):
+        return []
+    return order[order.index(last) + 1:]
+
+
+def theorem_trial(policy: str, seed: int) -> tuple[bool, int]:
+    """Scripted passes on a small dense presentation until one changes
+    nothing; returns (whether the searches performed are exactly the
+    necessary ones, the number of marks).
+
+    A ts-unsorted pass that ends early marks the relators it did not
+    reach, so that no position stamps from two passes are compared; the
+    oracle counts each such relator as changed when the pass ends.
+    ts-sorted marks nothing: its global timer keeps the unreached
+    patterns' stamps comparable.
+    """
+    rng = random.Random(seed)
+    pres = dense_presentation(rng, d_max=4, q_max=12, l_max=10)
+    if len(pres.rel) < 2:
+        return True, 0
+    sort_rel(pres)
+    ctx = PassContext(policy=policy)
+    init_pass_state(pres, ctx)
+    searcher = ScriptedSearcher(seed * 31 + 7)
+    events: list[SearchEvent] = []
+    marks: list[tuple[int, int]] = []
+    for _ in range(80):
+        sort_rel(pres)
+        order = [r.id for r in pres.rel]
+        start = len(events)
+        tally = run_pass(pres, ctx, searcher, events.append)
+        if policy == "ts-unsorted":
+            marks += [(rid, len(events))
+                      for rid in unreached_after_early_end(order, events[start:], pres)]
+        if not tally.successful:
+            break
+    ok = necessary_set_oracle(events, searcher.changes, marks) == performed_set(events)
+    return ok, len(marks)

@@ -499,7 +499,7 @@ def test_simplify_stats_identity_and_monotone_phases(monkeypatch):
     monkeypatch.setattr(engine, "short_eliminate",
                         monotone("short", engine.short_eliminate))
     rng = random.Random(55)
-    for _ in range(40):
+    for _ in range(70):
         events = []
         p, stats = simplify(dense_presentation(rng), EngineConfig(), events.append)
         assert stats.pairs_considered == len(events)
@@ -557,7 +557,7 @@ def test_replacements_strictly_shrink():
 
 def test_abelian_invariants_preserved_sample():
     rng = random.Random(57)
-    for _ in range(60):
+    for _ in range(70):
         p = dense_presentation(rng)
         before = abelian_invariants(p)
         q, _ = simplify(p, EngineConfig(match_strategy="brute"))
@@ -820,14 +820,22 @@ def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy)
 def test_flags_is_the_lossy_baseline():
     # flags searches a pair only when a member changed in the previous
     # pass, so a change made earlier in the same pass waits a pass and the
-    # rewrites come in another order: here flags misses a successful search
-    # that all-pairs makes, though both reach the trivial group.
-    # EngineConfig's defaults are the CLI's.
+    # rewrites come in another order: here flags skips such pairs and
+    # misses two successful searches that all-pairs makes, though both
+    # reach the trivial group.  EngineConfig's defaults are the CLI's.
     base = dense_presentation(random.Random(37))
-    runs = {policy: simplify(base.clone(), EngineConfig(skip_policy=policy))
-            for policy in ("flags", "all-pairs")}
+    runs, late = {}, Counter()
+    for policy in ("flags", "all-pairs"):
+        events, changed = [], set()
+        runs[policy] = simplify(base.clone(), EngineConfig(skip_policy=policy), events.append)
+        for e in events:
+            if not e.performed:
+                late[policy] += bool({(e.pass_no, e.pattern_id), (e.pass_no, e.text_id)} & changed)
+            if e.successful:
+                changed.add((e.pass_no, e.text_id))
     assert {policy: stats.searches_successful for policy, (_, stats) in runs.items()} \
-        == {"flags": 19, "all-pairs": 20}
+        == {"flags": 4, "all-pairs": 6}
+    assert late["flags"] > 0 and late["all-pairs"] == 0, late
     assert all(serialize_presentation(p) == "gens 0\n" for p, _ in runs.values())
 
 
@@ -862,7 +870,7 @@ def test_out_of_pass_changes_are_marked_and_nothing_else_moves(monkeypatch, poli
 
     monkeypatch.setattr(engine, "run_pass", checking_pass)
     rng = random.Random(26)
-    for i in range(150):
+    for i in range(260):
         if i % 2:
             pres = make_presentation(*squares_words(rng, l_max=20))
         else:

@@ -13,10 +13,12 @@ number of passes.  Any difference proves an unsound skip.
   every pair searchable.
 
 The corpus has short and long eliminations, duplicate relators and
-involutions, and every strategy in ``STRATEGIES`` runs it.
+involutions, and passes that end early, at the pattern loop whose rewrite
+leaves a relator eliminable; every strategy in ``STRATEGIES`` runs it.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,6 +28,7 @@ from tietze.engine import EngineConfig, simplify
 from tietze.presentation import make_presentation, serialize_presentation
 from tietze.randgen import random_presentation
 from tietze.strategies import STRATEGIES
+from tietze.words import eliminable
 
 
 def _corpus():
@@ -73,23 +76,35 @@ def test_ts_sorted_equals_sorted_all_pairs(monkeypatch, strategy):
 
 def test_equivalence_corpus_is_not_vacuous(monkeypatch):
     # the runs eliminate generators both ways, remove duplicates, carry
-    # involutions, and the timestamp policies skip searches
+    # involutions, end passes early, and the timestamp policies skip searches
     removed = []
     remove_duplicates = engine.remove_duplicates
+    run_pass = engine.run_pass
+    early = Counter()
 
     def counting(pres):
         found = remove_duplicates(pres)
         removed.extend(found)
         return found
 
+    def watching(pres, ctx, searcher, record=None):
+        # no pass starts with an eliminable relator, so one after the pass
+        # was left by its last pattern loop's rewrite
+        assert not any(eliminable(r.word) for r in pres.rel)
+        tally = run_pass(pres, ctx, searcher, record)
+        early[ctx.policy] += any(eliminable(r.word) for r in pres.rel)
+        return tally
+
     monkeypatch.setattr(engine, "remove_duplicates", counting)
+    monkeypatch.setattr(engine, "run_pass", watching)
     short = long = skipped = involutions = 0
     for pres in CORPUS:
         involutions += any(len(r.word) == 2 and r.word[0] == r.word[1] for r in pres.rel)
-        for policy in ("ts-sorted", "ts-unsorted"):
+        for policy in skip.POLICY_NAMES:
             _, stats = simplify(pres.clone(), EngineConfig(skip_policy=policy))
             short += stats.short_elims
             long += stats.long_elims
             skipped += stats.searches_skipped
     assert short > 0 and long > 0 and skipped > 0
     assert len(removed) > 0 and involutions > 0
+    assert min(early.values()) > 50 and len(early) == len(skip.POLICY_NAMES), early

@@ -13,6 +13,7 @@ from helpers import (
     performed_set,
     recorded,
     sparse_presentation,
+    theorem_trial,
 )
 from tietze import skip
 from tietze.engine import EngineConfig, ReplacingSearcher, simplify
@@ -35,6 +36,7 @@ from tietze.skip import (
     run_pass,
 )
 from tietze.strategies import make_strategy
+from tietze.words import eliminable
 
 
 class NeverMatch(PairSearcher):
@@ -211,6 +213,55 @@ def test_all_pairs_pass_size_at_scale():
     assert len(ev) == 510 * 509 // 2 == 129_795
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_a_pass_ends_after_the_loop_that_leaves_a_text_eliminable(policy, k, cut):
+    # six relators of lengths 3..8 over two generators, none eliminable;
+    # after a pass that changes nothing, the last two are marked changed,
+    # and pattern loop k of the next pass cuts the last one to ``cut``
+    # symbols: (1,) and (1, 2) are eliminable, (1, 2, 1) is not
+    pres, ctx = fresh(policy, lengths=(3, 4, 5, 6))
+    for w in ((1, 2) * 3 + (1,), (1, 2) * 4):
+        pres.add_relator(w)
+    run_pass(pres, ctx, NeverMatch())
+    ids = [r.id for r in pres.rel]
+    text = pres.rel[-1]
+    for r in pres.rel[-2:]:
+        mark_changed(ctx, r)
+    before = {r.id: (r.tp, r.ts) for r in pres.rel}
+    flags_before, timer_before = set(ctx.flagged), ctx.timer
+    tally, events = recorded(run_pass, pres, ctx, Rewrite({(ids[k], text.id): cut}))
+    assert tally.successful == 1 and len(text.word) == cut
+    assert tally.considered == len(events)
+    loops = list(dict.fromkeys(e.pattern_id for e in events))
+    ended = cut < 3
+    if not ended:  # the pass goes on past loop k
+        assert len(loops) > k + 1
+        return
+    assert loops == ids[:k + 1]
+    unreached = ids[k + 1:]
+    if policy == "ts-sorted":
+        # one stamp per loop run; the unreached keep theirs, which the
+        # global timer keeps comparable with the new ones
+        assert ctx.timer == timer_before + k + 1
+        for r in pres.rel:
+            if r.id in unreached and r is not text:
+                assert (r.tp, r.ts) == before[r.id]
+            elif r is not text:
+                assert r.tp >= timer_before
+    if policy == "ts-unsorted":
+        # positions of two passes are never compared: the unreached are marked
+        tps = {r.id: r.tp for r in pres.rel}
+        assert [tps[rid] for rid in ids] == list(range(1, k + 2)) + [-1] * len(unreached)
+    if policy == "flags":
+        # the old flags too: a full pass would keep this pass's change only
+        assert ctx.flagged == flags_before | {text.id} == {ids[-2], text.id}
+    if policy == "all-pairs":
+        assert ctx.flagged == set()
+        assert {r.id: (r.tp, r.ts) for r in pres.rel} == before
+
+
 def test_necessary_oracle_base_cases():
     e1 = SearchEvent(1, 2, 1, True, False)
     e2 = SearchEvent(1, 2, 2, True, False)
@@ -224,25 +275,8 @@ def test_necessary_oracle_base_cases():
         (1, 2, 1), (3, 4, 1)}
 
 
-def run_theorem_trial(policy, seed):
-    rng = random.Random(seed)
-    pres = dense_presentation(rng, d_max=4, q_max=12, l_max=10)
-    if len(pres.rel) < 2:
-        return True
-    sort_rel(pres)
-    ctx = PassContext(policy=policy)
-    init_pass_state(pres, ctx)
-    searcher = ScriptedSearcher(seed * 31 + 7)
-    events = []
-    for _ in range(80):
-        sort_rel(pres)
-        if not run_pass(pres, ctx, searcher, events.append).successful:
-            break
-    return necessary_set_oracle(events, searcher.changes) == performed_set(events)
-
-
 def test_sorted_equals_necessity_oracle_sample():
-    assert all(run_theorem_trial("ts-sorted", s) for s in range(120))
+    assert all(theorem_trial("ts-sorted", s) == (True, 0) for s in range(120))
 
 
 def test_sorted_theorem_trials_run_the_dead_loop_skip(monkeypatch):
@@ -256,12 +290,16 @@ def test_sorted_theorem_trials_run_the_dead_loop_skip(monkeypatch):
         return real(rel, pi, ctx, record)
 
     monkeypatch.setattr(skip, "_stamp_dead_tail", counting)
-    assert all(run_theorem_trial("ts-sorted", s) for s in range(120))
+    assert all(theorem_trial("ts-sorted", s)[0] for s in range(200))
     assert len(sweeps) > 100 and sum(sweeps) > 200, (len(sweeps), sum(sweeps))
 
 
 def test_unsorted_equals_necessity_oracle_sample():
-    assert all(run_theorem_trial("ts-unsorted", s) for s in range(120))
+    # a pass that ends early marks the relators it did not reach; the
+    # oracle counts them as changed when the pass ends
+    trials = [theorem_trial("ts-unsorted", s) for s in range(120)]
+    assert all(ok for ok, _ in trials)
+    assert sum(marks > 0 for _, marks in trials) > 20
 
 
 def _run_policy(policy, seed):
@@ -437,7 +475,8 @@ def test_marking_every_relator_starts_like_the_pseudocode_stamps(policy):
 
 
 def _reference_pass_sorted(pres, ctx, searcher):
-    """ts-sorted as first written: re-locates the pattern with rel.index."""
+    """ts-sorted as first written: re-locates the pattern with rel.index;
+    ends after the pattern loop that leaves a text eliminable."""
     ctx.pass_no += 1
     rel = pres.rel
     events = []
@@ -445,6 +484,7 @@ def _reference_pass_sorted(pres, ctx, searcher):
     while pi < len(rel) - 1:
         pattern = rel[pi]
         visited = set()
+        short = False
         ti = pi + 1
         while ti < len(rel):
             text = rel[ti]
@@ -456,6 +496,7 @@ def _reference_pass_sorted(pres, ctx, searcher):
                 success = searcher(pattern, [text])[0]
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
                 if success:
+                    short = short or eliminable(text.word)
                     text.tp = -1
                     text.ts = ctx.timer
                     rel.pop(ti)
@@ -471,12 +512,16 @@ def _reference_pass_sorted(pres, ctx, searcher):
             ti += 1
         pattern.tp = ctx.timer
         ctx.timer += 1
+        if short:
+            break
         pi = rel.index(pattern) + 1
     return events
 
 
 def _reference_pass_unsorted(pres, ctx, searcher):
-    """ts-unsorted as first written: one searcher call per considered pair."""
+    """ts-unsorted as first written: one searcher call per considered pair;
+    after the pattern loop that leaves a text eliminable, every later
+    relator gets tp = -1 and the pass ends."""
     ctx.pass_no += 1
     snapshot = list(pres.rel)
     n = len(snapshot)
@@ -485,6 +530,7 @@ def _reference_pass_unsorted(pres, ctx, searcher):
     for p in range(1, n + 1):
         pattern = snapshot[p - 1]
         p_len = len(pattern.word)
+        short = False
         if p_len >= 1:
             p_tp = pattern.tp
             p_changed = ts_local[p]
@@ -499,16 +545,22 @@ def _reference_pass_unsorted(pres, ctx, searcher):
                     events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
                     if success:
                         ts_local[t] = p
+                        short = short or eliminable(text.word)
                 else:
                     events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
         pattern.tp = p
         pattern.ts = ts_local[p]
+        if short:
+            for later in snapshot[p:]:
+                later.tp = -1
+            break
     return events
 
 
 def _reference_pass_change_flags(pres, ctx, searcher):
     """flags and all-pairs as first written: one searcher call per considered
-    pair; only flags keeps flagged ids."""
+    pair; only flags keeps flagged ids.  After the pattern loop that leaves
+    a text eliminable the pass ends, and flags keeps its old flags too."""
     ctx.pass_no += 1
     all_pairs = ctx.policy == "all-pairs"
     flagged = ctx.flagged
@@ -520,6 +572,7 @@ def _reference_pass_change_flags(pres, ctx, searcher):
         pattern = snapshot[i]
         if len(pattern.word) < 1:
             continue
+        short = False
         for j in range(i + 1, len(snapshot)):
             text = snapshot[j]
             if len(text.word) < len(pattern.word):
@@ -527,10 +580,15 @@ def _reference_pass_change_flags(pres, ctx, searcher):
             if all_pairs or pattern.id in flagged or text.id in flagged:
                 success = searcher(pattern, [text])[0]
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, True, success))
+                short = short or success and eliminable(text.word)
                 if success and not all_pairs:
                     ctx.flagged.add(text.id)
             else:
                 events.append(SearchEvent(pattern.id, text.id, ctx.pass_no, False, False))
+        if short:
+            if not all_pairs:
+                ctx.flagged |= flagged
+            break
     return events
 
 
