@@ -30,8 +30,8 @@ from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
-GRID_DIGEST = "58df3d1a67d7f17653549d4cc08fff0e2cc7b88451b692ff9415868823a7e9ff"
-COUNTERS_DIGEST = "2c64f92800afb88d4cbffb2aa4864f771e00c3ad12c77ece1fa06236283f7244"
+GRID_DIGEST = "c718755a57cc181da51cdcdc3a6f351b95b5fef9fa0322ccf081e0b6c5a87548"
+COUNTERS_DIGEST = "016d5cdfd853bb67baef5b9836eb6a4831293c918b0c3ba4b26a458167cfb47c"
 OUTPUT_DIGEST = "2660781a4725861a280226d60c5fa69207d568975a4ba592e332ff43a1699753"
 
 
