@@ -37,6 +37,7 @@ from tietze.strategies import STRATEGIES
 from tietze.verify import abelian_invariants
 from tietze.words import (
     canonical_rep,
+    eliminable,
     invert,
     reduce_cyclic_word,
     rotate_right,
@@ -815,6 +816,44 @@ def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy)
         simplify(pres, EngineConfig(skip_policy=policy))
         runs += bool(firsts)
     assert inverted == runs == len(inputs), (inverted, runs)
+
+
+def test_an_early_end_goes_straight_to_short_elimination(monkeypatch):
+    """A pass that leaves a relator eliminable is followed by a short
+    elimination that removes a generator, with no long elimination in
+    between; an early-ended pass counts in ``passes``."""
+    phases, run_pass = [], engine.run_pass
+    short, long = engine.short_eliminate, engine.long_eliminate
+
+    def watched_pass(pres, *args):
+        tally = run_pass(pres, *args)
+        phases.append("early" if any(eliminable(r.word) for r in pres.rel) else "pass")
+        return tally
+
+    def watched_short(pres):
+        phases.append(("short", short(pres)))
+        return phases[-1][1]
+
+    def watched_long(pres, *args):
+        phases.append("long")
+        return long(pres, *args)
+
+    monkeypatch.setattr(engine, "run_pass", watched_pass)
+    monkeypatch.setattr(engine, "short_eliminate", watched_short)
+    monkeypatch.setattr(engine, "long_eliminate", watched_long)
+    rng = random.Random(29)
+    early = 0
+    for i in range(60):
+        phases.clear()
+        pres = dense_presentation(rng) if i % 2 else make_presentation(*squares_words(rng))
+        # a budget of 3 passes is sometimes spent by a pass that ended early
+        _, stats = simplify(pres, EngineConfig(max_passes=3 if i % 3 == 0 else 100))
+        assert stats.passes == phases.count("early") + phases.count("pass")
+        for k, phase in enumerate(phases):
+            if phase == "early":
+                assert phases[k + 1][0] == "short" and phases[k + 1][1] > 0, phases
+        early += phases.count("early")
+    assert early > 30, early
 
 
 def test_flags_is_the_lossy_baseline():
