@@ -133,65 +133,106 @@ def test_build_counts_per_search():
     assert c1.automata_built == 1
 
 
-def reference_search(p, t, mode, counters):
-    """The automaton search with one ``step`` call per symbol and automaton.
+def window_owners(p, m, mode):
+    """Each threshold window of a circular base, with its owners in tie-break
+    order: (0, start) for the pattern before (1, start) for its inverse,
+    each by least start.  Mode one owns the pattern's windows alone."""
+    bases = (p, invert(p)) if mode == "two" else (p,)
+    owners = {}
+    for k, base in enumerate(bases):
+        ext = base + base
+        for start in range(len(base)):
+            owners.setdefault(ext[start:start + m], []).append((k, start))
+    return owners
 
-    Builds its own single-word automata, one per indexed word, where
-    ``automaton_search`` shares one automaton between the pattern and its
-    inverse and inlines the step.  Mode two feeds the text to both in
-    lockstep and stops at the first symbol where either reaches the
-    threshold, preferring the pattern's; mode one scans the text, then the
-    inverted text.  The hit is seeded at the window's first symbol, and
-    one window is counted per symbol fed.
+
+def first_window(p, t, mode):
+    """The first threshold window, in text order, that a circular window of
+    the pattern (or, in mode two, of its inverse) equals, found without an
+    automaton.  Mode one looks at the text, then at the inverted text.
+
+    Returns the in-order ``windows_scanned`` of the scans and the hit:
+    (inverted text, window start, the window's owners), or None.
     """
     l_p, l_t = len(p), len(t)
     m = useful_threshold(l_p)
-    bases = (p, invert(p)) if mode == "two" else (p,)
-    automata = [build_ls_automaton(extend_front(w, m - 1)) for w in bases]
-    counters.automata_built += len(automata)
+    owners = window_owners(p, m, mode)
+    scanned = 0
     for inverted_text in (False,) if mode == "two" else (False, True):
-        text = extend_front(invert(t) if inverted_text else t, min(m - 1, l_t))
-        runs = [(0, 0)] * len(automata)
-        for idx, sym in enumerate(text):
-            counters.windows_scanned += 1
-            runs = [step(a, state, length, sym) for a, (state, length) in zip(automata, runs)]
-            k = next((k for k, (_, length) in enumerate(runs) if length >= m), None)
-            if k is None:
-                continue
-            p_start = automata[k].first_end[0][runs[k][0]] - m
-            t_start = idx - m + 1
-            if inverted_text:
-                found = match_from_seed(p, t, True, (l_p - 1 - p_start) % l_p,
-                                        (l_t - 1 - t_start) % l_t)
-            else:
-                found = match_from_seed(p, t, k == 1, p_start % l_p, t_start % l_t)
-            counters.successes += 1
-            return found
-    return None
+        text = extend_front(invert(t) if inverted_text else t, m - 1)
+        for pos in range(l_t):
+            if text[pos:pos + m] in owners:
+                return scanned + pos + m, (inverted_text, pos, owners[text[pos:pos + m]])
+        scanned += l_t + m - 1
+    return scanned, None
+
+
+def reference_search(p, t, mode, counters):
+    """The automaton search of one text, with no automaton.
+
+    At the first window, the pattern answers before its inverse, then the
+    least start; the hit is extended from the window's first symbol, and
+    a hit on the inverted text is reflected onto the inverted pattern
+    against the text.  Counts what the strategy counts: its one build per
+    indexed word, the in-order windows and the success.
+    """
+    l_p, l_t = len(p), len(t)
+    counters.automata_built += 2 if mode == "two" else 1
+    scanned, hit = first_window(p, t, mode)
+    counters.windows_scanned += scanned
+    if hit is None:
+        return None
+    inverted_text, t_start, ((k, p_start), *_) = hit
+    if inverted_text:
+        found = match_from_seed(p, t, True, l_p - 1 - p_start, l_t - 1 - t_start)
+    else:
+        found = match_from_seed(p, t, k == 1, p_start, t_start)
+    assert found is not None
+    counters.successes += 1
+    return found
+
+
+def tie_pattern(rng, d):
+    """A random pattern, a power u^k, or a conjugate u.v.u^-1: in the last
+    two a threshold window can recur in the pattern or in its inverse, so
+    that the tie-break decides the Match."""
+    kind = rng.choice(("random", "periodic", "conjugate"))
+    if kind == "periodic":
+        u = random_reduced_word(rng, d, rng.randint(1, 4))
+        return kind, u * rng.randint(2, 12 // len(u) + 1)
+    if kind == "conjugate":
+        u = random_reduced_word(rng, d, rng.randint(1, 5))
+        return kind, free_reduce(u + random_reduced_word(rng, d, rng.randint(1, 4)) + invert(u))
+    return kind, random_reduced_word(rng, d, rng.randint(1, 12))
 
 
 @pytest.mark.parametrize("mode", ["two", "one"])
 def test_batch_scan_equals_reference_search(mode):
     # one automaton scans a mixed batch; each text's Match and counters
-    # inside it equal the reference scan of that text alone, so nothing
-    # (state, running length) carries over between texts
+    # inside it equal the automaton-free reference of that text alone, so
+    # nothing carries over between texts; periodic and conjugate patterns
+    # make windows recur, where the tie-break decides the Match
     rng = random.Random(47)
     seen = Counter()
-    for _ in range(200):
+    for _ in range(300):
         d = rng.randint(1, 4)
-        p = random_reduced_word(rng, d, rng.randint(1, 12))
+        kind, p = tie_pattern(rng, d)
         texts = mixed_batch(rng, p, d)
         per_text = batch_per_text(lambda: make_strategy(f"automaton-{mode}"), p, texts)
         for i, (t, (m, counts)) in enumerate(zip(texts, per_text)):
             c = SearchCounters()
             assert reference_search(p, t, mode, c) == m
-            # the reference builds its automata for every text; the batch
-            # built them once, counted with its first text
+            # the reference counts the build for every text; the batch
+            # built once, counted with its first text
             if i:
                 c.automata_built = 0
             assert c.to_dict() == counts
             seen["miss" if m is None else "inverted" if m.inverted else "hit"] += 1
             seen["equal length"] += len(t) == len(p)
+            if m is not None:
+                seen[kind] += 1
+                if kind != "random":
+                    seen["tie"] += len(first_window(p, t, mode)[1][2]) > 1
     assert min(seen.values()) > 100, seen
 
 
