@@ -1,23 +1,27 @@
-"""Longest-substring automaton over one or two pattern words.
+"""Longest-substring automaton over one or two words, read backward.
 
 The suffix automaton of a set of words (the DAWG of Blumer et al., at
 most 2*(total length) states) recognizes exactly their substrings; each
-word is inserted from the initial state.  Its transitions are resolved
-into flat per-symbol (next state, next length) tables, so a step is one
-dictionary probe: next length caps the running length after a fallback
-through suffix links.  Per word k, ``first_end[k][s]`` is the least end
-position in word k of the strings of state s, or one more than the
-longest word's length when they do not occur in word k.
+word is inserted from the initial state, and a string is a substring
+exactly when its walk through the direct transitions ``nxt`` from the
+initial state succeeds.  Per word k, ``last_end[k][s]`` is the greatest
+end position in word k of the strings of state s, or 0 when they do not
+occur in word k.
 
-Mode ``two`` indexes the extended pattern and its inverse and reads
-each threshold window of each extended text backward through the
-direct transitions ``nxt``, skipping the windows a failed read rules out
-(the factor principle of Backward DAWG Matching, Crochemore et al.,
-Algorithmica 1994); mode ``one`` indexes the extended pattern and scans
-each extended text, then, on a miss, the extended inverted text.  One
-``automaton_search`` call scans a whole list of texts with one automaton.
-``windows_scanned`` is the in-order count, added once per scan: the hit
-window's end on a hit, the whole extended text on a miss.
+Both modes index, for each word they answer for, its inverse w with its
+last m - 1 symbols also written in front, ``w[l_p - m + 1:] + w``:
+w = p^-1 in mode ``one``; w = p^-1, then w = p, in mode ``two``.  The
+factors of length m of that word are the inverses of the threshold
+windows of the circular word w^-1.  Each scan reads every threshold
+window of the extended text backward through ``nxt``, feeding inverted
+symbols, so a read that reaches the window's first symbol ends in the
+state of the window's inverse; a failed read skips the windows it rules
+out (the factor principle of Backward DAWG Matching, Crochemore et al.,
+Algorithmica 1994).  Mode ``two`` scans each extended text once; mode
+``one`` scans it, then, on a miss, the extended inverted text.  One
+``automaton_search`` call scans a whole list of texts with one
+automaton.  ``windows_scanned`` is the in-order count, added once per
+scan: the hit window's end on a hit, the whole extended text on a miss.
 """
 
 from __future__ import annotations
@@ -71,71 +75,52 @@ class LSAutomaton:
                     last = cur
                 ends[-1].append(last)
         # Parents in the suffix-link tree have strictly smaller maxlen, so
-        # maxlen order visits every parent before its children.
-        order = sorted(range(len(maxlen)), key=lambda s: maxlen[s])
-        never = max(map(len, words)) + 1
-        self.first_end = []  # per word: list over states
+        # decreasing maxlen visits every state before its parent.
+        order = sorted(range(1, len(maxlen)), key=maxlen.__getitem__, reverse=True)
+        self.last_end = []  # per word: list over states
         for word_ends in ends:
-            first = [never] * len(maxlen)
+            greatest = [0] * len(maxlen)
             for pos, s in enumerate(word_ends, 1):
-                first[s] = pos
-            for s in reversed(order[1:]):
-                first[link[s]] = min(first[link[s]], first[s])
-            self.first_end.append(first)
-        # resolve fallbacks: per state, symbol -> (next state, next length)
-        table: list[dict[int, tuple[int, int]]] = [dict() for _ in maxlen]
-        for s in order:
-            if link[s] >= 0:
-                table[s] = dict(table[link[s]])
-            for c, q in nxt[s].items():
-                table[s][c] = (q, maxlen[s] + 1)
-        self.table = table
-        self.nxt = nxt  # the direct transitions alone
+                greatest[s] = pos
+            for s in order:
+                greatest[link[s]] = max(greatest[link[s]], greatest[s])
+            self.last_end.append(greatest)
+        self.nxt = nxt
 
 
 def build_ls_automaton(*words: Word) -> LSAutomaton:
     return LSAutomaton(*words)
 
 
-# table entry of a symbol absent from a state: back to the initial state
-_DEAD = (0, 0)
-
-
 def automaton_search(a: LSAutomaton, p_word: Word, t_words: list[Word],
                      counters: SearchCounters) -> list[Match | None]:
     """Automaton-backed ComStr of each text over an automaton prebuilt for the pattern.
 
-    Each scan finds the text's first threshold window (m long) that the
-    automaton holds, and that window's own state: the pattern (word 0)
-    answers for it if it holds it, else the inverse (word 1), at its least
-    end.  The hit is extended from the window's first symbol, as
-    ``kr_search`` extends its first key window.  An automaton over the
-    extended pattern and its inverse (mode ``two``) reads the windows of
-    the extended text backward, and a hit window forward once for its
-    state.  One over the extended pattern alone (mode ``one``) feeds the
-    extended text forward and stops where the running length reaches m:
-    it grows by at most one per symbol, so that window is m long and the
-    state is its own.  On a miss it does the same on the extended
-    inverted text.  Returns one optional Match per text.
+    Each scan finds the text's first threshold window (m long) whose
+    inverse the automaton holds, and that inverse's state: the pattern
+    answers for the window if word 0 holds the state, else the inverse
+    (word 1), at its least start ``l_p + m - 1 - last_end[k][state]``.
+    The hit is extended from the window's first symbol, as ``kr_search``
+    extends its first key window.  A hit on the inverted text (mode
+    ``one``) is reflected onto the inverted pattern against the text.
+    Returns one optional Match per text.
     """
     l_p = len(p_word)
     m = useful_threshold(l_p)
-    table, nxt, first_end = a.table, a.nxt, a.first_end
-    in_pattern = len(a.words[0])  # a larger first_end[0]: not in the pattern
-    two = len(a.words) == 2
+    nxt, last_end = a.nxt, a.last_end
+    inverted_texts = (False,) if len(a.words) == 2 else (False, True)
     found: list[Match | None] = []
     for t_word in t_words:
         # m - 1 < l_p <= l_t: the extension is a proper prefix of the text
         l_t = len(t_word)
-        inverted_text = False
-        if two:
-            text = t_word + t_word[:m - 1]
-            # Up to length m, the factors of the two extended words are the
-            # cyclic factors of the pattern and of its inverse, a set closed
-            # under inversion.  So feeding text[j], text[j - 1], ... inverted
-            # succeeds exactly while the window's suffix from j on is a
-            # factor.  When it fails at j, every window starting in [pos, j]
-            # holds that suffix and cannot match: the next starts at j + 1.
+        for inverted_text in inverted_texts:
+            t = invert(t_word) if inverted_text else t_word
+            text = t + t[:m - 1]
+            # Feeding text[j], text[j - 1], ... inverted succeeds exactly
+            # while the inverse of the window's suffix from j on is a
+            # factor.  When it fails at j, every window starting in
+            # [pos, j] holds that suffix and cannot match: the next
+            # starts at j + 1.
             pos = 0
             while pos < l_t:
                 j = pos + m - 1
@@ -148,34 +133,16 @@ def automaton_search(a: LSAutomaton, p_word: Word, t_words: list[Word],
                 else:
                     break
                 pos = j + 1
-            if pos >= l_t:
-                counters.windows_scanned += l_t + m - 1
-                found.append(None)
-                continue
-            counters.windows_scanned += pos + m  # in order, up to the window's end
-            state = 0
-            for sym in text[pos:pos + m]:
-                state = nxt[state][sym]
+            if pos < l_t:
+                counters.windows_scanned += pos + m  # in order, up to the window's end
+                break
+            counters.windows_scanned += l_t + m - 1
         else:
-            for inverted_text in (False, True):
-                t = invert(t_word) if inverted_text else t_word
-                text = t + t[:m - 1]
-                state = length = 0
-                for idx, sym in enumerate(text):
-                    state, cap = table[state].get(sym, _DEAD)
-                    length = length + 1 if length < cap else cap
-                    if length == m:
-                        break
-                counters.windows_scanned += idx + 1  # the whole text on a miss
-                if length == m:
-                    break
-            if length < m:
-                found.append(None)
-                continue
-            pos = idx - m + 1
-        inverse = first_end[0][state] > in_pattern
-        # the window starts at end - m in its word and at pos in the text
-        p_start, t_start = first_end[inverse][state] - m, pos
+            found.append(None)
+            continue
+        inverse = not last_end[0][state]
+        # the window's inverse ends at last_end in its extended word
+        p_start, t_start = l_p + m - 1 - last_end[inverse][state], pos
         if inverted_text:
             # the hit pairs pattern with invert(text); reflect it onto the
             # inverted pattern equivalent against the original text

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 from .automaton import automaton_search, build_ls_automaton
 from .fingerprint import PatternIndex, fingerprint_base, kr_search
 from .match import SearchCounters, brute_search, compute_signature, signature_skip
-from .words import extend_front, invert, useful_threshold
+from .words import invert, useful_threshold
 
 
 class Strategy(NamedTuple):
@@ -58,11 +58,12 @@ def _karp_rabin(backing, base, bloom_log2_size, p_word, t_words, counters):
 
 def _automata(words, p_word, t_words, counters):
     """``automaton_search`` over an automaton built for this call, of the
-    extended pattern and, when ``words`` is 2, of its extended inverse."""
-    ext = useful_threshold(len(p_word)) - 1
-    bases = (p_word, invert(p_word)) if words == 2 else (p_word,)
+    pattern's inverse and, when ``words`` is 2, of the pattern, each with
+    its last threshold - 1 symbols also written in front."""
+    cut = len(p_word) - useful_threshold(len(p_word)) + 1
+    bases = (invert(p_word), p_word) if words == 2 else (invert(p_word),)
     counters.automata_built += words
-    automaton = build_ls_automaton(*(extend_front(w, ext) for w in bases))
+    automaton = build_ls_automaton(*(w[cut:] + w for w in bases))
     return automaton_search(automaton, p_word, t_words, counters)
 
 

@@ -1,5 +1,5 @@
 """Shared test utilities: corpora, scripted searchers, reference oracles,
-and the one-symbol automaton step with the queries built on it."""
+and the automaton's direct-transition step with the queries built on it."""
 
 from __future__ import annotations
 
@@ -182,49 +182,55 @@ def naive_circular_substrings(w: Word) -> set[Word]:
     return out
 
 
-def step(a: LSAutomaton, state: int, length: int, sym: int) -> tuple[int, int]:
-    """One scan step, the reference for mode one's inlined scan loop;
-    falls back to the initial state on a dead symbol."""
-    hit = a.table[state].get(sym)
-    if hit is None:
-        return 0, 0
-    nstate, nlength = hit
-    return nstate, min(length + 1, nlength)
+def step(a: LSAutomaton, state: int, sym: int) -> int | None:
+    """One direct transition, the reference for the scan's inlined probe:
+    the next state, or None where the automaton has none."""
+    return a.nxt[state].get(sym)
 
 
 def holds(a: LSAutomaton, k: int, state: int) -> bool:
     """Whether the strings of ``state`` occur in word k."""
-    return a.first_end[k][state] <= len(a.words[k])
+    return a.last_end[k][state] > 0
 
 
 def state_count(a: LSAutomaton, k: int = 0) -> int:
     """States whose strings occur in word k."""
-    return sum(holds(a, k, s) for s in range(len(a.table)))
+    return sum(holds(a, k, s) for s in range(len(a.nxt)))
+
+
+def walk(a: LSAutomaton, s: Word) -> int | None:
+    """The state of s: its walk through the direct transitions from the
+    initial state, which succeeds exactly when s is a substring of an
+    indexed word; None when it fails."""
+    state = 0
+    for sym in s:
+        state = step(a, state, sym)
+        if state is None:
+            return None
+    return state
 
 
 def longest_match_lengths(a: LSAutomaton, text: Word) -> list[int]:
-    """Longest substring of any indexed word ending at each text position:
-    the running length of the scan."""
+    """Per text position, the longest text substring ending there whose
+    inverse is a substring of an indexed word: how far the scan's
+    backward read, feeding inverted symbols, gets from there."""
     out = []
-    state, length = 0, 0
-    for sym in text:
-        state, length = step(a, state, length, sym)
-        out.append(length)
+    for end in range(len(text)):
+        start, state = end, 0
+        while start >= 0:
+            state = step(a, state, -text[start])
+            if state is None:
+                break
+            start -= 1
+        out.append(end - start)
     return out
 
 
 def accepts_substring(a: LSAutomaton, s: Word, k: int = 0) -> bool:
-    """Whether s is a (linear) substring of word k.
-
-    The running length after feeding s from the initial state is the
-    length of the longest suffix of s that is a substring of an indexed
-    word, so it reaches len(s) exactly when s itself is one; the state is
-    then s's own, and it says whether word k holds s.
-    """
-    state = length = 0
-    for sym in s:
-        state, length = step(a, state, length, sym)
-    return length == len(s) and holds(a, k, state)
+    """Whether s is a (linear) substring of word k: its walk succeeds and
+    word k holds the state it ends in."""
+    state = walk(a, s)
+    return state is not None and holds(a, k, state)
 
 
 def qgram_alignments(idx: PatternIndex, gram: Word) -> list[tuple[bool, int]]:

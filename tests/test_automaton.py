@@ -14,8 +14,9 @@ from helpers import (
     random_pair,
     state_count,
     step,
+    walk,
 )
-from tietze import automaton, strategies
+from tietze import strategies
 from tietze.automaton import build_ls_automaton
 from tietze.match import SearchCounters, match_from_seed
 from tietze.randgen import random_reduced_word
@@ -60,38 +61,29 @@ def test_recognizes_exact_substring_set():
 
 
 def test_feeding_pattern_reaches_full_length():
+    # the walk of "abc" succeeds, in a state whose strings end at 3 at most
     a = build_ls_automaton(W("abcd"))
-    state, length = 0, 0
+    state = 0
     for sym in W("abc"):
-        state, length = step(a, state, length, sym)
-    assert length == 3
+        state = step(a, state, sym)
+        assert state is not None
+    assert state == walk(a, W("abc")) and a.last_end[0][state] == 3
 
 
-def test_absent_symbol_falls_to_initial():
+def test_absent_symbol_has_no_transition():
     a = build_ls_automaton(W("abcd"))
-    state, length = step(a, 0, 0, 26)
-    assert (state, length) == (0, 0)
-
-
-def test_step_increases_length_by_at_most_one():
-    rng = random.Random(41)
-    for _ in range(100):
-        p = random_reduced_word(rng, 4, rng.randint(1, 12))
-        t = random_reduced_word(rng, 4, rng.randint(1, 20))
-        a = build_ls_automaton(p)
-        state, length = 0, 0
-        for sym in t:
-            state, nlength = step(a, state, length, sym)
-            assert nlength <= length + 1
-            length = nlength
+    assert step(a, 0, 26) is None
+    assert walk(a, W("bd")) is None
 
 
 def test_longest_match_lengths_against_naive():
+    # an automaton of the pattern's inverse, read backward with inverted
+    # symbols, finds the longest pattern substring ending at each position
     rng = random.Random(42)
     for _ in range(150):
         p = random_reduced_word(rng, 3, rng.randint(1, 10))
         t = random_reduced_word(rng, 3, rng.randint(1, 18))
-        a = build_ls_automaton(p)
+        a = build_ls_automaton(invert(p))
         assert longest_match_lengths(a, t) == naive_longest_match_lengths(p, t)
 
 
@@ -274,24 +266,26 @@ def test_search_equals_reference_scan():
     assert min(hits.values()) > 50, hits
 
 
-def naive_first_end(word, s):
-    """The least end position (one past the last symbol) of s in word."""
-    return next(e for e in range(len(s), len(word) + 1) if word[e - len(s):e] == s)
+def naive_last_end(word, s):
+    """The greatest end position (one past the last symbol) of s in word."""
+    return max(e for e in range(len(s), len(word) + 1) if word[e - len(s):e] == s)
 
 
 def pattern_and_inverse(rng):
-    """A random pattern and its inverse, extended as the strategy extends
-    them half the time.  Half the patterns are conjugates u.v.u^-1, which
-    share the long factors u and u^-1 with their inverse u.v^-1.u^-1."""
+    """A random pattern's inverse and the pattern, front-extended as the
+    strategy extends them half the time.  Half the patterns are conjugates
+    u.v.u^-1, which share the long factors u and u^-1 with their inverse
+    u.v^-1.u^-1."""
     d = rng.choice((2, 3, 5))
     if rng.random() < 0.5:
         u = random_reduced_word(rng, d, rng.randint(1, 6))
         p = free_reduce(u + random_reduced_word(rng, d, rng.randint(1, 4)) + invert(u))
     else:
         p = random_reduced_word(rng, d, rng.randint(1, 12))
-    words = (p, invert(p))
+    words = (invert(p), p)
     if rng.random() < 0.5:
-        words = tuple(extend_front(w, useful_threshold(len(p)) - 1) for w in words)
+        cut = len(p) - useful_threshold(len(p)) + 1
+        words = tuple(w[cut:] + w for w in words)
     return d, words
 
 
@@ -314,7 +308,7 @@ def test_shared_automaton_answers_for_each_word():
     for _ in range(300):
         d, words = pattern_and_inverse(rng)
         a = build_ls_automaton(*words)
-        assert len(a.table) <= 2 * sum(map(len, words))
+        assert len(a.nxt) <= 2 * sum(map(len, words))
         for k, w in enumerate(words):
             subs = {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
             for _ in range(3):
@@ -324,23 +318,9 @@ def test_shared_automaton_answers_for_each_word():
                     assert accepts_substring(a, piece, k) == (piece in subs)
                     members[piece in subs] += 1
             for sub in subs:
-                state = length = 0
-                for sym in sub:
-                    state, length = step(a, state, length, sym)
-                assert length == len(sub) and accepts_substring(a, sub, k)
-                assert a.first_end[k][state] == naive_first_end(w, sub)
+                assert accepts_substring(a, sub, k)
+                assert a.last_end[k][walk(a, sub)] == naive_last_end(w, sub)
     assert min(members.values()) > 5000, members
-
-
-class FedWord(tuple):
-    """A word that counts the symbols read from it by iteration."""
-
-    fed = 0
-
-    def __iter__(self):
-        for sym in tuple.__iter__(self):
-            self.fed += 1
-            yield sym
 
 
 class ReadRow(dict):
@@ -361,7 +341,7 @@ class ReadRow(dict):
 
 
 def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
-    builds, texts, reads = [], [], Counter()
+    builds, reads = [], Counter()
     build = strategies.build_ls_automaton
 
     def counting_build(*words):
@@ -370,50 +350,43 @@ def test_one_build_per_pattern_and_one_pass_per_text(monkeypatch):
         a.nxt = [ReadRow(row, reads) for row in a.nxt]
         return a
 
-    def fed_enumerate(iterable, start=0):
-        # mode one's scan enumerates its extended text, a tuple; the build
-        # enumerates lists of prefix ends
-        if isinstance(iterable, tuple):
-            texts.append(FedWord(iterable))
-            iterable = texts[-1]
-        return enumerate(iterable, start)
-
     monkeypatch.setattr(strategies, "build_ls_automaton", counting_build)
-    monkeypatch.setattr(automaton, "enumerate", fed_enumerate, raising=False)
     a, b, miss = W("abc"), W("abd"), W("xyzw")
-    for mode, words in (("two", 2), ("one", 1)):
+    for mode, words, scans in (("two", 2, 1), ("one", 1, 2)):
         strategy = make_strategy(f"automaton-{mode}")
         builds.clear()
         for p in (a, a, b, a):
-            texts.clear()
             reads.clear()
             counters = SearchCounters()
             assert strategy.search(p, [miss], counters)[0] is None
-            if mode == "one":
-                # one pass over the extended text and one over the
-                # extended inverted text, each read in full; no direct
-                # transition is read
-                assert len(texts) == 2 and not reads
-                assert all(t.fed == len(t) == len(miss) + 1 for t in texts)
-                assert counters.windows_scanned == sum(map(len, texts))
-            else:
-                # no forward pass: "xyzwx" is read backward from "y", which
-                # fails and rules out the windows at 0 and 1, then from
-                # "w": 2 symbols where a forward scan reads 5
-                assert not texts and reads == {"get": 2}
-                # counted in order: the whole extended text
-                assert counters.windows_scanned == len(miss) + 1
+            # "xyzwx" is read backward from "y", which fails and rules out
+            # the windows at 0 and 1, then from "w": 2 probes where a
+            # forward scan reads 5; mode one then reads "WZYXW" the same
+            # way, from "Z" and from "X"
+            assert reads == {"get": 2 * scans}
+            # counted in order: the whole extended text, per scan
+            assert counters.windows_scanned == scans * (len(miss) + 1)
         # no automaton outlives its call: a repeated pattern builds again
         assert [len(ws) for ws in builds] == [words] * 4
     # a hit on the inverse in mode two: "y" fails, the window "CB" reads
-    # back in full (2 probes), then forward once for its state (2 lookups);
-    # counted in order up to the window's end, position 3 of "xyCBx"
+    # back in full (2 probes) and ends in the state of its inverse "bc";
+    # no forward re-read; counted in order up to the window's end,
+    # position 3 of "xyCBx"
     reads.clear()
     counters = SearchCounters()
     found = make_strategy("automaton-two").search(a, [W("xyCB")], counters)[0]
     assert found is not None and found.inverted
-    assert reads == {"get": 3, "item": 2}
+    assert reads == {"get": 3}
     assert counters.windows_scanned == 4
+    # the same text in mode one: "xyCBx" misses after 2 probes (5 windows
+    # counted); in "bcYXb" the window "bc" reads back in full (2 probes),
+    # the first window, counted up to its end
+    reads.clear()
+    counters = SearchCounters()
+    found = make_strategy("automaton-one").search(a, [W("xyCB")], counters)[0]
+    assert found is not None and found.inverted
+    assert reads == {"get": 4}
+    assert counters.windows_scanned == 5 + 2
 
 
 def cyclically_reduced_words(length, gens=2):
