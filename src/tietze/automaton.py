@@ -141,7 +141,8 @@ def automaton_search(a: LSAutomaton, p_word: Word, t_words: list[Word],
             found.append(None)
             continue
         inverse = not last_end[0][state]
-        # the window's inverse ends at last_end in its extended word
+        # the greatest end of the window's inverse in word k is the least
+        # start of the window in the circular pattern (k = 0) or inverse
         p_start, t_start = l_p + m - 1 - last_end[inverse][state], pos
         if inverted_text:
             # the hit pairs pattern with invert(text); reflect it onto the

@@ -61,7 +61,7 @@ def test_recognizes_exact_substring_set():
 
 
 def test_feeding_pattern_reaches_full_length():
-    # the walk of "abc" succeeds, in a state whose strings end at 3 at most
+    # the walk of "abc" succeeds, in a state whose greatest end is 3
     a = build_ls_automaton(W("abcd"))
     state = 0
     for sym in W("abc"):
