@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bloom-bits", type=int, choices=(3, 4), default=None)
         p.add_argument("--bloom-log2", type=int, default=None)
         p.add_argument("--long-elim", choices=("on", "off"), default="on")
-        p.add_argument("--growth-limit", type=float, default=1.5)
-        p.add_argument("--max-passes", type=int, default=100)
+        p.add_argument("--growth-limit", type=float, default=1.5, metavar="G",
+                       help="bound each long elimination to G times the total length before it")
+        p.add_argument("--max-passes", type=int, default=100, metavar="N",
+                       help="passes in the whole run, not per round; then only eliminations run")
         p.add_argument("--seed", type=int, default=0,
                        help="picks the fingerprint base of the kr-bloom strategies; "
                             "every other strategy, kr-hash included, ignores it")

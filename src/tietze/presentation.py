@@ -1,6 +1,6 @@
 """Presentation data model: generators, involutions and the relator sequence.
 
-The file format is line oriented UTF-8:
+The file format is line oriented UTF-8, with ASCII numbers [+-]?[0-9]+:
 
     # comment and blank lines are ignored
     gens <d>              exactly once, first significant line, d >= 0
@@ -29,20 +29,28 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def _integer(lineno: int, token: str, what: str) -> int:
+    """``int(token)`` for ASCII [+-]?[0-9]+ only: alone, int() reads '1_0' and any digits."""
+    digits = token[1:] if token[0] in "+-" else token
+    if not (token.isascii() and digits.isdigit()):
+        raise ParseError(lineno, f"bad {what} {token!r}")
+    return int(token)
+
+
 @dataclass
 class RelatorRecord:
     """A relator with stable identity and the two search timestamps.
 
-    ``tp`` is the last time the relator was used as a pattern, ``ts`` the
-    last time it was changed; their value domain depends on the active
-    skip policy.  The word is always freely and cyclically reduced.  Two
-    caches hang off it, both built on first use: the canonical form and
-    the generator counts, with the generators occurring once and the
-    shape (length, sorted count values).  A rotation or an inverse of a
-    word has the word's shape, so unequal shapes prove two relators
-    distinct without a canonical form.  Only ``set_word`` writes ``word``:
-    it drops both caches and, if armed, appends the record to its
-    presentation's change list, once until ``Presentation.take_changes``
+    ``tp`` stamps the relator's last loop as a pattern (-1 once marked or
+    changed since) and ``ts`` its last change, from the one clock
+    ``skip.PassContext.timer``.  The word is always freely and cyclically
+    reduced.  Two caches hang off it, both built on first use: the
+    canonical form and the generator counts, with the generators occurring
+    once and the shape (length, sorted count values).  A rotation or an
+    inverse of a word has the word's shape, so unequal shapes prove two
+    relators distinct without a canonical form.  Only ``set_word`` writes
+    ``word``: it drops both caches and, if armed, appends the record to
+    its presentation's change list, once until ``Presentation.take_changes``
     re-arms it.  ``_tallied`` is what the occurrence tally holds for it.
     """
 
@@ -174,9 +182,10 @@ def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse the file format above into a normalized Presentation."""
+    """Parse the file format above, after any leading BOM, into a normalized Presentation."""
     pres: Presentation | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    symbols: dict[str, int] = {}  # each valid token read so far; few distinct ones recur
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -187,10 +196,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(lineno, f"expected 'gens <d>' first, got {kind!r}")
             if len(fields) != 2:
                 raise ParseError(lineno, "'gens' takes exactly one argument")
-            try:
-                d = int(fields[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad generator count {fields[1]!r}") from None
+            d = _integer(lineno, fields[1], "generator count")
             if d < 0:
                 raise ParseError(lineno, "generator count must be >= 0")
             pres = Presentation(d)
@@ -200,10 +206,7 @@ def parse_presentation(text: str) -> Presentation:
         if kind == "rel":
             syms = []
             for f in fields[1:]:
-                try:
-                    s = int(f)
-                except ValueError:
-                    raise ParseError(lineno, f"bad symbol {f!r}") from None
+                s = symbols.get(f) or symbols.setdefault(f, _integer(lineno, f, "symbol"))
                 if s == 0:
                     raise ParseError(lineno, "generator index 0 is invalid")
                 if abs(s) > pres.d:

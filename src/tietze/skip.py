@@ -33,15 +33,24 @@ one.  ``engine.simplify`` hands its ``record`` straight to ``run_pass``.
 A ``ts-sorted`` pass reads only the relators changed since the previous
 pass began, and stamps the dead tail after the last of them in one sweep.
 
+One clock, ``PassContext.timer``, stamps every policy.  After a pattern's
+loop the pattern gets tp = timer and the timer advances; a text that a
+search changed gets tp = -1 and ts = that loop's stamp; ``mark_changed``
+sets tp = -1, ts = timer and advances it.  So each stamp exceeds all
+earlier ones, and the timestamp policies differ only in how the sequence
+is kept sorted and in ``ts-unsorted``'s clause for reversed roles.
+
 A pass can end early: after the pattern loop in which a success leaves
 its text eliminable (``words.eliminable``: one symbol, or two over two
 different generators), so that the engine eliminates the generator before
 that text serves as a pattern.  Each policy then keeps what its next pass
 needs.  ``ts-sorted`` keeps nothing extra: an unreached pattern keeps a
-stamp older than the pass, so the global timer makes it check every text.
-``ts-unsorted`` sets tp = -1 on every relator the pass did not reach, so
-that position stamps from two passes are never compared.  ``flags`` keeps
-its old flags along with this pass's changes; ``all-pairs`` keeps no state.
+stamp older than the pass, so the clock makes it check every text.
+``ts-unsorted`` sets tp = -1 on every relator the pass did not reach: its
+clause tp > text.tp would read a reached pattern's newer stamp against an
+unreached text's older one as roles reversed, so the pair is searched
+again either way.  ``flags`` keeps its old flags along with this pass's
+changes; ``all-pairs`` keeps no state.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ class PassContext:
     """Mutable cross-pass state for one policy over one presentation."""
 
     policy: str
-    timer: int = 1                      # ts-sorted global counter
+    timer: int = 1                      # the one clock: a stamp per pattern loop and mark
     pass_no: int = 0
     flagged: set[int] = field(default_factory=set)  # flags: changed since the last pass began
     reorders: int = 0                   # ts-sorted mid-pass re-insertions that moved
@@ -98,8 +107,8 @@ def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
     """Mark every relator changed, in order, before the first pass.
 
     A marked relator has tp = -1, so the first pass searches every pair, as
-    the paper's initial stamps arrange; under ts-sorted every later stamp
-    is larger by the same n, which no tp <= ts comparison can see.
+    the paper's initial stamps arrange; every later stamp is larger by the
+    same n, which no comparison of two stamps can see.
     """
     for r in pres.rel:
         mark_changed(ctx, r)
@@ -108,18 +117,14 @@ def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
 def mark_changed(ctx: PassContext, rec: RelatorRecord) -> None:
     """Record an out-of-pass change (elimination phases, new relators).
 
-    For ts-sorted the timer advances past the mark so that the next
-    pass's pattern stamps compare strictly greater: a pair searched once
-    after the mark must not look searchable again.  Under flags the record
-    is flagged; all-pairs keeps no state.
+    It gets tp = -1 and ts = a stamp of its own, so that the next pass's
+    pattern stamps compare strictly greater: a pair searched once after
+    the mark must not look searchable again.  Under flags it is also flagged.
     """
-    if ctx.policy == "ts-sorted":
-        rec.tp = -1
-        rec.ts = ctx.timer
-        ctx.timer += 1
-    elif ctx.policy == "ts-unsorted":
-        rec.tp = -1
-    elif ctx.policy == "flags":
+    rec.tp = -1
+    rec.ts = ctx.timer
+    ctx.timer += 1
+    if ctx.policy == "flags":
         ctx.flagged.add(rec.id)
 
 
@@ -159,11 +164,10 @@ def pass_sorted(pres: Presentation, ctx: PassContext, searcher: Searcher,
                 record: Recorder | None = None) -> PassTally:
     """Timestamp pass over a sequence kept sorted throughout.
 
-    Search (pattern, text) iff pattern.tp <= text.ts.  A changed text gets
-    tp = -1, ts = timer and is re-inserted at its sorted position; after
-    each pattern's texts the pattern is stamped with the timer, which then
-    advances.  The pattern loop walks positions of the changing list, so
-    each unordered pair is considered at most once per pass.
+    Search (pattern, text) iff pattern.tp <= text.ts; a changed text is
+    also re-inserted at its sorted position.  The pattern loop walks
+    positions of the changing list, so each unordered pair is considered
+    at most once per pass.
 
     A pattern loop considers the texts after the pattern once each, in
     order, and searches those with pattern.tp <= text.ts in one searcher
@@ -242,37 +246,27 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
                 record: Recorder | None = None) -> PassTally:
     """Pass with positions frozen for the whole pass: ts-unsorted, flags, all-pairs.
 
-    The pattern at position p (1-based) is paired with the later texts
-    still at least as long as it (``seen``); a text shrunk below the
-    pattern mid-pass waits for the next pass.  ``changed`` maps the id of
-    each text changed this pass to the position of the pattern that
-    changed it.  A fresh pattern searches all of ``seen``: under
-    ts-unsorted one changed this pass, under flags a flagged one, under
-    all-pairs every one.  Any other pattern searches the texts that pass
-    its policy's predicate, chosen once per pattern: under ts-unsorted the
-    text changed this pass, or pattern.tp > text.tp, or pattern.tp <=
-    text.ts; under flags the text is flagged.
+    Each pattern is paired with the later texts still at least as long as
+    it (``seen``); a text shrunk below the pattern mid-pass waits for the
+    next pass.  A fresh pattern searches all of ``seen``: under
+    ts-unsorted one with tp < 0 (changed this pass, or marked), under
+    flags a flagged one, under all-pairs every one.  Any other searches
+    the texts that pass its policy's predicate: under ts-unsorted
+    pattern.tp > text.tp (roles reversed in the previous pass, or the text
+    changed this pass) or pattern.tp <= text.ts; under flags a flagged text.
 
-    ts-unsorted's timestamps are positions: after its texts, the relator
-    at position p is stamped tp = p and ts = ``changed.get(id, 0)``, the
-    last position included (leaving its initialization in place would
-    make its pairs look forever fresh).  Under flags, the ids in
-    ``changed`` become ``ctx.flagged`` at the end of the pass, and
-    ``mark_changed`` adds to it between passes; ``init_pass_state`` marks
-    every relator, so the first pass searches every pair.
-
-    A loop that leaves a text eliminable is the pass's last.  Under
-    ts-unsorted the relators after its pattern get tp = -1, which makes
-    every pair with one of them searchable; under flags ``ctx.flagged``
-    keeps its ids and gains those in ``changed``.
+    Every relator is stamped, the last included: an older stamp would
+    make its pairs look fresh in the next pass.  Under flags the ids
+    changed this pass become ``ctx.flagged``, to which ``mark_changed``
+    adds.  A loop that leaves a text eliminable is the pass's last;
+    ts-unsorted then marks the relators after its pattern, and flags keeps
+    its old ids.
     """
     _require_sorted(pres)
     ctx.pass_no += 1
-    pass_no = ctx.pass_no
     policy = ctx.policy
-    stamped = policy == "ts-unsorted"
     flagged = ctx.flagged
-    changed: dict[int, int] = {}
+    changed: set[int] = set()
     snapshot = list(pres.rel)
     considered = performed = successful = 0
     short = False
@@ -281,32 +275,33 @@ def pass_frozen(pres: Presentation, ctx: PassContext, searcher: Searcher,
         seen = [text for text in snapshot[p:] if len(text.word) >= p_len] if p_len else []
         if seen:
             considered += len(seen)
-            if policy == "all-pairs" or pattern.id in (changed if stamped else flagged):
-                batch = seen
-            elif stamped:
-                tp = pattern.tp
-                batch = [t for t in seen if t.id in changed or tp > t.tp or tp <= t.ts]
-            else:
+            tp = pattern.tp
+            if policy == "ts-unsorted":
+                batch = seen if tp < 0 else [t for t in seen if tp > t.tp or tp <= t.ts]
+            elif policy == "flags" and pattern.id not in flagged:
                 batch = [t for t in seen if t.id in flagged]
+            else:
+                batch = seen
             results = searcher(pattern, batch) if batch else []
             if record is not None:
-                _record_loop(record, pass_no, pattern, seen, batch, results)
+                _record_loop(record, ctx.pass_no, pattern, seen, batch, results)
             performed += len(batch)
             for text, ok in zip(batch, results):
                 if ok:
                     successful += 1
-                    changed[text.id] = p
+                    text.tp = -1
+                    text.ts = ctx.timer
+                    changed.add(text.id)
                     short = short or eliminable(text.word)
-        if stamped:
-            pattern.tp = p
-            pattern.ts = changed.get(pattern.id, 0)
+        pattern.tp = ctx.timer
+        ctx.timer += 1
         if short:
-            if stamped:
+            if policy == "ts-unsorted":
                 for r in snapshot[p:]:
                     r.tp = -1
             break
     if policy == "flags":
-        ctx.flagged = flagged.union(changed) if short else set(changed)
+        ctx.flagged = flagged | changed if short else changed
     return PassTally(considered, performed, successful)
 
 

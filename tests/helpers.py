@@ -386,10 +386,9 @@ def theorem_trial(policy: str, seed: int) -> tuple[bool, int]:
     necessary ones, the number of marks).
 
     A ts-unsorted pass that ends early marks the relators it did not
-    reach, so that no position stamps from two passes are compared; the
-    oracle counts each such relator as changed when the pass ends.
-    ts-sorted marks nothing: its global timer keeps the unreached
-    patterns' stamps comparable.
+    reach (tp = -1), and the oracle counts each such relator as changed
+    when the pass ends.  ts-sorted marks nothing: its unreached patterns
+    keep their stamps, which the one clock keeps comparable.
     """
     rng = random.Random(seed)
     pres = dense_presentation(rng, d_max=4, q_max=12, l_max=10)

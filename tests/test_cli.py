@@ -49,6 +49,14 @@ def test_simplify_deterministic_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simplify_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    f = tmp_path / "bom.pres"
+    f.write_text("gens 2\nrel 1 2\n", encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["simplify", str(f)]) == 0
+    assert capsys.readouterr().out == "gens 1\n"
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     assert main(["simplify", str(tmp_path / "absent.pres")]) == 1
     assert "error" in capsys.readouterr().err

@@ -793,8 +793,7 @@ def test_first_pass_starts_involution_normal_and_all_marked(monkeypatch, policy)
                        if len(r.word) == 2 and r.word[0] == r.word[1]}
             inverses = {-g for g in squares | pres.involutions}
             assert all(inverses.isdisjoint(r.word) for r in pres.rel)
-            if policy in ("ts-sorted", "ts-unsorted"):
-                assert all(r.tp == -1 for r in pres.rel)
+            assert all(r.tp == -1 for r in pres.rel)  # every policy stamps
             if policy == "flags":
                 assert {r.id for r in pres.rel} <= ctx.flagged
             firsts.append(len(pres.rel))
@@ -894,8 +893,7 @@ def test_out_of_pass_changes_are_marked_and_nothing_else_moves(monkeypatch, poli
             for r in pres.rel:
                 before = left["rel"].get(r.id)
                 if before is None or before[0] != r.word:
-                    if policy in ("ts-sorted", "ts-unsorted"):
-                        assert r.tp == -1, (r.id, r.word)
+                    assert r.tp == -1, (r.id, r.word)  # every policy stamps
                     if policy == "flags":
                         assert r.id in ctx.flagged, (r.id, r.word)
                     seen["marked"] += 1

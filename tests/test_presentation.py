@@ -55,6 +55,33 @@ def test_parse_rejects_zero_and_bad_lines():
         parse_presentation("gens 2\nrelw ax!\n")
 
 
+def test_parse_rejects_an_underscore_in_a_symbol():
+    # int() alone reads "1_0" as 10, a valid generator of 12
+    with pytest.raises(ParseError, match=r"^line 3: bad symbol '1_0'$"):
+        parse_presentation("gens 12\n# ten?\nrel 1_0\n")
+
+
+def test_parse_rejects_a_non_ascii_digit_in_a_symbol():
+    # int() alone reads the Arabic-Indic one as 1
+    with pytest.raises(ParseError, match="^line 2: bad symbol '\u0661'$"):
+        parse_presentation("gens 2\nrel \u0661 2\n")
+
+
+def test_parse_rejects_a_non_ascii_digit_in_the_generator_count():
+    # int() alone reads the Arabic-Indic three as 3
+    with pytest.raises(ParseError, match="^line 1: bad generator count '\u0663'$"):
+        parse_presentation("gens \u0663\n")
+
+
+def test_parse_accepts_a_leading_byte_order_mark():
+    p = parse_presentation("\ufeffgens 2\nrel 1 +2\n")
+    assert p.d == 2 and [r.word for r in p.rel] == [(1, 2)]
+    # only a leading one: elsewhere it is still part of a token
+    with pytest.raises(ParseError) as e:
+        parse_presentation("gens 2\n\ufeffrel 1\n")
+    assert str(e.value) == "line 2: unknown directive " + repr("\ufeffrel")
+
+
 def test_make_presentation_rejects_negative_count():
     with pytest.raises(ValueError, match="generator count"):
         make_presentation(-2, [])

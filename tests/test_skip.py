@@ -14,6 +14,7 @@ from helpers import (
     recorded,
     sparse_presentation,
     theorem_trial,
+    unreached_after_early_end,
 )
 from tietze import skip
 from tietze.engine import EngineConfig, ReplacingSearcher, simplify
@@ -116,10 +117,14 @@ def test_sorted_requires_sorted_input():
 
 def test_unsorted_first_pass_full_then_quiescent():
     pres, ctx = fresh("ts-unsorted")
+    # the three start marks took stamps 1, 2, 3; the loops take 4, 5, 6
+    assert [(r.tp, r.ts) for r in pres.rel] == [(-1, 1), (-1, 2), (-1, 3)]
+    assert ctx.timer == 4
     _, ev1 = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev1) == [(0, 1), (0, 2), (1, 2)]
     assert ctx.flagged == set()
-    assert [(r.tp, r.ts) for r in pres.rel] == [(1, 0), (2, 0), (3, 0)]
+    assert [(r.tp, r.ts) for r in pres.rel] == [(4, 1), (5, 2), (6, 3)]
+    assert ctx.timer == 7
     _, ev2 = recorded(pass_frozen, pres, ctx, NeverMatch())
     assert searched(ev2) == []
 
@@ -129,17 +134,20 @@ def test_unsorted_stamps_and_next_pass_reaction():
     pres, ctx = fresh("ts-unsorted", lengths=(2, 4, 6))
     r1, r2, r3 = pres.rel
     searcher = ChangeOn([(r1.id, r2.id)])
+    start = ctx.timer
     _, ev1 = recorded(pass_frozen, pres, ctx, searcher)
     # (r2, r3) still searched in the same pass: r2 changed this pass
     assert (r2.id, r3.id) in searched(ev1)
-    assert (r1.tp, r1.ts) == (1, 0) and (r2.tp, r2.ts) == (2, 1)
+    # r1's loop took stamp ``start`` and changed r2, which its own loop
+    # stamped next; r1 keeps the ts of its start mark
+    assert (r1.tp, r1.ts) == (start, 1) and (r2.tp, r2.ts) == (start + 1, start)
     sort_rel(pres)
     _, ev2 = recorded(pass_frozen, pres, ctx, NeverMatch())
     # (r1, r2) searched again: r1 stamped before r2 changed
     assert (r1.id, r2.id) in searched(ev2)
 
 
-def test_unsorted_same_pass_reaction_via_ts_local():
+def test_unsorted_same_pass_reaction_to_change():
     pres, ctx = fresh("ts-unsorted", lengths=(2, 3, 4, 6))
     r1, r2, r3, r4 = pres.rel
     searcher = ChangeOn([(r1.id, r4.id), (r1.id, r4.id)])
@@ -241,25 +249,103 @@ def test_a_pass_ends_after_the_loop_that_leaves_a_text_eliminable(policy, k, cut
         return
     assert loops == ids[:k + 1]
     unreached = ids[k + 1:]
-    if policy == "ts-sorted":
-        # one stamp per loop run; the unreached keep theirs, which the
-        # global timer keeps comparable with the new ones
-        assert ctx.timer == timer_before + k + 1
-        for r in pres.rel:
-            if r.id in unreached and r is not text:
-                assert (r.tp, r.ts) == before[r.id]
-            elif r is not text:
-                assert r.tp >= timer_before
-    if policy == "ts-unsorted":
-        # positions of two passes are never compared: the unreached are marked
-        tps = {r.id: r.tp for r in pres.rel}
-        assert [tps[rid] for rid in ids] == list(range(1, k + 2)) + [-1] * len(unreached)
+    # one stamp per loop run, under every policy; the changed text has the
+    # stamp of loop k, and the unreached keep their stamps, which the clock
+    # keeps comparable with the new ones, except under ts-unsorted
+    assert ctx.timer == timer_before + k + 1
+    by_id = {r.id: r for r in pres.rel}
+    assert [by_id[rid].tp for rid in ids[:k + 1]] == list(range(timer_before, ctx.timer))
+    assert (text.tp, text.ts) == (-1, timer_before + k)
+    for rid in unreached[:-1]:
+        if policy == "ts-unsorted":
+            # tp > text.tp would read a reached pattern's newer stamp against
+            # an unreached text's older one as roles reversed: they are marked
+            assert (by_id[rid].tp, by_id[rid].ts) == (-1, before[rid][1])
+        else:
+            assert (by_id[rid].tp, by_id[rid].ts) == before[rid]
     if policy == "flags":
         # the old flags too: a full pass would keep this pass's change only
         assert ctx.flagged == flags_before | {text.id} == {ids[-2], text.id}
-    if policy == "all-pairs":
+    else:
         assert ctx.flagged == set()
-        assert {r.id: (r.tp, r.ts) for r in pres.rel} == before
+
+
+class ClockedContext(PassContext):
+    """A pass context that keeps every move of its clock: (old time, new
+    time, each relator's stamps just after the move)."""
+
+    def __init__(self, policy, pres):
+        self.pres, self.ticks, self._now = pres, [], None
+        super().__init__(policy=policy)
+
+    @property
+    def timer(self):
+        return self._now
+
+    @timer.setter
+    def timer(self, now):
+        if self._now is not None:
+            self.ticks.append((self._now, now, {r.id: (r.tp, r.ts) for r in self.pres.rel}))
+        self._now = now
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_one_clock_stamps_every_loop_and_mark(policy):
+    # scripted passes, some ending early, with marks between them; the
+    # clock moves once per pattern loop (the ts-sorted dead-tail sweep
+    # moves it once for all its loops) and once per mark, and each move
+    # is checked as it happens
+    early = marks = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        pres = dense_presentation(rng, d_max=4, q_max=12, l_max=10)
+        if len(pres.rel) < 2:
+            continue
+        sort_rel(pres)
+        ctx = ClockedContext(policy, pres)
+        init_pass_state(pres, ctx)
+        inner = ScriptedSearcher(seed, change_prob=0.3)
+        calls = {}  # the clock at a searcher call -> (pattern id, ids of the texts it changed)
+
+        def searcher(pattern, texts):
+            results = inner(pattern, texts)
+            calls[ctx.timer] = pattern.id, [t.id for t, ok in zip(texts, results) if ok]
+            return results
+
+        for _ in range(8):
+            pres.rel[:] = [r for r in pres.rel if r.word]
+            sort_rel(pres)
+            order = [r.id for r in pres.rel]
+            start, first_tick = ctx.timer, len(ctx.ticks)
+            calls.clear()
+            _, events = recorded(run_pass, pres, ctx, searcher)
+            loops = []
+            for old, new, stamps in ctx.ticks[first_tick:]:
+                # the patterns of the loops this move ends, and only they,
+                # hold the stamps from old to new
+                stamped = sorted((tp, rid) for rid, (tp, _) in stamps.items() if old <= tp < new)
+                assert [tp for tp, _ in stamped] == list(range(old, new)), (seed, old, new)
+                assert new == old + 1 or policy == "ts-sorted"
+                loops += [rid for _, rid in stamped]
+                if old in calls:
+                    pattern_id, changed = calls.pop(old)
+                    assert stamps[pattern_id][0] == old
+                    assert all(stamps[rid] == (-1, old) for rid in changed), (seed, old)
+            assert not calls and ctx.timer == start + len(loops)
+            if policy == "ts-sorted":
+                assert loops == list(dict.fromkeys(e.pattern_id for e in events))
+            else:
+                unreached = unreached_after_early_end(order, events, pres)
+                assert loops == order[:len(order) - len(unreached)]
+                if policy == "ts-unsorted":
+                    assert all(r.tp == -1 for r in pres.rel if r.id in unreached)
+                early += bool(unreached)
+            for r in rng.sample(pres.rel, min(len(pres.rel), rng.randint(0, 2))):
+                before = ctx.timer
+                mark_changed(ctx, r)
+                assert (r.tp, r.ts) == (-1, before) and ctx.timer == before + 1
+                marks += 1
+    assert marks > 100 and (early > 20 or policy == "ts-sorted"), (marks, early)
 
 
 def test_necessary_oracle_base_cases():
@@ -347,6 +433,11 @@ def test_flags_covers_changes_by_the_next_pass():
 def _state(pres, ctx):
     return ([(r.id, r.word, r.tp, r.ts) for r in pres.rel],
             ctx.pass_no, ctx.timer, ctx.reorders, set(ctx.flagged))
+
+
+def _unstamped_state(pres, ctx):
+    """``_state`` without the stamps and the clock."""
+    return [(r.id, r.word) for r in pres.rel], ctx.pass_no, ctx.reorders, set(ctx.flagged)
 
 
 def _tally_from(events):
@@ -437,8 +528,10 @@ def _pseudocode_start(pres, ctx):
         for r in pres.rel:
             r.tp, r.ts = -1, 0
     elif ctx.policy == "ts-unsorted":
+        # the positions are the first n stamps; the clock goes on after them
         for pos, r in enumerate(pres.rel, start=1):
             r.tp = r.ts = pos
+        ctx.timer = len(pres.rel) + 1
     elif ctx.policy == "flags":
         ctx.flagged = {r.id for r in pres.rel}
 
@@ -631,7 +724,9 @@ def _compare_with_reference(pres, make_searcher, passes=1, policy="ts-sorted",
                             between=None):
     """Run the batched driver and the pair-by-pair reference side by side.
 
-    Events, tallies and ``_state`` must agree after every pass.  Between
+    Events, tallies and ``_state`` must agree after every pass; only the
+    ts-sorted reference stamps from the clock, so for the other policies
+    every part of ``_state`` but the stamps and the clock must.  Between
     passes both sequences are sorted, as the engine's boundary maintenance
     does; ``ts-sorted`` keeps its sequence sorted itself.  ``between(runs)``,
     when given, changes both runs alike after every pass and leaves them
@@ -651,7 +746,8 @@ def _compare_with_reference(pres, make_searcher, passes=1, policy="ts-sorted",
         ref_events = _REFERENCES[policy](ref, ref_ctx, ref_searcher)
         assert events == ref_events
         assert tally == _tally_from(ref_events)
-        assert _state(pres, ctx) == _state(ref, ref_ctx)
+        state = _state if policy == "ts-sorted" else _unstamped_state
+        assert state(pres, ctx) == state(ref, ref_ctx)
         all_events.extend(events)
         if between is not None:
             between([(pres, ctx), (ref, ref_ctx)])
