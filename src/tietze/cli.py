@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--growth-limit", type=float, default=1.5, metavar="G",
                        help="bound each long elimination to G times the total length before it")
         p.add_argument("--max-passes", type=int, default=100, metavar="N",
-                       help="passes in the whole run, not per round; then only eliminations run")
+                       help="passes in the whole run, not per round, each only after a "
+                            "rewrite; once spent, only eliminations run")
         p.add_argument("--seed", type=int, default=0,
                        help="picks the fingerprint base of the kr-bloom strategies; "
                             "every other strategy, kr-hash included, ignores it")

@@ -152,7 +152,7 @@ def _eliminate(pres: Presentation, r: RelatorRecord, g: int, lonely: bool = Fals
     substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest, [r] if lonely else None)
 
 
-def short_eliminate(pres: Presentation) -> int:
+def short_eliminate(pres: Presentation, taken: list[RelatorRecord] | None = None) -> int:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
     Runs to fixpoint.  Each step first normalizes involutions, the one
@@ -163,10 +163,21 @@ def short_eliminate(pres: Presentation) -> int:
     eliminates its highest generator through it.  The records rewritten
     wait on the presentation's change list.  Returns the number of
     eliminations.
+
+    Only a record rewritten since the previous call, which ended at a
+    fixpoint, can be eliminable or hold a new square or an inverse: one
+    ``taken`` off the change list since, or one still on it.  A step reads
+    only those, unless ``taken`` is None or they are half the relators or
+    more, and still takes the first eliminable relator in relator order.
     """
     eliminations = 0
     while True:
-        normalize_involutions(pres)
+        changed = None if taken is None else taken + pres.pending_changes()
+        if changed is not None and 2 * len(changed) >= len(pres.rel):
+            changed = None
+        normalize_involutions(pres, changed)
+        if changed is not None and not any(eliminable(r.word) for r in changed):
+            return eliminations
         r = next((r for r in pres.rel if eliminable(r.word)), None)
         if r is None:
             return eliminations
@@ -266,8 +277,8 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     After each short elimination, which also follows every long one, each
     live record on the presentation's change list is marked changed, once,
     in order of first rewrite; the first one normalizes the input's
-    involutions.  Each pass's rewrites are taken and dropped, since the
-    pass drivers stamp their own.
+    involutions.  Each pass's rewrites are taken and handed to the next
+    short elimination, unmarked, since the pass drivers stamp their own.
 
     No pass starts with an eliminable relator, so one among a pass's
     rewrites means the pass ended early, at the pattern loop that left it
@@ -275,13 +286,17 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     no long elimination in between, and resumes the passes.  A pass that
     ends early counts in ``passes`` and against ``max_passes``.
 
-    Boundary maintenance (sorting and duplicate removal) runs at start-up,
-    then before a pass only when a relator was rewritten since: dropping
-    emptied relators keeps the sequence sorted and free of duplicates.
-    Eliminations keep every other label; ``compact_labels`` closes their
-    gaps once, at the end.  The total length is computed once at each
-    phase boundary where it may have moved and carried across the others;
-    both length guards compare against it.
+    After the first pass, one runs only while a live relator was rewritten
+    since the last began.  After a pass that succeeded nowhere, with
+    nothing marked since, every pair holds the words it held when that
+    pass searched it or skipped it as failed, so another would succeed
+    nowhere and, but under ``all-pairs``, search nothing; it is not run
+    and counts nowhere.  Boundary maintenance (sorting and duplicate
+    removal) runs at start-up, then before a pass only when a relator was
+    rewritten since.  Eliminations keep every other label; ``compact_labels``
+    closes their gaps once, at the end.  The total length is computed once
+    at each phase boundary where it may have moved and carried across the
+    others; both length guards compare against it.
     """
     if cfg is None:
         cfg = EngineConfig()
@@ -294,6 +309,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     searcher = ReplacingSearcher(strategy, stats.counters)
     ctx = PassContext(policy=cfg.skip_policy)
     rewritten = False
+    carried = None  # the pass takes since the last short elimination; None: read all
     for r in pres.rel:
         r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
@@ -304,7 +320,8 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     while True:
         progress = False
 
-        elims = short_eliminate(pres)
+        elims = short_eliminate(pres, carried)
+        carried = []
         for r in pres.take_changes():
             if r.word:
                 rewritten = True
@@ -317,7 +334,7 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             progress = True
 
         ended_early = False
-        while stats.passes < cfg.max_passes:
+        while stats.passes < cfg.max_passes and (rewritten or not stats.passes):
             if rewritten:
                 count = len(pres.rel)
                 _boundary_maintenance(pres)
@@ -339,7 +356,9 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             if length > before:
                 raise EngineError("replacement pass increased total length")
             # the pass drivers stamped their own rewrites
-            ended_early = any(eliminable(r.word) for r in pres.take_changes())
+            taken = pres.take_changes()
+            carried += taken
+            ended_early = any(eliminable(r.word) for r in taken)
             if ended_early:
                 break
 

@@ -132,11 +132,15 @@ class Presentation:
         p.rel = [RelatorRecord(r.id, r.word, r.tp, r.ts, _queue=p._changes) for r in self.rel]
         return p
 
-    def take_changes(self) -> list[RelatorRecord]:
+    def pending_changes(self) -> list[RelatorRecord]:
         """The records rewritten since the last take, once each, in order of
-        first rewrite, emptied ones included.  Each is folded into the
+        first rewrite, emptied ones included; the list is left as it is."""
+        return self._changes[:]
+
+    def take_changes(self) -> list[RelatorRecord]:
+        """The ``pending_changes``, emptied: each is folded into the
         occurrence tally, if one is held, and re-armed."""
-        changes = self._changes[:]
+        changes = self.pending_changes()
         if changes and self._tally is not None:
             self.occurrences()
         self._changes.clear()
@@ -260,7 +264,7 @@ def sort_rel(p: Presentation) -> Presentation:
     return p
 
 
-def normalize_involutions(p: Presentation) -> None:
+def normalize_involutions(p: Presentation, changed: list[RelatorRecord] | None = None) -> None:
     """Mark generators with a square relator as involutions and rewrite.
 
     Every relator gg (or its inverse form) adds g to the involution set,
@@ -268,13 +272,19 @@ def normalize_involutions(p: Presentation) -> None:
     no such g^-1 occurs; a later replacement may write one again.  One
     sweep suffices, with no re-reduction: a sign flip cancels no symbol
     of a reduced word and makes no new square.
+
+    ``changed``, when given, must hold every record rewritten since the
+    previous call.  Only those can hold a new square or an inverse, so
+    only they are read, except that every relator is read for inverses
+    when the involution set grew.
     """
-    for r in p.rel:
+    known = len(p.involutions)
+    for r in p.rel if changed is None else changed:
         if len(r.word) == 2 and r.word[0] == r.word[1]:
             p.involutions.add(abs(r.word[0]))
     inverses = {-g for g in p.involutions}
     if inverses:
-        for r in p.rel:
+        for r in p.rel if changed is None or len(p.involutions) > known else changed:
             if not inverses.isdisjoint(r.word):
                 r.set_word(tuple(-s if s in inverses else s for s in r.word))
 

@@ -9,6 +9,7 @@ from tietze import cli
 from tietze.cli import main
 from tietze.presentation import make_presentation, parse_presentation, serialize_presentation
 from tietze.randgen import random_reduced_word
+from tietze.verify import abelian_invariants
 
 
 def write(tmp_path, name, text):
@@ -209,8 +210,8 @@ def test_kr_hash_golden_output(tmp_path):
     assert digest == "a0cf30a960e092bcdd45a7498713a5ea0bfc0cca9f9308a6becf0b49bc03afab"
     rep = json.loads((tmp_path / "stats.json").read_text())
     assert rep["stats"] == {
-        "pairs_considered": 2820, "searches_performed": 1101, "searches_skipped": 1719,
-        "searches_successful": 83, "short_elims": 0, "long_elims": 0, "passes": 5,
+        "pairs_considered": 2040, "searches_performed": 1101, "searches_skipped": 939,
+        "searches_successful": 83, "short_elims": 0, "long_elims": 0, "passes": 4,
         "total_length_before": 2282, "total_length_after": 1678, "gens_before": 3,
         "gens_after": 3, "rels_before": 40, "rels_after": 40,
     }
@@ -235,8 +236,8 @@ def test_automaton_golden_output(tmp_path):
     assert digest == "77eb9e58250bff107b76cd2205349e7d1b3362797cfb094c49382fb83338d6ab"
     rep = json.loads((tmp_path / "stats.json").read_text())
     assert rep["stats"] == {
-        "pairs_considered": 2229, "searches_performed": 1031, "searches_skipped": 1198,
-        "searches_successful": 79, "short_elims": 0, "long_elims": 0, "passes": 3,
+        "pairs_considered": 1449, "searches_performed": 1031, "searches_skipped": 418,
+        "searches_successful": 79, "short_elims": 0, "long_elims": 0, "passes": 2,
         "total_length_before": 2282, "total_length_after": 1679, "gens_before": 3,
         "gens_after": 3, "rels_before": 40, "rels_after": 40,
     }
@@ -258,8 +259,8 @@ def test_brute_golden_output(tmp_path):
     rep = json.loads((tmp_path / "stats.json").read_text())
     assert rep["config"]["match_strategy"] == "brute"
     assert rep["stats"] == {
-        "pairs_considered": 55094, "searches_performed": 4578, "searches_skipped": 50516,
-        "searches_successful": 130, "short_elims": 2, "long_elims": 62, "passes": 71,
+        "pairs_considered": 11446, "searches_performed": 4578, "searches_skipped": 6868,
+        "searches_successful": 130, "short_elims": 2, "long_elims": 62, "passes": 12,
         "total_length_before": 1167, "total_length_after": 19, "gens_before": 67,
         "gens_after": 3, "rels_before": 67, "rels_after": 3,
     }
@@ -268,6 +269,21 @@ def test_brute_golden_output(tmp_path):
         "fingerprint_false_matches": 0, "bloom_false_hits": 0, "confirmations": 0,
         "successes": 130, "automata_built": 0,
     }
+
+
+def test_the_pass_budget_is_not_spent_on_idle_passes(tmp_path):
+    """A long elimination that only drops a lonely generator's relator
+    leaves no pass to run.  When such rounds still ran one pass each, the
+    CLI defaults spent all 100 passes on this input and ended at 6
+    generators and total length 517."""
+    inp = str(Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_127.pres")
+    out = tmp_path / "out.pres"
+    stats = tmp_path / "stats.json"
+    assert main(["simplify", inp, "-o", str(out), "--stats", str(stats)]) == 0
+    pres = parse_presentation(out.read_text())
+    assert pres.d <= 3 and pres.total_length() <= 22
+    assert abelian_invariants(pres) == ([29], 0)
+    assert json.loads(stats.read_text())["stats"]["passes"] < 100
 
 
 @pytest.mark.parametrize("flags, windows_scanned, filter_hits", [
@@ -286,8 +302,8 @@ def test_label_sensitive_golden_output(tmp_path, flags, windows_scanned, filter_
     assert digest == "49397b2bbdc0ff3fe976da9b737e28243d90d300cd4afbb4c138488def7e4b50"
     rep = json.loads((tmp_path / "stats.json").read_text())
     assert rep["stats"] == {
-        "pairs_considered": 55094, "searches_performed": 4578, "searches_skipped": 50516,
-        "searches_successful": 130, "short_elims": 2, "long_elims": 62, "passes": 71,
+        "pairs_considered": 11446, "searches_performed": 4578, "searches_skipped": 6868,
+        "searches_successful": 130, "short_elims": 2, "long_elims": 62, "passes": 12,
         "total_length_before": 1167, "total_length_after": 19, "gens_before": 67,
         "gens_after": 3, "rels_before": 67, "rels_after": 3,
     }

@@ -271,6 +271,16 @@ def test_short_eliminate_examples():
     assert p.involutions == {1} and [r.word for r in p.rel] == [(1, 1)]
 
 
+def test_short_eliminate_reads_the_given_records_at_every_step():
+    # both length-1 relators were rewritten since the previous call; the
+    # first elimination rewrites neither the other nor anything but its own
+    p = make_presentation(4, [(1,), (3, 4, 3, 4, 4), (3, 3, 4, 4, 4), (4, 3, 3, 3, 4),
+                              (3, 4, 4, 4, 4), (2,)])
+    p.take_changes()
+    assert short_eliminate(p, [p.rel[5], p.rel[0]]) == 2
+    assert p.d == 2 and not any(eliminable(r.word) for r in p.rel)
+
+
 def _reference_short_eliminate(pres):
     """Short elimination with the right-hand side of each case written out."""
     eliminations = 0
@@ -742,20 +752,22 @@ def test_every_search_of_a_run_agrees_with_oracle(monkeypatch, name):
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
-    """Boundary maintenance runs only after a rewrite; every pass must
-    still start on a sorted sequence of distinct nonempty relators."""
-    passes, maintained = [], []
+    """Boundary maintenance runs at start-up and after a rewrite, and a
+    pass after the first runs only after a rewrite, so maintenance comes
+    right before every pass; every pass must start on a sorted sequence
+    of distinct nonempty relators."""
+    phases = []
     run_pass, maintenance = engine.run_pass, engine._boundary_maintenance
 
     def checking_pass(pres, ctx, searcher, record=None):
         words = [r.word for r in pres.rel]
         assert all(words) and pres.is_sorted()
         assert len({canonical_rep(w) for w in words}) == len(words)
-        passes.append(1)
+        phases.append("pass")
         return run_pass(pres, ctx, searcher, record)
 
     def counting_maintenance(pres):
-        maintained.append(1)
+        phases.append("maintain")
         maintenance(pres)
 
     monkeypatch.setattr(engine, "run_pass", checking_pass)
@@ -771,12 +783,16 @@ def test_every_pass_starts_sorted_and_duplicate_free(monkeypatch, policy):
         long_elims += simplify(pres, EngineConfig(skip_policy=policy))[1].long_elims
     assert long_elims > 50
     # most long eliminations of an obfuscated presentation only drop the
-    # relator that defined the generator, so most passes skip maintenance
-    passes.clear()
-    maintained.clear()
+    # relator that defined the generator, which leaves no pass to run: 62
+    # long eliminations take 12 passes under ts-sorted and 11 under the
+    # frozen driver
+    phases.clear()
     fixture = Path(__file__).parent / "data" / "fibonacci_2_7_obfuscated_67.pres"
-    simplify(parse_presentation(fixture.read_text()), EngineConfig(skip_policy=policy))
-    assert len(passes) > 60 and len(maintained) < len(passes) / 4
+    _, stats = simplify(parse_presentation(fixture.read_text()), EngineConfig(skip_policy=policy))
+    assert stats.long_elims == 62
+    assert phases.count("pass") == stats.passes == (12 if policy == "ts-sorted" else 11)
+    assert all(phases[k - 1] == "maintain" for k, phase in enumerate(phases) if phase == "pass")
+    assert phases[0] == phases[-1] == "maintain"  # at start-up and at the end
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -829,8 +845,8 @@ def test_an_early_end_goes_straight_to_short_elimination(monkeypatch):
         phases.append("early" if any(eliminable(r.word) for r in pres.rel) else "pass")
         return tally
 
-    def watched_short(pres):
-        phases.append(("short", short(pres)))
+    def watched_short(pres, *args):
+        phases.append(("short", short(pres, *args)))
         return phases[-1][1]
 
     def watched_long(pres, *args):
@@ -907,10 +923,155 @@ def test_out_of_pass_changes_are_marked_and_nothing_else_moves(monkeypatch, poli
 
     monkeypatch.setattr(engine, "run_pass", checking_pass)
     rng = random.Random(26)
-    for i in range(260):
+    for i in range(320):
         if i % 2:
             pres = make_presentation(*squares_words(rng, l_max=20))
         else:
             pres = dense_presentation(rng, l_max=16)
         simplify(pres, EngineConfig(skip_policy=policy, long_elim_enabled=i % 3 != 0))
     assert seen["passes"] > 400 and seen["marked"] > 80 and seen["unchanged"] > 2000, seen
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_declined_pass_would_find_nothing(monkeypatch, policy):
+    """After the first pass, the driver runs one only after a rewrite since
+    the last one began.
+
+    Wherever it declines one, with budget left and two relators or more,
+    the would-be pass runs on a clone with a copy of the pass state and a
+    recording searcher: it must search nothing under the timestamp
+    policies and flags, and succeed nowhere under all-pairs.
+    """
+    from copy import deepcopy
+
+    from tietze.match import SearchCounters
+    from tietze.skip import PassContext
+    from tietze.strategies import make_strategy
+
+    real = {name: getattr(engine, name) for name in (
+        "short_eliminate", "long_eliminate", "compact_labels", "run_pass", "_boundary_maintenance")}
+    run = {}
+    searches, declined = Counter(), Counter()
+
+    def new_context(**kwargs):
+        run["ctx"], run["passes"], run["entry"] = PassContext(**kwargs), 0, False
+        return run["ctx"]
+
+    def searched_pass(pres, *args):
+        run["passes"] += 1
+        run["entry"] = False
+        return real["run_pass"](pres, *args)
+
+    def entered(pres, *args):
+        result = real["short_eliminate"](pres, *args)
+        run["entry"] = True  # the driver marks, then runs a pass or declines
+        return result
+
+    def would_be_pass(pres):
+        clone = pres.clone()
+        real["_boundary_maintenance"](clone)
+        if run["entry"] and run["passes"] < cfg.max_passes and len(clone.rel) >= 2:
+            replacing = engine.ReplacingSearcher(make_strategy("brute"), SearchCounters())
+
+            def recording(pattern, texts):
+                results = replacing(pattern, texts)
+                searches["performed"] += len(texts)
+                searches["successful"] += sum(results)
+                return results
+
+            real["run_pass"](clone, deepcopy(run["ctx"]), recording)
+            declined[policy] += 1
+        run["entry"] = False
+
+    def before(name):
+        def wrapped(pres, *args):
+            would_be_pass(pres)
+            return real[name](pres, *args)
+        return wrapped
+
+    monkeypatch.setattr(engine, "PassContext", new_context)
+    monkeypatch.setattr(engine, "run_pass", searched_pass)
+    monkeypatch.setattr(engine, "short_eliminate", entered)
+    monkeypatch.setattr(engine, "long_eliminate", before("long_eliminate"))
+    monkeypatch.setattr(engine, "compact_labels", before("compact_labels"))
+    rng = random.Random(33)
+    data = Path(__file__).parent / "data"
+    inputs = [parse_presentation((data / f"fibonacci_2_7_obfuscated_{d}.pres").read_text())
+              for d in (67, 127)]
+    for i in range(120):
+        if i % 3 == 0:
+            inputs.append(make_presentation(*squares_words(rng, q_max=16, l_max=20)))
+        elif i % 3 == 1:
+            inputs.append(sparse_presentation(rng.getrandbits(32)))
+        else:
+            inputs.append(dense_presentation(rng, l_max=16))
+    for i, pres in enumerate(inputs):
+        cfg = EngineConfig(skip_policy=policy, long_elim_enabled=i % 4 != 3,
+                           max_passes=3 if i % 5 == 2 else 100)
+        simplify(pres, cfg)
+    if policy == "all-pairs":
+        assert searches["successful"] == 0 and searches["performed"] > 0, searches
+    else:
+        assert searches["performed"] == 0, searches
+    assert declined[policy] > 150, declined
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
+    """Each short elimination of a run reads only the records rewritten
+    since the previous one, yet every step picks the relator a full scan
+    picks and leaves the words and involutions a full normalization
+    leaves: a reference run on a clone checks each call step by step."""
+    real_short, real_normalize, real_eliminate = (
+        engine.short_eliminate, engine.normalize_involutions, engine._eliminate)
+    steps, calls = [], Counter()
+
+    def state(pres):
+        return [(r.id, r.word) for r in pres.rel], sorted(pres.involutions)
+
+    def full_scan(pres):
+        expected = []
+        while True:
+            real_normalize(pres)
+            r = next((r for r in pres.rel if eliminable(r.word)), None)
+            expected.append((state(pres), r and r.id))
+            if r is None:
+                return expected
+            real_eliminate(pres, r, max(map(abs, r.word)))
+
+    def normalizing(pres, *args):
+        real_normalize(pres, *args)
+        steps.append((state(pres), None))
+
+    def eliminating(pres, r, g, *args):
+        if not args:  # a short elimination's step; long ones pass ``lonely``
+            steps[-1] = (steps[-1][0], r.id)
+        real_eliminate(pres, r, g, *args)
+
+    def checked(pres, taken=None):
+        reference = pres.clone()
+        partial = taken is not None and \
+            2 * (len(taken) + len(pres.pending_changes())) < len(pres.rel)
+        steps.clear()
+        result = real_short(pres, taken)
+        assert steps == full_scan(reference)
+        if partial:
+            calls["partial"] += 1
+            calls["partial, eliminating"] += result > 0
+            calls["partial, with involutions"] += bool(pres.involutions)
+        return result
+
+    monkeypatch.setattr(engine, "short_eliminate", checked)
+    monkeypatch.setattr(engine, "normalize_involutions", normalizing)
+    monkeypatch.setattr(engine, "_eliminate", eliminating)
+    rng = random.Random(34)
+    for i in range(240):
+        if i % 3 == 0:
+            pres = make_presentation(*squares_words(rng, d_max=8, q_max=40, l_max=16))
+        elif i % 3 == 1:
+            pres = sparse_presentation(rng.getrandbits(32))
+        else:
+            pres = dense_presentation(rng, q_max=40, l_max=16)
+        simplify(pres, EngineConfig(skip_policy=policy, long_elim_enabled=i % 4 != 3))
+    assert calls["partial"] > 80, calls
+    assert calls["partial, eliminating"] > 30 and calls["partial, with involutions"] > 20, calls

@@ -30,8 +30,8 @@ from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES
 from tietze.strategies import STRATEGIES
 
-GRID_DIGEST = "c718755a57cc181da51cdcdc3a6f351b95b5fef9fa0322ccf081e0b6c5a87548"
-COUNTERS_DIGEST = "016d5cdfd853bb67baef5b9836eb6a4831293c918b0c3ba4b26a458167cfb47c"
+GRID_DIGEST = "7c128aca029c54310709127f140c9b9ca984425b3fe638df33ba0774b64efb02"
+COUNTERS_DIGEST = "c7125e890fce504a7bc92aff57bc69ade98518b4155a77a4f3e9421e202f1cc4"
 OUTPUT_DIGEST = "2660781a4725861a280226d60c5fa69207d568975a4ba592e332ff43a1699753"
 
 
