@@ -2,18 +2,19 @@
 
 The driver alternates short eliminations (to fixpoint), substring
 replacement passes under the configured skip policy and match strategy
-(to quiescence or the pass budget), and at most one long elimination per
-round, until nothing changes.  A pass whose rewrite leaves a relator
-eliminable ends after that pattern loop, and the driver goes straight
-back to short elimination, so a relator of one or two symbols is removed
-everywhere by one substitution rather than serving as a pattern.  Short
-eliminations and replacements never increase the total relator length;
-long eliminations may, within the configured growth budget.
+(to quiescence or the pass budget), and a long elimination step (one
+substitution, or a whole run of lonely generators) until nothing
+changes.  A pass whose rewrite leaves a relator eliminable ends after
+that pattern loop, and short elimination follows at once, so a relator
+of one or two symbols is removed everywhere by one substitution rather
+than serving as a pattern.  Short eliminations and replacements never
+lengthen the presentation; long eliminations may, within the growth limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from heapq import heapify, heappop, heappush
 
 from .match import Match, SearchCounters, check_match
 from .presentation import (
@@ -106,17 +107,15 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
     return reduce_cyclic_word(te[:len(t_word) - m.v_len] + invert(pe[:m.u_len]))
 
 
-def substitute(pres: Presentation, g: int, rhs: Word,
-               holders: list[RelatorRecord] | None = None) -> None:
+def substitute(pres: Presentation, g: int, rhs: Word) -> None:
     """Replace generator g by rhs everywhere and remove g.
 
     Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
     are re-reduced and emptied relators dropped.  Only the relators whose
     word holds g or g^-1 get a new word, in relator order, through
     ``set_word``; they are found by testing each word, without building
-    any relator's counts.  ``holders``, when given, are the only ones read
-    and must include all of them.  No other label moves: g joins
-    ``pres.eliminated`` until ``compact_labels``.
+    any relator's counts.  No other label moves: g joins ``pres.eliminated``
+    until ``compact_labels``.
     """
     if not 1 <= g <= pres.d + len(pres.eliminated) or g in pres.eliminated:
         raise ValueError(f"generator {g} out of range")
@@ -124,7 +123,7 @@ def substitute(pres: Presentation, g: int, rhs: Word,
         raise ValueError("substitution right-hand side mentions the eliminated generator")
     rhs_inv = invert(rhs)
     emptied = False
-    for r in pres.rel if holders is None else holders:
+    for r in pres.rel:
         if g in r.word or -g in r.word:
             out: list[int] = []
             for s in r.word:
@@ -143,13 +142,11 @@ def substitute(pres: Presentation, g: int, rhs: Word,
     pres.d -= 1
 
 
-def _eliminate(pres: Presentation, r: RelatorRecord, g: int, lonely: bool = False) -> None:
-    """Solve r = 1 for ``g``, which occurs once in ``r`` (and nowhere else if
-    ``lonely``), and substitute the solution everywhere.  Involutions are
-    left for the next ``short_eliminate`` step to normalize."""
+def _eliminate(pres: Presentation, r: RelatorRecord, g: int) -> None:
+    """Solve r = 1 for ``g``, once in ``r``, and substitute the solution everywhere."""
     pos = next(i for i, s in enumerate(r.word) if abs(s) == g)
     rest = r.word[pos + 1:] + r.word[:pos]  # r is a rotation of g rest or g^-1 rest
-    substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest, [r] if lonely else None)
+    substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest)
 
 
 def short_eliminate(pres: Presentation, taken: list[RelatorRecord] | None = None) -> int:
@@ -185,56 +182,60 @@ def short_eliminate(pres: Presentation, taken: list[RelatorRecord] | None = None
         eliminations += 1
 
 
-def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int) -> bool:
-    """One elimination of a generator occurring exactly once in some relator.
+def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int, sweep: bool = True) -> int:
+    """Eliminate generators that occur once in some relator; returns how many.
 
-    Among candidates (g occurs once in R, len(R) > 2), picks the pair
-    minimizing predicted growth occurrences_elsewhere * (len(R) - 1) -
-    len(R), and only proceeds while the predicted total stays within
-    growth_limit times ``total``, the current total relator length: the
-    bound is per step, so repeated calls may compound growth.  Only the
-    least (score, g, relator id) is held against the limit: if it fails,
-    every candidate fails.
+    A candidate is g once in a relator R longer than 2, keyed (predicted
+    growth occurrences_elsewhere * (len(R) - 1) - len(R), g, R's id).  A
+    lonely g, once in all, scores -len(R) <= -3, below any other (>= -1).
+    With none, the least key is substituted if the predicted total stays
+    within growth_limit times ``total``, the current total length (per
+    call, so calls may compound growth; if the least key fails, all do).
 
-    A lonely generator, one that occurs once in the whole presentation,
-    scores -len(R) <= -3, and every other candidate scores at least
-    (len(R) - 1) - len(R) = -1.  So when a lonely candidate exists, the
-    least key is the lonely one in the longest relator, then the least g,
-    then the least id, and no other score is worked out.  The lonely walk
-    goes from the end of the mostly length-sorted relator sequence and
-    skips each relator shorter than the best lonely one found so far.
-    Candidates come from each relator's cached ``RelatorRecord.once``,
-    occurrences from ``Presentation.occurrences``, which folds in only the
-    relators rewritten since the last take.  A lonely generator's relator
-    is the only one the substitution rewrites, and the records it
-    rewrites wait on the change list.  The presentation is not left
-    involution-normal: the ``short_eliminate`` step that follows every
-    long elimination normalizes it.
+    Otherwise a heap of the lonely keys and a local copy of the tally take
+    their whole run: a pop whose R is live deletes R (g := the rest of R
+    makes it read 1), and a generator whose count falls to 1 is pushed with
+    its holder.  A deletion rewrites no live word, so the driver's rounds
+    in between would eliminate, normalize, mark and pass nothing, and, with
+    lengths fixed and counts falling, each would take the next pop.
+    ``sweep`` False stops after one: the driver passes it while a pass's
+    rewrites await normalization, which may rewrite a live word.
     """
     occurrences = pres.occurrences()
-    best, shortest = None, 3  # the shortest relator that can still hold the winner
-    for r in reversed(pres.rel):
+    lonely, best = [], None
+    for r in pres.rel:
         n = len(r.word)
-        if n >= shortest:
+        if n > 2:
             for g in r.once():
+                key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id, r)
                 if occurrences[g] == 1:
-                    key = (-n, g, r.id)
-                    if best is None or key < best[0]:
-                        best, shortest = (key, r), n
-    lonely = best is not None
+                    lonely.append(key)
+                elif best is None or key < best:  # (score, g, id) decides
+                    best = key
     if not lonely:
-        for r in pres.rel:
-            n = len(r.word)
-            if n > 2:
-                for g in r.once():
-                    key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id)
-                    if best is None or key < best[0]:
-                        best = (key, r)
-    if best is None or total + best[0][0] > cfg.growth_limit * total:
-        return False
-    (_, g, _), r = best
-    _eliminate(pres, r, g, lonely)
-    return True
+        if best is None or total + best[0] > cfg.growth_limit * total:
+            return 0
+        _eliminate(pres, best[3], best[1])
+        return 1
+    heapify(lonely)
+    left, gens = dict(occurrences), pres.d
+    while lonely and (sweep or pres.d == gens):
+        _, g, _, r = heappop(lonely)
+        if not r.word:  # deleted with an earlier generator
+            continue
+        counts = r.counts()
+        r.set_word(())
+        pres.involutions.discard(g)
+        pres.eliminated.add(g)
+        pres.d -= 1
+        for h, c in counts.items():
+            left[h] -= c
+            if left[h] == 1:  # push h with its one live holder
+                s = next(s for s in pres.rel if s.word and h in s.counts())
+                if len(s.word) > 2:
+                    heappush(lonely, (-len(s.word), h, s.id, s))
+    pres.rel[:] = [r for r in pres.rel if r.word]
+    return gens - pres.d
 
 
 class ReplacingSearcher:
@@ -281,22 +282,20 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     short elimination, unmarked, since the pass drivers stamp their own.
 
     No pass starts with an eliminable relator, so one among a pass's
-    rewrites means the pass ended early, at the pattern loop that left it
-    (see ``skip``).  The driver then runs ``short_eliminate`` at once, with
-    no long elimination in between, and resumes the passes.  A pass that
-    ends early counts in ``passes`` and against ``max_passes``.
+    rewrites means it ended early (see ``skip``); ``short_eliminate`` then
+    runs at once, and the passes resume.  Such a pass counts in ``passes``
+    and against ``max_passes``.
 
     After the first pass, one runs only while a live relator was rewritten
     since the last began.  After a pass that succeeded nowhere, with
-    nothing marked since, every pair holds the words it held when that
-    pass searched it or skipped it as failed, so another would succeed
-    nowhere and, but under ``all-pairs``, search nothing; it is not run
-    and counts nowhere.  Boundary maintenance (sorting and duplicate
-    removal) runs at start-up, then before a pass only when a relator was
-    rewritten since.  Eliminations keep every other label; ``compact_labels``
-    closes their gaps once, at the end.  The total length is computed once
-    at each phase boundary where it may have moved and carried across the
-    others; both length guards compare against it.
+    nothing marked since, every pair holds the words that pass searched or
+    skipped as failed, so another would succeed nowhere and, but under
+    ``all-pairs``, search nothing; it is not run and counts nowhere.
+    Boundary maintenance (sorting and duplicate removal) runs at start-up,
+    then before a pass only when a relator was rewritten since.
+    Eliminations keep every other label; ``compact_labels`` closes their
+    gaps once, at the end.  The total length is computed only at a phase
+    boundary where it may have moved; both length guards compare with it.
     """
     if cfg is None:
         cfg = EngineConfig()
@@ -364,9 +363,10 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
 
         if ended_early:
             continue
-        if cfg.long_elim_enabled and long_eliminate(pres, cfg, length):
+        elims = cfg.long_elim_enabled and long_eliminate(pres, cfg, length, not carried)
+        if elims:
             length = pres.total_length()
-            stats.long_elims += 1
+            stats.long_elims += elims
             continue
         if not progress:
             break

@@ -205,16 +205,18 @@ def test_substitute_caches_match_recomputation(monkeypatch):
     # eliminations between replacement passes) is checked, after
     # compaction, against the reference; a random half of the caches is
     # built beforehand, so both kept and lazily rebuilt caches are
-    # compared.  After every long elimination the occurrence tally must
-    # equal a full recount.
+    # compared.  A long elimination deletes the relators of lonely
+    # generators without a substitution: after every call, the words of a
+    # call that substituted nothing are those before, less one relator per
+    # generator deleted, every surviving record's caches equal a recount,
+    # and so does the occurrence tally
     real, real_long = engine.substitute, engine.long_eliminate
     rng = random.Random(0)
     eliminated = []
-    tallies, lonely = Counter(), Counter()
+    tallies, made = Counter(), Counter()
 
-    def checked(pres, g, rhs, holders=None):
-        # a lonely generator's relator, handed over as its only holder
-        lonely[holders is not None] += 1
+    def checked(pres, g, rhs):
+        made["substituted"] += 1  # short or long
         for r in pres.rel:
             if rng.random() < 0.5:
                 r.canonical()
@@ -223,7 +225,7 @@ def test_substitute_caches_match_recomputation(monkeypatch):
         m = _compaction_map(pres)
         expected = _reference_substitute([tuple(map(m.get, r.word)) for r in pres.rel],
                                          m[g], tuple(map(m.get, rhs)))
-        result = real(pres, g, rhs, holders)
+        result = real(pres, g, rhs)
         compacted = pres.clone()
         compact_labels(compacted)
         assert [r.word for r in compacted.rel] == expected
@@ -234,21 +236,33 @@ def test_substitute_caches_match_recomputation(monkeypatch):
         return result
 
     def tallied(pres, *args):
+        known, substituted = set(pres.eliminated), len(eliminated)
+        words = {r.id: r.word for r in pres.rel}
         result = real_long(pres, *args)
+        deleted = sorted(pres.eliminated - known - set(eliminated[substituted:]))
+        if len(eliminated) == substituted:
+            assert len(deleted) == result
+            assert len(pres.rel) == len(words) - len(deleted)
+            assert all(r.word == words[r.id] for r in pres.rel)
+        made["deleted"] += len(deleted)
+        eliminated.extend(deleted)
+        for r in pres.rel:
+            assert r.canonical() == canonical_rep(r.word)
+            assert (dict(r.counts()), r.once()) == _recount(r.word)
         tally = {g: c for g, c in pres.occurrences().items() if c}
         assert tally == Counter(abs(s) for r in pres.rel for s in r.word)
-        tallies[result] += 1
+        tallies[result > 0] += 1
         return result
 
     monkeypatch.setattr(engine, "substitute", checked)
     monkeypatch.setattr(engine, "long_eliminate", tallied)
-    for seed in range(300):
+    for seed in range(400):  # a long elimination call may take many lonely generators
         pres = random_presentation(seed, d=rng.randint(3, 12), q=rng.randint(2, 10),
                                    maxlen=rng.randint(3, 14))
         simplify(pres, EngineConfig(growth_limit=rng.choice([1.0, 1.5, 3.0])))
     assert len(eliminated) > 1000 and len(set(eliminated)) > 10
     assert tallies[True] > 400 and tallies[False] > 400, tallies
-    assert lonely[True] > 100 and lonely[False] > 400, lonely
+    assert made["deleted"] > 100 and made["substituted"] > 400, made
 
 
 def test_substitute_rejects_self_reference():
@@ -372,10 +386,18 @@ def _has_lonely_candidate(pres):
     return any(occurrences[g] == 1 for r in pres.rel if len(r.word) > 2 for g in r.once())
 
 
+def _state(pres):
+    return pres.d, sorted(pres.eliminated), sorted(pres.involutions), \
+        [(r.id, r.word) for r in pres.rel]
+
+
 @pytest.mark.parametrize("growth_limit", [1.0, 1.1, 1.5, 3.0])
 def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
-    # chains of long eliminations, each step run by both and compared;
-    # a step that eliminates takes a lonely generator or a general one
+    # chains of long elimination calls, each compared with reference steps
+    # on a clone: while a lonely candidate exists, one call takes the whole
+    # run, so the reference steps until none is left; otherwise, and with
+    # ``sweep`` False, it takes one step.  Both must leave the same state
+    # and changes, and the call must return the number of reference steps
     cfg = EngineConfig(growth_limit=growth_limit)
     rng = random.Random(int(growth_limit * 10))
     outcomes = Counter()
@@ -390,20 +412,28 @@ def test_long_eliminate_equals_the_per_candidate_limit(growth_limit):
         else:
             base = random_presentation(rng, rng.randint(3, 8), rng.randint(2, 8), 9)
         for _ in range(8):
-            runs = []
-            for eliminate in (long_eliminate, _first_written_long_eliminate):
+            lonely = _has_lonely_candidate(base)
+            for sweep in (False, True):  # the chain goes on from the sweep
+                runs = []
                 pres = base.clone()
-                did = eliminate(pres, cfg, pres.total_length())
-                seen = [r.id for r in pres.take_changes()]
-                runs.append((did, seen, pres.d, [(r.id, r.word) for r in pres.rel]))
-            assert runs[0] == runs[1], (n, growth_limit)
-            outcomes[runs[0][0]] += 1
-            if not runs[0][0]:
+                count = long_eliminate(pres, cfg, pres.total_length(), sweep)
+                runs.append((count, [r.id for r in pres.take_changes()], _state(pres)))
+                pres, steps = base.clone(), 0
+                while _first_written_long_eliminate(pres, cfg, pres.total_length()):
+                    steps += 1
+                    if not (sweep and lonely and _has_lonely_candidate(pres)):
+                        break
+                runs.append((steps, [r.id for r in pres.take_changes()], _state(pres)))
+                assert runs[0] == runs[1], (n, growth_limit, sweep)
+            outcomes[count > 0] += 1
+            if not count:
                 break
-            selections["lonely" if _has_lonely_candidate(base) else "general"] += 1
+            selections["lonely" if lonely else "general"] += 1
+            selections["lonely, several"] += lonely and count > 1
             base = pres
     assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
     assert selections["lonely"] > 50 and selections["general"] > 50, selections
+    assert selections["lonely, several"] > 30, selections
 
 
 def test_long_eliminate_lonely_generator_in_a_short_relator():
@@ -422,6 +452,89 @@ def test_long_eliminate_growth_gate():
     before = [r.word for r in p.rel]
     assert not long_eliminate(p, EngineConfig(growth_limit=1.0), p.total_length())
     assert [r.word for r in p.rel] == before
+
+
+def test_a_relator_holding_two_lonely_generators_is_deleted_once():
+    # 1 and 2 occur only in the first relator: the least generator goes
+    # with it, and 2 is left free
+    p = make_presentation(4, [(1, 2, 3, 4), (3, 3, 4, 4, 4)])
+    p.take_changes()
+    assert long_eliminate(p, EngineConfig(), p.total_length()) == 1
+    assert p.d == 3 and p.eliminated == {1}
+    assert [r.id for r in p.take_changes()] == [0]
+    assert [(r.id, r.word) for r in p.rel] == [(1, (3, 3, 4, 4, 4))]
+
+
+def test_a_generator_lonely_mid_sweep_in_the_longest_relator_goes_next():
+    # 2 in "bfgg" and 1 (and 5) in "aef" are lonely at the start.  Deleting
+    # "bfgg" leaves 7 once in all, in the 6-symbol relator, which goes
+    # before "aef"; that leaves 6 once in all, in "aef", with 1
+    p = make_presentation(9, [(1, 5, 6), (2, 6, 7, 7), (7, 3, 4, 3, 4, 6), (8, 8, 9, 9, 9)])
+    p.take_changes()
+    assert long_eliminate(p, EngineConfig(), p.total_length()) == 3
+    assert [r.id for r in p.take_changes()] == [1, 2, 0]
+    assert p.d == 6 and p.eliminated == {2, 7, 1}
+    assert [(r.id, r.word) for r in p.rel] == [(3, (8, 8, 9, 9, 9))]
+
+
+def test_lonely_ties_go_to_the_least_generator():
+    # equal lengths: 2 goes before 4 though its relator has the greater id;
+    # deleting it leaves 5 once in all, beside 4.  The id never decides
+    # between two lonely candidates, since each generator has one holder
+    p = make_presentation(6, [(4, 5, 6, 6), (2, 5, 3, 3)])
+    p.take_changes()
+    assert long_eliminate(p, EngineConfig(), p.total_length()) == 2
+    assert [r.id for r in p.take_changes()] == [1, 0]
+    assert p.d == 4 and p.eliminated == {2, 4} and p.rel == []
+
+
+# the first pass rewrites "bdaDADGa" into "abdaDgF", which holds the
+# inverse of the involution f, and then comes a run of three lonely
+# generators; the driver normalizes F to f after the first of them, and so
+# runs a pass before the second
+NORMALIZED_MID_RUN = (7, [(2, 4, 1, -4, -1, -4, -7, 1), (-5, -2, -7, -3), (6, 6),
+                          (-4, -7, -6, -7, -1)])
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_sweep_ends_where_one_step_per_round_ends(monkeypatch, policy):
+    """Full runs equal runs whose driver takes one reference long
+    elimination step per round: output, stats, counters, reorders and
+    every search event."""
+    real = engine.long_eliminate
+    sweeps = Counter()
+
+    def counted(pres, cfg, total, sweep=True):
+        count = real(pres, cfg, total, sweep)
+        sweeps["several" if count > 1 else "one or none"] += 1
+        sweeps["one step, run pending"] += not sweep and count == 1 and \
+            _has_lonely_candidate(pres)
+        return count
+
+    def one_step(pres, cfg, total, sweep=True):
+        return int(_first_written_long_eliminate(pres, cfg, total))
+
+    data = Path(__file__).parent / "data"
+    texts = [(data / f"fibonacci_2_7_obfuscated_{d}.pres").read_text() for d in (67, 127)]
+    inputs = [lambda t=t: parse_presentation(t) for t in texts]
+    inputs += [lambda: make_presentation(*NORMALIZED_MID_RUN)]
+    inputs += [lambda s=s: sparse_presentation(s) for s in range(60)]
+    rng = random.Random(35)
+    for _ in range(60):  # many generators over short relators; involutions
+        args = rng.getrandbits(32), rng.randint(6, 10), rng.randint(4, 8), 5
+        inputs.append(lambda args=args: random_presentation(*args))
+        words = squares_words(rng, d_max=8, q_max=20, l_max=16)
+        inputs.append(lambda words=words: make_presentation(*words))
+    for n, make in enumerate(inputs):
+        runs = []
+        for step in (counted, one_step):
+            monkeypatch.setattr(engine, "long_eliminate", step)
+            events = []
+            p, stats = simplify(make(), EngineConfig(skip_policy=policy), events.append)
+            runs.append((serialize_presentation(p), stats.to_dict(), stats.counters.to_dict(),
+                         stats.reorders, events))
+        assert runs[0] == runs[1], n
+    assert sweeps["several"] > 20 and sweeps["one step, run pending"] > 5, sweeps
 
 
 def _doubling(pres):
@@ -1005,6 +1118,10 @@ def test_a_declined_pass_would_find_nothing(monkeypatch, policy):
             inputs.append(sparse_presentation(rng.getrandbits(32)))
         else:
             inputs.append(dense_presentation(rng, l_max=16))
+    # a run declines at most one pass per long elimination step, which takes
+    # a whole run of lonely generators; about half of the sparse inputs end
+    # with a declined pass
+    inputs += [sparse_presentation(rng.getrandbits(32)) for _ in range(300)]
     for i, pres in enumerate(inputs):
         cfg = EngineConfig(skip_policy=policy, long_elim_enabled=i % 4 != 3,
                            max_passes=3 if i % 5 == 2 else 100)
@@ -1024,7 +1141,7 @@ def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
     leaves: a reference run on a clone checks each call step by step."""
     real_short, real_normalize, real_eliminate = (
         engine.short_eliminate, engine.normalize_involutions, engine._eliminate)
-    steps, calls = [], Counter()
+    steps, calls, inside = [], Counter(), []
 
     def state(pres):
         return [(r.id, r.word) for r in pres.rel], sorted(pres.involutions)
@@ -1043,17 +1160,19 @@ def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
         real_normalize(pres, *args)
         steps.append((state(pres), None))
 
-    def eliminating(pres, r, g, *args):
-        if not args:  # a short elimination's step; long ones pass ``lonely``
+    def eliminating(pres, r, g):
+        if inside:  # a short elimination's step, not a long one
             steps[-1] = (steps[-1][0], r.id)
-        real_eliminate(pres, r, g, *args)
+        real_eliminate(pres, r, g)
 
     def checked(pres, taken=None):
         reference = pres.clone()
         partial = taken is not None and \
             2 * (len(taken) + len(pres.pending_changes())) < len(pres.rel)
         steps.clear()
+        inside.append(True)
         result = real_short(pres, taken)
+        inside.clear()
         assert steps == full_scan(reference)
         if partial:
             calls["partial"] += 1
