@@ -27,7 +27,7 @@ from .presentation import (
 )
 from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
-from .words import Word, eliminable, invert, reduce_cyclic_word
+from .words import Word, cyclic_reduce, eliminable, invert, reduce_cyclic_word
 
 
 class EngineError(RuntimeError):
@@ -101,10 +101,15 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
     """Replace the text's v segment by the pattern's inverted u segment.
 
     With the pattern equivalent u.v and the text rotation w.v, the text
-    becomes w.u^-1, reduced; strictly shorter since v is longer than u.
+    becomes w.u^-1, cyclically reduced; strictly shorter since v is longer
+    than u.  w and u^-1 are freely reduced and cancel where they meet only
+    if v extends backward, which a maximal match (``match_from_seed``) does not.
     """
     pe, te = check_match(m, p_word, t_word)  # engine bug guard
-    return reduce_cyclic_word(te[:len(t_word) - m.v_len] + invert(pe[:m.u_len]))
+    w = te[:len(t_word) - m.v_len]
+    if m.u_len and w and w[-1] == pe[m.u_len - 1]:
+        raise EngineError("match not maximal: its v extends backward")
+    return cyclic_reduce(w + invert(pe[:m.u_len]))
 
 
 def substitute(pres: Presentation, g: int, rhs: Word) -> None:

@@ -26,7 +26,6 @@ adversarial collisions are improbable.
 from __future__ import annotations
 
 import random
-from itertools import repeat
 
 from .match import Match, SearchCounters, extend_hit
 from .words import Word, extend_front, invert, useful_threshold
@@ -105,21 +104,21 @@ def sample_length(m: int) -> int:
 class PatternIndex:
     """Per-pattern search state for the Karp-Rabin strategies.
 
-    The bases are the pattern and its formal inverse.  The Bloom backings
-    index all threshold-length circular windows of both, fingerprinted
-    with ``base``: ``candidates`` maps a fingerprint to its ``(inverted,
-    window start)`` occurrences, uninverted first, each base by ascending
-    start, behind a Bloom filter.  The exact backing ignores ``base``.
+    The bases are the pattern and its formal inverse; place a < 2 * l_p is
+    start a of the pattern when a < l_p, else start a - l_p of the inverse.
+    The Bloom backings index all threshold-length circular windows of
+    both, fingerprinted with ``base``: ``candidates`` maps a fingerprint to
+    its places, ascending, behind a Bloom filter.  The exact backing
+    ignores ``base``.
 
     The exact backing takes q-grams, q = ``sample_length(m)``, and
     ``stride`` = m - q + 1.  Any m-window [i, i + m) of the text contains
     the q-gram at the one multiple of the stride in [i, i + m - q], and a
     key window's q-grams are pattern q-grams, so a text none of whose
     sampled q-grams is a pattern q-gram holds no key window.  ``first``
-    maps each circular q-gram of both bases, as a tuple, to its first
-    ``(inverted, start)`` occurrence in the order above.  A q-gram that
-    recurs has its full ordered list of occurrences in ``repeats``, which
-    is empty unless ``first`` has fewer than 2 * l_p keys.
+    maps each circular q-gram of both bases, as a tuple, to its least
+    place.  A q-gram that recurs has its places, ascending, in ``repeats``,
+    which is empty unless ``first`` has fewer than 2 * l_p keys.
     """
 
     def __init__(self, p_word: Word, backing: str, base: int, bloom_log2_size: int = 16):
@@ -134,21 +133,20 @@ class PatternIndex:
             for word in (p_word, self.inverse):
                 ext = extend_front(word, q - 1)
                 grams += zip(*[ext[k:] for k in range(q)])  # ext[s:s + q] for s < n
-            at = [*zip(repeat(False), range(n)), *zip(repeat(True), range(n))]
-            # a later pair overwrites an earlier key's value: go last to first
-            self.first = dict(zip(reversed(grams), reversed(at)))
-            self.repeats: dict[Word, list[tuple[bool, int]]] = {}
+            # grams[a] is at place a; a later pair overwrites: go last to first
+            self.first = dict(zip(reversed(grams), range(2 * n - 1, -1, -1)))
+            self.repeats: dict[Word, list[int]] = {}
             if len(self.first) < 2 * n:  # some q-gram recurs: chain its later places
-                for gram, a in zip(grams, at):
+                for a, gram in enumerate(grams):
                     if a != self.first[gram]:
                         self.repeats.setdefault(gram, [self.first[gram]]).append(a)
             return
         self.base = base
         self.bloom = BloomFilter(3 if backing == "bloom3" else 4, bloom_log2_size)
-        self.candidates: dict[int, list[tuple[bool, int]]] = {}
-        for inverted, word in ((False, p_word), (True, self.inverse)):
-            for start, value in enumerate(window_fingerprints(word, self.m, base)):
-                self.candidates.setdefault(value, []).append((inverted, start))
+        self.candidates: dict[int, list[int]] = {}
+        for offset, word in ((0, p_word), (len(p_word), self.inverse)):
+            for a, value in enumerate(window_fingerprints(word, self.m, base), offset):
+                self.candidates.setdefault(value, []).append(a)
                 self.bloom.insert(value)
 
 
@@ -177,16 +175,16 @@ def kr_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
                 continue
             counters.fingerprint_matches += 1
             t_window = tuple(t_word[(tstart + i) % l_t] for i in range(m))
-            for inverted, pstart in cands:
+            for a in cands:
                 counters.confirmations += 1
-                word = bases[inverted]
-                if all(word[(pstart + i) % l_p] == t_window[i] for i in range(m)):
+                word = bases[a >= l_p]
+                if all(word[(a + i) % l_p] == t_window[i] for i in range(m)):
                     break
             else:
                 counters.fingerprint_false_matches += 1
                 continue
             counters.windows_scanned += tstart + 1
-            found.append(extend_hit(p_word, t_word, inverted, pstart, tstart, counters))
+            found.append(extend_hit(p_word, t_word, a >= l_p, a % l_p, tstart, counters))
             break
         else:
             counters.windows_scanned += l_t
@@ -204,14 +202,13 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
     so checking, in order, only the windows of each hitting sample still
     finds the first key window.  A pattern window equal to text window i
     holds the sample at offset j - i, so it lies on an alignment: text
-    position j facing position s of an occurrence (inverted, s) of the
-    sample, the one in ``first`` or, for a recurring sample, each in
-    ``repeats``.  Along one alignment, walking back from j (not past the
-    range's first start), then forward from j + q until m symbols agree,
-    finds its first key window, if any; its others start later.  So the
-    least (window start, inverted, pattern start) over the alignments is
-    the first key window with its first equal pattern window, uninverted
-    before inverted and by ascending start, as ``candidates`` orders them.
+    position j facing the start of a place of the sample, the one in
+    ``first`` or, for a recurring sample, each in ``repeats``.  Along one
+    alignment, walking back from j (not past the range's first start),
+    then forward from j + q until m symbols agree, finds its first key
+    window, if any; its others start later.  So the least (window start,
+    inverted, pattern start) over the alignments is the first key window
+    with its first equal pattern window, in the order of places.
     """
     m, q, stride, l_p = idx.m, idx.q, idx.stride, len(p_word)
     first_at, repeats = idx.first, idx.repeats
@@ -230,9 +227,9 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
                 ext = t_word + t_word[:m - 1]  # m - 1 < l_p <= l_t
             first = max(0, j - m + q)
             hits = []
-            for inverted, s in repeats.get(sample, (at,)):
-                base = doubled[inverted]
-                shift = s - j  # text position i faces base position i + shift
+            for a in repeats.get(sample, (at,)):
+                base = doubled[a >= l_p]
+                shift = a % l_p - j  # text position i faces base position i + shift
                 i = j
                 while i > first and ext[i - 1] == base[i - 1 + shift]:
                     i -= 1
@@ -242,7 +239,7 @@ def _exact_search(idx: PatternIndex, p_word: Word, t_words: list[Word],
                 while e < end and ext[e] == base[e + shift]:
                     e += 1
                 if e == end:
-                    hits.append((i, inverted, (i + shift) % l_p))
+                    hits.append((i, a >= l_p, (i + shift) % l_p))
             if not hits:
                 continue
             tstart, inverted, pstart = min(hits)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import mul
 from typing import Iterable
 
 from .words import Word, canonical_rep, reduce_cyclic_word, word_from_letters
@@ -37,20 +38,18 @@ def _integer(lineno: int, token: str, what: str) -> int:
     return int(token)
 
 
-@dataclass
+@dataclass(slots=True)
 class RelatorRecord:
     """A relator with stable identity and the two search timestamps.
 
     ``tp`` stamps the relator's last loop as a pattern (-1 once marked or
     changed since) and ``ts`` its last change, from the one clock
     ``skip.PassContext.timer``.  The word is always freely and cyclically
-    reduced.  Two caches hang off it, both built on first use: the
-    canonical form and the generator counts, with the generators occurring
-    once and the shape (length, sorted count values).  A rotation or an
-    inverse of a word has the word's shape, so unequal shapes prove two
-    relators distinct without a canonical form.  Only ``set_word`` writes
-    ``word``: it drops both caches and, if armed, appends the record to
-    its presentation's change list, once until ``Presentation.take_changes``
+    reduced.  Three caches hang off it, each built on first use: the
+    canonical form, the duplicate key (``key``) and the generator counts,
+    with the generators occurring once.  Only ``set_word`` writes ``word``:
+    it drops every cache and, if armed, appends the record to its
+    presentation's change list, once until ``Presentation.take_changes``
     re-arms it.  ``_tallied`` is what the occurrence tally holds for it.
     """
 
@@ -59,17 +58,15 @@ class RelatorRecord:
     tp: int = -1
     ts: int = 0
     _canonical: Word | None = field(default=None, init=False, repr=False, compare=False)
+    _key: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _counts: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _once: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    _shape: tuple[int, tuple[int, ...]] = field(default=(0, ()), init=False, repr=False,
-                                                compare=False)
     _tallied: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _queue: list | None = field(default=None, repr=False, compare=False)
 
     def set_word(self, word: Word) -> None:
         self.word = word
-        self._canonical = None
-        self._counts = None
+        self._canonical = self._key = self._counts = None
         if self._queue is not None:  # armed: first rewrite since the last take
             self._queue.append(self)
             self._queue = None
@@ -79,23 +76,30 @@ class RelatorRecord:
             self._canonical = canonical_rep(self.word)
         return self._canonical
 
+    def key(self) -> tuple[int, ...]:
+        """Four sums equal for every rotation of the (nonempty) word and its inverse.
+
+        A rotation permutes the symbols and the inverse negates them all, so
+        the length and the sum of squares hold, and the sum up to sign.  The
+        last sums a * b over the cyclically adjacent pairs (a, b): a rotation
+        permutes them, and the inverse turns (a, b) into (-b, -a).
+        """
+        if self._key is None:
+            w = self.word
+            self._key = (len(w), abs(sum(w)), sum(map(mul, w, w)), sum(map(mul, w, w[1:] + w[:1])))
+        return self._key
+
     def counts(self) -> dict[int, int]:
         """Occurrences of each generator in the word, either sign."""
         if self._counts is None:
             self._counts = Counter(map(abs, self.word))
             self._once = tuple(g for g, c in self._counts.items() if c == 1)
-            self._shape = (len(self.word), tuple(sorted(self._counts.values())))
         return self._counts
 
     def once(self) -> tuple[int, ...]:
         """The generators occurring exactly once, in order of first occurrence."""
         self.counts()
         return self._once
-
-    def shape(self) -> tuple[int, tuple[int, ...]]:
-        """(length, sorted generator counts), equal for equivalent words."""
-        self.counts()
-        return self._shape
 
 
 @dataclass
@@ -188,7 +192,7 @@ def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
 def parse_presentation(text: str) -> Presentation:
     """Parse the file format above, after any leading BOM, into a normalized Presentation."""
     pres: Presentation | None = None
-    symbols: dict[str, int] = {}  # each valid token read so far; few distinct ones recur
+    valid: dict[str, int] = {}  # each valid symbol token read so far; few distinct ones recur
     for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -208,15 +212,17 @@ def parse_presentation(text: str) -> Presentation:
         if kind == "gens":
             raise ParseError(lineno, "duplicate 'gens' line")
         if kind == "rel":
-            syms = []
-            for f in fields[1:]:
-                s = symbols.get(f) or symbols.setdefault(f, _integer(lineno, f, "symbol"))
-                if s == 0:
-                    raise ParseError(lineno, "generator index 0 is invalid")
-                if abs(s) > pres.d:
-                    raise ParseError(lineno, f"generator index out of range: {s}")
-                syms.append(s)
-            word = tuple(syms)
+            try:
+                word = tuple(map(valid.__getitem__, fields[1:]))
+            except KeyError:  # a token not read before: check each one, in order
+                for f in fields[1:]:
+                    s = _integer(lineno, f, "symbol")
+                    if s == 0:
+                        raise ParseError(lineno, "generator index 0 is invalid")
+                    if abs(s) > pres.d:
+                        raise ParseError(lineno, f"generator index out of range: {s}")
+                    valid[f] = s
+                word = tuple(map(valid.__getitem__, fields[1:]))
         elif kind == "relw":
             if pres.d > 26:
                 raise ParseError(lineno, "'relw' is only valid for at most 26 generators")
@@ -289,30 +295,22 @@ def normalize_involutions(p: Presentation, changed: list[RelatorRecord] | None =
                 r.set_word(tuple(-s if s in inverses else s for s in r.word))
 
 
-# Relators shorter than this skip the shape and go straight to their
-# canonical form: there a canonical form costs little more than a shape,
-# and most short relators on few generators share a shape anyway.
-SHAPE_MIN_LENGTH = 48
-
-
 def remove_duplicates(p: Presentation) -> list[int]:
     """Drop emptied relators and those equal to an earlier one up to rotation/inversion.
 
-    Returns the duplicates' ids, in relator order; the first relator of each
-    class is kept.  Relators of at least ``SHAPE_MIN_LENGTH`` symbols are
-    first keyed on their shape (``RelatorRecord.shape``): one whose shape
-    no other relator shares has no duplicate and needs no canonical form.
-    A duplicate is emptied first, so its counts leave the occurrence tally.
+    Returns the duplicates' ids, in relator order, keeping each class's
+    first relator.  Only relators sharing a ``RelatorRecord.key`` get a
+    canonical form.  A duplicate is emptied, so it leaves the occurrence tally.
     """
-    shapes = Counter(r.shape() for r in p.rel if len(r.word) >= SHAPE_MIN_LENGTH)
+    keys = Counter(r.key() for r in p.rel if r.word)
     seen: set[Word] = set()
     removed: list[int] = []
     for r in p.rel:
-        if r.word and (len(r.word) < SHAPE_MIN_LENGTH or shapes[r.shape()] > 1):
-            key = r.canonical()
-            if key in seen:
+        if r.word and keys[r.key()] > 1:
+            canonical = r.canonical()
+            if canonical in seen:
                 removed.append(r.id)
                 r.set_word(())
-            seen.add(key)
+            seen.add(canonical)
     p.rel[:] = [r for r in p.rel if r.word]
     return removed

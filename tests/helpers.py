@@ -233,11 +233,17 @@ def accepts_substring(a: LSAutomaton, s: Word, k: int = 0) -> bool:
     return state is not None and holds(a, k, state)
 
 
+def place(idx: PatternIndex, a: int) -> tuple[bool, int]:
+    """An index's int-coded place a, decoded as (inverted, start)."""
+    l_p = len(idx.inverse)
+    return a >= l_p, a % l_p
+
+
 def qgram_alignments(idx: PatternIndex, gram: Word) -> list[tuple[bool, int]]:
     """The ordered (inverted, start) occurrences the exact index holds for gram."""
     if gram in idx.repeats:
-        return idx.repeats[gram]
-    return [idx.first[gram]] if gram in idx.first else []
+        return [place(idx, a) for a in idx.repeats[gram]]
+    return [place(idx, idx.first[gram])] if gram in idx.first else []
 
 
 def indexed_windows(idx: PatternIndex) -> int:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +34,7 @@ from tietze.presentation import (
 )
 from tietze.randgen import random_presentation, random_reduced_word
 from tietze.skip import POLICY_NAMES, PassTally
-from tietze.strategies import STRATEGIES
+from tietze.strategies import STRATEGIES, make_strategy
 from tietze.verify import abelian_invariants
 from tietze.words import (
     canonical_rep,
@@ -129,8 +130,8 @@ def test_apply_replacement_equals_full_reduction():
     # oracle matches of seeded random pairs, and every valid match of
     # short pairs on two generators.  A maximal match never cancels at the
     # junction (its v would extend), so the cancellations come from the
-    # shorter valid matches; patterns longer than the text give an empty w
-    # with a nonempty u
+    # shorter valid matches, which the rewrite refuses; patterns longer
+    # than the text give an empty w with a nonempty u
     rng = random.Random(44)
     cases = []
     for _ in range(1500):
@@ -147,8 +148,13 @@ def test_apply_replacement_equals_full_reduction():
     cases += _planted_junctions(rng, 400)
     kinds = Counter()
     for t, m, p in cases:
-        assert apply_replacement(t, m, p) == _full_reduction_rewrite(t, m, p), (t, m, p)
-        kinds[_junction_kind(t, m, p), m.inverted] += 1
+        kind = _junction_kind(t, m, p)
+        if kind in ("cancel 0", "empty w"):
+            assert apply_replacement(t, m, p) == _full_reduction_rewrite(t, m, p), (t, m, p)
+        else:
+            with pytest.raises(EngineError, match="not maximal"):
+                apply_replacement(t, m, p)
+        kinds[kind, m.inverted] += 1
     for kind in ("cancel 0", "cancel 1", "cancel 2", "empty w", "u^-1 cancelled"):
         for inverted in (False, True):
             assert kinds[kind, inverted] >= 10, kinds
@@ -564,6 +570,31 @@ def test_each_length_guard_raises(monkeypatch):
         with pytest.raises(EngineError, match="short elimination increased total length"):
             run()
     run()  # and without a fault, none raises
+
+
+def test_a_non_maximal_match_raises(monkeypatch):
+    # every match that can give its v's first symbol to u still is valid,
+    # but its v extends backward: w.u^-1 would cancel at the junction
+    def shortened(*args):
+        search = make_strategy(*args).search
+
+        def search_shortened(p_word, t_words, counters):
+            return [m if m is None or m.v_len - 1 <= m.u_len + 1
+                    else m._replace(u_len=m.u_len + 1, v_len=m.v_len - 1)
+                    for m in search(p_word, t_words, counters)]
+        return SimpleNamespace(search=search_shortened)
+
+    def run():
+        p, _ = simplify(parse_presentation("gens 6\nrelw abcde\nrelw abcdeff\n"),
+                        EngineConfig(long_elim_enabled=False))
+        return serialize_presentation(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "make_strategy", shortened)
+        with pytest.raises(EngineError, match="match not maximal"):
+            run()
+    # the maximal match rewrites abcdeff to ff
+    assert run() == "gens 6\nrel 6 6\nrel 1 2 3 4 5\n"
 
 
 def test_simplify_short_cascade():

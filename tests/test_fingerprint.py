@@ -10,6 +10,7 @@ from helpers import (
     indexed_windows,
     is_valid_match,
     mixed_batch,
+    place,
     qgram_alignments,
     random_pair,
 )
@@ -116,7 +117,9 @@ def test_pattern_index_single_symbol():
     assert idx.m == 1
     assert indexed_windows(idx) == 2
     # the symbol and its inverse, each once
-    assert idx.first == {(1,): (False, 0), (-1,): (True, 0)} and idx.repeats == {}
+    assert idx.first == {(1,): 0, (-1,): 1} and idx.repeats == {}
+    assert {gram: place(idx, a) for gram, a in idx.first.items()} == {
+        (1,): (False, 0), (-1,): (True, 0)}
 
 
 def test_pattern_index_collapses_duplicate_windows():
@@ -125,10 +128,11 @@ def test_pattern_index_collapses_duplicate_windows():
     # places on, in the word and in its inverse: the 8 windows share 4 keys
     idx = PatternIndex(W("abab"), "exact", base)
     assert idx.q == 2 and indexed_windows(idx) == 8
-    assert idx.first == {W("ab"): (False, 0), W("ba"): (False, 1),
-                         W("BA"): (True, 0), W("AB"): (True, 1)}
-    assert idx.repeats == {W("ab"): [(False, 0), (False, 2)], W("ba"): [(False, 1), (False, 3)],
-                           W("BA"): [(True, 0), (True, 2)], W("AB"): [(True, 1), (True, 3)]}
+    assert {gram: place(idx, a) for gram, a in idx.first.items()} == {
+        W("ab"): (False, 0), W("ba"): (False, 1), W("BA"): (True, 0), W("AB"): (True, 1)}
+    assert {gram: [place(idx, a) for a in at] for gram, at in idx.repeats.items()} == {
+        W("ab"): [(False, 0), (False, 2)], W("ba"): [(False, 1), (False, 3)],
+        W("BA"): [(True, 0), (True, 2)], W("AB"): [(True, 1), (True, 3)]}
 
 
 def test_kr_search_example_exact():

@@ -8,7 +8,6 @@ from helpers import squares_words
 from tietze import engine, presentation
 from tietze.engine import EngineConfig, simplify, substitute
 from tietze.presentation import (
-    SHAPE_MIN_LENGTH,
     ParseError,
     Presentation,
     RelatorRecord,
@@ -327,7 +326,7 @@ def test_tally_and_change_list_under_random_interleavings():
 
 def canonical_only_remove_duplicates(p):
     """Duplicate removal with a canonical form for every relator (the
-    reference the shape-keyed version must equal)."""
+    reference the keyed version must equal)."""
     seen, removed, kept = set(), [], []
     for r in p.rel:
         key = canonical_rep(r.word)
@@ -340,14 +339,14 @@ def canonical_only_remove_duplicates(p):
     return removed
 
 
-def test_shape_keyed_remove_duplicates_equals_canonical_only():
+def test_keyed_remove_duplicates_equals_canonical_only():
     rng = random.Random(14)
-    removed_total = removed_long = same_shape_kept = 0
+    removed_total = removed_long = same_key_kept = 0
     for _ in range(400):
         d = rng.randint(1, 4)
-        # short relators go straight to canonical forms, long ones are shaped first
+        # short relators, and long ones of 40-88 symbols
         base = [random_reduced_word(rng, d, rng.randint(1, 12) if rng.random() < 0.5
-                                    else rng.randint(SHAPE_MIN_LENGTH - 8, SHAPE_MIN_LENGTH + 40))
+                                    else rng.randint(40, 88))
                 for _ in range(rng.randint(1, 8))]
         words = list(base)
         for w in base:
@@ -357,7 +356,7 @@ def test_shape_keyed_remove_duplicates_equals_canonical_only():
                 if kind == 1:
                     v = invert(v)
                 elif kind == 2:
-                    v = v[::-1]  # the mirror: same shape, rarely equivalent
+                    v = v[::-1]  # the mirror: same key, rarely equivalent
                 words.insert(rng.randrange(len(words) + 1), v)
         p, q = make_presentation(d, words), make_presentation(d, words)
         removed = remove_duplicates(p)
@@ -365,27 +364,43 @@ def test_shape_keyed_remove_duplicates_equals_canonical_only():
         assert [r.id for r in p.rel] == [r.id for r in q.rel]
         removed_total += len(removed)
         lengths = {r.id: len(r.word) for r in make_presentation(d, words).rel}
-        removed_long += sum(lengths[i] >= SHAPE_MIN_LENGTH for i in removed)
-        shapes = Counter(r.shape() for r in p.rel if len(r.word) >= SHAPE_MIN_LENGTH)
-        same_shape_kept += sum(n for n in shapes.values() if n > 1)
-    assert removed_total > 1000 and removed_long > 400 and same_shape_kept > 250
+        removed_long += sum(lengths[i] >= 48 for i in removed)
+        keys = Counter(r.key() for r in p.rel)
+        same_key_kept += sum(n for n in keys.values() if n > 1)
+    assert removed_total > 1000 and removed_long > 400 and same_key_kept > 250
 
 
-def test_shape_is_invariant_and_survives_substitute():
+def test_remove_duplicates_on_the_duplicate_classes_fixture():
+    # each word's rotations and inverses go, and so does the commutator's
+    # mirror; the other mirrors share their word's key but stay
+    text = (Path(__file__).resolve().parent / "data" / "duplicate_classes.pres").read_text(
+        encoding="utf-8")
+    p, q = parse_presentation(text), parse_presentation(text)
+    dropped = [5, 6, 8, 9, 11, 13, 14, 15, 17, 18, 19]
+    assert remove_duplicates(p) == dropped == canonical_only_remove_duplicates(q)
+    assert [r.id for r in p.rel] == [0, 1, 2, 3, 4, 7, 10, 12, 16]
+    assert [len(r.word) for r in p.rel[:4]] == [9, 14, 48, 61]
+    by_id = {r.id: r for r in p.rel}
+    for word, mirror in ((0, 16), (1, 12), (2, 7), (3, 10)):
+        assert by_id[word].key() == by_id[mirror].key()
+
+
+def test_key_is_invariant_and_survives_substitute():
     rng = random.Random(15)
     for _ in range(200):
         d = rng.randint(2, 5)
         w = random_reduced_word(rng, d, rng.randint(1, 20))
-        shape = RelatorRecord(0, w).shape()
-        assert shape == (len(w), tuple(sorted(Counter(map(abs, w)).values())))
+        key = RelatorRecord(0, w).key()
+        assert key == (len(w), abs(sum(w)), sum(s * s for s in w),
+                       sum(a * b for a, b in zip(w, w[1:] + w[:1])))
         v = rotate_right(w, rng.randrange(len(w)))
-        assert RelatorRecord(1, v).shape() == RelatorRecord(2, invert(v)).shape() == shape
+        assert RelatorRecord(1, v).key() == RelatorRecord(2, invert(v)).key() == key
     p = make_presentation(3, [(2, 3, 3), (1, 2, 1, 3)])
-    shapes = [r.shape() for r in p.rel]
+    keys = [r.key() for r in p.rel]
     substitute(p, 1, (2,))
-    # the first relator does not hold generator 1: it keeps its word and shape
-    assert p.rel[0].shape() == shapes[0] == RelatorRecord(0, p.rel[0].word).shape()
-    assert p.rel[1].shape() == RelatorRecord(1, p.rel[1].word).shape() != shapes[1]
+    # the first relator does not hold generator 1: it keeps its word and key
+    assert p.rel[0].key() == keys[0] == RelatorRecord(0, p.rel[0].word).key()
+    assert p.rel[1].key() == RelatorRecord(1, p.rel[1].word).key() != keys[1]
 
 
 def test_trivial_group_roundtrip():
@@ -508,20 +523,34 @@ def test_clone_does_not_carry_canonical_cache(canonical_calls, monkeypatch):
     assert len(counts_built) == 4
 
 
-def test_shapes_spare_most_canonical_forms_on_s120(canonical_calls, monkeypatch):
-    # long relators over 3 generators sharing a motif (the s120 family):
-    # few relators share a shape, so few canonical forms are built
-    handed = []
+def test_keys_spare_most_canonical_forms(canonical_calls, monkeypatch):
+    # a canonical form is built only for a relator whose key another one
+    # shares; on long relators over 3 generators sharing a motif (the s120
+    # family), and on 300 short ones over 4, few relators share a key
+    handed, colliding = [], []
 
     def counting(p):
+        keys = Counter(r.key() for r in p.rel if r.word)
         handed.append(len(p.rel))
+        colliding.extend(r.word for r in p.rel if r.word and keys[r.key()] > 1)
         return remove_duplicates(p)
 
     monkeypatch.setattr(engine, "remove_duplicates", counting)
     p = random_presentation(7, 3, 120, 120, "small-alphabet-long")
+    p.add_relator(rotate_right(p.rel[0].word, 5))  # one duplicate, removed at start-up
     simplify(p, EngineConfig(match_strategy="kr-hash"))
     assert len(handed) >= 3
-    assert 4 * len(canonical_calls) < sum(handed)
+    assert canonical_calls == colliding and len(canonical_calls) == 2
+    rng = random.Random(16)
+    canonical_calls.clear()
+    handed.clear()
+    colliding.clear()
+    for _ in range(6):
+        words = [random_reduced_word(rng, 4, rng.randint(6, 16)) for _ in range(300)]
+        simplify(make_presentation(4, words), EngineConfig(
+            match_strategy="automaton-two", skip_policy="ts-unsorted"))
+    assert canonical_calls == colliding and len(canonical_calls) > 0
+    assert len(canonical_calls) <= 0.02 * sum(handed)
 
 
 def test_readme_format_example_parses():

@@ -26,6 +26,12 @@ def test_every_traced_layer_is_called(tmp_path, monkeypatch):
     inp = str(tmp_path / "in.pres")
     assert cli.main(["gen", "--gens", "3", "--rels", "20", "--maxlen", "40", "--seed", "3",
                      "--profile", "small-alphabet-long", "-o", inp]) == 0
+    # a rotated copy of the first relator shares its duplicate key, so
+    # duplicate removal builds canonical forms (words.canonical)
+    with open(inp, encoding="utf-8") as f:
+        first = next(line.split()[1:] for line in f if line.startswith("rel "))
+    with open(inp, "a", encoding="utf-8") as f:
+        f.write(f"rel {' '.join(first[1:] + first[:1])}\n")
     # pattern loops that can search: every position of a pass but the last
     loops = [0]
     run_pass = engine.run_pass
