@@ -173,10 +173,21 @@ def cmd_verify(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser with ``command``'s subparser alone when it names one, else
+    all four, for top-level help and errors; its usage lists all four either way."""
     parser = argparse.ArgumentParser(prog="tietze",
                                      description="Simplify finitely presented groups")
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = ("simplify", "bench", "gen", "verify")
+    every = command not in names
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if every else "{" + ",".join(names) + "}")
+
+    def add(name, func, help):  # the new subparser, or None if it is not built
+        if every or name == command:
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(func=func, parser=p)
+            return p
 
     def add_engine_flags(p):
         p.add_argument("--match", default="brute",
@@ -196,37 +207,32 @@ def build_parser() -> argparse.ArgumentParser:
                             "every other strategy, kr-hash included, ignores it")
         p.add_argument("--stats", metavar="FILE", default=None)
 
-    p = sub.add_parser("simplify", help="simplify one presentation")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None)
-    add_engine_flags(p)
-    p.set_defaults(func=cmd_simplify, parser=p)
-
-    p = sub.add_parser("bench", help="compare configurations on one input")
-    p.add_argument("input")
-    p.add_argument("--all-strategies", action="store_true")
-    p.add_argument("--all-skip", action="store_true")
-    add_engine_flags(p)
-    p.set_defaults(func=cmd_bench, parser=p)
-
-    p = sub.add_parser("gen", help="generate a random presentation")
-    p.add_argument("--gens", type=int, required=True)
-    p.add_argument("--rels", type=int, required=True)
-    p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", choices=PROFILES, default="generic")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen, parser=p)
-
-    p = sub.add_parser("verify", help="compare abelian invariants of two presentations")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_verify, parser=p)
+    if p := add("simplify", cmd_simplify, "simplify one presentation"):
+        p.add_argument("input")
+        p.add_argument("-o", "--output", default=None)
+        add_engine_flags(p)
+    if p := add("bench", cmd_bench, "compare configurations on one input"):
+        p.add_argument("input")
+        p.add_argument("--all-strategies", action="store_true")
+        p.add_argument("--all-skip", action="store_true")
+        add_engine_flags(p)
+    if p := add("gen", cmd_gen, "generate a random presentation"):
+        p.add_argument("--gens", type=int, required=True)
+        p.add_argument("--rels", type=int, required=True)
+        p.add_argument("--maxlen", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--profile", choices=PROFILES, default="generic")
+        p.add_argument("-o", "--output", default=None)
+    if p := add("verify", cmd_verify, "compare abelian invariants of two presentations"):
+        p.add_argument("first")
+        p.add_argument("second")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line, ``sys.argv[1:]`` by default, with a parser built for it."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args, args.parser)  # errors print the subcommand's usage

@@ -27,7 +27,7 @@ from .presentation import (
 )
 from .skip import POLICY_NAMES, PassContext, Recorder, init_pass_state, mark_changed, run_pass
 from .strategies import STRATEGIES, make_strategy
-from .words import Word, cyclic_reduce, eliminable, invert, reduce_cyclic_word
+from .words import Word, cyclic_reduce, eliminable, invert
 
 
 class EngineError(RuntimeError):
@@ -115,30 +115,35 @@ def apply_replacement(t_word: Word, m: Match, p_word: Word) -> Word:
 def substitute(pres: Presentation, g: int, rhs: Word) -> None:
     """Replace generator g by rhs everywhere and remove g.
 
-    Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs); words
-    are re-reduced and emptied relators dropped.  Only the relators whose
-    word holds g or g^-1 get a new word, in relator order, through
-    ``set_word``; they are found by testing each word, without building
-    any relator's counts.  No other label moves: g joins ``pres.eliminated``
-    until ``compact_labels``.
+    Every occurrence of g becomes rhs, of g^-1 becomes invert(rhs), freely
+    reduced as it is written: a symbol, from rhs or copied, that cancels the
+    last one written pops it.  So only the ends are then cyclically reduced,
+    and emptied relators are dropped.  Only the relators whose word holds g
+    or g^-1 get a new word, in relator order, through ``set_word``; they are
+    found by testing each word, without building any relator's counts.  No
+    other label moves: g joins ``pres.eliminated`` until ``compact_labels``.
     """
     if not 1 <= g <= pres.d + len(pres.eliminated) or g in pres.eliminated:
         raise ValueError(f"generator {g} out of range")
     if any(abs(s) == g for s in rhs):
         raise ValueError("substitution right-hand side mentions the eliminated generator")
-    rhs_inv = invert(rhs)
+    rhs_inv, ng = invert(rhs), -g
     emptied = False
     for r in pres.rel:
-        if g in r.word or -g in r.word:
+        if g in r.word or ng in r.word:
             out: list[int] = []
             for s in r.word:
-                if s == g:
-                    out.extend(rhs)
-                elif s == -g:
-                    out.extend(rhs_inv)
+                if s == g or s == ng:
+                    for x in rhs if s == g else rhs_inv:
+                        if out and out[-1] == -x:
+                            out.pop()
+                        else:
+                            out.append(x)
+                elif out and out[-1] == -s:
+                    out.pop()
                 else:
                     out.append(s)
-            r.set_word(reduce_cyclic_word(tuple(out)))
+            r.set_word(cyclic_reduce(tuple(out)))
             emptied = emptied or not r.word
     if emptied:
         pres.rel[:] = [r for r in pres.rel if r.word]
@@ -296,11 +301,13 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     nothing marked since, every pair holds the words that pass searched or
     skipped as failed, so another would succeed nowhere and, but under
     ``all-pairs``, search nothing; it is not run and counts nowhere.
-    Boundary maintenance (sorting and duplicate removal) runs at start-up,
-    then before a pass only when a relator was rewritten since.
-    Eliminations keep every other label; ``compact_labels`` closes their
-    gaps once, at the end.  The total length is computed only at a phase
-    boundary where it may have moved; both length guards compare with it.
+    The relators come in reduced, as ``add_relator`` and ``clone`` leave
+    them, and are not reduced again.  Boundary maintenance (sorting and
+    duplicate removal) runs at start-up, then before a pass only when a
+    relator was rewritten since.  Eliminations keep every other label;
+    ``compact_labels`` closes their gaps once, at the end.  The total length
+    is computed only at a phase boundary where it may have moved; both
+    length guards compare with it.
     """
     if cfg is None:
         cfg = EngineConfig()
@@ -314,8 +321,6 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     ctx = PassContext(policy=cfg.skip_policy)
     rewritten = False
     carried = None  # the pass takes since the last short elimination; None: read all
-    for r in pres.rel:
-        r.set_word(reduce_cyclic_word(r.word))
     _boundary_maintenance(pres)
     pres.take_changes()  # every relator is marked next
     init_pass_state(pres, ctx)

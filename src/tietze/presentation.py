@@ -1,6 +1,6 @@
 """Presentation data model: generators, involutions and the relator sequence.
 
-The file format is line oriented UTF-8, with ASCII numbers [+-]?[0-9]+:
+The file format is UTF-8 lines ending at LF, CRLF or CR, with ASCII numbers [+-]?[0-9]+:
 
     # comment and blank lines are ignored
     gens <d>              exactly once, first significant line, d >= 0
@@ -8,7 +8,7 @@ The file format is line oriented UTF-8, with ASCII numbers [+-]?[0-9]+:
     relw <letters>        letter form (a=1 ... z=26, uppercase = inverse),
                           only accepted when d <= 26
 
-Serialization always emits the numeric ``rel`` form.
+Relators are reduced once, when read; serialization emits the numeric ``rel`` form.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ class RelatorRecord:
 
     ``tp`` stamps the relator's last loop as a pattern (-1 once marked or
     changed since) and ``ts`` its last change, from the one clock
-    ``skip.PassContext.timer``.  The word is always freely and cyclically
-    reduced.  Three caches hang off it, each built on first use: the
-    canonical form, the duplicate key (``key``) and the generator counts,
-    with the generators occurring once.  Only ``set_word`` writes ``word``:
-    it drops every cache and, if armed, appends the record to its
-    presentation's change list, once until ``Presentation.take_changes``
-    re-arms it.  ``_tallied`` is what the occurrence tally holds for it.
+    ``skip.PassContext.timer``.  ``Presentation.add_relator`` reduces the
+    word freely and cyclically; every writer keeps it so.  Three caches hang
+    off it, each built on first use: the canonical form, the duplicate key
+    (``key``) and the generator counts, with the generators occurring once.
+    Only ``set_word`` writes ``word``: it drops every cache and, if armed,
+    appends the record to its presentation's change list, once until
+    ``Presentation.take_changes`` re-arms it.  ``_tallied`` is what the
+    occurrence tally holds for it.
     """
 
     id: int
@@ -115,7 +116,7 @@ class Presentation:
     _changes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def add_relator(self, word: Word) -> RelatorRecord:
-        """Reduce ``word`` and append it, armed, unless it reduces to nothing."""
+        """Reduce ``word``, an input relator's one reduction; append it, armed, if nonempty."""
         rec = RelatorRecord(self.next_id, reduce_cyclic_word(word))
         self.next_id += 1
         if rec.word:
@@ -193,11 +194,11 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the file format above, after any leading BOM, into a normalized Presentation."""
     pres: Presentation | None = None
     valid: dict[str, int] = {}  # each valid symbol token read so far; few distinct ones recur
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # not splitlines: \v, \x85, ...
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         kind = fields[0]
         if pres is None:
             if kind != "gens":

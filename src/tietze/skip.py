@@ -104,14 +104,17 @@ class PassContext:
 
 
 def init_pass_state(pres: Presentation, ctx: PassContext) -> None:
-    """Mark every relator changed, in order, before the first pass.
+    """Mark every relator changed, in order, as ``mark_changed`` would, before the first pass.
 
     A marked relator has tp = -1, so the first pass searches every pair, as
     the paper's initial stamps arrange; every later stamp is larger by the
     same n, which no comparison of two stamps can see.
     """
-    for r in pres.rel:
-        mark_changed(ctx, r)
+    for ts, r in enumerate(pres.rel, ctx.timer):
+        r.tp, r.ts = -1, ts
+    ctx.timer += len(pres.rel)
+    if ctx.policy == "flags":
+        ctx.flagged.update(r.id for r in pres.rel)
 
 
 def mark_changed(ctx: PassContext, rec: RelatorRecord) -> None:

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,9 +84,75 @@ def test_invalid_flag_combination(tmp_path, capsys):
     assert main(["bench", inp, "--all-strategies", "--bloom-log2", "10"]) == 0
 
 
-def test_usage_error_exit_code():
+COMMANDS = ("simplify", "bench", "gen", "verify")
+OWN_FLAGS = {
+    "simplify": ("input", "--output", "--match", "--stats"),
+    "bench": ("input", "--all-strategies", "--all-skip", "--match", "--stats"),
+    "gen": ("--gens", "--rels", "--maxlen", "--profile", "--output"),
+    "verify": ("first", "second"),
+}
+
+
+def test_usage_error_exit_code(capsys):
     assert main(["simplify"]) == 2
+    capsys.readouterr()
     assert main(["frobnicate"]) == 2
+    # an unknown subcommand is told every choice
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "frobnicate" in err
+    assert all(name in err.split("invalid choice")[1] for name in COMMANDS), err
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tietze [-h] {simplify,bench,gen,verify} ...")
+    assert all(f"\n    {name} " in out for name in COMMANDS), out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_subcommand_help_shows_its_own_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: tietze {command} [-h]")
+    assert all(flag in out for flag in OWN_FLAGS[command])
+    others = {f for flags in OWN_FLAGS.values() for f in flags if f.startswith("--")}
+    assert not any(f in out for f in others - set(OWN_FLAGS[command])), out
+
+
+def test_a_run_builds_only_its_own_subparser(tmp_path, capsys, monkeypatch):
+    # each call builds a parser of its own; a top-level usage error still
+    # lists every subcommand
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    inp = write(tmp_path, "in.pres", "gens 2\nrel 1 2\n")
+    for command in COMMANDS:
+        main([command, "--help"])
+        assert built == [command]
+        built.clear()
+    assert main(["simplify", inp]) == 0 and main(["simplify", inp]) == 0
+    assert built == ["simplify", "simplify"]
+    capsys.readouterr()
+    assert main(["simplify", inp, "extra"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tietze [-h] {simplify,bench,gen,verify} ...")
+    assert "unrecognized arguments: extra" in err
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    inp = write(tmp_path, "in.pres", "gens 2\nrel 1 2\n")
+    monkeypatch.setattr(sys, "argv", ["tietze", "simplify", inp])
+    assert main() == 0
+    assert capsys.readouterr().out == "gens 1\n"
+    monkeypatch.setattr(sys, "argv", ["tietze"])
+    assert main() == 2
+    assert "required: command" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

@@ -39,6 +39,7 @@ from tietze.verify import abelian_invariants
 from tietze.words import (
     canonical_rep,
     eliminable,
+    free_reduce,
     invert,
     reduce_cyclic_word,
     rotate_right,
@@ -275,6 +276,69 @@ def test_substitute_rejects_self_reference():
     p = make_presentation(2, [(1, 2)])
     with pytest.raises(ValueError):
         substitute(p, 2, (2,))
+
+
+def _plain_image(word, g, rhs):
+    """The image of ``word``, unreduced, and for each of its symbols the
+    index in ``word`` of the symbol it was written for."""
+    image, source = [], []
+    for i, s in enumerate(word):
+        block = rhs if s == g else invert(rhs) if s == -g else (s,)
+        image += block
+        source += [i] * len(block)
+    return image, source
+
+
+def _cancelled_pairs(image):
+    """The (i, j) index pairs that free reduction of ``image`` cancels."""
+    stack, pairs = [], []
+    for j, s in enumerate(image):
+        if stack and image[stack[-1]] == -s:
+            pairs.append((stack.pop(), j))
+        else:
+            stack.append(j)
+    return pairs
+
+
+def test_substitute_equals_the_reduced_plain_image():
+    # substitute on random reduced words, with right-hand sides of 0, 1 and
+    # 2-6 symbols, against reduce_cyclic_word of the plain image: the words,
+    # the relator order and the emptied relators dropped.  The floors make
+    # sure images cancel, against a copied symbol and past a whole
+    # substituted occurrence, and that images reduce cyclically
+    rng = random.Random(36)
+    seen = Counter()
+    for trial in range(1500):
+        d = rng.randint(2, 4)
+        g = rng.randint(1, d)
+        others = [h for h in range(1, d + 1) if h != g]
+        n = (0, 1, rng.randint(2, 6))[trial % 3]
+        rhs = random_reduced_word(rng, len(others), n) if n else ()
+        rhs = tuple(others[s - 1] if s > 0 else -others[-s - 1] for s in rhs)
+        pres = Presentation(d)
+        for _ in range(rng.randint(1, 8)):
+            pres.add_relator(random_reduced_word(rng, d, rng.randint(1, 10)))
+        before = [(r.id, r.word) for r in pres.rel]
+        expected = []
+        for rid, w in before:
+            if g not in w and -g not in w:
+                expected.append((rid, w))
+                continue
+            image, source = _plain_image(w, g, rhs)
+            reduced = reduce_cyclic_word(tuple(image))
+            if reduced:
+                expected.append((rid, reduced))
+            seen["emptied"] += not reduced
+            seen["cyclic"] += len(reduced) < len(free_reduce(tuple(image)))
+            for i, j in _cancelled_pairs(image):
+                a, b = source[i], source[j]
+                seen["copied"] += (abs(w[a]) == g) != (abs(w[b]) == g)
+                seen["past"] += any(abs(w[k]) == g for k in range(a + 1, b))
+        substitute(pres, g, rhs)
+        assert [(r.id, r.word) for r in pres.rel] == expected, (before, g, rhs)
+        assert g in pres.eliminated and pres.d == d - 1
+    assert seen["emptied"] > 150 and seen["cyclic"] > 150, seen
+    assert seen["copied"] > 1500 and seen["past"] > 700, seen
 
 
 def test_short_eliminate_examples():

@@ -18,6 +18,7 @@ leaves a relator eliminable; every strategy in ``STRATEGIES`` runs it.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -25,10 +26,10 @@ import pytest
 from helpers import dense_presentation, sparse_presentation, squares_words
 from tietze import engine, skip
 from tietze.engine import EngineConfig, simplify
-from tietze.presentation import make_presentation, serialize_presentation
+from tietze.presentation import RelatorRecord, make_presentation, serialize_presentation
 from tietze.randgen import random_presentation
 from tietze.strategies import STRATEGIES
-from tietze.words import eliminable
+from tietze.words import eliminable, reduce_cyclic_word
 
 
 def _corpus():
@@ -108,3 +109,24 @@ def test_equivalence_corpus_is_not_vacuous(monkeypatch):
     assert short > 0 and long > 0 and skipped > 0
     assert len(removed) > 0 and involutions > 0
     assert min(early.values()) > 50 and len(early) == len(skip.POLICY_NAMES), early
+
+
+def test_every_word_written_in_a_run_is_reduced(monkeypatch):
+    # the engine reduces its input once, when read, and no word after that
+    # but where it is built, so every word that a run writes must come in
+    # freely and cyclically reduced, from every writer
+    set_word = RelatorRecord.set_word
+    writers = Counter()
+
+    def checked(rec, word):
+        assert reduce_cyclic_word(word) == word, word
+        writers[sys._getframe(1).f_code.co_name] += 1
+        set_word(rec, word)
+
+    monkeypatch.setattr(RelatorRecord, "set_word", checked)
+    for pres in CORPUS:
+        for policy in skip.POLICY_NAMES:
+            simplify(pres.clone(), EngineConfig(skip_policy=policy))
+    assert min(writers.values()) > 20 and set(writers) == {
+        "substitute", "__call__", "normalize_involutions", "long_eliminate",
+        "remove_duplicates", "compact_labels"}, writers

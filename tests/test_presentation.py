@@ -21,7 +21,14 @@ from tietze.presentation import (
 )
 from tietze.randgen import random_presentation, random_reduced_word
 from tietze.verify import abelian_invariants
-from tietze.words import canonical_rep, invert, reduce_cyclic_word, rotate_right, word_from_letters
+from tietze.words import (
+    canonical_rep,
+    invert,
+    letters,
+    reduce_cyclic_word,
+    rotate_right,
+    word_from_letters,
+)
 
 W = word_from_letters
 
@@ -95,6 +102,56 @@ def test_relw_rejected_for_large_alphabets():
 def test_comments_and_blank_lines_ignored():
     p = parse_presentation("# header\n\ngens 2\n# middle\nrel 1 2\n\n")
     assert [r.word for r in p.rel] == [(1, 2)]
+
+
+# the line breaks of str.splitlines that universal-newline file reading does not know
+NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS)
+def test_a_comment_may_hold_any_character_but_a_line_end(ch):
+    p = parse_presentation(f"gens 2\n# note{ch}more\nrel 1 2\n  #{ch}rel 5\n")
+    assert [r.word for r in p.rel] == [(1, 2)]
+    # it is whitespace between tokens, as str.split() reads it
+    assert [r.word for r in parse_presentation(f"gens 2\nrel 1{ch}2\n").rel] == [(1, 2)]
+
+
+def test_error_line_numbers_count_only_lf_crlf_and_cr():
+    text = "gens 2\r\n# a\u2028b\x85c\vd\rrel 1 2\n\r\nbogus\f1\n"
+    with pytest.raises(ParseError, match=r"^line 5: unknown directive 'bogus'$"):
+        parse_presentation(text)
+    p = parse_presentation(text.replace("bogus", "rel"))
+    assert [r.word for r in p.rel] == [(1, 2), (1,)]
+
+
+def _random_unreduced(rng, d, n):
+    """A word of n symbols over d generators, drawn with many inverse pairs."""
+    w = [rng.choice((1, -1)) * rng.randint(1, d)]
+    for _ in range(n - 1):
+        w.append(-w[-1] if rng.random() < 0.3 else rng.choice((1, -1)) * rng.randint(1, d))
+    return tuple(w)
+
+
+def test_every_constructor_stores_reduced_words():
+    # parse (rel and relw lines), make_presentation and clone: each word is
+    # freely and cyclically reduced once stored, since simplify does not
+    # reduce its input again; with no involution, it is the reduced input
+    rng = random.Random(36)
+    unreduced = 0
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        words = [_random_unreduced(rng, d, rng.randint(1, 12)) for _ in range(rng.randint(0, 8))]
+        unreduced += sum(reduce_cyclic_word(w) != w for w in words)
+        lines = [f"rel {' '.join(map(str, w))}" if rng.random() < 0.5 else f"relw {letters(w)}"
+                 for w in words]
+        text = f"gens {d}\n" + "".join(f"{line}\n" for line in lines)
+        for p in (parse_presentation(text), make_presentation(d, words)):
+            for q in (p, p.clone()):
+                stored = [r.word for r in q.rel]
+                assert all(w and reduce_cyclic_word(w) == w for w in stored), stored
+                if not q.involutions:
+                    assert stored == [v for v in map(reduce_cyclic_word, words) if v]
+    assert unreduced > 500
 
 
 def test_parse_reduces_relators():
