@@ -159,7 +159,7 @@ def _eliminate(pres: Presentation, r: RelatorRecord, g: int) -> None:
     substitute(pres, g, invert(rest) if r.word[pos] > 0 else rest)
 
 
-def short_eliminate(pres: Presentation, taken: list[RelatorRecord] | None = None) -> int:
+def short_eliminate(pres: Presentation) -> int:
     """Eliminate via length-1 relators and non-involutory length-2 relators.
 
     Runs to fixpoint.  Each step first normalizes involutions, the one
@@ -170,21 +170,10 @@ def short_eliminate(pres: Presentation, taken: list[RelatorRecord] | None = None
     eliminates its highest generator through it.  The records rewritten
     wait on the presentation's change list.  Returns the number of
     eliminations.
-
-    Only a record rewritten since the previous call, which ended at a
-    fixpoint, can be eliminable or hold a new square or an inverse: one
-    ``taken`` off the change list since, or one still on it.  A step reads
-    only those, unless ``taken`` is None or they are half the relators or
-    more, and still takes the first eliminable relator in relator order.
     """
     eliminations = 0
     while True:
-        changed = None if taken is None else taken + pres.pending_changes()
-        if changed is not None and 2 * len(changed) >= len(pres.rel):
-            changed = None
-        normalize_involutions(pres, changed)
-        if changed is not None and not any(eliminable(r.word) for r in changed):
-            return eliminations
+        normalize_involutions(pres)
         r = next((r for r in pres.rel if eliminable(r.word)), None)
         if r is None:
             return eliminations
@@ -202,7 +191,7 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int, sweep: boo
     within growth_limit times ``total``, the current total length (per
     call, so calls may compound growth; if the least key fails, all do).
 
-    Otherwise a heap of the lonely keys and a local copy of the tally take
+    Otherwise a heap of the lonely keys and the occurrence counts take
     their whole run: a pop whose R is live deletes R (g := the rest of R
     makes it read 1), and a generator whose count falls to 1 is pushed with
     its holder.  A deletion rewrites no live word, so the driver's rounds
@@ -210,25 +199,27 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int, sweep: boo
     lengths fixed and counts falling, each would take the next pop.
     ``sweep`` False stops after one: the driver passes it while a pass's
     rewrites await normalization, which may rewrite a live word.
+    Occurrences are counted only when there is a candidate.
     """
+    candidates = [(r, g) for r in pres.rel if len(r.word) > 2 for g in r.once()]
+    if not candidates:
+        return 0
     occurrences = pres.occurrences()
     lonely, best = [], None
-    for r in pres.rel:
+    for r, g in candidates:
         n = len(r.word)
-        if n > 2:
-            for g in r.once():
-                key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id, r)
-                if occurrences[g] == 1:
-                    lonely.append(key)
-                elif best is None or key < best:  # (score, g, id) decides
-                    best = key
+        key = ((occurrences[g] - 1) * (n - 1) - n, g, r.id, r)
+        if occurrences[g] == 1:
+            lonely.append(key)
+        elif best is None or key < best:  # (score, g, id) decides
+            best = key
     if not lonely:
-        if best is None or total + best[0] > cfg.growth_limit * total:
+        if total + best[0] > cfg.growth_limit * total:
             return 0
         _eliminate(pres, best[3], best[1])
         return 1
     heapify(lonely)
-    left, gens = dict(occurrences), pres.d
+    gens = pres.d
     while lonely and (sweep or pres.d == gens):
         _, g, _, r = heappop(lonely)
         if not r.word:  # deleted with an earlier generator
@@ -239,8 +230,8 @@ def long_eliminate(pres: Presentation, cfg: EngineConfig, total: int, sweep: boo
         pres.eliminated.add(g)
         pres.d -= 1
         for h, c in counts.items():
-            left[h] -= c
-            if left[h] == 1:  # push h with its one live holder
+            occurrences[h] -= c
+            if occurrences[h] == 1:  # push h with its one live holder
                 s = next(s for s in pres.rel if s.word and h in s.counts())
                 if len(s.word) > 2:
                     heappush(lonely, (-len(s.word), h, s.id, s))
@@ -285,11 +276,12 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     """Run the full simplification driver in place; returns (pres, stats).
 
     ``record`` is handed straight to every ``run_pass`` and only observes.
-    After each short elimination, which also follows every long one, each
-    live record on the presentation's change list is marked changed, once,
-    in order of first rewrite; the first one normalizes the input's
-    involutions.  Each pass's rewrites are taken and handed to the next
-    short elimination, unmarked, since the pass drivers stamp their own.
+    The presentation's change list has this one reader.  After each short
+    elimination, which also follows every long one, each live record on it
+    is marked changed, once, in order of first rewrite; the first one
+    normalizes the input's involutions.  After each pass that succeeded,
+    its rewrites are taken, unmarked, since the pass drivers stamp their
+    own, and tested for an eliminable relator.
 
     No pass starts with an eliminable relator, so one among a pass's
     rewrites means it ended early (see ``skip``); ``short_eliminate`` then
@@ -320,7 +312,6 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     searcher = ReplacingSearcher(strategy, stats.counters)
     ctx = PassContext(policy=cfg.skip_policy)
     rewritten = False
-    carried = None  # the pass takes since the last short elimination; None: read all
     _boundary_maintenance(pres)
     pres.take_changes()  # every relator is marked next
     init_pass_state(pres, ctx)
@@ -329,8 +320,8 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
     while True:
         progress = False
 
-        elims = short_eliminate(pres, carried)
-        carried = []
+        elims = short_eliminate(pres)
+        pass_rewrote = False  # since that short elimination
         for r in pres.take_changes():
             if r.word:
                 rewritten = True
@@ -360,20 +351,18 @@ def simplify(pres: Presentation, cfg: EngineConfig | None = None,
             stats.searches_successful += successful
             if not successful:
                 break
-            rewritten = progress = True
+            rewritten = progress = pass_rewrote = True
             before, length = length, pres.total_length()
             if length > before:
                 raise EngineError("replacement pass increased total length")
             # the pass drivers stamped their own rewrites
-            taken = pres.take_changes()
-            carried += taken
-            ended_early = any(eliminable(r.word) for r in taken)
+            ended_early = any(eliminable(r.word) for r in pres.take_changes())
             if ended_early:
                 break
 
         if ended_early:
             continue
-        elims = cfg.long_elim_enabled and long_eliminate(pres, cfg, length, not carried)
+        elims = cfg.long_elim_enabled and long_eliminate(pres, cfg, length, not pass_rewrote)
         if elims:
             length = pres.total_length()
             stats.long_elims += elims

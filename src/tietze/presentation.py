@@ -13,6 +13,7 @@ Relators are reduced once, when read; serialization emits the numeric ``rel`` fo
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -50,8 +51,7 @@ class RelatorRecord:
     (``key``) and the generator counts, with the generators occurring once.
     Only ``set_word`` writes ``word``: it drops every cache and, if armed,
     appends the record to its presentation's change list, once until
-    ``Presentation.take_changes`` re-arms it.  ``_tallied`` is what the
-    occurrence tally holds for it.
+    ``Presentation.take_changes`` re-arms it.
     """
 
     id: int
@@ -62,7 +62,6 @@ class RelatorRecord:
     _key: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _counts: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _once: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    _tallied: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _queue: list | None = field(default=None, repr=False, compare=False)
 
     def set_word(self, word: Word) -> None:
@@ -112,7 +111,6 @@ class Presentation:
     rel: list[RelatorRecord] = field(default_factory=list)
     next_id: int = 0
     eliminated: set[int] = field(default_factory=set)  # until ``compact_labels``
-    _tally: Counter | None = field(default=None, init=False, repr=False, compare=False)
     _changes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def add_relator(self, word: Word) -> RelatorRecord:
@@ -122,7 +120,6 @@ class Presentation:
         if rec.word:
             rec._queue = self._changes
             self.rel.append(rec)
-            self._tally = None
         return rec
 
     def total_length(self) -> int:
@@ -137,43 +134,18 @@ class Presentation:
         p.rel = [RelatorRecord(r.id, r.word, r.tp, r.ts, _queue=p._changes) for r in self.rel]
         return p
 
-    def pending_changes(self) -> list[RelatorRecord]:
-        """The records rewritten since the last take, once each, in order of
-        first rewrite, emptied ones included; the list is left as it is."""
-        return self._changes[:]
-
     def take_changes(self) -> list[RelatorRecord]:
-        """The ``pending_changes``, emptied: each is folded into the
-        occurrence tally, if one is held, and re-armed."""
-        changes = self.pending_changes()
-        if changes and self._tally is not None:
-            self.occurrences()
+        """The records rewritten since the last take, once each, in order of
+        first rewrite, emptied ones included; each is re-armed."""
+        changes = self._changes[:]
         self._changes.clear()
         for r in changes:
             r._queue = self._changes
         return changes
 
     def occurrences(self) -> Counter:
-        """Occurrences of each generator in all relators, either sign (or 0).
-
-        Counted in full on first use, and whenever at least half as many
-        records as relators changed since the last take, where a full count
-        costs less than folding each record in.  Otherwise the records on
-        the change list are folded in, each trading the counts it was
-        tallied with for its current ones.  The list is left as it is.
-        """
-        changes = self._changes
-        if self._tally is None or 2 * len(changes) >= len(self.rel):
-            self._tally = Counter(map(abs, chain.from_iterable(r.word for r in self.rel)))
-            for r in chain(self.rel, changes):
-                r._tallied = r.counts()
-        else:
-            tally = self._tally
-            for r in changes:
-                tally.subtract(r._tallied)
-                tally.update(r.counts())
-                r._tallied = r._counts
-        return self._tally
+        """Occurrences of each generator in all relators, either sign (or 0)."""
+        return Counter(map(abs, chain.from_iterable(r.word for r in self.rel)))
 
 
 def make_presentation(d: int, relators: Iterable[Word]) -> Presentation:
@@ -254,15 +226,17 @@ def compact_labels(p: Presentation) -> None:
     """Renumber the live generators 1..d, in order, after eliminations.
 
     The map is increasing on signed symbols and commutes with inversion, so
-    it keeps lengths and duplicates and maps canonical forms to canonical forms."""
+    it keeps lengths and duplicates and maps canonical forms to canonical forms.
+    Only the labels that occur are mapped, h to h less the eliminated labels
+    below it, so the cost follows the words, not the generator count."""
     if not p.eliminated:
         return
-    live = [h for h in range(1, p.d + len(p.eliminated) + 1) if h not in p.eliminated]
-    new = {h: i for i, h in enumerate(live, 1)}
+    gaps = sorted(p.eliminated)
+    new = {h: h - bisect(gaps, h) for h in p.occurrences().keys() | p.involutions}
     new.update({-h: -i for h, i in new.items()})
     for r in p.rel:
         r.set_word(tuple(map(new.__getitem__, r.word)))
-    p.involutions, p.eliminated, p._tally = {new[h] for h in p.involutions}, set(), None
+    p.involutions, p.eliminated = {new[h] for h in p.involutions}, set()
 
 
 def sort_rel(p: Presentation) -> Presentation:
@@ -271,7 +245,7 @@ def sort_rel(p: Presentation) -> Presentation:
     return p
 
 
-def normalize_involutions(p: Presentation, changed: list[RelatorRecord] | None = None) -> None:
+def normalize_involutions(p: Presentation) -> None:
     """Mark generators with a square relator as involutions and rewrite.
 
     Every relator gg (or its inverse form) adds g to the involution set,
@@ -279,19 +253,13 @@ def normalize_involutions(p: Presentation, changed: list[RelatorRecord] | None =
     no such g^-1 occurs; a later replacement may write one again.  One
     sweep suffices, with no re-reduction: a sign flip cancels no symbol
     of a reduced word and makes no new square.
-
-    ``changed``, when given, must hold every record rewritten since the
-    previous call.  Only those can hold a new square or an inverse, so
-    only they are read, except that every relator is read for inverses
-    when the involution set grew.
     """
-    known = len(p.involutions)
-    for r in p.rel if changed is None else changed:
+    for r in p.rel:
         if len(r.word) == 2 and r.word[0] == r.word[1]:
             p.involutions.add(abs(r.word[0]))
     inverses = {-g for g in p.involutions}
     if inverses:
-        for r in p.rel if changed is None or len(p.involutions) > known else changed:
+        for r in p.rel:
             if not inverses.isdisjoint(r.word):
                 r.set_word(tuple(-s if s in inverses else s for s in r.word))
 
@@ -301,7 +269,7 @@ def remove_duplicates(p: Presentation) -> list[int]:
 
     Returns the duplicates' ids, in relator order, keeping each class's
     first relator.  Only relators sharing a ``RelatorRecord.key`` get a
-    canonical form.  A duplicate is emptied, so it leaves the occurrence tally.
+    canonical form.  A duplicate is emptied, and dropped with the emptied ones.
     """
     keys = Counter(r.key() for r in p.rel if r.word)
     seen: set[Word] = set()

@@ -14,14 +14,17 @@ IntMatrix = list[list[int]]
 
 
 def exponent_matrix(p: Presentation) -> IntMatrix:
-    """Row per relator, column per generator, entries are exponent sums."""
+    """Row per relator, column per generator that occurs, in ascending order;
+    entries are exponent sums.  A generator that occurs nowhere would add a
+    zero column, which changes no divisor, so it adds none."""
     if p.eliminated:
         raise ValueError("labels not compacted: their gaps would read as free generators")
+    column = {g: j for j, g in enumerate(sorted(p.occurrences()))}
     rows = []
     for r in p.rel:
-        row = [0] * p.d
+        row = [0] * len(column)
         for s in r.word:
-            row[abs(s) - 1] += 1 if s > 0 else -1
+            row[column[abs(s)]] += 1 if s > 0 else -1
         rows.append(row)
     return rows
 
@@ -78,7 +81,8 @@ def smith_normal_form(matrix: IntMatrix) -> list[int]:
 
 
 def abelian_invariants(p: Presentation) -> tuple[list[int], int]:
-    """(torsion coefficients with 1s removed, free rank)."""
+    """(torsion coefficients with 1s removed, free rank), the rank counting
+    the generators that occur nowhere."""
     divisors = smith_normal_form(exponent_matrix(p))
     torsion = [d for d in divisors if d != 1]
     return torsion, p.d - len(divisors)

@@ -355,16 +355,6 @@ def test_short_eliminate_examples():
     assert p.involutions == {1} and [r.word for r in p.rel] == [(1, 1)]
 
 
-def test_short_eliminate_reads_the_given_records_at_every_step():
-    # both length-1 relators were rewritten since the previous call; the
-    # first elimination rewrites neither the other nor anything but its own
-    p = make_presentation(4, [(1,), (3, 4, 3, 4, 4), (3, 3, 4, 4, 4), (4, 3, 3, 3, 4),
-                              (3, 4, 4, 4, 4), (2,)])
-    p.take_changes()
-    assert short_eliminate(p, [p.rel[5], p.rel[0]]) == 2
-    assert p.d == 2 and not any(eliminable(r.word) for r in p.rel)
-
-
 def _reference_short_eliminate(pres):
     """Short elimination with the right-hand side of each case written out."""
     eliminations = 0
@@ -1230,10 +1220,10 @@ def test_a_declined_pass_would_find_nothing(monkeypatch, policy):
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
-    """Each short elimination of a run reads only the records rewritten
-    since the previous one, yet every step picks the relator a full scan
-    picks and leaves the words and involutions a full normalization
-    leaves: a reference run on a clone checks each call step by step."""
+    """Every step of each short elimination of a run picks the relator a
+    full scan picks and leaves the words and involutions a full
+    normalization leaves: a reference run on a clone checks each call
+    step by step."""
     real_short, real_normalize, real_eliminate = (
         engine.short_eliminate, engine.normalize_involutions, engine._eliminate)
     steps, calls, inside = [], Counter(), []
@@ -1251,8 +1241,8 @@ def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
                 return expected
             real_eliminate(pres, r, max(map(abs, r.word)))
 
-    def normalizing(pres, *args):
-        real_normalize(pres, *args)
+    def normalizing(pres):
+        real_normalize(pres)
         steps.append((state(pres), None))
 
     def eliminating(pres, r, g):
@@ -1260,19 +1250,16 @@ def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
             steps[-1] = (steps[-1][0], r.id)
         real_eliminate(pres, r, g)
 
-    def checked(pres, taken=None):
+    def checked(pres):
         reference = pres.clone()
-        partial = taken is not None and \
-            2 * (len(taken) + len(pres.pending_changes())) < len(pres.rel)
         steps.clear()
         inside.append(True)
-        result = real_short(pres, taken)
+        result = real_short(pres)
         inside.clear()
         assert steps == full_scan(reference)
-        if partial:
-            calls["partial"] += 1
-            calls["partial, eliminating"] += result > 0
-            calls["partial, with involutions"] += bool(pres.involutions)
+        calls["all"] += 1
+        calls["eliminating"] += result > 0
+        calls["with involutions"] += bool(pres.involutions)
         return result
 
     monkeypatch.setattr(engine, "short_eliminate", checked)
@@ -1287,5 +1274,5 @@ def test_short_elimination_reads_what_a_full_scan_reads(monkeypatch, policy):
         else:
             pres = dense_presentation(rng, q_max=40, l_max=16)
         simplify(pres, EngineConfig(skip_policy=policy, long_elim_enabled=i % 4 != 3))
-    assert calls["partial"] > 80, calls
-    assert calls["partial, eliminating"] > 30 and calls["partial, with involutions"] > 20, calls
+    assert calls["all"] > 500 and calls["eliminating"] > 120, calls
+    assert calls["with involutions"] > 120, calls

@@ -4,6 +4,7 @@ from itertools import combinations
 from math import gcd, prod
 from pathlib import Path
 
+from tietze import verify
 from tietze.engine import EngineConfig, simplify
 from tietze.presentation import make_presentation, parse_presentation
 from tietze.randgen import random_presentation, random_reduced_word
@@ -105,6 +106,30 @@ def test_invariants_stable_under_equivalence_moves():
         rng.shuffle(shuffled)
         for variant in (rotated, inverted, shuffled):
             assert abelian_invariants(make_presentation(d, variant)) == base
+
+
+def test_unused_generators_add_free_rank_and_no_columns(monkeypatch):
+    # generators that occur in no relator add to the free rank only: the
+    # exponent matrix has a column for each generator that occurs, ascending
+    widths = []
+
+    def watched(matrix):
+        widths.append(max(map(len, matrix), default=0))
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(verify, "smith_normal_form", watched)
+    rng = random.Random(64)
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        words = [random_reduced_word(rng, d, rng.randint(1, 10))
+                 for _ in range(rng.randint(0, 6))]
+        occurring = {abs(s) for w in words for s in w}
+        torsion, rank = abelian_invariants(make_presentation(d, words))
+        for added in (1, rng.randint(2, 50), 200000):
+            widths.clear()
+            assert abelian_invariants(make_presentation(d + added, words)) == (torsion, rank + added)
+            assert widths == [len(occurring)]
+    assert exponent_matrix(make_presentation(9, [(7, 2, 7), (2, -9)])) == [[1, 2, 0], [1, 0, -1]]
 
 
 def test_invariants_preserved_by_simplify():
